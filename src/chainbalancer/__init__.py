@@ -13,12 +13,10 @@ from .arbitrage import (
     OppDirection,
     Opportunity,
     Threshold,
-    detect_opportunities,
     deviation_bounds,
     execute_atomic,
     fee_band,
     optimal_trade_size,
-    scan_deviations,
 )
 from .chain import (
     Block,

@@ -1,11 +1,12 @@
-"""Deviation detection, trade sizing, and atomic arbitrage execution.
+"""Opportunity sizing and atomic arbitrage execution.
 
 A balancer transaction closes the gap between one venue pool and the
 reference pool for a single asset: buy where the asset is cheap, sell
 where it is dear, both legs denominated in the numeraire. Funding is a
 flash loan (repaid with a fee inside the same transaction) or
 network-owned liquidity fronted by the treasury; either way the whole
-round trip commits atomically or rolls back exactly.
+round trip is quoted first and the commit-or-revert decision is made
+before any state is written.
 """
 
 from __future__ import annotations
@@ -13,15 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .market import (
-    NUMERAIRE,
-    DegenerateVenueError,
-    Pool,
-    SwapDirection,
-    execute_swap,
-    spot_price,
-)
-from .state import FEE_ESCROW, LENDER, TREASURY, ChainState, InsufficientBalanceError
+from .market import NUMERAIRE, Pool, SwapDirection, execute_swap, quote_swap, spot_price
+from .state import FEE_ESCROW, LENDER, TREASURY, ChainState
 from .units import SCALE, fee_due, ppb, to_nano
 
 DEFAULT_BALANCER_GAS = 90_000
@@ -35,10 +29,6 @@ class Funding(str, Enum):
 class OppDirection(str, Enum):
     BUY_ON_VENUE_SELL_ON_REF = "buy_on_venue_sell_on_ref"
     BUY_ON_REF_SELL_ON_VENUE = "buy_on_ref_sell_on_venue"
-
-
-class MissingReferenceError(ValueError):
-    """No reference price vector was supplied to a deviation scan."""
 
 
 @dataclass
@@ -86,44 +76,6 @@ class ExecutionResult:
     profit: int = 0      # nano-units of numeraire added to the beneficiary
     gas_used: int = 0
     reason: str = ""
-
-
-def scan_deviations(
-    price_vectors, reference_vector=None
-) -> list[Deviation]:
-    """Compute (p_venue - p_ref)/p_ref for every asset on every other venue.
-
-    All vectors must come from the same snapshot; mixing timestamps would
-    compare prices that never coexisted.
-    """
-    vectors = list(price_vectors)
-    if reference_vector is None:
-        refs = [v for v in vectors if v.is_reference]
-        if not refs:
-            raise MissingReferenceError("no reference venue in snapshot")
-        reference_vector = refs[0]
-    others = [v for v in vectors if v.venue_id != reference_vector.venue_id]
-    deviations: list[Deviation] = []
-    for vector in others:
-        if vector.as_of != reference_vector.as_of:
-            raise ValueError(
-                f"snapshot mismatch: venue {vector.venue_id} at {vector.as_of}, "
-                f"reference at {reference_vector.as_of}"
-            )
-        for asset in sorted(vector.prices):
-            if asset not in reference_vector.prices:
-                continue
-            p_ref = reference_vector.prices[asset]
-            delta = (vector.prices[asset] - p_ref) / p_ref
-            deviations.append(
-                Deviation(
-                    asset=asset,
-                    venue_id=vector.venue_id,
-                    delta_p=delta,
-                    observed_at=vector.as_of,
-                )
-            )
-    return deviations
 
 
 def fee_band(fee_cheap: float, fee_dear: float, flash_fee: float = 0.0) -> float:
@@ -270,28 +222,6 @@ def opportunity_from_deviation(
     )
 
 
-def detect_opportunities(
-    deviations,
-    threshold: Threshold,
-    pools: dict[tuple[int, int], Pool],
-    funding: Funding = Funding.FLASH_LOAN,
-    gas_estimate: int = DEFAULT_BALANCER_GAS,
-) -> list[Opportunity]:
-    """Opportunities for every deviation beyond the trigger, profitably sized."""
-    reference_ids = {p.venue_id for p in pools.values() if p.is_reference}
-    if not reference_ids:
-        raise MissingReferenceError("no reference pool configured")
-    reference_venue_id = min(reference_ids)
-    found: list[Opportunity] = []
-    for deviation in deviations:
-        opp = opportunity_from_deviation(
-            deviation, pools, reference_venue_id, threshold, funding, gas_estimate
-        )
-        if opp is not None:
-            found.append(opp)
-    return found
-
-
 def _cheap_dear(
     state: ChainState, opp: Opportunity, reference_venue_id: int
 ) -> tuple[Pool, Pool]:
@@ -309,104 +239,49 @@ def execute_atomic(
     reference_venue_id: int,
     beneficiary: str = TREASURY,
     inject_fault: bool = False,
-    residual_gas: int | None = None,
 ) -> ExecutionResult:
     """Run both legs atomically; commit only if the beneficiary cannot lose.
 
+    The legs trade on distinct pools, so both outputs are pure functions of
+    the pre-trade reserves: the round trip is quoted and the commit-or-revert
+    decision made before anything is written, and a revert touches nothing.
     On commit the beneficiary's numeraire balance grows by the realized
     profit (proceeds minus loan repayment minus the gas fee) and every
-    other balance it holds is unchanged. On revert the touched state is
-    restored to the exact pre-trade bytes. `inject_fault` forces a revert
+    other balance it holds is unchanged. `inject_fault` forces a revert
     just before repayment, for fault-injection tests.
     """
-    gas_fee = opp.gas_estimate * threshold.gas_price_nano
-    if residual_gas is not None and opp.gas_estimate > residual_gas:
-        return ExecutionResult(False, reason="gas_exhausted")
-
     cheap, dear = _cheap_dear(state, opp, reference_venue_id)
     asset = opp.deviation.asset
     size = opp.optimal_size
+    gas_fee = opp.gas_estimate * threshold.gas_price_nano
 
-    pools_snapshot = (
-        (cheap, cheap.reserve_base, cheap.reserve_quote),
-        (dear, dear.reserve_base, dear.reserve_quote),
-    )
-    touched = (
-        (beneficiary, NUMERAIRE),
-        (beneficiary, asset),
-        (LENDER, NUMERAIRE),
-        (FEE_ESCROW, NUMERAIRE),
-    )
-    # capture presence as well as value, so a rollback restores the exact
-    # dict representation (no spurious zero-valued keys survive)
-    holders_present = {h: (h == TREASURY or h in state.accounts) for h, _ in touched}
-    balances_snapshot = [
-        (holder, key, key in state._balances(holder), state.balance(holder, key))
-        for holder, key in touched
-    ]
-    snapshot_num = state.balance(beneficiary, NUMERAIRE)
-    snapshot_asset = state.balance(beneficiary, asset)
+    if opp.funding is Funding.FLASH_LOAN:
+        if state.balance(LENDER, NUMERAIRE) < size:
+            return ExecutionResult(False, reason="insufficient_lender")
+        loan_fee = fee_due(size, threshold.flash_fee_ppb)
+    else:
+        if state.balance(beneficiary, NUMERAIRE) < size:
+            return ExecutionResult(False, reason="insufficient_treasury")
+        loan_fee = 0
 
-    def rollback() -> None:
-        for pool, rb, rq in pools_snapshot:
-            pool.reserve_base, pool.reserve_quote = rb, rq
-        for holder, key, existed, value in balances_snapshot:
-            balances = state._balances(holder)
-            if existed:
-                balances[key] = value
-            else:
-                balances.pop(key, None)
-        for holder, existed in holders_present.items():
-            if not existed and holder in state.accounts and not state.accounts[holder]:
-                del state.accounts[holder]
-
-    try:
-        if opp.funding is Funding.FLASH_LOAN:
-            try:
-                state.transfer(LENDER, beneficiary, NUMERAIRE, size)
-            except InsufficientBalanceError:
-                return ExecutionResult(False, reason="insufficient_lender")
-            repayment = size + fee_due(size, threshold.flash_fee_ppb)
-        else:
-            if state.balance(beneficiary, NUMERAIRE) < size:
-                return ExecutionResult(False, reason="insufficient_treasury")
-            repayment = 0
-
-        # leg 1: numeraire -> asset on the cheap pool
-        state.debit(beneficiary, NUMERAIRE, size)
-        bought, _ = execute_swap(cheap, SwapDirection.QUOTE_IN, size, gas=0)
-        state.credit(beneficiary, asset, bought)
-        if bought == 0:  # sub-nano trade rounded away; nothing to sell back
-            rollback()
-            return ExecutionResult(False, reason="insufficient_proceeds")
-
-        # leg 2: asset -> numeraire on the dear pool
-        state.debit(beneficiary, asset, bought)
-        proceeds, _ = execute_swap(dear, SwapDirection.BASE_IN, bought, gas=0)
-        state.credit(beneficiary, NUMERAIRE, proceeds)
-
-        if inject_fault:
-            rollback()
-            return ExecutionResult(False, reason="injected_fault")
-
-        if opp.funding is Funding.FLASH_LOAN:
-            try:
-                state.transfer(beneficiary, LENDER, NUMERAIRE, repayment)
-            except InsufficientBalanceError:
-                rollback()
-                return ExecutionResult(False, reason="insufficient_proceeds")
-
-        try:
-            state.transfer(beneficiary, FEE_ESCROW, NUMERAIRE, gas_fee)
-        except InsufficientBalanceError:
-            rollback()
-            return ExecutionResult(False, reason="insufficient_proceeds")
-    except DegenerateVenueError:  # pragma: no cover - pools cannot empty mid-run
-        rollback()
-        return ExecutionResult(False, reason="degenerate_pool")
-
-    profit = state.balance(beneficiary, NUMERAIRE) - snapshot_num
-    if profit < 0 or state.balance(beneficiary, asset) != snapshot_asset:
-        rollback()
+    # leg 1: numeraire -> asset on the cheap pool
+    bought = quote_swap(cheap, SwapDirection.QUOTE_IN, size)
+    if bought == 0:  # sub-nano trade rounded away; nothing to sell back
         return ExecutionResult(False, reason="insufficient_proceeds")
+    # leg 2: asset -> numeraire on the dear pool
+    proceeds = quote_swap(dear, SwapDirection.BASE_IN, bought)
+    if inject_fault:
+        return ExecutionResult(False, reason="injected_fault")
+    profit = proceeds - size - loan_fee - gas_fee
+    if profit < 0:
+        return ExecutionResult(False, reason="insufficient_proceeds")
+
+    execute_swap(cheap, SwapDirection.QUOTE_IN, size, gas=0)
+    execute_swap(dear, SwapDirection.BASE_IN, bought, gas=0)
+    # the beneficiary held the bought asset between the legs; its key stays
+    state.credit(beneficiary, asset, 0)
+    if opp.funding is Funding.FLASH_LOAN:
+        state.credit(LENDER, NUMERAIRE, loan_fee)
+    state.credit(FEE_ESCROW, NUMERAIRE, gas_fee)
+    state.credit(beneficiary, NUMERAIRE, profit)
     return ExecutionResult(True, profit=profit, gas_used=opp.gas_estimate)

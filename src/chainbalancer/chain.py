@@ -71,7 +71,7 @@ class SkipRecord:
     asset: int
     venue_id: int
     reason: str
-    kind: str  # "skip" (no state touched) or "revert" (rolled back)
+    kind: str  # "skip" (not sized) or "revert" (sized, quoted, nothing written)
 
 
 @dataclass
@@ -99,7 +99,6 @@ class Epoch:
     index: int
     blocks: list[Block] = field(default_factory=list)
     active_set: list = field(default_factory=list)
-    residual_capacities: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -320,7 +319,6 @@ def execute_block_balancer_phase(
             reference_venue_id,
             beneficiary=beneficiary,
             inject_fault=inject,
-            residual_gas=residual_gas - gas_used,
         )
         if result.committed:
             gas_used += result.gas_used

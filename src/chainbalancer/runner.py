@@ -231,13 +231,13 @@ class SimulationRun:
             scores: dict = {}
             selected: SearcherProposal | None = None
             if self.mode != MODE_OFF:
-                expected_state, expected_residuals = self._expectations(result, recent)
+                # the closing state proxies the epoch's expected state;
+                # proposals only read it (their replays run on copies)
                 for profile in cfg.searcher_profiles:
                     proposals.append(
                         build_proposal(
                             profile,
-                            expected_state,
-                            expected_residuals,
+                            self.state,
                             cfg.governance,
                             cfg.threshold,
                             cfg.feasibility,
@@ -245,7 +245,7 @@ class SimulationRun:
                             self.rng_searchers[profile.searcher_id],
                         )
                     )
-                replay_contexts = list(recent) or [(self.state.clone(), cfg.capacity)]
+                replay_contexts = list(recent) or [(self.state, cfg.capacity)]
                 selected, scores = evaluate_proposals(
                     proposals,
                     replay_contexts,
@@ -275,7 +275,6 @@ class SimulationRun:
                     )
 
                 residual = cfg.capacity - block.user_gas
-                epoch.residual_capacities.append(residual)
 
                 prescribed_ids = [t.template_id for t in epoch.active_set]
                 if epoch.active_set and self.mode != MODE_OFF:
@@ -422,18 +421,6 @@ class SimulationRun:
             "max_conservation_drift_nano": drift,
         }
         return result
-
-    def _expectations(self, result: RunResult, recent) -> tuple[ChainState, list[int]]:
-        """Expected epoch state and residuals: trailing estimates.
-
-        The previous epoch's closing state proxies the expected state; its
-        residual-gas history proxies expected residuals. The first epoch
-        bootstraps from genesis with full capacity.
-        """
-        if result.epochs:
-            last = result.epochs[-1]
-            return self.state.clone(), list(last.residual_capacities)
-        return self.state.clone(), [self.config.capacity] * self.config.epoch_length
 
     def _sample_block(self, result: RunResult, block: Block) -> None:
         cfg = self.config

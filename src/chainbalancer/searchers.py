@@ -9,19 +9,19 @@ tracks how well realized profit matched the claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arbitrage import (
-    Deviation,
-    Funding,
-    Threshold,
-    execute_atomic,
-    opportunity_from_deviation,
+from .arbitrage import Deviation, Funding, Threshold, opportunity_from_deviation
+from .arbitrage import execute_atomic  # noqa: F401 - perfbench/tracer.py rebinds it here
+from .chain import (
+    FeasibilityPredicate,
+    check_feasibility,
+    execute_block_balancer_phase,
+    _live_delta,
 )
-from .chain import FeasibilityPredicate, check_feasibility, _live_delta
-from .state import ChainState
+from .state import TREASURY, ChainState
 
 FUNDING_ORDER = {Funding.FLASH_LOAN: 0, Funding.NETWORK_LIQUIDITY: 1}
 
@@ -55,14 +55,12 @@ class SearcherProposal:
     ordered_txs: list[BalancerTemplate]
     profit_estimate: int   # sequential-simulation total, nano-units
     gas_estimate: int
-    simulation_report: dict = field(default_factory=dict)
 
 
 @dataclass
 class Credibility:
     searcher_id: int
     score: float = 1.0
-    history: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -100,7 +98,6 @@ def _preferred_funding(conditions: GovernanceConditions) -> Funding:
 def build_proposal(
     profile: SearcherProfile,
     expected_state: ChainState,
-    expected_residuals: list[int],
     conditions: GovernanceConditions,
     threshold: Threshold,
     predicate: FeasibilityPredicate,
@@ -119,7 +116,7 @@ def build_proposal(
     if funding not in predicate.allowed_funding:
         allowed = predicate.allowed_funding & conditions.allowed_funding
         if not allowed:
-            return SearcherProposal(profile.searcher_id, [], 0, 0, {"expected_fills": 0})
+            return SearcherProposal(profile.searcher_id, [], 0, 0)
         funding = sorted(allowed, key=lambda f: FUNDING_ORDER[f])[0]
 
     candidates: list[BalancerTemplate] = []
@@ -161,25 +158,20 @@ def build_proposal(
     ordered = candidates[:cap]
     assert check_feasibility(predicate, ordered) == 1
 
-    sim_profit, fills = _replay_once(
-        expected_state, ordered, threshold, conditions.reference_venue_id, gas_per_tx
+    # a residual of one transaction per template never binds
+    sim_profit = _replay_once(
+        expected_state,
+        ordered,
+        threshold,
+        conditions.reference_venue_id,
+        gas_per_tx,
+        gas_per_tx * len(ordered),
     )
-    mean_residual = (
-        sum(expected_residuals) / len(expected_residuals) if expected_residuals else 0.0
-    )
-    capacity_slots = int(mean_residual // gas_per_tx) if gas_per_tx else 0
-    report = {
-        "expected_fills": fills,
-        "candidates_considered": len(candidates),
-        "mean_residual_gas": mean_residual,
-        "inclusion_rate": min(1.0, capacity_slots / len(ordered)) if ordered else 1.0,
-    }
     return SearcherProposal(
         searcher_id=profile.searcher_id,
         ordered_txs=ordered,
         profit_estimate=sim_profit,
         gas_estimate=gas_per_tx * len(ordered),
-        simulation_report=report,
     )
 
 
@@ -189,38 +181,20 @@ def _replay_once(
     threshold: Threshold,
     reference_venue_id: int,
     gas_per_tx: int,
-    residual_gas: int | None = None,
-) -> tuple[int, int]:
-    """Execute the ordered set on a throwaway copy; (net profit, fills)."""
-    sim = base_state.clone()
-    total = 0
-    fills = 0
-    gas_used = 0
-    for tpl in templates:
-        if residual_gas is not None and residual_gas - gas_used < gas_per_tx:
-            break
-        delta = _live_delta(sim, tpl.venue_id, tpl.asset, reference_venue_id)
-        if abs(delta) <= tpl.trigger_epsilon:
-            continue
-        opp = opportunity_from_deviation(
-            Deviation(tpl.asset, tpl.venue_id, delta, (sim.block_height, "replay")),
-            sim.pools,
-            reference_venue_id,
-            threshold,
-            funding=tpl.funding,
-            gas_estimate=gas_per_tx,
-            trigger_epsilon=tpl.trigger_epsilon,
-        )
-        if opp is None:
-            continue
-        result = execute_atomic(
-            sim, opp, threshold, reference_venue_id, beneficiary="treasury"
-        )
-        if result.committed:
-            total += result.profit
-            fills += 1
-            gas_used += result.gas_used
-    return total, fills
+    residual_gas: int,
+) -> int:
+    """Net profit of the block's balancer phase run on a throwaway copy."""
+    phase = execute_block_balancer_phase(
+        base_state.clone(),
+        templates,
+        residual_gas,
+        threshold,
+        reference_venue_id,
+        TREASURY,
+        gas_per_tx,
+        (base_state.block_height, "replay"),
+    )
+    return phase.profit
 
 
 def evaluate_proposals(
@@ -252,8 +226,8 @@ def evaluate_proposals(
                     threshold,
                     reference_venue_id,
                     gas_per_tx,
-                    residual_gas=residual,
-                )[0]
+                    residual,
+                )
                 for state, residual in recent_blocks
             ]
             sim_profit = sum(replayed) / len(replayed)
@@ -285,4 +259,4 @@ def update_credibility(
     ratio = min(1.0, max(0.0, ratio))
     new_score = beta * cred.score + (1.0 - beta) * ratio
     new_score = min(1.0, max(0.0, new_score))
-    return replace(cred, score=new_score, history=cred.history + [ratio])
+    return replace(cred, score=new_score)

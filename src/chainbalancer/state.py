@@ -65,7 +65,10 @@ class ChainState:
         return self.accounts.setdefault(holder, {})
 
     def balance(self, holder: str, asset: int) -> int:
-        return self._balances(holder).get(asset, 0)
+        """Read-only: an unknown holder has a zero balance and stays unknown."""
+        if holder == TREASURY:
+            return self.treasury.get(asset, 0)
+        return self.accounts.get(holder, {}).get(asset, 0)
 
     def credit(self, holder: str, asset: int, amount: int) -> None:
         if amount < 0:
@@ -76,11 +79,10 @@ class ChainState:
     def debit(self, holder: str, asset: int, amount: int) -> None:
         if amount < 0:
             raise ValueError("debit amount must be non-negative")
-        bal = self._balances(holder)
-        have = bal.get(asset, 0)
+        have = self.balance(holder, asset)
         if have < amount:
             raise InsufficientBalanceError(holder, asset, amount, have)
-        bal[asset] = have - amount
+        self._balances(holder)[asset] = have - amount
 
     def transfer(self, src: str, dst: str, asset: int, amount: int) -> None:
         self.debit(src, asset, amount)

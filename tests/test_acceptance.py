@@ -342,7 +342,6 @@ class TestCriterion7OrderingAudit:
             proposal = build_proposal(
                 SearcherProfile(0),
                 state,
-                [slots * gas],
                 conditions,
                 threshold,
                 predicate,

@@ -1,4 +1,4 @@
-"""Deviation scans, trade sizing against a grid-search oracle, atomicity."""
+"""Opportunity detection, trade sizing against a grid-search oracle, atomicity."""
 
 import numpy as np
 import pytest
@@ -7,17 +7,14 @@ from chainbalancer import (
     Deviation,
     Funding,
     OppDirection,
-    PriceVector,
     Threshold,
-    detect_opportunities,
     deviation_bounds,
     execute_atomic,
     fee_band,
     optimal_trade_size,
-    scan_deviations,
     spot_price,
 )
-from chainbalancer.arbitrage import MissingReferenceError, opportunity_from_deviation
+from chainbalancer.arbitrage import opportunity_from_deviation
 from chainbalancer.state import LENDER, TREASURY
 from chainbalancer.units import SCALE, to_nano, to_units
 
@@ -66,33 +63,10 @@ def grid_search_oracle(pool_cheap, pool_dear, flash, points=10_000, rounds=4):
     return best_x, best_p
 
 
-# --- deviation scan -------------------------------------------------------
+# --- opportunity detection ------------------------------------------------
 
-def vec(venue, price, ref=False, asset=1, at=(0, "end")):
-    return PriceVector(venue_id=venue, prices={asset: price}, as_of=at, is_reference=ref)
-
-
-class TestScanDeviations:
-    def test_positive_deviation(self):
-        devs = scan_deviations([vec(0, 100.0, ref=True), vec(1, 103.0)])
-        assert len(devs) == 1
-        assert devs[0].delta_p == pytest.approx(0.03, abs=1e-15)
-
-    def test_zero_deviation(self):
-        devs = scan_deviations([vec(0, 100.0, ref=True), vec(1, 100.0)])
-        assert devs[0].delta_p == 0.0
-
-    def test_negative_deviation(self):
-        devs = scan_deviations([vec(0, 100.0, ref=True), vec(1, 95.0)])
-        assert devs[0].delta_p == pytest.approx(-0.05, abs=1e-15)
-
-    def test_missing_reference_is_fatal(self):
-        with pytest.raises(MissingReferenceError):
-            scan_deviations([vec(1, 100.0), vec(2, 101.0)])
-
-    def test_mixed_snapshots_rejected(self):
-        with pytest.raises(ValueError):
-            scan_deviations([vec(0, 100.0, ref=True), vec(1, 101.0, at=(1, "end"))])
+def deviation_of(delta_p, venue=1, asset=1):
+    return Deviation(asset=asset, venue_id=venue, delta_p=delta_p, observed_at=(0, "end"))
 
 
 class TestDetectOpportunities:
@@ -102,23 +76,19 @@ class TestDetectOpportunities:
             (0, 1): make_pool(0, reserve_asset=100_000, reserve_numeraire=10_000_000, is_reference=True),
             (1, 1): make_pool(1, reserve_asset=100_000, reserve_numeraire=10_300_000),
         }
-        devs = scan_deviations(
-            [vec(0, 100.0, ref=True), vec(1, 103.0)]
-        )
         thr = Threshold(epsilon=0.005, flash_fee=0.0, gas_price=0.0)
-        opps = detect_opportunities(devs, thr, pools)
-        assert len(opps) == 1
-        assert opps[0].direction is OppDirection.BUY_ON_REF_SELL_ON_VENUE
-        assert opps[0].expected_profit > 0
+        opp = opportunity_from_deviation(deviation_of((103.0 - 100.0) / 100.0), pools, 0, thr)
+        assert opp is not None
+        assert opp.direction is OppDirection.BUY_ON_REF_SELL_ON_VENUE
+        assert opp.expected_profit > 0
 
     def test_below_threshold_ignored(self):
         pools = {
             (0, 1): make_pool(0, reserve_numeraire=1000.0, is_reference=True),
             (1, 1): make_pool(1, reserve_numeraire=1004.0),
         }
-        devs = scan_deviations([vec(0, 1.0, ref=True), vec(1, 1.004)])
         thr = Threshold(epsilon=0.005, flash_fee=0.0, gas_price=0.0)
-        assert detect_opportunities(devs, thr, pools) == []
+        assert opportunity_from_deviation(deviation_of((1.004 - 1.0) / 1.0), pools, 0, thr) is None
 
     def test_fee_band_swallows_gap(self):
         # 3% gap against 2% fees on each side: the oracle confirms no
@@ -128,9 +98,8 @@ class TestDetectOpportunities:
         _, oracle_best = grid_search_oracle(cheap, dear, flash=0.0)
         assert oracle_best <= 0.0
         pools = {(0, 1): cheap, (1, 1): dear}
-        devs = scan_deviations([vec(0, 100.0, ref=True), vec(1, 103.0)])
         thr = Threshold(epsilon=0.005, flash_fee=0.0, gas_price=0.0)
-        assert detect_opportunities(devs, thr, pools) == []
+        assert opportunity_from_deviation(deviation_of((103.0 - 100.0) / 100.0), pools, 0, thr) is None
 
 
 class TestOptimalTradeSize:
@@ -273,12 +242,15 @@ class TestExecuteAtomic:
         assert state.treasury == before.treasury
         assert state.pools[(0, 1)].reserve_base == before.pools[(0, 1)].reserve_base
 
-    def test_gas_exhausted_untouched(self):
+    def test_revert_leaves_no_phantom_holder(self):
+        # no lender account at all: the flash loan cannot be funded
         state, dev, thr = _arb_fixture()
         opp = opportunity_from_deviation(dev, state.pools, 0, thr, Funding.FLASH_LOAN, 90_000)
+        del state.accounts[LENDER]
         before = state.clone()
-        result = execute_atomic(state, opp, thr, 0, residual_gas=89_999)
-        assert not result.committed and result.reason == "gas_exhausted"
+        result = execute_atomic(state, opp, thr, 0)
+        assert not result.committed and result.reason == "insufficient_lender"
+        assert state.accounts == before.accounts
         assert state.treasury == before.treasury
 
     def test_no_inventory_risk_per_asset(self):

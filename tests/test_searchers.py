@@ -57,7 +57,6 @@ class TestBuildProposal:
         proposal = build_proposal(
             SearcherProfile(0),
             state,
-            [1_000_000] * 4,
             conditions(),
             THRESHOLD,
             FeasibilityPredicate(),
@@ -75,7 +74,6 @@ class TestBuildProposal:
         proposal = build_proposal(
             SearcherProfile(0),
             state,
-            [1_000_000] * 4,
             conditions(),
             THRESHOLD,
             FeasibilityPredicate(),
@@ -89,7 +87,6 @@ class TestBuildProposal:
         state = three_gap_state()
         args = (
             state,
-            [1_000_000] * 4,
             conditions(),
             THRESHOLD,
             FeasibilityPredicate(),
@@ -105,7 +102,6 @@ class TestBuildProposal:
         proposal = build_proposal(
             SearcherProfile(0),
             state,
-            [1_000_000] * 4,
             conditions(),
             THRESHOLD,
             FeasibilityPredicate(),
@@ -144,7 +140,7 @@ class TestBuildProposal:
         state = make_state(pools)
         predicate = FeasibilityPredicate(min_net_profit=1)
         proposal = build_proposal(
-            SearcherProfile(0), state, [1_000_000], conditions(), THRESHOLD, predicate, GAS_PER_TX, rng_for(0)
+            SearcherProfile(0), state, conditions(), THRESHOLD, predicate, GAS_PER_TX, rng_for(0)
         )
         assert proposal.ordered_txs == []
         assert proposal.profit_estimate == 0
@@ -152,11 +148,11 @@ class TestBuildProposal:
     def test_coverage_shrinks_candidates(self):
         state = three_gap_state()
         full = build_proposal(
-            SearcherProfile(0, coverage=1.0), state, [1_000_000], conditions(), THRESHOLD,
+            SearcherProfile(0, coverage=1.0), state, conditions(), THRESHOLD,
             FeasibilityPredicate(), GAS_PER_TX, rng_for(5),
         )
         partial = build_proposal(
-            SearcherProfile(1, coverage=0.34), state, [1_000_000], conditions(), THRESHOLD,
+            SearcherProfile(1, coverage=0.34), state, conditions(), THRESHOLD,
             FeasibilityPredicate(), GAS_PER_TX, rng_for(5),
         )
         assert len(partial.ordered_txs) < len(full.ordered_txs)
@@ -175,7 +171,7 @@ class TestEvaluateProposals:
     def _proposals(self):
         state = three_gap_state()
         p0 = build_proposal(
-            SearcherProfile(0), state, [1_000_000], conditions(), THRESHOLD,
+            SearcherProfile(0), state, conditions(), THRESHOLD,
             FeasibilityPredicate(), GAS_PER_TX, rng_for(0),
         )
         # searcher 1 only sees venue 1 (the weakest gap)
@@ -259,11 +255,11 @@ class TestEvaluateProposals:
     def test_tie_breaks_to_lowest_searcher_id(self):
         state = three_gap_state()
         p_a = build_proposal(
-            SearcherProfile(3), state, [10**6], conditions(), THRESHOLD,
+            SearcherProfile(3), state, conditions(), THRESHOLD,
             FeasibilityPredicate(), GAS_PER_TX, rng_for(0),
         )
         p_b = build_proposal(
-            SearcherProfile(1), state, [10**6], conditions(), THRESHOLD,
+            SearcherProfile(1), state, conditions(), THRESHOLD,
             FeasibilityPredicate(), GAS_PER_TX, rng_for(0),
         )
         cred = {1: Credibility(1, 0.7), 3: Credibility(3, 0.7)}
