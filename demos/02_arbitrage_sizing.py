@@ -16,9 +16,9 @@ from chainbalancer import (
     optimal_trade_size,
     spot_price,
 )
-from chainbalancer.arbitrage import opportunity_from_deviation, round_trip_profit
+from chainbalancer.arbitrage import opportunity_from_deviation
 from chainbalancer.state import ChainState
-from chainbalancer.units import to_nano, to_units
+from chainbalancer.units import SCALE, to_nano, to_units
 from chainbalancer import Pool
 
 
@@ -26,6 +26,19 @@ def pool(venue, rb, rq, fee=0.003, ref=False):
     return Pool(venue_id=venue, base=1, quote=0,
                 reserve_base=to_nano(rb), reserve_quote=to_nano(rq),
                 fee_ppb=to_nano(fee), is_reference=ref)
+
+
+def leg_out(pool, x, base_in):
+    """Float constant-product output of spending x on one pool."""
+    r_base, r_quote = pool.reserve_base / SCALE, pool.reserve_quote / SCALE
+    r_in, r_out = (r_base, r_quote) if base_in else (r_quote, r_base)
+    net = x * (1.0 - pool.fee_ppb / SCALE)
+    return net * r_out / (r_in + net)
+
+
+def round_trip_profit(cheap, dear, flash_fee, x):
+    """Spend x numeraire on `cheap`, sell the asset on `dear`, repay x(1 + flash_fee)."""
+    return leg_out(dear, leg_out(cheap, x, base_in=False), base_in=True) - x * (1.0 + flash_fee)
 
 
 def main():
@@ -46,7 +59,7 @@ def main():
         print(f"  spend {x:>4} numeraire -> profit {p:+.4f}")
 
     size, profit = optimal_trade_size(ref, venue, flash_fee=0.0009)
-    print(f"\nternary-search optimum: spend {size:.4f}, gross profit {profit:.4f}")
+    print(f"\nclosed-form optimum: spend {size:.4f}, gross profit {profit:.4f}")
 
     print("\n=== Execute atomically under a flash loan ===")
     state = ChainState(pools={(0, 1): ref, (1, 1): venue})

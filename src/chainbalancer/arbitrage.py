@@ -7,14 +7,22 @@ flash loan (repaid with a fee inside the same transaction) or
 network-owned liquidity fronted by the treasury; either way the whole
 round trip is quoted first and the commit-or-revert decision is made
 before any state is written.
+
+Sizing is closed-form. The two constant-product legs compose into one
+curve out(x) = A x / (B + C x), so with k = 1 + flash_fee the profit
+out(x) - k x peaks at x* = (sqrt(A B / k) - B) / C (coefficients in
+`optimal_trade_size`). The size is x* floored to nano-units, and the
+expected profit at that size is quoted with the same integer swap, fee
+and gas arithmetic that executes the trade.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .market import NUMERAIRE, Pool, SwapDirection, execute_swap, quote_swap, spot_price
+from .market import NUMERAIRE, Pool, SwapDirection, execute_swap, quote_swap
 from .state import FEE_ESCROW, LENDER, TREASURY, ChainState
 from .units import SCALE, fee_due, ppb, to_nano
 
@@ -102,80 +110,51 @@ def deviation_bounds(
     return -band, band / (1.0 - band)
 
 
-def _leg_out(reserve_in: float, reserve_out: float, fee: float, x: float) -> float:
-    net = x * (1.0 - fee)
-    return net * reserve_out / (reserve_in + net)
-
-
-def round_trip_profit(
-    pool_cheap: Pool, pool_dear: Pool, flash_fee: float, size: float
-) -> float:
-    """Continuous-model profit of spending `size` numeraire units.
-
-    Leg 1 buys the asset on the cheap pool, leg 2 sells it on the dear
-    pool; the flash fee prices the borrowed size.
-    """
-    if size <= 0:
-        return 0.0
-    asset_out = _leg_out(
-        pool_cheap.reserve_quote / SCALE,
-        pool_cheap.reserve_base / SCALE,
-        pool_cheap.fee_ppb / SCALE,
-        size,
-    )
-    quote_back = _leg_out(
-        pool_dear.reserve_base / SCALE,
-        pool_dear.reserve_quote / SCALE,
-        pool_dear.fee_ppb / SCALE,
-        asset_out,
-    )
-    return quote_back - size * (1.0 + flash_fee)
-
-
 def optimal_trade_size(
     pool_cheap: Pool, pool_dear: Pool, flash_fee: float = 0.0
 ) -> tuple[float, float]:
     """Profit-maximizing numeraire input for a cheap->dear round trip.
 
     Returns (size, profit) in asset units; (0, 0) when no profitable size
-    exists. The profit curve is concave, so a doubling bracket followed by
-    ternary search pins the optimum; gas is a fixed cost and does not move
-    the maximizer, so callers subtract it afterwards.
+    exists. The two constant-product legs compose into one curve,
+    out(x) = A x / (B + C x), with A = g1 g2 Rb1 Rq2, B = Rq1 Rb2 and
+    C = g1 (Rb2 + g2 Rb1), where g = 1 - fee and pool 1 is the cheap one.
+    With k = 1 + flash_fee the profit out(x) - k x peaks at
+    x* = (sqrt(A B / k) - B) / C, where it is (sqrt(A) - sqrt(k B))^2 / C;
+    it is positive for some size iff A > k B. Gas is a fixed cost and does
+    not move the maximizer, so callers subtract it afterwards.
     """
-    p_cheap = spot_price(pool_cheap)
-    p_dear = spot_price(pool_dear)
-    f_cheap = pool_cheap.fee_ppb / SCALE
-    f_dear = pool_dear.fee_ppb / SCALE
-    # marginal gain at size zero; below 1 + flash_fee nothing is profitable
-    marginal0 = (p_dear / p_cheap) * (1.0 - f_cheap) * (1.0 - f_dear)
-    if marginal0 <= 1.0 + flash_fee:
+    g_cheap = 1.0 - pool_cheap.fee_ppb / SCALE
+    g_dear = 1.0 - pool_dear.fee_ppb / SCALE
+    rb_cheap = pool_cheap.reserve_base / SCALE
+    rq_cheap = pool_cheap.reserve_quote / SCALE
+    rb_dear = pool_dear.reserve_base / SCALE
+    rq_dear = pool_dear.reserve_quote / SCALE
+    a = g_cheap * g_dear * rb_cheap * rq_dear
+    b = rq_cheap * rb_dear
+    c = g_cheap * (rb_dear + g_dear * rb_cheap)
+    k = 1.0 + flash_fee
+    if a <= k * b:
         return 0.0, 0.0
+    size = (math.sqrt(a * b / k) - b) / c
+    profit = (math.sqrt(a) - math.sqrt(k * b)) ** 2 / c
+    return size, profit
 
-    profit = lambda x: round_trip_profit(pool_cheap, pool_dear, flash_fee, x)
 
-    # bracket the maximum by doubling from a sliver of the cheap-side depth
-    hi = max(pool_cheap.reserve_quote / SCALE * 1e-6, 1e-9)
-    for _ in range(120):
-        if profit(2.0 * hi) <= profit(hi):
-            break
-        hi *= 2.0
-    hi *= 2.0
+def _quote_round_trip(
+    cheap: Pool, dear: Pool, size: int, loan_fee: int, gas_fee: int
+) -> tuple[int, int]:
+    """(asset bought, net numeraire profit) of spending `size` nano-units.
 
-    lo = 0.0
-    for _ in range(200):
-        if hi - lo <= 1e-9 * hi + 1e-12:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if profit(m1) < profit(m2):
-            lo = m1
-        else:
-            hi = m2
-    size = 0.5 * (lo + hi)
-    best = profit(size)
-    if best <= 0.0 or size <= 0.0:
-        return 0.0, 0.0
-    return size, best
+    Both legs are quoted on the current reserves with the integer swap
+    arithmetic that executes them. When `bought == 0` the trade rounds
+    away, there is nothing to sell back, and the profit reads 0.
+    """
+    bought = quote_swap(cheap, SwapDirection.QUOTE_IN, size)
+    if bought == 0:
+        return 0, 0
+    proceeds = quote_swap(dear, SwapDirection.BASE_IN, bought)
+    return bought, proceeds - size - loan_fee - gas_fee
 
 
 def opportunity_from_deviation(
@@ -189,8 +168,11 @@ def opportunity_from_deviation(
 ) -> Opportunity | None:
     """Size the trade behind a deviation; None when it does not clear the bar.
 
-    The bar is threefold: |delta_p| above the trigger, a strictly positive
-    optimal size, and a positive profit after the flash fee and gas.
+    The bar is threefold: |delta_p| above the trigger, a closed-form optimal
+    size that is at least one nano-unit once floored, and a positive profit
+    after the flash fee and gas. That profit is quoted with the integer
+    arithmetic `execute_atomic` runs, so on unchanged state the realized
+    profit equals `expected_profit` to the nano-unit.
     """
     epsilon = threshold.epsilon if trigger_epsilon is None else trigger_epsilon
     if abs(deviation.delta_p) <= epsilon:
@@ -203,14 +185,16 @@ def opportunity_from_deviation(
     else:
         direction = OppDirection.BUY_ON_VENUE_SELL_ON_REF
         cheap, dear = venue_pool, ref_pool
-    flash = threshold.flash_fee if funding is Funding.FLASH_LOAN else 0.0
-    size_units, gross_units = optimal_trade_size(cheap, dear, flash)
-    if size_units <= 0.0:
-        return None
+    flash = funding is Funding.FLASH_LOAN
+    size_units, _ = optimal_trade_size(cheap, dear, threshold.flash_fee if flash else 0.0)
     size = int(size_units * SCALE)
-    gas_fee = gas_estimate * threshold.gas_price_nano
-    net = int(round(gross_units * SCALE)) - gas_fee
-    if size <= 0 or net <= 0:
+    if size <= 0:
+        return None
+    loan_fee = fee_due(size, threshold.flash_fee_ppb) if flash else 0
+    _, net = _quote_round_trip(
+        cheap, dear, size, loan_fee, gas_estimate * threshold.gas_price_nano
+    )
+    if net <= 0:
         return None
     return Opportunity(
         deviation=deviation,
@@ -264,15 +248,11 @@ def execute_atomic(
             return ExecutionResult(False, reason="insufficient_treasury")
         loan_fee = 0
 
-    # leg 1: numeraire -> asset on the cheap pool
-    bought = quote_swap(cheap, SwapDirection.QUOTE_IN, size)
+    bought, profit = _quote_round_trip(cheap, dear, size, loan_fee, gas_fee)
     if bought == 0:  # sub-nano trade rounded away; nothing to sell back
         return ExecutionResult(False, reason="insufficient_proceeds")
-    # leg 2: asset -> numeraire on the dear pool
-    proceeds = quote_swap(dear, SwapDirection.BASE_IN, bought)
     if inject_fault:
         return ExecutionResult(False, reason="injected_fault")
-    profit = proceeds - size - loan_fee - gas_fee
     if profit < 0:
         return ExecutionResult(False, reason="insufficient_proceeds")
 

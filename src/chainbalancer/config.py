@@ -497,7 +497,7 @@ def from_dict(raw: dict) -> ScenarioConfig:
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Read and validate a scenario file (YAML; JSON is a YAML subset)."""
     text = Path(path).read_text(encoding="utf-8")
-    raw = yaml.safe_load(text)
+    raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

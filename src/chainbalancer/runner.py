@@ -345,7 +345,11 @@ class SimulationRun:
                 epoch.blocks.append(block)
                 result.per_block_totals.append(self.state.asset_totals())
                 result.per_block_treasury.append(dict(self.state.treasury))
-                recent.append((self.state.clone(), residual))
+                # governance replays only the last `window` closing states
+                # before each epoch boundary, and none in off mode
+                blocks_to_boundary = cfg.epoch_length - 1 - block_index % cfg.epoch_length
+                if self.mode != MODE_OFF and blocks_to_boundary < cfg.governance_window:
+                    recent.append((self.state.clone(), residual))
                 self.state.block_height += 1
                 block_index += 1
 

@@ -156,7 +156,10 @@ def build_proposal(
     candidates.sort(key=lambda t: (-t.estimate, t.template_id))
     cap = min(conditions.max_set_size, predicate.max_txs_per_block)
     ordered = candidates[:cap]
-    assert check_feasibility(predicate, ordered) == 1
+    if check_feasibility(predicate, ordered) != 1:
+        raise RuntimeError(
+            f"searcher {profile.searcher_id}: ordered set fails the feasibility predicate"
+        )
 
     # a residual of one transaction per template never binds
     sim_profit = _replay_once(

@@ -1,6 +1,7 @@
 """Scenario loading, validation reporting, report files, CLI exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -15,6 +16,8 @@ from chainbalancer.report import (
 )
 
 from conftest import baseline_raw
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def minimal_raw():
@@ -220,3 +223,12 @@ class TestCli:
         monkeypatch.setattr("chainbalancer.cli.run_scenario", boom)
         assert main(["run", path]) == 2
         assert "synthetic failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.name)
+def test_shipped_scenario_parses_as_safe_load(path):
+    """The fast loader yields the same config as the pure-Python safe loader."""
+    config = load_scenario(path)
+    reference = from_dict(yaml.safe_load(path.read_text(encoding="utf-8")))
+    assert config.raw == reference.raw
+    assert config.config_hash() == reference.config_hash()

@@ -17,11 +17,11 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
     ("baseline", "off"): "f7af00cdd5459a36f8030e7068232dbe1c0e62078080b191e741314e76160451",
-    ("baseline", "autobalancer"): "f166ae2804839650f53e195e5603a1a1a90323d9662f685fa8ff44e30b5c29df",
-    ("baseline", "external"): "43c12c02b2a81c90ca0f2bf116aebdaed3e784fb150030d4dacee08409010742",
+    ("baseline", "autobalancer"): "3b1cea47b805f5005726730eee428e3b90b1f20cc5442b777d56432d068b1d5c",
+    ("baseline", "external"): "60e434d50183e3b8108dd52bd0c85ee1bcb855ddf78ab46c0bb436a94d8cfe49",
     ("chaos", "off"): "082f77c635f5e0509663774c72f45ba97e9f158b00ef694705b3153945f5cf77",
-    ("chaos", "autobalancer"): "4311396b4b32c6ebd23e56201f0026699eba8fc22717a0a9f746ad384d60068d",
-    ("chaos", "external"): "166419af8a4c47517312f2cd34a522b33e948e7d1fa9c13cbd87b8ad7f56e9db",
+    ("chaos", "autobalancer"): "1bd3970b1f094491374f8ef830e8aef68e0579a934865ab9c7173f5954ee557e",
+    ("chaos", "external"): "f227accab17e78c7e07d6e784e20f44c6bc621b41f0c659bb177fc77bc23ea41",
 }
 
 

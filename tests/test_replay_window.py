@@ -1,0 +1,59 @@
+"""Governance replay contexts: the last `window` closing states per boundary."""
+
+import pytest
+
+import chainbalancer.runner as runner_mod
+from chainbalancer import from_dict, run_scenario
+from chainbalancer.state import ChainState
+
+from conftest import baseline_raw
+
+EPOCH_LENGTH = 5
+EPOCHS = 4
+
+
+def _config(window):
+    return from_dict(
+        baseline_raw(
+            blocks={"epochs": EPOCHS, "epoch_length": EPOCH_LENGTH},
+            searchers={"window": window},
+        )
+    )
+
+
+@pytest.mark.parametrize("window", [2, EPOCH_LENGTH, 8])
+def test_replays_read_last_window_closing_states(window, monkeypatch):
+    original = runner_mod.evaluate_proposals
+    seen = []
+
+    def recording(proposals, recent_blocks, *args, **kwargs):
+        seen.append([(state.block_height, residual) for state, residual in recent_blocks])
+        return original(proposals, recent_blocks, *args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "evaluate_proposals", recording)
+    config = _config(window)
+    result = run_scenario(config, seed=3, mode="autobalancer")
+
+    assert len(seen) == EPOCHS
+    # the first epoch has no closing states yet and replays the genesis state
+    assert seen[0] == [(0, config.capacity)]
+    for epoch in range(1, EPOCHS):
+        boundary = epoch * EPOCH_LENGTH
+        expected = [
+            (height, config.capacity - result.blocks[height].user_gas)
+            for height in range(max(0, boundary - window), boundary)
+        ]
+        assert seen[epoch] == expected
+
+
+def test_off_mode_clones_no_state(monkeypatch):
+    calls = []
+    original = ChainState.clone
+
+    def counting(self):
+        calls.append(self.block_height)
+        return original(self)
+
+    monkeypatch.setattr(ChainState, "clone", counting)
+    run_scenario(_config(8), seed=3, mode="off")
+    assert calls == []

@@ -303,3 +303,19 @@ class TestCredibility:
         for predicted, realized in updates:
             cred = update_credibility(cred, predicted, realized, beta)
             assert 0.0 <= cred.score <= 1.0
+
+
+def test_infeasible_ordered_set_raises_naming_searcher(monkeypatch):
+    import chainbalancer.searchers as searchers_mod
+
+    monkeypatch.setattr(searchers_mod, "check_feasibility", lambda predicate, ordered: 0)
+    with pytest.raises(RuntimeError, match="searcher 3"):
+        build_proposal(
+            SearcherProfile(3),
+            three_gap_state(),
+            conditions(),
+            THRESHOLD,
+            FeasibilityPredicate(),
+            GAS_PER_TX,
+            rng_for(0),
+        )

@@ -1,0 +1,97 @@
+"""Closed-form sizing: exact expected profit, integer optimality, no-trade region."""
+
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import chainbalancer.chain as chain_mod
+from chainbalancer import load_scenario, optimal_trade_size, run_scenario, spot_price
+from chainbalancer.market import SwapDirection, quote_swap
+from chainbalancer.units import SCALE, fee_due, ppb
+
+from conftest import make_pool
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("scenario", ["baseline", "chaos"])
+@pytest.mark.parametrize("mode", ["autobalancer", "external"])
+def test_realized_profit_equals_expected_profit(scenario, mode, monkeypatch):
+    """Every committed execution realizes exactly the quoted profit."""
+    original = chain_mod.execute_atomic
+    commits = []
+
+    def recording(state, opp, *args, **kwargs):
+        result = original(state, opp, *args, **kwargs)
+        if result.committed:
+            commits.append((result.profit, opp.expected_profit))
+        return result
+
+    monkeypatch.setattr(chain_mod, "execute_atomic", recording)
+    config = load_scenario(SCENARIOS / f"{scenario}.yaml")
+    run_scenario(config, seed=config.seeds[0], mode=mode)
+    assert len(commits) > 50
+    assert all(realized == expected for realized, expected in commits)
+
+
+def _quoted_net(cheap, dear, size, flash_ppb):
+    """Integer round-trip net before gas, as the executed swaps would pay it."""
+    bought = quote_swap(cheap, SwapDirection.QUOTE_IN, size)
+    if bought == 0:
+        return 0
+    proceeds = quote_swap(dear, SwapDirection.BASE_IN, bought)
+    return proceeds - size - fee_due(size, flash_ppb)
+
+
+def test_floored_optimum_beats_nearby_integer_sizes():
+    rng = np.random.default_rng(6)
+    cases = 0
+    for _ in range(1500):
+        r = 10 ** rng.uniform(3, 7, size=4)
+        f_a, f_b = (float(x) for x in rng.choice([0.0, 0.003, 0.01], size=2))
+        flash = float(rng.choice([0.0, 0.0009]))
+        a = make_pool(0, reserve_asset=r[0], reserve_numeraire=r[1], fee=f_a)
+        b = make_pool(1, reserve_asset=r[2], reserve_numeraire=r[3], fee=f_b)
+        cheap, dear = (a, b) if spot_price(a) < spot_price(b) else (b, a)
+        size_units, _ = optimal_trade_size(cheap, dear, flash_fee=flash)
+        size = int(size_units * SCALE)
+        if size == 0:
+            continue
+        best = _quoted_net(cheap, dear, size, ppb(flash))
+        for factor in (0.99, 0.999, 1.001, 1.01):
+            other = max(1, int(size * factor))
+            assert best >= _quoted_net(cheap, dear, other, ppb(flash)), (r, f_a, f_b, flash, factor)
+            cases += 1
+    assert cases > 2000
+
+
+def _composed_coefficients(cheap, dear):
+    """Exact A and B of out(x) = A x / (B + C x) from nano reserves and ppb fees."""
+    g_cheap = Fraction(SCALE - cheap.fee_ppb, SCALE)
+    g_dear = Fraction(SCALE - dear.fee_ppb, SCALE)
+    a = g_cheap * g_dear * cheap.reserve_base * dear.reserve_quote
+    b = Fraction(cheap.reserve_quote * dear.reserve_base)
+    return a, b
+
+
+def test_no_trade_region_returns_zero():
+    # equal pools sit exactly on the boundary A == k B
+    assert optimal_trade_size(make_pool(0), make_pool(1)) == (0.0, 0.0)
+
+    rng = np.random.default_rng(7)
+    inside = 0
+    for _ in range(2000):
+        r = 10 ** rng.uniform(3, 7, size=2)
+        gap = float(rng.uniform(0.0, 0.03))
+        fee = float(rng.choice([0.0, 0.003, 0.01]))
+        flash = float(rng.choice([0.0, 0.0009]))
+        cheap = make_pool(0, reserve_asset=r[0], reserve_numeraire=r[1], fee=fee)
+        dear = make_pool(1, reserve_asset=r[0], reserve_numeraire=r[1] * (1 + gap), fee=fee)
+        a, b = _composed_coefficients(cheap, dear)
+        if a > (1 + Fraction(flash)) * b * (1 - Fraction(1, 10**9)):
+            continue
+        inside += 1
+        assert optimal_trade_size(cheap, dear, flash_fee=flash) == (0.0, 0.0)
+    assert inside > 200
