@@ -48,7 +48,6 @@ from .metrics import (
     ObjectiveWeights,
     cumulative_discrepancy,
     epoch_constraint_check,
-    run_baseline_comparison,
     scalarized_objective,
 )
 from .rewards import (
@@ -62,7 +61,13 @@ from .rewards import (
     split_marketplaces,
     split_pool,
 )
-from .runner import RunResult, SimulationAbort, SimulationRun, run_scenario
+from .runner import (
+    RunResult,
+    SimulationAbort,
+    SimulationRun,
+    run_baseline_comparison,
+    run_scenario,
+)
 from .searchers import (
     BalancerTemplate,
     Credibility,

@@ -12,15 +12,14 @@ from pathlib import Path
 
 import yaml
 
-from .config import ValidationError, load_scenario
-from .metrics import run_baseline_comparison
+from .config import MODES, ValidationError, load_scenario
 from .report import (
     write_blocks_csv,
     write_comparison_csv,
     write_comparison_json,
     write_json,
 )
-from .runner import run_scenario
+from .runner import run_baseline_comparison, run_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -39,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run_p.add_argument(
         "--mode",
-        choices=("off", "autobalancer", "external"),
+        choices=MODES,
         default=None,
         help="override the scenario mode",
     )
@@ -50,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument(
         "--modes",
         default="off,autobalancer",
-        help="comma-separated list from {off,autobalancer,external}",
+        help=f"comma-separated list from {{{','.join(MODES)}}}",
     )
     cmp_p.add_argument(
         "--seeds",

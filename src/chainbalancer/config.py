@@ -1,15 +1,19 @@
 """Scenario configuration: one YAML file describes a full run.
 
-Loading fills documented defaults, validates every rule, and reports all
-violations at once (not just the first). The canonical form of the config
-is hashed into every report header so a report is traceable to the exact
-inputs that produced it.
+Every field is one row of `FIELDS`: its path, its default, the check its
+value must pass and the rule that check states. Loading fills the
+defaults, checks every row and then the rules that tie fields together,
+and reports all violations at once, each with its field path. The
+canonical form of the config is hashed into every report header so a
+report is traceable to the exact inputs that produced it.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,64 +21,134 @@ import yaml
 
 from .arbitrage import Funding, Threshold
 from .chain import FeasibilityPredicate, UserFlowParams
-from .market import NUMERAIRE, Pool
+from .market import MAX_FEE_PPB, NUMERAIRE, Pool
 from .metrics import ObjectiveWeights
 from .rewards import RewardWeights, WeightError
 from .searchers import GovernanceConditions, SearcherProfile
 from .units import ppb, to_nano
 
 MODES = ("off", "autobalancer", "external")
+_FUNDING = tuple(f.value for f in Funding)
+_OMEGA_KEYS = ("searchers", "marketplaces", "treasury")
 
-DEFAULTS: dict = {
-    "assets": {"count": 2},
-    "blocks": {
-        "capacity": 1_000_000,
-        "epoch_length": 20,
-        "epochs": 10,
-        "gas_per_user_swap": 21_000,
-        "gas_per_balancer_tx": 90_000,
-    },
-    "user_flow": {
-        "rate": 5.0,
-        "size_mu": 2.0,
-        "size_sigma": 0.5,
-        "num_users": 8,
-        "endowment": 1_000_000.0,
-    },
-    "threshold": {"epsilon": 0.003, "flash_fee": 0.0009, "gas_price": 1e-7},
-    "weights": {
-        "omega": {"searchers": 0.4, "marketplaces": 0.4, "treasury": 0.2},
-        "lambda1": 1.0,
-        "lambda2": 0.1,
-        "delta": 0.05,
-        "u_star": 0.9,
-        "gamma": 0.5,
-        "beta": 0.8,
-    },
-    "searchers": {
-        "window": 8,
-        "profiles": [
-            {"id": 0, "noise": 0.0, "coverage": 1.0},
-            {"id": 1, "noise": 0.05, "coverage": 1.0},
-            {"id": 2, "noise": 0.1, "coverage": 0.8},
-            {"id": 3, "noise": 0.2, "coverage": 0.6},
-        ],
-    },
-    "governance": {
-        "allowed_funding": ["flash_loan", "network_liquidity"],
-        "max_set_size": 16,
-    },
-    "feasibility": {"max_txs_per_block": 16, "min_net_profit": 0.0},
-    "producer": {"dishonesty_rate": 0.0, "slash_penalty_multiple": 10},
-    "balances": {
-        "treasury_numeraire": 1_000_000.0,
-        "lender_numeraire": 1_000_000_000.0,
-        "external_numeraire": 1_000_000.0,
-    },
-    "chaos": {"forced_revert_rate": 0.0},
-    "seeds": [42],
-    "mode": "autobalancer",
-}
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """An int or a float that is finite as a float; bools and strings are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _num(test):
+    return lambda value: _is_number(value) and test(value)
+
+
+def _int(low: int):
+    return lambda value: _is_int(value) and value >= low
+
+
+def _nonempty_list(item=lambda x: True):
+    return lambda value: isinstance(value, list) and bool(value) and all(map(item, value))
+
+
+POSITIVE_INT = (_int(1), "a positive integer")
+NON_NEGATIVE_INT = (_int(0), "a non-negative integer")
+NON_NEGATIVE = (_num(lambda x: x >= 0), "a non-negative number")
+UNIT_INTERVAL = (_num(lambda x: 0 <= x <= 1), "a number in [0, 1]")
+RESERVE = (_num(lambda x: to_nano(x) >= 1), "a number that rounds to at least one nano-unit (1e-9)")
+
+# (path, default, check, rule). A default fills an absent top-level or
+# section key in the hashed mapping; a `[]` row applies to every item of
+# a list, and its default is applied when building, never written into
+# the mapping. A row without a default is optional when its check accepts
+# None and required otherwise.
+FIELDS = (
+    ("assets.count", 2, _int(2), "an integer >= 2 (the numeraire plus a tradeable asset)"),
+    ("assets.names", None,
+     lambda v: v is None or isinstance(v, list) and all(isinstance(n, str) for n in v),
+     "a list of strings"),
+    ("pools", None, _nonempty_list(), "a non-empty list of pool mappings"),
+    ("pools[].venue", None, _is_int, "an integer"),
+    ("pools[].asset", None, _is_int, "an integer"),
+    ("pools[].reserve_asset", None, *RESERVE),
+    ("pools[].reserve_numeraire", None, *RESERVE),
+    ("pools[].fee", 0.0, _num(lambda x: x >= 0 and ppb(x) < MAX_FEE_PPB), "a number in [0, 0.1)"),
+    ("pools[].reference", False, lambda v: isinstance(v, bool), "true or false"),
+    ("blocks.capacity", 1_000_000, *POSITIVE_INT),
+    ("blocks.epoch_length", 20, *POSITIVE_INT),
+    ("blocks.epochs", 10, *NON_NEGATIVE_INT),
+    ("blocks.gas_per_user_swap", 21_000, *POSITIVE_INT),
+    ("blocks.gas_per_balancer_tx", 90_000, *POSITIVE_INT),
+    ("user_flow.rate", 5.0, *NON_NEGATIVE),
+    ("user_flow.size_mu", 2.0, _is_number, "a number"),
+    ("user_flow.size_sigma", 0.5, *NON_NEGATIVE),
+    ("user_flow.num_users", 8, *POSITIVE_INT),
+    ("user_flow.endowment", 1_000_000.0, *NON_NEGATIVE),
+    ("user_flow.venue_weights", None, lambda v: v is None or isinstance(v, dict),
+     "a mapping of venue ids to non-negative numbers"),
+    ("threshold.epsilon", 0.003, _num(lambda x: x > 0), "a positive number"),
+    ("threshold.flash_fee", 0.0009, _num(lambda x: 0 <= x < 0.01), "a number in [0, 0.01)"),
+    ("threshold.gas_price", 1e-7, *NON_NEGATIVE),
+    ("weights.omega", {"searchers": 0.4, "marketplaces": 0.4, "treasury": 0.2},
+     lambda v: isinstance(v, dict) and set(v) == set(_OMEGA_KEYS)
+     and all(map(_is_number, v.values())),
+     "a mapping of searchers, marketplaces and treasury to numbers"),
+    ("weights.lambda1", 1.0, *NON_NEGATIVE),
+    ("weights.lambda2", 0.1, *NON_NEGATIVE),
+    ("weights.delta", 0.05, *NON_NEGATIVE),
+    ("weights.u_star", 0.9, _num(lambda x: 0 <= x < 1), "a number in [0, 1)"),
+    ("weights.gamma", 0.5, _num(lambda x: 0 < x < 1), "a number in (0, 1)"),
+    ("weights.beta", 0.8, *UNIT_INTERVAL),
+    ("searchers.window", 8, *POSITIVE_INT),
+    ("searchers.profiles",
+     [
+         {"id": 0, "noise": 0.0, "coverage": 1.0},
+         {"id": 1, "noise": 0.05, "coverage": 1.0},
+         {"id": 2, "noise": 0.1, "coverage": 0.8},
+         {"id": 3, "noise": 0.2, "coverage": 0.6},
+     ],
+     _nonempty_list(), "a non-empty list of profile mappings"),
+    ("searchers.profiles[].id", None, _is_int, "an integer"),
+    ("searchers.profiles[].noise", 0.0, *NON_NEGATIVE),
+    ("searchers.profiles[].coverage", 1.0, _num(lambda x: 0 < x <= 1), "a number in (0, 1]"),
+    ("governance.allowed_funding", list(_FUNDING), _nonempty_list(lambda f: f in _FUNDING),
+     "a non-empty list from " + ", ".join(_FUNDING)),
+    ("governance.max_set_size", 16, *POSITIVE_INT),
+    ("feasibility.max_txs_per_block", 16, *POSITIVE_INT),
+    ("feasibility.min_net_profit", 0.0, _is_number, "a number"),
+    ("producer.dishonesty_rate", 0.0, *UNIT_INTERVAL),
+    ("producer.slash_penalty_multiple", 10, *NON_NEGATIVE_INT),
+    ("balances.treasury_numeraire", 1_000_000.0, *NON_NEGATIVE),
+    ("balances.lender_numeraire", 1_000_000_000.0, *NON_NEGATIVE),
+    ("balances.external_numeraire", 1_000_000.0, *NON_NEGATIVE),
+    ("chaos.forced_revert_rate", 0.0, *UNIT_INTERVAL),
+    ("seeds", [42], _nonempty_list(_int(0)), "a non-empty list of non-negative integers"),
+    ("mode", "autobalancer", lambda v: v in MODES, "one of " + ", ".join(MODES)),
+)
+
+
+def _scopes() -> dict[str, dict]:
+    """Members of every mapping FIELDS describes, by scope ("" is the top level).
+
+    A member is its row, or None for a section (a mapping of rows).
+    """
+    scopes: dict[str, dict] = {"": {}}
+    for row in FIELDS:
+        scope, _, key = row[0].rpartition(".")
+        scopes.setdefault(scope, {})[key] = row
+        if scope and not scope.endswith("[]"):
+            scopes[""].setdefault(scope, None)
+    return scopes
+
+
+_SCOPES = _scopes()
 
 
 class ValidationError(Exception):
@@ -98,12 +172,10 @@ class PoolSpec:
 @dataclass
 class ScenarioConfig:
     asset_count: int
-    asset_names: list[str]
     pool_specs: list[PoolSpec]
     capacity: int
     epoch_length: int
     epochs: int
-    gas_per_user_swap: int
     gas_per_balancer_tx: int
     user_flow: UserFlowParams
     endowment: float
@@ -161,345 +233,226 @@ class ScenarioConfig:
         return pools
 
 
-def _merge_defaults(raw: dict) -> dict:
-    merged = {}
-    for key, default in DEFAULTS.items():
-        value = raw.get(key)
-        if isinstance(default, dict):
-            merged[key] = {**default, **(value or {})}
-        else:
-            merged[key] = value if value is not None else default
-    for key in raw:
-        if key not in merged:
-            merged[key] = raw[key]
-    return merged
+def _check_fields(raw: dict) -> tuple[dict, dict, list[str]]:
+    """Fill defaults and check every value against its row in FIELDS.
 
+    Returns the mapping that is hashed, the checked values by concrete
+    path ("pools[2].fee"; per-item defaults included) and the violations.
+    """
+    values: dict = {}
+    violations: list[str] = []
 
-def _validate(raw: dict) -> list[str]:
-    v: list[str] = []
-
-    assets = raw.get("assets", {})
-    count = assets.get("count", 0)
-    if not isinstance(count, int) or count < 2:
-        v.append("assets.count: need at least the numeraire plus one tradeable asset")
-
-    pools = raw.get("pools")
-    reference_venues = set()
-    seen_pairs = set()
-    hosted: dict[int, set[int]] = {}
-    if not pools:
-        v.append("pools: at least one pool is required")
-        pools = []
-    for i, p in enumerate(pools):
-        path = f"pools[{i}]"
-        try:
-            venue = int(p["venue"])
-            asset = int(p["asset"])
-        except (KeyError, TypeError, ValueError):
-            v.append(f"{path}: venue and asset are required integers")
-            continue
-        if isinstance(count, int) and not 1 <= asset < count:
-            v.append(f"{path}.asset: {asset} outside [1, {count})")
-        if (venue, asset) in seen_pairs:
-            v.append(f"{path}: duplicate pool for venue {venue}, asset {asset}")
-        seen_pairs.add((venue, asset))
-        hosted.setdefault(venue, set()).add(asset)
-        for fld in ("reserve_asset", "reserve_numeraire"):
-            if not isinstance(p.get(fld), (int, float)) or p.get(fld, 0) <= 0:
-                v.append(f"{path}.{fld}: must be a positive number")
-        fee = p.get("fee", 0.0)
-        if not isinstance(fee, (int, float)) or not 0 <= fee < 0.1:
-            v.append(f"{path}.fee: {fee} outside [0, 0.1)")
-        if p.get("reference"):
-            reference_venues.add(venue)
-
-    if len(reference_venues) == 0 and pools:
-        v.append("pools: exactly one reference venue required, found none")
-    elif len(reference_venues) > 1:
-        v.append(
-            "pools: exactly one reference venue required, found "
-            + ", ".join(str(x) for x in sorted(reference_venues))
-        )
-    elif reference_venues:
-        ref = next(iter(reference_venues))
-        ref_assets = hosted.get(ref, set())
-        for venue, assets_v in sorted(hosted.items()):
-            if venue == ref:
+    def scan(mapping: dict, scope: str, at: str) -> dict:
+        members = _SCOPES[scope]
+        violations.extend(f"{at}{key}: unknown key" for key in mapping if key not in members)
+        filled = dict(mapping)
+        for key, row in members.items():
+            path, value = at + key, mapping.get(key)
+            if row is None:  # a section; null counts as absent
+                if value is None:
+                    value = {}
+                if isinstance(value, dict):
+                    filled[key] = scan(value, key, path + ".")
+                else:
+                    violations.append(f"{path}: must be a mapping, got {value!r}")
                 continue
-            missing = assets_v - ref_assets
+            _, default, ok, rule = row
+            if default is not None and (key not in mapping or (value is None and not scope)):
+                value = copy.deepcopy(default)
+                if not scope.endswith("[]"):
+                    filled[key] = value
+            if not ok(value):
+                violations.append(f"{path}: must be {rule}, got {value!r}")
+                continue
+            values[path] = value
+            if row[0] + "[]" in _SCOPES:  # a list of mappings
+                for i, item in enumerate(value):
+                    if isinstance(item, dict):
+                        scan(item, row[0] + "[]", f"{path}[{i}].")
+                    else:
+                        violations.append(f"{path}[{i}]: must be a mapping, got {item!r}")
+        return filled
+
+    return scan(raw, "", ""), values, violations
+
+
+def _venue_id(key) -> int | None:
+    """A venue_weights key as a venue id: an integer, or a string of one (JSON keys)."""
+    if isinstance(key, str):
+        try:
+            return int(key)
+        except ValueError:
+            return None
+    return key if _is_int(key) else None
+
+
+def _cross_violations(v: dict) -> list[str]:
+    """Rules that tie fields together, over the values that passed their rows."""
+    out: list[str] = []
+    count = v.get("assets.count")
+    hosted: dict[int, set[int]] = {}
+    reference_venues = set()
+    for i in range(len(v.get("pools") or ())):
+        venue, asset = v.get(f"pools[{i}].venue"), v.get(f"pools[{i}].asset")
+        if venue is None or asset is None:
+            continue
+        if count is not None and not 1 <= asset < count:
+            out.append(f"pools[{i}].asset: {asset} outside [1, {count})")
+        if asset in hosted.get(venue, ()):
+            out.append(f"pools[{i}]: duplicate pool for venue {venue}, asset {asset}")
+        hosted.setdefault(venue, set()).add(asset)
+        if v.get(f"pools[{i}].reference"):
+            reference_venues.add(venue)
+    if v.get("pools") and len(reference_venues) != 1:
+        found = ", ".join(str(x) for x in sorted(reference_venues)) or "none"
+        out.append(f"pools: exactly one reference venue required, found {found}")
+    elif reference_venues:
+        [ref] = reference_venues
+        for venue, assets in sorted(hosted.items()):
+            missing = assets - hosted[ref]
             if missing:
-                v.append(
+                out.append(
                     f"pools: venue {venue} lists assets {sorted(missing)} "
                     f"absent from reference venue {ref}"
                 )
 
-    blocks = raw.get("blocks", {})
-    capacity = blocks.get("capacity", 0)
-    if not isinstance(capacity, int) or capacity <= 0:
-        v.append("blocks.capacity: must be a positive integer")
-    for fld in ("epoch_length", "gas_per_user_swap", "gas_per_balancer_tx"):
-        if not isinstance(blocks.get(fld), int) or blocks.get(fld, 0) <= 0:
-            v.append(f"blocks.{fld}: must be a positive integer")
-    if not isinstance(blocks.get("epochs"), int) or blocks.get("epochs", -1) < 0:
-        v.append("blocks.epochs: must be a non-negative integer")
-    if isinstance(capacity, int) and capacity > 0:
-        for fld in ("gas_per_user_swap", "gas_per_balancer_tx"):
-            gas = blocks.get(fld)
-            if isinstance(gas, int) and gas > capacity:
-                v.append(f"blocks.{fld}: {gas} exceeds block capacity {capacity}")
+    capacity = v.get("blocks.capacity")
+    for name in ("gas_per_user_swap", "gas_per_balancer_tx"):
+        gas = v.get(f"blocks.{name}")
+        if capacity is not None and gas is not None and gas > capacity:
+            out.append(f"blocks.{name}: {gas} exceeds block capacity {capacity}")
 
-    flow = raw.get("user_flow", {})
-    if flow.get("rate", 0) < 0:
-        v.append("user_flow.rate: must be non-negative")
-    if flow.get("size_sigma", 0) < 0:
-        v.append("user_flow.size_sigma: must be non-negative")
-    if not isinstance(flow.get("num_users"), int) or flow.get("num_users", 0) < 1:
-        v.append("user_flow.num_users: must be a positive integer")
-    if flow.get("endowment", 0) < 0:
-        v.append("user_flow.endowment: must be non-negative")
-    weights_cfg = flow.get("venue_weights")
-    if weights_cfg is not None:
-        for venue_key, w in weights_cfg.items():
-            try:
-                venue = int(venue_key)
-            except (TypeError, ValueError):
-                v.append(f"user_flow.venue_weights: key {venue_key!r} is not a venue id")
-                continue
-            if venue not in hosted:
-                v.append(f"user_flow.venue_weights: venue {venue_key} has no pools")
-            if not isinstance(w, (int, float)) or w < 0:
-                v.append(f"user_flow.venue_weights[{venue_key}]: must be a non-negative number")
+    weights = v.get("user_flow.venue_weights")
+    if weights is not None:
+        if len({isinstance(k, str) for k in weights}) > 1:
+            out.append("user_flow.venue_weights: keys must be all integers or all strings")
+        for key, weight in weights.items():
+            venue = _venue_id(key)
+            if venue is None:
+                out.append(f"user_flow.venue_weights: key {key!r} is not a venue id")
+            elif venue not in hosted:
+                out.append(f"user_flow.venue_weights: venue {key} has no pools")
+            if not (_is_number(weight) and weight >= 0):
+                out.append(
+                    f"user_flow.venue_weights[{key}]: must be a non-negative number, got {weight!r}"
+                )
+    elif len(reference_venues) == 1:  # the default: weight 1 on every other venue
+        weights = {venue: 1 for venue in hosted if venue not in reference_venues}
+    if v.get("user_flow.rate") and weights is not None and all(w == 0 for w in weights.values()):
+        out.append("user_flow.venue_weights: must weigh a venue above 0 while user_flow.rate > 0")
 
-    thr = raw.get("threshold", {})
-    if thr.get("epsilon", 0) <= 0:
-        v.append("threshold.epsilon: must be positive")
-    if not 0 <= thr.get("flash_fee", 0) < 0.01:
-        v.append("threshold.flash_fee: outside [0, 0.01)")
-    if thr.get("gas_price", 0) < 0:
-        v.append("threshold.gas_price: must be non-negative")
+    omega = v.get("weights.omega")
+    if omega is not None:
+        try:
+            RewardWeights.from_values(*(omega[k] for k in _OMEGA_KEYS))
+        except WeightError as exc:
+            out.append(f"weights.omega: {exc}")
+    if v.get("weights.lambda1") == 0 and v.get("weights.lambda2") == 0:
+        out.append("weights: lambda1 and lambda2 must not both be zero")
 
-    w = raw.get("weights", {})
-    omega = w.get("omega", {})
-    try:
-        RewardWeights.from_values(
-            omega.get("searchers", 0), omega.get("marketplaces", 0), omega.get("treasury", 0)
-        )
-    except (WeightError, ValueError) as exc:
-        v.append(f"weights.omega: {exc}")
-    if w.get("lambda1", 0) < 0 or w.get("lambda2", 0) < 0:
-        v.append("weights.lambda1/lambda2: must be non-negative")
-    if w.get("lambda1", 0) == 0 and w.get("lambda2", 0) == 0:
-        v.append("weights.lambda1/lambda2: must not both be zero")
-    if not 0 <= w.get("u_star", 0) < 1:
-        v.append("weights.u_star: outside [0, 1)")
-    if w.get("delta", 0) < 0:
-        v.append("weights.delta: must be non-negative")
-    if not 0 < w.get("gamma", 0) < 1:
-        v.append("weights.gamma: outside the open interval (0, 1)")
-    if not 0 <= w.get("beta", 0) <= 1:
-        v.append("weights.beta: outside [0, 1]")
-
-    searchers = raw.get("searchers", {})
-    if not isinstance(searchers.get("window"), int) or searchers.get("window", 0) < 1:
-        v.append("searchers.window: must be a positive integer")
-    profiles = searchers.get("profiles") or []
-    if not profiles:
-        v.append("searchers.profiles: at least one profile required")
     ids = set()
-    for i, prof in enumerate(profiles):
-        if not isinstance(prof, dict):
-            v.append(f"searchers.profiles[{i}]: must be a mapping")
-            continue
-        if prof.get("id") in ids:
-            v.append(f"searchers.profiles[{i}]: duplicate id {prof.get('id')}")
-        ids.add(prof.get("id"))
-        if prof.get("noise", 0) < 0:
-            v.append(f"searchers.profiles[{i}].noise: must be non-negative")
-        if not 0 < prof.get("coverage", 1.0) <= 1:
-            v.append(f"searchers.profiles[{i}].coverage: outside (0, 1]")
-
-    gov = raw.get("governance", {})
-    funding = gov.get("allowed_funding") or []
-    valid_funding = {f.value for f in Funding}
-    for mode_name in funding:
-        if mode_name not in valid_funding:
-            v.append(f"governance.allowed_funding: unknown mode {mode_name!r}")
-    if not funding:
-        v.append("governance.allowed_funding: must not be empty")
-    if not isinstance(gov.get("max_set_size"), int) or gov.get("max_set_size", 0) < 1:
-        v.append("governance.max_set_size: must be a positive integer")
-
-    feas = raw.get("feasibility", {})
-    if not isinstance(feas.get("max_txs_per_block"), int) or feas.get("max_txs_per_block", 0) < 1:
-        v.append("feasibility.max_txs_per_block: must be a positive integer")
-
-    producer = raw.get("producer", {})
-    if not 0 <= producer.get("dishonesty_rate", 0) <= 1:
-        v.append("producer.dishonesty_rate: outside [0, 1]")
-    if producer.get("slash_penalty_multiple", 0) < 0:
-        v.append("producer.slash_penalty_multiple: must be non-negative")
-
-    balances = raw.get("balances", {})
-    for fld in ("treasury_numeraire", "lender_numeraire", "external_numeraire"):
-        if balances.get(fld, 0) < 0:
-            v.append(f"balances.{fld}: must be non-negative")
-
-    chaos = raw.get("chaos", {})
-    if not 0 <= chaos.get("forced_revert_rate", 0) <= 1:
-        v.append("chaos.forced_revert_rate: outside [0, 1]")
-
-    seeds = raw.get("seeds")
-    if not seeds or not all(isinstance(s, int) and s >= 0 for s in seeds):
-        v.append("seeds: need a non-empty list of non-negative integers")
-
-    if raw.get("mode") not in MODES:
-        v.append(f"mode: {raw.get('mode')!r} not one of {MODES}")
-
-    return v
+    for i in range(len(v.get("searchers.profiles") or ())):
+        pid = v.get(f"searchers.profiles[{i}].id")
+        if pid is not None and pid in ids:
+            out.append(f"searchers.profiles[{i}]: duplicate id {pid}")
+        ids.add(pid)
+    return out
 
 
-def _section_type_violations(raw: dict) -> list[str]:
-    v = []
-    for key, default in DEFAULTS.items():
-        value = raw.get(key)
-        if value is None:
-            continue
-        if isinstance(default, dict) and not isinstance(value, dict):
-            v.append(f"{key}: must be a mapping")
-        if isinstance(default, list) and not isinstance(value, list):
-            v.append(f"{key}: must be a list")
-    if raw.get("pools") is not None and not isinstance(raw["pools"], list):
-        v.append("pools: must be a list of pool mappings")
-    elif isinstance(raw.get("pools"), list):
-        v.extend(
-            f"pools[{i}]: must be a mapping"
-            for i, p in enumerate(raw["pools"])
-            if not isinstance(p, dict)
-        )
-    return v
+def _items(v: dict, path: str) -> list[dict]:
+    """The checked items of the list at `path`, per-item defaults applied."""
+    keys = _SCOPES[path + "[]"]
+    return [{k: v[f"{path}[{i}].{k}"] for k in keys} for i in range(len(v[path]))]
 
 
 def from_dict(raw: dict) -> ScenarioConfig:
     """Validate a raw scenario mapping and build the typed config."""
     raw = raw or {}
-    type_violations = _section_type_violations(raw)
-    if type_violations:
-        raise ValidationError(type_violations)
-    merged = _merge_defaults(raw)
-    violations = _validate(merged)
+    if not isinstance(raw, dict):
+        raise ValidationError([f"top level: must be a mapping, got {raw!r}"])
+    merged, v, violations = _check_fields(raw)
+    violations += _cross_violations(v)
     if violations:
         raise ValidationError(violations)
 
+    pools = _items(v, "pools")
+    reference = next(p["venue"] for p in pools if p["reference"])
+    # every pool on the reference venue is reference-flagged
     pool_specs = [
         PoolSpec(
-            venue_id=int(p["venue"]),
-            asset=int(p["asset"]),
-            reserve_asset=float(p["reserve_asset"]),
-            reserve_numeraire=float(p["reserve_numeraire"]),
-            fee=float(p.get("fee", 0.0)),
-            is_reference=bool(p.get("reference", False)),
+            p["venue"], p["asset"], p["reserve_asset"], p["reserve_numeraire"], p["fee"],
+            is_reference=p["venue"] == reference,
         )
-        for p in merged["pools"]
+        for p in pools
     ]
-    reference_venue_id = next(s.venue_id for s in pool_specs if s.is_reference)
-    # every pool on the reference venue is reference-flagged
-    for spec in pool_specs:
-        if spec.venue_id == reference_venue_id:
-            spec.is_reference = True
-
-    flow_cfg = merged["user_flow"]
-    venue_weights = flow_cfg.get("venue_weights")
-    if venue_weights is None:
-        venue_weights = {
-            s.venue_id: 1.0
-            for s in pool_specs
-            if s.venue_id != reference_venue_id
-        }
+    weights = v["user_flow.venue_weights"]
+    if weights is None:
+        venue_weights = {s.venue_id: 1.0 for s in pool_specs if s.venue_id != reference}
     else:
-        venue_weights = {int(k): float(w) for k, w in venue_weights.items()}
-    user_flow = UserFlowParams(
-        rate=float(flow_cfg["rate"]),
-        size_mu=float(flow_cfg["size_mu"]),
-        size_sigma=float(flow_cfg["size_sigma"]),
-        venue_weights=venue_weights,
-        num_users=int(flow_cfg["num_users"]),
-        gas_per_swap=int(merged["blocks"]["gas_per_user_swap"]),
-    )
-
-    w = merged["weights"]
-    omega = w["omega"]
+        venue_weights = {_venue_id(k): w for k, w in weights.items()}
     governance = GovernanceConditions(
-        allowed_funding=frozenset(Funding(f) for f in merged["governance"]["allowed_funding"]),
-        reference_venue_id=reference_venue_id,
-        max_set_size=int(merged["governance"]["max_set_size"]),
+        allowed_funding=frozenset(Funding(f) for f in v["governance.allowed_funding"]),
+        reference_venue_id=reference,
+        max_set_size=v["governance.max_set_size"],
     )
-    feasibility = FeasibilityPredicate(
-        max_txs_per_block=int(merged["feasibility"]["max_txs_per_block"]),
-        min_net_profit=to_nano(merged["feasibility"]["min_net_profit"]),
-        allowed_funding=governance.allowed_funding,
-    )
-    profiles = [
-        SearcherProfile(
-            searcher_id=int(p["id"]),
-            noise=float(p.get("noise", 0.0)),
-            coverage=float(p.get("coverage", 1.0)),
-        )
-        for p in merged["searchers"]["profiles"]
-    ]
-
-    names = merged["assets"].get("names") or [
-        f"asset{i}" if i else "numeraire" for i in range(merged["assets"]["count"])
-    ]
-
     return ScenarioConfig(
-        asset_count=int(merged["assets"]["count"]),
-        asset_names=[str(n) for n in names],
+        asset_count=v["assets.count"],
         pool_specs=pool_specs,
-        capacity=int(merged["blocks"]["capacity"]),
-        epoch_length=int(merged["blocks"]["epoch_length"]),
-        epochs=int(merged["blocks"]["epochs"]),
-        gas_per_user_swap=int(merged["blocks"]["gas_per_user_swap"]),
-        gas_per_balancer_tx=int(merged["blocks"]["gas_per_balancer_tx"]),
-        user_flow=user_flow,
-        endowment=float(flow_cfg["endowment"]),
+        capacity=v["blocks.capacity"],
+        epoch_length=v["blocks.epoch_length"],
+        epochs=v["blocks.epochs"],
+        gas_per_balancer_tx=v["blocks.gas_per_balancer_tx"],
+        user_flow=UserFlowParams(
+            rate=v["user_flow.rate"],
+            size_mu=v["user_flow.size_mu"],
+            size_sigma=v["user_flow.size_sigma"],
+            venue_weights=venue_weights,
+            num_users=v["user_flow.num_users"],
+            gas_per_swap=v["blocks.gas_per_user_swap"],
+        ),
+        endowment=v["user_flow.endowment"],
         threshold=Threshold(
-            epsilon=float(merged["threshold"]["epsilon"]),
-            flash_fee=float(merged["threshold"]["flash_fee"]),
-            gas_price=float(merged["threshold"]["gas_price"]),
+            epsilon=v["threshold.epsilon"],
+            flash_fee=v["threshold.flash_fee"],
+            gas_price=v["threshold.gas_price"],
         ),
-        reward_weights=RewardWeights.from_values(
-            omega["searchers"], omega["marketplaces"], omega["treasury"]
-        ),
+        reward_weights=RewardWeights.from_values(*(v["weights.omega"][k] for k in _OMEGA_KEYS)),
         objective_weights=ObjectiveWeights(
-            lambda1=float(w["lambda1"]),
-            lambda2=float(w["lambda2"]),
-            delta_cap=float(w["delta"]),
+            lambda1=v["weights.lambda1"],
+            lambda2=v["weights.lambda2"],
+            delta_cap=v["weights.delta"],
         ),
-        u_star=float(w["u_star"]),
-        gamma=float(w["gamma"]),
-        beta=float(w["beta"]),
-        searcher_profiles=profiles,
-        governance_window=int(merged["searchers"]["window"]),
+        u_star=v["weights.u_star"],
+        gamma=v["weights.gamma"],
+        beta=v["weights.beta"],
+        searcher_profiles=[
+            SearcherProfile(p["id"], p["noise"], p["coverage"])
+            for p in _items(v, "searchers.profiles")
+        ],
+        governance_window=v["searchers.window"],
         governance=governance,
-        feasibility=feasibility,
-        dishonesty_rate=float(merged["producer"]["dishonesty_rate"]),
-        slash_penalty_multiple=int(merged["producer"]["slash_penalty_multiple"]),
-        treasury_numeraire=float(merged["balances"]["treasury_numeraire"]),
-        lender_numeraire=float(merged["balances"]["lender_numeraire"]),
-        external_numeraire=float(merged["balances"]["external_numeraire"]),
-        forced_revert_rate=float(merged["chaos"]["forced_revert_rate"]),
-        seeds=[int(s) for s in merged["seeds"]],
-        mode=str(merged["mode"]),
+        feasibility=FeasibilityPredicate(
+            max_txs_per_block=v["feasibility.max_txs_per_block"],
+            min_net_profit=to_nano(v["feasibility.min_net_profit"]),
+            allowed_funding=governance.allowed_funding,
+        ),
+        dishonesty_rate=v["producer.dishonesty_rate"],
+        slash_penalty_multiple=v["producer.slash_penalty_multiple"],
+        treasury_numeraire=v["balances.treasury_numeraire"],
+        lender_numeraire=v["balances.lender_numeraire"],
+        external_numeraire=v["balances.external_numeraire"],
+        forced_revert_rate=v["chaos.forced_revert_rate"],
+        seeds=list(v["seeds"]),
+        mode=v["mode"],
         raw=merged,
     )
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Read and validate a scenario file (YAML; JSON is a YAML subset)."""
-    text = Path(path).read_text(encoding="utf-8")
-    raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ValidationError([f"{path}: top level must be a mapping"])
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except ValueError as exc:  # not UTF-8, or an integer too long to convert
+        raise ValidationError([f"{path}: {exc}"]) from exc
     return from_dict(raw)

@@ -1,4 +1,4 @@
-"""Objective metrics: price discrepancy, utilization cost, mode comparison.
+"""Objective metrics: price discrepancy and utilization cost.
 
 The mechanism is scored, not solved in closed form: each run realizes a
 feasible transaction sequence, and these metrics report the objective it
@@ -65,49 +65,3 @@ def epoch_constraint_check(psis: list[float], delta_cap: float) -> ConstraintRes
         raise ValueError("constraint check requires a non-empty epoch")
     mean_psi = sum(psis) / len(psis)
     return ConstraintResult(satisfied=mean_psi <= delta_cap, mean_psi=mean_psi)
-
-
-def run_baseline_comparison(config, modes: list[str], seeds: list[int]) -> dict:
-    """Run the same seeded scenario under each mode and tabulate outcomes.
-
-    Per mode: time-averaged discrepancy, captured value (profit retained
-    by the network), and leaked value (profit taken by the external
-    arbitrageur). User flow is a function of the seed alone, so the
-    user-phase event logs match across modes pair by pair.
-    """
-    from .runner import run_scenario  # late import; runner builds on metrics
-
-    if not seeds:
-        raise ValueError("comparison requires at least one seed")
-    known = {"off", "autobalancer", "external"}
-    bad = set(modes) - known
-    if bad:
-        raise ValueError(f"unknown modes: {sorted(bad)}")
-
-    per_mode: dict[str, dict] = {}
-    for mode in modes:
-        rows = []
-        for seed in seeds:
-            result = run_scenario(config, seed=seed, mode=mode)
-            rows.append(
-                {
-                    "seed": seed,
-                    "time_avg_discrepancy": result.totals["mean_discrepancy"],
-                    "captured": result.totals["captured"],
-                    "leaked": result.totals["leaked"],
-                    "max_abs_deviation": result.totals["max_abs_deviation"],
-                    "user_flow_digest": result.user_flow_digest,
-                }
-            )
-        n = len(rows)
-        per_mode[mode] = {
-            "per_seed": rows,
-            "mean_time_avg_discrepancy": sum(r["time_avg_discrepancy"] for r in rows) / n,
-            "mean_captured": sum(r["captured"] for r in rows) / n,
-            "mean_leaked": sum(r["leaked"] for r in rows) / n,
-        }
-    return {
-        "modes": list(modes),
-        "seeds": list(seeds),
-        "per_mode": per_mode,
-    }

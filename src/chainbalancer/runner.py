@@ -29,7 +29,7 @@ from .chain import (
     performance_cost_psi,
     utilization,
 )
-from .config import ScenarioConfig
+from .config import MODES, ScenarioConfig
 from .market import NUMERAIRE, snapshot_prices
 from .metrics import ObjectiveSample, cumulative_discrepancy, epoch_constraint_check
 from .rewards import (
@@ -61,9 +61,7 @@ from .state import (
 )
 from .units import to_nano, to_units
 
-MODE_OFF = "off"
-MODE_AUTO = "autobalancer"
-MODE_EXTERNAL = "external"
+MODE_OFF, MODE_AUTO, MODE_EXTERNAL = MODES
 
 
 class SimulationAbort(RuntimeError):
@@ -184,7 +182,7 @@ class SimulationRun:
     """Single seeded run of one scenario in one mode."""
 
     def __init__(self, config: ScenarioConfig, seed: int, mode: str):
-        if mode not in (MODE_OFF, MODE_AUTO, MODE_EXTERNAL):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.config = config
         self.seed = seed
@@ -387,7 +385,7 @@ class SimulationRun:
                     "constraint": (
                         {
                             "mean_psi": constraint.mean_psi,
-                            "delta": cfg.objective_weights.delta_cap,
+                            "delta": float(cfg.objective_weights.delta_cap),
                             "satisfied": constraint.satisfied,
                         }
                         if constraint
@@ -510,3 +508,46 @@ def run_scenario(
         block = run.state.block_height
         epoch = block // config.epoch_length if config.epoch_length else 0
         raise SimulationAbort(epoch, block, exc) from exc
+
+
+def run_baseline_comparison(config: ScenarioConfig, modes: list[str], seeds: list[int]) -> dict:
+    """Run the same seeded scenario under each mode and tabulate outcomes.
+
+    Per mode: time-averaged discrepancy, captured value (profit retained
+    by the network), and leaked value (profit taken by the external
+    arbitrageur). User flow is a function of the seed alone, so the
+    user-phase event logs match across modes pair by pair.
+    """
+    if not seeds:
+        raise ValueError("comparison requires at least one seed")
+    bad = set(modes) - set(MODES)
+    if bad:
+        raise ValueError(f"unknown modes: {sorted(bad)}")
+
+    per_mode: dict[str, dict] = {}
+    for mode in modes:
+        rows = []
+        for seed in seeds:
+            result = run_scenario(config, seed=seed, mode=mode)
+            rows.append(
+                {
+                    "seed": seed,
+                    "time_avg_discrepancy": result.totals["mean_discrepancy"],
+                    "captured": result.totals["captured"],
+                    "leaked": result.totals["leaked"],
+                    "max_abs_deviation": result.totals["max_abs_deviation"],
+                    "user_flow_digest": result.user_flow_digest,
+                }
+            )
+        n = len(rows)
+        per_mode[mode] = {
+            "per_seed": rows,
+            "mean_time_avg_discrepancy": sum(r["time_avg_discrepancy"] for r in rows) / n,
+            "mean_captured": sum(r["captured"] for r in rows) / n,
+            "mean_leaked": sum(r["leaked"] for r in rows) / n,
+        }
+    return {
+        "modes": list(modes),
+        "seeds": list(seeds),
+        "per_mode": per_mode,
+    }

@@ -1,0 +1,203 @@
+"""The scenario field table: every malformed scenario is a list of violations.
+
+Mutations of the shipped scenarios must load or fail with field paths,
+never with a traceback; the config hashes of the shipped scenarios are
+pinned; README's defaults table is checked against `config.FIELDS`.
+"""
+
+import copy
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from chainbalancer import ScenarioConfig, ValidationError, from_dict, load_scenario, run_scenario
+from chainbalancer.cli import main
+from chainbalancer.config import FIELDS
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted((ROOT / "scenarios").glob("*.yaml"))
+
+PINNED_HASHES = {
+    "baseline.yaml": "916997024ead284297a7963164e154adf185d0db741ab7501b70604bc1c51911",
+    "chaos.yaml": "e12d961b94561bf00e3ac6eb6536b8c782919f5b873b04d5b6d9fcaec2bf77e6",
+    "scale.yaml": "e9c2101bae473bbe860582de2671481d3b4bf17d82b21e5090140a2cfd6e507f",
+}
+
+# a field path ("pools[3].reserve_asset"), then ": "
+VIOLATION = re.compile(r"[a-z_]+(\[\d+\])?(\.[a-z_0-9]+(\[\d+\])?)*: ")
+
+JUNK = st.one_of(
+    st.sampled_from(
+        [None, True, False, 0, 1, -1, 20, 0.5, -0.5, 1e-12, 1e-7, 10**400,
+         math.nan, math.inf, -math.inf, "", "fast", "1e-7", "flash_loan",
+         [], [1, 2], {}, {"a": 1}, {"1": 2.0}, {1: 0.0}]
+    ),
+    st.integers(-5, 100),
+    st.floats(-2, 2),
+)
+
+
+def _raw(name: str) -> dict:
+    return yaml.safe_load((ROOT / "scenarios" / name).read_text(encoding="utf-8"))
+
+
+def _paths(node, prefix=()):
+    """Every key path into the nested mapping, containers included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _set(raw: dict, path: str, value) -> dict:
+    *parents, last = path.split(".")
+    node = raw
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[last] = value
+    return raw
+
+
+@st.composite
+def mutations(draw, raw: dict) -> dict:
+    """`raw` with 1-3 fields replaced by junk or deleted."""
+    raw = copy.deepcopy(raw)
+    for _ in range(draw(st.integers(1, 3))):
+        options = list(_paths(raw))
+        if not options:
+            break
+        *parents, last = draw(st.sampled_from(options))
+        node = raw
+        for key in parents:
+            node = node[key]
+        if draw(st.booleans()):
+            del node[last]
+        else:
+            node[last] = draw(JUNK)
+    return raw
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations") / "scenario.yaml"
+
+
+@pytest.mark.parametrize("name", [p.name for p in SHIPPED])
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_scenario_loads_or_lists_violations(name, data, scratch):
+    raw = data.draw(mutations(_raw(name)))
+    try:
+        config = from_dict(copy.deepcopy(raw))
+    except ValidationError as exc:
+        config = None
+        assert exc.violations
+        for violation in exc.violations:
+            assert VIOLATION.match(violation), violation
+    else:
+        assert isinstance(config, ScenarioConfig)
+        config.config_hash()
+    scratch.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["validate", str(scratch)]) == (1 if config is None else 0)
+
+
+@pytest.mark.parametrize(
+    "path,value,violation_at",
+    [
+        ("user_flow.rate", "fast", "user_flow.rate"),  # TypeError before
+        ("threshold.epsilon", "x", "threshold.epsilon"),  # TypeError before
+        ("weights.gamma", None, "weights.gamma"),  # TypeError before
+        ("user_flow.venue_weights", [1, 2], "user_flow.venue_weights"),  # AttributeError before
+        ("weights.omega", {"searchers": 0.5, "marketplaces": 0.5}, "weights.omega"),  # KeyError
+        ("user_flow.venue_weights", {1: 0.0, 2: 0.0, 3: 0.0}, "user_flow.venue_weights"),  # ValueError
+        ("user_flow.endowment", math.inf, "user_flow.endowment"),
+        # only the reference venue: the default user flow has no venue (ValueError before)
+        ("pools", [{"venue": 0, "asset": 1, "reserve_asset": 1.0, "reserve_numeraire": 1.0,
+                    "reference": True}], "user_flow.venue_weights"),
+    ],
+)
+def test_former_crash_is_a_violation_at_its_path(path, value, violation_at):
+    with pytest.raises(ValidationError) as err:
+        from_dict(_set(_raw("baseline.yaml"), path, value))
+    assert any(v.startswith(violation_at + ": ") for v in err.value.violations), err.value.violations
+
+
+@pytest.mark.parametrize(
+    "old,new,path",
+    [
+        ("gas_price: 1.0e-7", "gas_price: 1e-7", "threshold.gas_price"),  # a string to PyYAML
+        ("endowment: 1000000.0", "endowment: .inf", "user_flow.endowment"),
+        ("reserve_asset: 3000.0,", "reserve_asset: 1e-12,", "pools[2].reserve_asset"),
+        ("gamma: 0.5", "gamma: null", "weights.gamma"),
+    ],
+)
+def test_validate_names_the_field_and_exits_1(old, new, path, tmp_path, capsys):
+    text = (ROOT / "scenarios" / "baseline.yaml").read_text(encoding="utf-8")
+    assert old in text
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert main(["validate", str(scenario)]) == 1
+    err = capsys.readouterr().err
+    assert f"\n  {path}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe\x00mode: x\n", b"seeds: [1" + b"0" * 4400 + b"]\n"],
+    ids=["not-utf8", "int-too-long-to-parse"],
+)
+def test_unreadable_file_exits_1(content, tmp_path, capsys):
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_bytes(content)
+    assert main(["validate", str(scenario)]) == 1
+    assert capsys.readouterr().err.startswith("invalid scenario:")
+
+
+def test_unknown_keys_are_violations():
+    raw = _raw("baseline.yaml")
+    raw["extra"] = 1
+    raw["blocks"]["capcity"] = 5
+    raw["pools"][1]["fees"] = 0.003
+    with pytest.raises(ValidationError) as err:
+        from_dict(raw)
+    assert sorted(err.value.violations) == [
+        "blocks.capcity: unknown key",
+        "extra: unknown key",
+        "pools[1].fees: unknown key",
+    ]
+
+
+def test_integer_delta_reports_as_a_float():
+    """Checked numbers are not cast, so the report casts the one it prints."""
+    raw = _set(_raw("baseline.yaml"), "weights.delta", 0)
+    raw["blocks"].update(epochs=1, epoch_length=2)
+    report = run_scenario(from_dict(raw), mode="off").report()
+    assert repr(report["epochs"][0]["constraint"]["delta"]) == "0.0"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+def test_config_hash_pinned(name):
+    assert load_scenario(ROOT / "scenarios" / name).config_hash() == PINNED_HASHES[name]
+
+
+def test_readme_defaults_match_field_table():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("Defaults (applied when a key is omitted):", 1)[1].split("\n\n")[1]
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", table, re.M)
+    assert len(rows) == len(table.strip().splitlines()) - 2  # every body row parsed
+    readme = {key: yaml.safe_load(default) for key, default in rows}
+    assert len(readme) == len(rows), "one row per key"
+    table_defaults = {path: default for path, default, _, _ in FIELDS if default is not None}
+    assert json.dumps(readme, sort_keys=True) == json.dumps(table_defaults, sort_keys=True)
