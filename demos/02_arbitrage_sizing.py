@@ -66,7 +66,7 @@ def main():
     state.credit("lender", 0, to_nano(10**7))
     thr = Threshold(epsilon=0.003, flash_fee=0.0009, gas_price=1e-7)
     opp = opportunity_from_deviation(
-        Deviation(1, 1, delta, (0, "demo")), state.pools, 0, thr, Funding.FLASH_LOAN, 90_000
+        Deviation(1, 1, delta), state.pools, 0, thr, Funding.FLASH_LOAN, 90_000
     )
     result = execute_atomic(state, opp, thr, 0)
     print(f"committed: {result.committed}, net profit {to_units(result.profit):.6f} "

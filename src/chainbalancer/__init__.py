@@ -36,7 +36,6 @@ from .market import (
     NUMERAIRE,
     DegenerateVenueError,
     Pool,
-    PriceVector,
     SwapDirection,
     execute_swap,
     quote_swap,

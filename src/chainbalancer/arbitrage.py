@@ -65,7 +65,6 @@ class Deviation:
     asset: int
     venue_id: int
     delta_p: float  # (p_venue - p_ref) / p_ref
-    observed_at: tuple[int, str]
 
 
 @dataclass

@@ -9,6 +9,7 @@ residual gas, re-validating every trigger against live state.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -168,13 +169,17 @@ def generate_user_flow(
     venues = sorted(params.venue_weights)
     weights = np.array([params.venue_weights[v] for v in venues], dtype=float)
     weights = weights / weights.sum()
+    # the cdf Generator.choice(p=weights) builds: bisecting it with one
+    # rng.random() draws the same index from the same stream position
+    cumulative = weights.cumsum()
+    cdf = (cumulative / cumulative[-1]).tolist()
     flow: list[list[UserTx]] = []
     next_id = 0
     for _ in range(n_blocks):
         count = int(rng.poisson(params.rate))
         txs: list[UserTx] = []
         for _ in range(count):
-            venue = venues[int(rng.choice(len(venues), p=weights))]
+            venue = venues[bisect.bisect_right(cdf, rng.random())]
             assets = venue_assets[venue]
             asset = assets[int(rng.integers(len(assets)))]
             direction = (
@@ -271,7 +276,6 @@ def execute_block_balancer_phase(
     reference_venue_id: int,
     beneficiary: str,
     gas_per_tx: int,
-    observed_at: tuple[int, str],
     fault_injector: Callable[[object], bool] | None = None,
 ) -> BalancerPhaseResult:
     """Walk the active set in priority order inside the residual gas.
@@ -296,7 +300,7 @@ def execute_block_balancer_phase(
                 SkipRecord(tpl.template_id, tpl.asset, tpl.venue_id, "below_epsilon", "skip")
             )
             continue
-        deviation = Deviation(tpl.asset, tpl.venue_id, delta, observed_at)
+        deviation = Deviation(tpl.asset, tpl.venue_id, delta)
         opp = opportunity_from_deviation(
             deviation,
             state.pools,

@@ -26,6 +26,24 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
+def _mode_list(text: str) -> list[str]:
+    modes = [m.strip() for m in text.split(",") if m.strip()]
+    if not modes or not set(modes) <= set(MODES):
+        raise argparse.ArgumentTypeError(
+            f"modes must be one or more of {','.join(MODES)}, got {text!r}"
+        )
+    return modes
+
+
+def _seed_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"seeds must be comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chainbalancer",
@@ -48,11 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("scenario")
     cmp_p.add_argument(
         "--modes",
+        type=_mode_list,
         default="off,autobalancer",
         help=f"comma-separated list from {{{','.join(MODES)}}}",
     )
     cmp_p.add_argument(
         "--seeds",
+        type=_seed_list,
         default=None,
         help="comma-separated seed list (default: the scenario's seeds)",
     )
@@ -94,15 +114,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  wrote {json_path} and {csv_path}")
             return EXIT_OK
 
-        modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-        seeds = (
-            [int(s) for s in args.seeds.split(",")] if args.seeds else config.seeds
-        )
-        comparison = run_baseline_comparison(config, modes, seeds)
+        comparison = run_baseline_comparison(config, args.modes, args.seeds or config.seeds)
         out = Path(args.out)
         json_path = write_comparison_json(comparison, out / "comparison.json")
         csv_path = write_comparison_csv(comparison, out / "comparison.csv")
-        for mode in modes:
+        for mode in args.modes:
             summary = comparison["per_mode"][mode]
             print(
                 f"{mode:>12}: mean discrepancy {summary['mean_time_avg_discrepancy']:.6f}  "

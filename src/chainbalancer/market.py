@@ -1,4 +1,4 @@
-"""Constant-product venues and price snapshots.
+"""Constant-product venues and spot-price snapshots.
 
 A venue hosts one pool per tradeable asset, quoted against the numeraire
 (asset 0). Exactly one venue is flagged as the reference market; deviation
@@ -11,14 +11,11 @@ trade. Outputs round down, so the reserve product never decreases.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 from .units import SCALE, net_of_fee
-
-log = logging.getLogger(__name__)
 
 NUMERAIRE = 0
 
@@ -75,16 +72,6 @@ class Pool:
         )
 
 
-@dataclass
-class PriceVector:
-    """Spot prices of one venue's hosted assets, in quote units per base unit."""
-
-    venue_id: int
-    prices: dict[int, float]
-    as_of: tuple[int, str]  # (block index, phase label)
-    is_reference: bool = False
-
-
 def spot_price(pool: Pool, asset: int | None = None) -> float:
     """Marginal (fee-exclusive) price of the pool's base asset.
 
@@ -137,36 +124,10 @@ def execute_swap(
     return amount_out, gas
 
 
-def snapshot_prices(
-    pools: Iterable[Pool], as_of: tuple[int, str]
-) -> list[PriceVector]:
-    """One PriceVector per venue, consistent with spot_price at call time.
+def snapshot_prices(pools: Iterable[Pool]) -> list[float]:
+    """Spot price of every pool, in iteration order; equal to spot_price.
 
-    A venue containing any degenerate pool is omitted and flagged in the
-    run log rather than aborting the snapshot.
+    No guard is needed: a validated scenario starts every reserve at 1 nano
+    or more, and a swap never pays out its whole output reserve.
     """
-    by_venue: dict[int, list[Pool]] = {}
-    for pool in pools:
-        by_venue.setdefault(pool.venue_id, []).append(pool)
-
-    vectors: list[PriceVector] = []
-    for venue_id in sorted(by_venue):
-        members = by_venue[venue_id]
-        degenerate = [p for p in members if not p.tradeable]
-        if degenerate:
-            log.warning(
-                "snapshot at %s: venue %d omitted (degenerate pool for asset %d)",
-                as_of,
-                venue_id,
-                degenerate[0].base,
-            )
-            continue
-        vectors.append(
-            PriceVector(
-                venue_id=venue_id,
-                prices={p.base: spot_price(p) for p in sorted(members, key=lambda p: p.base)},
-                as_of=as_of,
-                is_reference=all(p.is_reference for p in members),
-            )
-        )
-    return vectors
+    return [pool.reserve_quote / pool.reserve_base for pool in pools]

@@ -4,14 +4,20 @@ The mechanism is scored, not solved in closed form: each run realizes a
 feasible transaction sequence, and these metrics report the objective it
 achieves. Discrepancy sums unordered venue pairs once; doubling recovers
 the ordered-pair convention.
+
+Prices come as one flat snapshot (market.snapshot_prices) indexed like the
+run's pool keys. The index plans below are built once per run, since the
+pool set never changes. Discrepancy is summed left to right with `+=` from
+0.0, venue pairs i < j ascending and, within a pair, shared assets
+ascending; `sum()` is avoided because it compensates float sums on Python
+3.12+ and would change the reported bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-
-from .market import PriceVector
+from typing import Sequence
 
 
 @dataclass
@@ -45,13 +51,53 @@ class ConstraintResult:
     mean_psi: float
 
 
-def cumulative_discrepancy(price_vectors: list[PriceVector]) -> float:
-    """Sum of |P_i - P_j| over unordered venue pairs and shared assets."""
+def discrepancy_pairs(keys: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Snapshot index pairs (i, j) of every venue pair's shared assets.
+
+    `keys` holds the snapshot's (venue, asset) per entry. Venue pairs come
+    in ascending order, lower venue first, then shared assets ascending.
+    """
+    index = {key: n for n, key in enumerate(keys)}
+    venues: dict[int, set[int]] = {}
+    for venue, asset in keys:
+        venues.setdefault(venue, set()).add(asset)
+    return [
+        (index[(venue_i, asset)], index[(venue_j, asset)])
+        for venue_i, venue_j in combinations(sorted(venues), 2)
+        for asset in sorted(venues[venue_i] & venues[venue_j])
+    ]
+
+
+def deviation_pairs(
+    keys: Sequence[tuple[int, int]], reference_venue_id: int
+) -> list[tuple[int, int]]:
+    """Snapshot index pairs (venue pool, reference pool) of the same asset,
+    for every non-reference pool whose asset the reference lists."""
+    index = {key: n for n, key in enumerate(keys)}
+    return [
+        (n, index[(reference_venue_id, asset)])
+        for n, (venue, asset) in enumerate(keys)
+        if venue != reference_venue_id and (reference_venue_id, asset) in index
+    ]
+
+
+def cumulative_discrepancy(prices: Sequence[float], pairs: Sequence[tuple[int, int]]) -> float:
+    """Sum of |P_i - P_j| over the snapshot index pairs, in their order."""
     total = 0.0
-    for vec_i, vec_j in combinations(price_vectors, 2):
-        for asset in vec_i.prices.keys() & vec_j.prices.keys():
-            total += abs(vec_i.prices[asset] - vec_j.prices[asset])
+    for i, j in pairs:
+        total += abs(prices[i] - prices[j])
     return total
+
+
+def max_relative_deviation(prices: Sequence[float], pairs: Sequence[tuple[int, int]]) -> float:
+    """Largest |P_venue - P_ref| / P_ref over the deviation pairs; 0.0 if none."""
+    largest = 0.0
+    for venue, reference in pairs:
+        p_ref = prices[reference]
+        deviation = abs((prices[venue] - p_ref) / p_ref)
+        if deviation > largest:
+            largest = deviation
+    return largest
 
 
 def scalarized_objective(sample: ObjectiveSample, weights: ObjectiveWeights) -> float:

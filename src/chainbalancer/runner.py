@@ -31,7 +31,14 @@ from .chain import (
 )
 from .config import MODES, ScenarioConfig
 from .market import NUMERAIRE, snapshot_prices
-from .metrics import ObjectiveSample, cumulative_discrepancy, epoch_constraint_check
+from .metrics import (
+    ObjectiveSample,
+    cumulative_discrepancy,
+    deviation_pairs,
+    discrepancy_pairs,
+    epoch_constraint_check,
+    max_relative_deviation,
+)
 from .rewards import (
     GROUP_SEARCHERS,
     RewardLedger,
@@ -197,6 +204,10 @@ class SimulationRun:
         self.rng_producer = np.random.Generator(np.random.PCG64(roots[2]))
         self.rng_chaos = np.random.Generator(np.random.PCG64(roots[3]))
         self.state = _genesis_state(config)
+        # the pool set is fixed for the run, so the snapshot's index plan is too
+        keys = list(self.state.pools)
+        self._discrepancy_pairs = discrepancy_pairs(keys)
+        self._deviation_pairs = deviation_pairs(keys, config.reference_venue_id)
         self.credibility = {
             p.searcher_id: Credibility(p.searcher_id)
             for p in config.searcher_profiles
@@ -296,7 +307,6 @@ class SimulationRun:
                         cfg.reference_venue_id,
                         beneficiary,
                         cfg.gas_per_balancer_tx,
-                        (block_index, "balancer"),
                         fault_injector=injector,
                     )
                     block.balancer_executed = phase.executed
@@ -426,17 +436,9 @@ class SimulationRun:
 
     def _sample_block(self, result: RunResult, block: Block) -> None:
         cfg = self.config
-        vectors = snapshot_prices(self.state.pools.values(), (block.index, "end"))
-        discrepancy = cumulative_discrepancy(vectors)
-        reference = next(v for v in vectors if v.venue_id == cfg.reference_venue_id)
-        max_dev = 0.0
-        for vector in vectors:
-            if vector.venue_id == cfg.reference_venue_id:
-                continue
-            for asset, price in vector.prices.items():
-                p_ref = reference.prices.get(asset)
-                if p_ref:
-                    max_dev = max(max_dev, abs((price - p_ref) / p_ref))
+        prices = snapshot_prices(self.state.pools.values())
+        discrepancy = cumulative_discrepancy(prices, self._discrepancy_pairs)
+        max_dev = max_relative_deviation(prices, self._deviation_pairs)
         util = utilization(block)
         psi = performance_cost_psi(block, cfg.u_star)
         committed = sum(r.profit for r in block.balancer_executed)

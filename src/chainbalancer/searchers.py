@@ -129,7 +129,7 @@ def build_proposal(
         estimate = 0
         if abs(delta) > threshold.epsilon:
             opp = opportunity_from_deviation(
-                Deviation(asset, venue_id, delta, (expected_state.block_height, "expected")),
+                Deviation(asset, venue_id, delta),
                 expected_state.pools,
                 conditions.reference_venue_id,
                 threshold,
@@ -195,7 +195,6 @@ def _replay_once(
         reference_venue_id,
         TREASURY,
         gas_per_tx,
-        (base_state.block_height, "replay"),
     )
     return phase.profit
 

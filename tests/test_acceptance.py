@@ -328,7 +328,7 @@ class TestCriterion7OrderingAudit:
         def plan_profit(state, templates, slots):
             sim = state.clone()
             phase = execute_block_balancer_phase(
-                sim, templates, slots * gas, threshold, 0, TREASURY, gas, (0, "audit")
+                sim, templates, slots * gas, threshold, 0, TREASURY, gas
             )
             return phase.profit
 

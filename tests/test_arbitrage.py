@@ -66,7 +66,7 @@ def grid_search_oracle(pool_cheap, pool_dear, flash, points=10_000, rounds=4):
 # --- opportunity detection ------------------------------------------------
 
 def deviation_of(delta_p, venue=1, asset=1):
-    return Deviation(asset=asset, venue_id=venue, delta_p=delta_p, observed_at=(0, "end"))
+    return Deviation(asset=asset, venue_id=venue, delta_p=delta_p)
 
 
 class TestDetectOpportunities:
@@ -145,14 +145,14 @@ class TestOptimalTradeSize:
         thr = Threshold(epsilon=0.003, flash_fee=0.0009, gas_price=0.0)
 
         pools_a = {(0, 1): low, (1, 1): high}
-        dev_a = Deviation(1, 1, (spot_price(high) - spot_price(low)) / spot_price(low), (0, "end"))
+        dev_a = Deviation(1, 1, (spot_price(high) - spot_price(low)) / spot_price(low))
         opp_a = opportunity_from_deviation(dev_a, pools_a, 0, thr, Funding.FLASH_LOAN, 90_000)
 
         low2, high2 = low.clone(), high.clone()
         low2.venue_id, low2.is_reference = 1, False
         high2.venue_id, high2.is_reference = 0, True
         pools_b = {(0, 1): high2, (1, 1): low2}
-        dev_b = Deviation(1, 1, (spot_price(low2) - spot_price(high2)) / spot_price(high2), (0, "end"))
+        dev_b = Deviation(1, 1, (spot_price(low2) - spot_price(high2)) / spot_price(high2))
         opp_b = opportunity_from_deviation(dev_b, pools_b, 0, thr, Funding.FLASH_LOAN, 90_000)
 
         assert opp_a is not None and opp_b is not None
@@ -187,7 +187,7 @@ def _arb_fixture(flash_fee=0.0009, gap=0.03, fee=0.003, gas_price=1e-7):
     venue = make_pool(1, asset=1, reserve_asset=5000, reserve_numeraire=5000 * (1 + gap), fee=fee)
     state = make_state([ref, venue])
     p_r, p_v = spot_price(ref), spot_price(venue)
-    dev = Deviation(asset=1, venue_id=1, delta_p=(p_v - p_r) / p_r, observed_at=(0, "end"))
+    dev = Deviation(asset=1, venue_id=1, delta_p=(p_v - p_r) / p_r)
     thr = Threshold(epsilon=0.003, flash_fee=flash_fee, gas_price=gas_price)
     return state, dev, thr
 

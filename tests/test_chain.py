@@ -69,6 +69,46 @@ class TestGenerateUserFlow:
         with pytest.raises(ValueError):
             UserFlowParams(rate=1.0, venue_weights={1: -2.0})
 
+    def test_venue_draw_matches_generator_choice(self):
+        """The bisect draw returns Generator.choice's index from the same
+        stream position, with zero weights and other draws interleaved."""
+        meta = np.random.default_rng(2026)
+        for case in range(300):
+            n_venues = int(meta.integers(1, 7))
+            weights = meta.random(n_venues) * (meta.random(n_venues) < 0.7)
+            weights[int(meta.integers(n_venues))] += 0.01
+            params = UserFlowParams(
+                rate=float(meta.uniform(0.5, 6.0)),
+                venue_weights={v: float(w) for v, w in enumerate(weights)},
+            )
+            assets = {v: list(range(1, int(meta.integers(2, 5)))) for v in range(n_venues)}
+            twin = rng_for(case)
+            expected = _choice_flow(twin, params, 20, assets)
+            rng = rng_for(case)
+            assert generate_user_flow(rng, params, 20, assets) == expected
+            assert rng.random() == twin.random()
+
+
+def _choice_flow(rng, params, n_blocks, venue_assets):
+    """generate_user_flow as drawn with Generator.choice(n, p=weights)."""
+    venues = sorted(params.venue_weights)
+    weights = np.array([params.venue_weights[v] for v in venues], dtype=float)
+    weights = weights / weights.sum()
+    flow, next_id = [], 0
+    for _ in range(n_blocks):
+        txs = []
+        for _ in range(int(rng.poisson(params.rate))):
+            venue = venues[int(rng.choice(len(venues), p=weights))]
+            assets = venue_assets[venue]
+            asset = assets[int(rng.integers(len(assets)))]
+            direction = SwapDirection.BASE_IN if rng.random() < 0.5 else SwapDirection.QUOTE_IN
+            amount_in = max(1, int(float(rng.lognormal(params.size_mu, params.size_sigma)) * 1e9))
+            submitter = user_account(int(rng.integers(params.num_users)))
+            txs.append(UserTx(next_id, venue, asset, direction, amount_in, params.gas_per_swap, submitter))
+            next_id += 1
+        flow.append(txs)
+    return flow
+
 
 def _funded_state():
     pools = [
@@ -198,7 +238,7 @@ class TestBalancerPhase:
     def test_zero_residual_no_executions(self):
         state = _gapped_state()
         result = execute_block_balancer_phase(
-            state, [_template()], 0, THRESHOLD, 0, TREASURY, 90_000, (0, "balancer")
+            state, [_template()], 0, THRESHOLD, 0, TREASURY, 90_000
         )
         assert result.executed == [] and result.gas_used == 0
 
@@ -206,7 +246,7 @@ class TestBalancerPhase:
         """Recompute the post-trade deviation from raw reserves."""
         state = _gapped_state(gap=0.02)
         result = execute_block_balancer_phase(
-            state, [_template()], 1_000_000, THRESHOLD, 0, TREASURY, 90_000, (0, "balancer")
+            state, [_template()], 1_000_000, THRESHOLD, 0, TREASURY, 90_000
         )
         assert len(result.executed) == 1
         p_v = spot_price(state.pools[(1, 1)])
@@ -229,7 +269,7 @@ class TestBalancerPhase:
         first = _template(funding=Funding.FLASH_LOAN)
         second = _template(funding=Funding.NETWORK_LIQUIDITY)
         result = execute_block_balancer_phase(
-            state, [first, second], 1_000_000, threshold, 0, TREASURY, 90_000, (0, "balancer")
+            state, [first, second], 1_000_000, threshold, 0, TREASURY, 90_000
         )
         assert len(result.executed) == 1
         assert [s.reason for s in result.skipped] == ["below_epsilon"]
@@ -240,7 +280,7 @@ class TestBalancerPhase:
         state.pools[(2, 1)] = second_state_pool
         templates = [_template(venue=1), _template(venue=2)]
         result = execute_block_balancer_phase(
-            state, templates, 100_000, THRESHOLD, 0, TREASURY, 90_000, (0, "balancer")
+            state, templates, 100_000, THRESHOLD, 0, TREASURY, 90_000
         )
         # only one 90k tx fits in 100k residual
         assert len(result.executed) == 1
@@ -249,7 +289,7 @@ class TestBalancerPhase:
     def test_gas_accounting_exact(self):
         state = _gapped_state(gap=0.02)
         result = execute_block_balancer_phase(
-            state, [_template()], 1_000_000, THRESHOLD, 0, TREASURY, 90_000, (0, "balancer")
+            state, [_template()], 1_000_000, THRESHOLD, 0, TREASURY, 90_000
         )
         assert result.gas_used == sum(r.gas_used for r in result.executed)
 
@@ -277,7 +317,7 @@ class TestBalancerPhase:
         assert abs(live) <= 0.005  # the gap is gone before the balancer runs
 
         phase = execute_block_balancer_phase(
-            state, [_template()], 1_000_000, THRESHOLD, 0, TREASURY, 90_000, (0, "balancer")
+            state, [_template()], 1_000_000, THRESHOLD, 0, TREASURY, 90_000
         )
         assert phase.executed == []
         assert len(phase.skipped) == 1

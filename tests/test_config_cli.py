@@ -18,6 +18,7 @@ from chainbalancer.report import (
 from conftest import baseline_raw
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+MODES_RULE = "modes must be one or more of off,autobalancer,external"
 
 
 def minimal_raw():
@@ -80,6 +81,22 @@ class TestLoadScenario:
         with pytest.raises(ValidationError) as err:
             from_dict(raw)
         assert any("absent from reference" in v for v in err.value.violations)
+
+    def test_failed_pool_row_hides_reference_coverage(self):
+        """A pool whose venue failed its own row does not make its healthy
+        siblings look uncovered by the reference venue."""
+        raw = minimal_raw()
+        raw["assets"]["count"] = 3
+        raw["pools"] += [
+            {"venue": 0, "asset": 2, "reserve_asset": 10.0, "reserve_numeraire": 10.0, "reference": True},
+            {"venue": 1, "asset": 2, "reserve_asset": 10.0, "reserve_numeraire": 10.0},
+        ]
+        raw["pools"][2]["venue"] = 1.5
+        with pytest.raises(ValidationError) as err:
+            from_dict(raw)
+        assert err.value.violations == [
+            "pools[2].venue: must be an integer, got 1.5"
+        ]
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "scenario.yaml"
@@ -223,6 +240,30 @@ class TestCli:
         monkeypatch.setattr("chainbalancer.cli.run_scenario", boom)
         assert main(["run", path]) == 2
         assert "synthetic failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--modes", "off,warp", f"argument --modes: {MODES_RULE}, got 'off,warp'"),
+            ("--modes", ",", f"argument --modes: {MODES_RULE}, got ','"),
+            ("--seeds", "1,x", "argument --seeds: seeds must be comma-separated integers, got '1,x'"),
+        ],
+    )
+    def test_compare_bad_list_is_usage_error(self, tmp_path, monkeypatch, capsys, flag, value, message):
+        path = self._write(tmp_path, minimal_raw())
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("no simulation may start")
+
+        monkeypatch.setattr("chainbalancer.cli.load_scenario", must_not_run)
+        monkeypatch.setattr("chainbalancer.cli.run_baseline_comparison", must_not_run)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare", path, flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: chainbalancer compare")
+        assert message in err
+        assert "runtime abort" not in err
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.name)

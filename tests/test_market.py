@@ -14,6 +14,7 @@ from chainbalancer import (
     snapshot_prices,
     spot_price,
 )
+from chainbalancer.metrics import deviation_pairs
 from chainbalancer.units import SCALE, to_nano, to_units
 
 from conftest import make_pool
@@ -179,31 +180,24 @@ class TestSnapshot:
         ]
 
     def test_shape(self):
-        vectors = snapshot_prices(self._pools(), (0, "end"))
-        assert len(vectors) == 3
-        assert all(len(v.prices) == 2 for v in vectors)
+        prices = snapshot_prices(self._pools())
+        assert len(prices) == 6
+        assert all(isinstance(p, float) for p in prices)
 
     def test_reference_labeled(self):
-        vectors = snapshot_prices(self._pools(), (0, "end"))
-        refs = [v for v in vectors if v.is_reference]
-        assert [v.venue_id for v in refs] == [0]
+        pools = self._pools()
+        keys = [(p.venue_id, p.base) for p in pools]
+        pairs = deviation_pairs(keys, 0)
+        assert {pools[r].venue_id for _, r in pairs} == {0}
+        assert all(pools[v].base == pools[r].base for v, r in pairs)
+        assert sorted(v for v, _ in pairs) == [2, 3, 4, 5]
 
     def test_identical_reserves_equal_vectors(self):
-        vectors = snapshot_prices(self._pools(), (0, "end"))
-        assert vectors[0].prices == vectors[1].prices == vectors[2].prices
-
-    def test_degenerate_venue_omitted(self, caplog):
-        pools = self._pools()
-        pools[2].reserve_base = 0  # venue 1, asset 1
-        with caplog.at_level("WARNING"):
-            vectors = snapshot_prices(pools, (5, "end"))
-        assert {v.venue_id for v in vectors} == {0, 2}
-        assert any("venue 1 omitted" in r.message for r in caplog.records)
+        prices = snapshot_prices(self._pools())
+        assert prices[0:2] == prices[2:4] == prices[4:6]
 
     def test_spot_consistency(self):
         pools = self._pools()
-        vectors = snapshot_prices(pools, (0, "end"))
-        for vector in vectors:
-            for pool in pools:
-                if pool.venue_id == vector.venue_id:
-                    assert vector.prices[pool.base] == spot_price(pool)
+        pools[3].reserve_quote = to_nano(1234.5)
+        prices = snapshot_prices(pools)
+        assert prices == [spot_price(pool) for pool in pools]

@@ -1,24 +1,31 @@
 """Objective metrics and mode comparisons."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from chainbalancer import (
     ObjectiveSample,
     ObjectiveWeights,
-    PriceVector,
     cumulative_discrepancy,
     epoch_constraint_check,
     from_dict,
     run_baseline_comparison,
     run_scenario,
     scalarized_objective,
+    snapshot_prices,
 )
+from chainbalancer.metrics import deviation_pairs, discrepancy_pairs, max_relative_deviation
 
-from conftest import baseline_raw
+from conftest import baseline_raw, make_pool
 
 
-def vec(venue, price, asset=1):
-    return PriceVector(venue_id=venue, prices={asset: price}, as_of=(0, "end"))
+def discrepancy(venues):
+    """cumulative_discrepancy of {venue: {asset: price}}, keyed like a run's pools."""
+    keys = sorted((venue, asset) for venue, prices in venues.items() for asset in prices)
+    prices = [venues[venue][asset] for venue, asset in keys]
+    return cumulative_discrepancy(prices, discrepancy_pairs(keys))
 
 
 def sample(discrepancy, util):
@@ -33,24 +40,95 @@ def sample(discrepancy, util):
 
 class TestCumulativeDiscrepancy:
     def test_single_pair(self):
-        assert cumulative_discrepancy([vec(0, 100.0), vec(1, 103.0)]) == pytest.approx(3.0)
+        assert discrepancy({0: {1: 100.0}, 1: {1: 103.0}}) == pytest.approx(3.0)
 
     def test_identical_venues(self):
-        assert cumulative_discrepancy([vec(0, 5.0), vec(1, 5.0), vec(2, 5.0)]) == 0.0
+        assert discrepancy({0: {1: 5.0}, 1: {1: 5.0}, 2: {1: 5.0}}) == 0.0
 
     def test_three_venues_pairwise(self):
-        vectors = [vec(0, 100.0), vec(1, 102.0), vec(2, 106.0)]
-        assert cumulative_discrepancy(vectors) == pytest.approx(12.0)
+        venues = {0: {1: 100.0}, 1: {1: 102.0}, 2: {1: 106.0}}
+        assert discrepancy(venues) == pytest.approx(12.0)
 
     def test_relabeling_invariance(self):
-        vectors = [vec(0, 100.0), vec(1, 102.0), vec(2, 106.0)]
-        relabeled = [vec(5, 106.0), vec(9, 100.0), vec(7, 102.0)]
-        assert cumulative_discrepancy(vectors) == cumulative_discrepancy(relabeled)
+        venues = {0: {1: 100.0}, 1: {1: 102.0}, 2: {1: 106.0}}
+        relabeled = {5: {1: 106.0}, 9: {1: 100.0}, 7: {1: 102.0}}
+        assert discrepancy(venues) == discrepancy(relabeled)
 
     def test_multi_asset_pairs_counted_once(self):
-        a = PriceVector(venue_id=0, prices={1: 10.0, 2: 20.0}, as_of=(0, "end"))
-        b = PriceVector(venue_id=1, prices={1: 11.0, 2: 18.0}, as_of=(0, "end"))
-        assert cumulative_discrepancy([a, b]) == pytest.approx(3.0)
+        venues = {0: {1: 10.0, 2: 20.0}, 1: {1: 11.0, 2: 18.0}}
+        assert discrepancy(venues) == pytest.approx(3.0)
+
+    def test_pair_order_venue_pairs_then_shared_assets(self):
+        keys = [(0, 1), (0, 2), (0, 9), (1, 2), (1, 9), (2, 1), (2, 9)]
+        assert discrepancy_pairs(keys) == [(1, 3), (2, 4), (0, 5), (2, 6), (4, 6)]
+
+    def test_summed_left_to_right(self):
+        """Plain `+=` from 0.0 in plan order, not a compensated sum."""
+        prices = [0.0, 1e16, 1.0]  # the float spacing at 1e16 is 2.0
+        assert cumulative_discrepancy(prices, [(1, 0), (2, 0), (2, 0)]) == 1e16
+        assert cumulative_discrepancy(prices, [(2, 0), (2, 0), (1, 0)]) == 1e16 + 2.0
+
+
+def _old_sample(pools, reference_venue_id):
+    """The per-block sampling before the flat snapshot: PriceVector-style
+    per-venue dicts, combinations over venues, key-view intersections."""
+    by_venue = {}
+    for pool in pools:
+        by_venue.setdefault(pool.venue_id, []).append(pool)
+    vectors = [
+        (venue, {p.base: p.reserve_quote / p.reserve_base for p in sorted(by_venue[venue], key=lambda p: p.base)})
+        for venue in sorted(by_venue)
+    ]
+    total = 0.0
+    for (_, prices_i), (_, prices_j) in combinations(vectors, 2):
+        for asset in prices_i.keys() & prices_j.keys():
+            total += abs(prices_i[asset] - prices_j[asset])
+    reference = next(prices for venue, prices in vectors if venue == reference_venue_id)
+    max_dev = 0.0
+    for venue, prices in vectors:
+        if venue == reference_venue_id:
+            continue
+        for asset, price in prices.items():
+            p_ref = reference.get(asset)
+            if p_ref:
+                max_dev = max(max_dev, abs((price - p_ref) / p_ref))
+    return total, max_dev
+
+
+class TestFlatSnapshotSampling:
+    def test_equals_per_venue_sampling(self):
+        """Same floats, compared with ==, on random pool sets.
+
+        Asset ids stay below 8, as in every shipped scenario: CPython
+        iterates a set of such ints in ascending order, which is the order
+        the per-venue code summed shared assets in.
+        """
+        rng = random.Random(20261018)
+        for _ in range(400):
+            n_venues = rng.randint(2, 6)
+            reference = rng.randrange(n_venues)
+            listed = list(range(1, rng.randint(2, 8)))
+            pools = []
+            for venue in range(n_venues):
+                assets = listed if venue == reference else rng.sample(listed, rng.randint(1, len(listed)))
+                for asset in sorted(assets):
+                    pool = make_pool(venue, asset=asset, is_reference=venue == reference)
+                    pool.reserve_base = rng.randint(1, 10**13)
+                    pool.reserve_quote = rng.randint(1, 10**13)
+                    pools.append(pool)
+            keys = [(p.venue_id, p.base) for p in pools]
+            prices = snapshot_prices(pools)
+            new = (
+                cumulative_discrepancy(prices, discrepancy_pairs(keys)),
+                max_relative_deviation(prices, deviation_pairs(keys, reference)),
+            )
+            assert new == _old_sample(pools, reference)
+
+    def test_no_venue_pairs(self):
+        keys = [(0, 1), (0, 2)]
+        assert discrepancy_pairs(keys) == []
+        assert deviation_pairs(keys, 0) == []
+        assert max_relative_deviation([1.0, 2.0], []) == 0.0
 
 
 class TestScalarized:

@@ -115,7 +115,7 @@ class TestBuildProposal:
             if abs(delta) <= tpl.trigger_epsilon:
                 continue
             opp = opportunity_from_deviation(
-                Deviation(tpl.asset, tpl.venue_id, delta, (0, "replay")),
+                Deviation(tpl.asset, tpl.venue_id, delta),
                 sim.pools,
                 0,
                 THRESHOLD,

@@ -94,7 +94,7 @@ def _snapshot(state):
 def _opportunity(state, venue, asset, funding, forced):
     ref_price = spot_price(state.pool(REFERENCE, asset))
     delta_p = (spot_price(state.pool(venue, asset)) - ref_price) / ref_price
-    deviation = Deviation(asset, venue, delta_p, (0, "test"))
+    deviation = Deviation(asset, venue, delta_p)
     if forced is None:
         return opportunity_from_deviation(deviation, state.pools, REFERENCE, THRESHOLD, funding)
     size, direction = forced
