@@ -20,7 +20,6 @@ from .arbitrage import (
 )
 from .chain import (
     Block,
-    Epoch,
     FeasibilityPredicate,
     UserFlowParams,
     UserTx,

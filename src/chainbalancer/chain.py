@@ -40,17 +40,6 @@ class UserTx:
 
 
 @dataclass
-class UserEvent:
-    tx_id: int
-    venue_id: int
-    asset: int
-    direction: SwapDirection
-    amount_in: int
-    gas: int
-    status: str  # applied | balance_deferred
-
-
-@dataclass
 class ExecRecord:
     """One committed balancer execution."""
 
@@ -80,10 +69,8 @@ class Block:
     index: int
     capacity: int
     user_txs: list[UserTx] = field(default_factory=list)
-    user_events: list[UserEvent] = field(default_factory=list)
     balancer_executed: list[ExecRecord] = field(default_factory=list)
     balancer_skipped: list[SkipRecord] = field(default_factory=list)
-    event_log: list[tuple[str, int]] = field(default_factory=list)  # ("user"|"balancer", id) in execution order
     user_gas: int = 0
     balancer_gas: int = 0
     fees_collected: int = 0   # nano-numeraire gas fees paid by balancer txs
@@ -93,13 +80,6 @@ class Block:
     @property
     def work(self) -> int:
         return self.user_gas + self.balancer_gas
-
-
-@dataclass
-class Epoch:
-    index: int
-    blocks: list[Block] = field(default_factory=list)
-    active_set: list = field(default_factory=list)
 
 
 @dataclass
@@ -208,7 +188,7 @@ def generate_user_flow(
 class UserPhaseResult:
     applied: list[UserTx]
     carried: list[UserTx]
-    events: list[UserEvent]
+    events: list[tuple[UserTx, str]]  # (tx, "applied" | "balance_deferred") in scan order
     gas_used: int
 
 
@@ -225,7 +205,7 @@ def execute_block_user_phase(
     applied: list[UserTx] = []
     carried: list[UserTx] = []
     balance_deferred: list[UserTx] = []
-    events: list[UserEvent] = []
+    events: list[tuple[UserTx, str]] = []
     gas_used = 0
     stop_index = len(pending)
     for i, tx in enumerate(pending):
@@ -237,18 +217,14 @@ def execute_block_user_phase(
         get_asset = NUMERAIRE if tx.direction is SwapDirection.BASE_IN else tx.asset
         if state.balance(tx.submitter, pay_asset) < tx.amount_in:
             balance_deferred.append(tx)
-            events.append(
-                UserEvent(tx.id, tx.venue_id, tx.asset, tx.direction, tx.amount_in, tx.gas, "balance_deferred")
-            )
+            events.append((tx, "balance_deferred"))
             continue
         state.debit(tx.submitter, pay_asset, tx.amount_in)
         amount_out, gas = execute_swap(pool, tx.direction, tx.amount_in, gas=tx.gas)
         state.credit(tx.submitter, get_asset, amount_out)
         gas_used += gas
         applied.append(tx)
-        events.append(
-            UserEvent(tx.id, tx.venue_id, tx.asset, tx.direction, tx.amount_in, tx.gas, "applied")
-        )
+        events.append((tx, "applied"))
     carried = list(pending[stop_index:]) + balance_deferred
     return UserPhaseResult(applied=applied, carried=carried, events=events, gas_used=gas_used)
 

@@ -35,13 +35,29 @@ def _mode_list(text: str) -> list[str]:
     return modes
 
 
-def _seed_list(text: str) -> list[int]:
+def _seed(text: str) -> int:
     try:
-        return [int(s) for s in text.split(",") if s.strip()]
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
+def _seed_list(text: str) -> list[int]:
+    """Comma-separated seeds under the scenario's own rule for `seeds`."""
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"seeds must be comma-separated integers, got {text!r}"
         ) from None
+    if not seeds or min(seeds) < 0:
+        raise argparse.ArgumentTypeError(
+            f"seeds must be a non-empty list of non-negative integers, got {text!r}"
+        )
+    return seeds
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one scenario run")
     run_p.add_argument("scenario", help="path to the scenario YAML file")
-    run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    run_p.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
     run_p.add_argument(
         "--mode",
         choices=MODES,

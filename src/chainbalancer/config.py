@@ -50,8 +50,8 @@ def _num(test):
     return lambda value: _is_number(value) and test(value)
 
 
-def _int(low: int):
-    return lambda value: _is_int(value) and value >= low
+def _int(low: int, high: float = math.inf):
+    return lambda value: _is_int(value) and low <= value <= high
 
 
 def _nonempty_list(item=lambda x: True):
@@ -70,7 +70,8 @@ RESERVE = (_num(lambda x: to_nano(x) >= 1), "a number that rounds to at least on
 # the mapping. A row without a default is optional when its check accepts
 # None and required otherwise.
 FIELDS = (
-    ("assets.count", 2, _int(2), "an integer >= 2 (the numeraire plus a tradeable asset)"),
+    # sizes are bounded because a run allocates per asset per user and per block
+    ("assets.count", 2, _int(2, 1_000), "an integer in [2, 1000] (the numeraire included)"),
     ("assets.names", None,
      lambda v: v is None or isinstance(v, list) and all(isinstance(n, str) for n in v),
      "a list of strings"),
@@ -89,7 +90,7 @@ FIELDS = (
     ("user_flow.rate", 5.0, *NON_NEGATIVE),
     ("user_flow.size_mu", 2.0, _is_number, "a number"),
     ("user_flow.size_sigma", 0.5, *NON_NEGATIVE),
-    ("user_flow.num_users", 8, *POSITIVE_INT),
+    ("user_flow.num_users", 8, _int(1, 10_000), "an integer in [1, 10000]"),
     ("user_flow.endowment", 1_000_000.0, *NON_NEGATIVE),
     ("user_flow.venue_weights", None, lambda v: v is None or isinstance(v, dict),
      "a mapping of venue ids to non-negative numbers"),
@@ -319,6 +320,10 @@ def _cross_violations(v: dict) -> list[str]:
                     f"pools: venue {venue} lists assets {sorted(missing)} "
                     f"absent from reference venue {ref}"
                 )
+
+    epochs, length = v.get("blocks.epochs"), v.get("blocks.epoch_length")
+    if epochs is not None and length is not None and epochs * length > 1_000_000:
+        out.append(f"blocks.epochs: {epochs} epochs of {length} blocks exceed 1000000 blocks")
 
     capacity = v.get("blocks.capacity")
     for name in ("gas_per_user_swap", "gas_per_balancer_tx"):

@@ -7,17 +7,19 @@ the ordered-pair convention.
 
 Prices come as one flat snapshot (market.snapshot_prices) indexed like the
 run's pool keys. The index plans below are built once per run, since the
-pool set never changes. Discrepancy is summed left to right with `+=` from
-0.0, venue pairs i < j ascending and, within a pair, shared assets
-ascending; `sum()` is avoided because it compensates float sums on Python
-3.12+ and would change the reported bytes.
+pool set never changes. Discrepancy sums venue pairs i < j ascending and,
+within a pair, shared assets ascending.
+
+Every float sum that reaches a report goes through `ordered_sum`, left to
+right with `+=` from 0.0. `sum()` is avoided because it compensates float
+sums on Python 3.12+ and would change the reported bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass
@@ -81,12 +83,17 @@ def deviation_pairs(
     ]
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Plain left-to-right float sum from 0.0, the same on every Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def cumulative_discrepancy(prices: Sequence[float], pairs: Sequence[tuple[int, int]]) -> float:
     """Sum of |P_i - P_j| over the snapshot index pairs, in their order."""
-    total = 0.0
-    for i, j in pairs:
-        total += abs(prices[i] - prices[j])
-    return total
+    return ordered_sum(abs(prices[i] - prices[j]) for i, j in pairs)
 
 
 def max_relative_deviation(prices: Sequence[float], pairs: Sequence[tuple[int, int]]) -> float:
@@ -109,5 +116,5 @@ def epoch_constraint_check(psis: list[float], delta_cap: float) -> ConstraintRes
     """Mean per-block performance cost against the cap; reported, not enforced."""
     if not psis:
         raise ValueError("constraint check requires a non-empty epoch")
-    mean_psi = sum(psis) / len(psis)
+    mean_psi = ordered_sum(psis) / len(psis)
     return ConstraintResult(satisfied=mean_psi <= delta_cap, mean_psi=mean_psi)

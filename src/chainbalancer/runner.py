@@ -21,7 +21,6 @@ import numpy as np
 
 from .chain import (
     Block,
-    Epoch,
     UserTx,
     execute_block_balancer_phase,
     execute_block_user_phase,
@@ -38,6 +37,7 @@ from .metrics import (
     discrepancy_pairs,
     epoch_constraint_check,
     max_relative_deviation,
+    ordered_sum,
 )
 from .rewards import (
     GROUP_SEARCHERS,
@@ -87,13 +87,9 @@ class RunResult:
     mode: str
     samples: list[ObjectiveSample] = field(default_factory=list)
     blocks: list[Block] = field(default_factory=list)
-    epochs: list[Epoch] = field(default_factory=list)
     epoch_rows: list[dict] = field(default_factory=list)
     ledgers: list[RewardLedger | None] = field(default_factory=list)
     final_state: ChainState | None = None
-    initial_totals: dict[int, int] = field(default_factory=dict)
-    per_block_totals: list[dict[int, int]] = field(default_factory=list)
-    per_block_treasury: list[dict[int, int]] = field(default_factory=list)
     totals: dict = field(default_factory=dict)
     user_flow_digest: str = ""
     pending_at_end: int = 0
@@ -216,7 +212,7 @@ class SimulationRun:
     def execute(self) -> RunResult:
         cfg = self.config
         result = RunResult(config=cfg, seed=self.seed, mode=self.mode)
-        result.initial_totals = self.state.asset_totals()
+        genesis_totals = self.state.asset_totals()
 
         n_blocks = cfg.epochs * cfg.epoch_length
         flow = generate_user_flow(
@@ -228,14 +224,10 @@ class SimulationRun:
         recent: deque = deque(maxlen=cfg.governance_window)
         carry: list[UserTx] = []
         digest = hashlib.sha256()
-        captured_total = 0
-        leaked_total = 0
-        slashed_total = 0
-        producer_fees_total = 0
+        drift = 0
         block_index = 0
 
         for epoch_index in range(cfg.epochs):
-            epoch = Epoch(index=epoch_index)
             proposals: list[SearcherProposal] = []
             scores: dict = {}
             selected: SearcherProposal | None = None
@@ -263,37 +255,37 @@ class SimulationRun:
                     cfg.reference_venue_id,
                     cfg.gas_per_balancer_tx,
                 )
-            epoch.active_set = list(selected.ordered_txs) if selected else []
+            active_set = list(selected.ordered_txs) if selected else []
 
             epoch_records = []
             epoch_psis = []
             epoch_profit = 0
+            epoch_producer_fees = 0
+            epoch_slashed = 0
             for _ in range(cfg.epoch_length):
                 block = Block(index=block_index, capacity=cfg.capacity)
                 pending = carry + flow[block_index]
                 user_result = execute_block_user_phase(self.state, pending, cfg.capacity)
                 carry = user_result.carried
                 block.user_txs = user_result.applied
-                block.user_events = user_result.events
                 block.user_gas = user_result.gas_used
-                block.event_log = [("user", tx.id) for tx in user_result.applied]
-                for event in user_result.events:
+                for tx, status in user_result.events:
                     digest.update(
-                        f"{block_index}|{event.tx_id}|{event.venue_id}|{event.asset}|"
-                        f"{event.direction.value}|{event.amount_in}|{event.gas}|{event.status}\n".encode()
+                        f"{block_index}|{tx.id}|{tx.venue_id}|{tx.asset}|"
+                        f"{tx.direction.value}|{tx.amount_in}|{tx.gas}|{status}\n".encode()
                     )
 
                 residual = cfg.capacity - block.user_gas
 
-                prescribed_ids = [t.template_id for t in epoch.active_set]
-                if epoch.active_set and self.mode != MODE_OFF:
-                    order = list(range(len(epoch.active_set)))
+                prescribed_ids = [t.template_id for t in active_set]
+                if active_set and self.mode != MODE_OFF:
+                    order = list(range(len(active_set)))
                     if (
                         cfg.dishonesty_rate > 0
                         and self.rng_producer.random() < cfg.dishonesty_rate
                     ):
                         order = list(self.rng_producer.permutation(len(order)))
-                    templates = [epoch.active_set[i] for i in order]
+                    templates = [active_set[i] for i in order]
                     injector = None
                     if cfg.forced_revert_rate > 0:
                         injector = (
@@ -313,15 +305,8 @@ class SimulationRun:
                     block.balancer_skipped = phase.skipped
                     block.balancer_gas = phase.gas_used
                     block.fees_collected = phase.fees_paid
-                    block.event_log.extend(
-                        ("balancer", r.template_id) for r in phase.executed
-                    )
                     epoch_records.extend(phase.executed)
                     epoch_profit += phase.profit
-                    if self.mode == MODE_AUTO:
-                        captured_total += phase.profit
-                    else:
-                        leaked_total += phase.profit
 
                     # settle the block's gas fees: gamma to the producer,
                     # the rest is burned (tracked for conservation)
@@ -332,7 +317,7 @@ class SimulationRun:
                         self.state.transfer(
                             FEE_ESCROW, FEE_BURN, NUMERAIRE, block.fees_collected - fee
                         )
-                    producer_fees_total += fee
+                    epoch_producer_fees += fee
 
                     executed_ids = [r.template_id for r in block.balancer_executed]
                     penalty = cfg.slash_penalty_multiple * block.producer_fee
@@ -345,14 +330,14 @@ class SimulationRun:
                     if slash:
                         self.state.transfer(PRODUCER, TREASURY, NUMERAIRE, slash)
                     block.slashed = slash
-                    slashed_total += slash
+                    epoch_slashed += slash
 
                 self._sample_block(result, block)
                 epoch_psis.append(result.samples[-1].psi)
                 result.blocks.append(block)
-                epoch.blocks.append(block)
-                result.per_block_totals.append(self.state.asset_totals())
-                result.per_block_treasury.append(dict(self.state.treasury))
+                # conservation is checked after every block, not only at the end
+                for asset, total in self.state.asset_totals().items():
+                    drift = max(drift, abs(total - genesis_totals.get(asset, 0)))
                 # governance replays only the last `window` closing states
                 # before each epoch boundary, and none in off mode
                 blocks_to_boundary = cfg.epoch_length - 1 - block_index % cfg.epoch_length
@@ -361,7 +346,10 @@ class SimulationRun:
                 self.state.block_height += 1
                 block_index += 1
 
-            ledger = self._settle_epoch(epoch, epoch_records, epoch_profit, selected)
+            ledger = self._settle_epoch(
+                epoch_index, epoch_records, epoch_profit, epoch_producer_fees, epoch_slashed,
+                selected,
+            )
             result.ledgers.append(ledger)
             constraint = (
                 epoch_constraint_check(epoch_psis, cfg.objective_weights.delta_cap)
@@ -377,7 +365,7 @@ class SimulationRun:
                 {
                     "epoch": epoch_index,
                     "selected_searcher": selected.searcher_id if selected else None,
-                    "active_set_size": len(epoch.active_set),
+                    "active_set_size": len(active_set),
                     "proposals": [
                         {
                             "searcher_id": p.searcher_id,
@@ -407,29 +395,27 @@ class SimulationRun:
                     },
                 }
             )
-            result.epochs.append(epoch)
 
         result.final_state = self.state
         result.pending_at_end = len(carry)
         result.user_flow_digest = digest.hexdigest()
 
-        drift = 0
-        for totals in result.per_block_totals:
-            for asset, value in result.initial_totals.items():
-                drift = max(drift, abs(totals.get(asset, 0) - value))
+        committed = sum(r.profit for b in result.blocks for r in b.balancer_executed)
+        captured_total = committed if self.mode == MODE_AUTO else 0
+        leaked_total = committed if self.mode == MODE_EXTERNAL else 0
         n = max(1, len(result.samples))
         result.totals = {
             "captured": to_units(captured_total),
             "captured_nano": captured_total,
             "leaked": to_units(leaked_total),
             "leaked_nano": leaked_total,
-            "mean_discrepancy": sum(s.cumulative_discrepancy for s in result.samples) / n,
-            "mean_utilization": sum(s.utilization for s in result.samples) / n,
+            "mean_discrepancy": ordered_sum(s.cumulative_discrepancy for s in result.samples) / n,
+            "mean_utilization": ordered_sum(s.utilization for s in result.samples) / n,
             "max_abs_deviation": max(
                 (s.max_abs_deviation for s in result.samples), default=0.0
             ),
-            "producer_fees_nano": producer_fees_total,
-            "slashed_nano": slashed_total,
+            "producer_fees_nano": sum(b.producer_fee for b in result.blocks),
+            "slashed_nano": sum(b.slashed for b in result.blocks),
             "max_conservation_drift_nano": drift,
         }
         return result
@@ -457,9 +443,11 @@ class SimulationRun:
 
     def _settle_epoch(
         self,
-        epoch: Epoch,
+        epoch_index: int,
         epoch_records,
         epoch_profit: int,
+        producer_fees: int,
+        slashed: int,
         selected: SearcherProposal | None,
     ) -> RewardLedger | None:
         """Distribute the epoch profit pool (autobalancer mode only)."""
@@ -467,10 +455,8 @@ class SimulationRun:
         if self.mode != MODE_AUTO:
             return None
         contributions = measure_contribution(epoch_records, cfg.venue_ids)
-        producer_fees = sum(b.producer_fee for b in epoch.blocks)
-        slashed = sum(b.slashed for b in epoch.blocks)
         ledger = build_ledger(
-            epoch.index,
+            epoch_index,
             epoch_profit,
             cfg.reward_weights,
             contributions,
@@ -544,9 +530,9 @@ def run_baseline_comparison(config: ScenarioConfig, modes: list[str], seeds: lis
         n = len(rows)
         per_mode[mode] = {
             "per_seed": rows,
-            "mean_time_avg_discrepancy": sum(r["time_avg_discrepancy"] for r in rows) / n,
-            "mean_captured": sum(r["captured"] for r in rows) / n,
-            "mean_leaked": sum(r["leaked"] for r in rows) / n,
+            "mean_time_avg_discrepancy": ordered_sum(r["time_avg_discrepancy"] for r in rows) / n,
+            "mean_captured": ordered_sum(r["captured"] for r in rows) / n,
+            "mean_leaked": ordered_sum(r["leaked"] for r in rows) / n,
         }
     return {
         "modes": list(modes),

@@ -165,7 +165,11 @@ class TestUserPhase:
         result = execute_block_user_phase(state, txs, 1_000_000)
         assert [t.id for t in result.applied] == [0, 2]
         assert [t.id for t in result.carried] == [1]
-        assert [e.status for e in result.events] == ["applied", "balance_deferred", "applied"]
+        assert [(tx.id, status) for tx, status in result.events] == [
+            (0, "applied"),
+            (1, "balance_deferred"),
+            (2, "applied"),
+        ]
 
     def test_conservation_across_phase(self):
         state = _funded_state()
@@ -310,7 +314,7 @@ class TestBalancerPhase:
         )
         state.credit(user_account(0), 1, to_nano(1000))
         user_result = execute_block_user_phase(state, [closer], 1_000_000)
-        assert [e.status for e in user_result.events] == ["applied"]
+        assert [(tx.id, status) for tx, status in user_result.events] == [(0, "applied")]
         live = (spot_price(state.pools[(1, 1)]) - spot_price(state.pools[(0, 1)])) / spot_price(
             state.pools[(0, 1)]
         )
@@ -326,18 +330,36 @@ class TestBalancerPhase:
 
 
 class TestRunLevelInvariants:
-    def test_phase_ordering_on_event_log(self, baseline_config):
-        from chainbalancer import run_scenario
+    def test_phase_ordering(self, baseline_config, monkeypatch):
+        """Each block runs its user phase once, then at most one balancer phase."""
+        from chainbalancer import run_scenario, runner
 
+        calls: dict[int, list[str]] = {}
+        committed: list[int] = []
+
+        def record(kind, phase):
+            def wrapped(state, *args, **kwargs):
+                calls.setdefault(state.block_height, []).append(kind)
+                out = phase(state, *args, **kwargs)
+                if kind == "balancer":
+                    committed.append(len(out.executed))
+                return out
+
+            return wrapped
+
+        monkeypatch.setattr(
+            runner, "execute_block_user_phase", record("user", runner.execute_block_user_phase)
+        )
+        monkeypatch.setattr(
+            runner,
+            "execute_block_balancer_phase",
+            record("balancer", runner.execute_block_balancer_phase),
+        )
         result = run_scenario(baseline_config, seed=21, mode="autobalancer")
-        saw_balancer_block = False
-        for block in result.blocks:
-            kinds = [kind for kind, _ in block.event_log]
-            if "balancer" in kinds:
-                saw_balancer_block = True
-                first_balancer = kinds.index("balancer")
-                assert "user" not in kinds[first_balancer:]
-        assert saw_balancer_block
+        assert sorted(calls) == [block.index for block in result.blocks]
+        for kinds in calls.values():
+            assert kinds in (["user"], ["user", "balancer"])
+        assert any(committed)
 
     def test_block_gas_accounting(self, baseline_config):
         from chainbalancer import run_scenario

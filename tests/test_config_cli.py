@@ -19,6 +19,7 @@ from conftest import baseline_raw
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 MODES_RULE = "modes must be one or more of off,autobalancer,external"
+SEEDS_RULE = "seeds must be a non-empty list of non-negative integers"
 
 
 def minimal_raw():
@@ -247,6 +248,8 @@ class TestCli:
             ("--modes", "off,warp", f"argument --modes: {MODES_RULE}, got 'off,warp'"),
             ("--modes", ",", f"argument --modes: {MODES_RULE}, got ','"),
             ("--seeds", "1,x", "argument --seeds: seeds must be comma-separated integers, got '1,x'"),
+            ("--seeds", ",", f"argument --seeds: {SEEDS_RULE}, got ','"),
+            ("--seeds", "-1", f"argument --seeds: {SEEDS_RULE}, got '-1'"),
         ],
     )
     def test_compare_bad_list_is_usage_error(self, tmp_path, monkeypatch, capsys, flag, value, message):
@@ -263,6 +266,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage: chainbalancer compare")
         assert message in err
+        assert "runtime abort" not in err
+
+    def test_run_negative_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        path = self._write(tmp_path, minimal_raw())
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("no simulation may start")
+
+        monkeypatch.setattr("chainbalancer.cli.load_scenario", must_not_run)
+        monkeypatch.setattr("chainbalancer.cli.run_scenario", must_not_run)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", path, "--seed", "-1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: chainbalancer run")
+        assert "argument --seed: seed must be a non-negative integer, got '-1'" in err
         assert "runtime abort" not in err
 
 

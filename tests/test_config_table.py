@@ -141,6 +141,10 @@ def test_former_crash_is_a_violation_at_its_path(path, value, violation_at):
         ("endowment: 1000000.0", "endowment: .inf", "user_flow.endowment"),
         ("reserve_asset: 3000.0,", "reserve_asset: 1e-12,", "pools[2].reserve_asset"),
         ("gamma: 0.5", "gamma: null", "weights.gamma"),
+        # sizes that passed validation and then exhausted memory at run time
+        ("count: 3", "count: 1" + "0" * 400, "assets.count"),
+        ("num_users: 8", "num_users: 1" + "0" * 400, "user_flow.num_users"),
+        ("epochs: 10", "epochs: 1" + "0" * 400, "blocks.epochs"),
     ],
 )
 def test_validate_names_the_field_and_exits_1(old, new, path, tmp_path, capsys):
@@ -151,6 +155,19 @@ def test_validate_names_the_field_and_exits_1(old, new, path, tmp_path, capsys):
     assert main(["validate", str(scenario)]) == 1
     err = capsys.readouterr().err
     assert f"\n  {path}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "path,limit",
+    [("assets.count", 1_000), ("user_flow.num_users", 10_000), ("blocks.epochs", 50_000)],
+)
+def test_size_bounds_are_inclusive(path, limit):
+    """The largest accepted size; one more is a violation at its path
+    (baseline epochs are 20 blocks, so 50,000 epochs are 1,000,000 blocks)."""
+    from_dict(_set(_raw("baseline.yaml"), path, limit))
+    with pytest.raises(ValidationError) as err:
+        from_dict(_set(_raw("baseline.yaml"), path, limit + 1))
+    assert [v for v in err.value.violations if v.startswith(path + ": ")], err.value.violations
 
 
 @pytest.mark.parametrize(
