@@ -76,10 +76,18 @@ class Block:
     fees_collected: int = 0   # nano-numeraire gas fees paid by balancer txs
     producer_fee: int = 0
     slashed: int = 0
+    # sampled from the closing prices, after both phases and settlement
+    discrepancy: float = 0.0
+    max_abs_deviation: float = 0.0
 
     @property
     def work(self) -> int:
         return self.user_gas + self.balancer_gas
+
+    @property
+    def profit(self) -> int:
+        """Net profit of the committed balancer executions, nano-units."""
+        return sum(r.profit for r in self.balancer_executed)
 
 
 @dataclass

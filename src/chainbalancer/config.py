@@ -46,6 +46,17 @@ def _is_number(value) -> bool:
         return False
 
 
+def _shown(value) -> str:
+    """repr(value) for a violation message, but an int too long for Python to
+    write as text (4,300 digits by default, 640 at the least) by its bit length."""
+    if _is_int(value) and value.bit_length() > 2_000:  # about 602 digits
+        return f"an integer of {value.bit_length()} bits"
+    try:
+        return repr(value)
+    except ValueError:  # such an int inside a container
+        return f"a {type(value).__name__} holding an integer too long to write out"
+
+
 def _num(test):
     return lambda value: _is_number(value) and test(value)
 
@@ -245,7 +256,8 @@ def _check_fields(raw: dict) -> tuple[dict, dict, list[str]]:
 
     def scan(mapping: dict, scope: str, at: str) -> dict:
         members = _SCOPES[scope]
-        violations.extend(f"{at}{key}: unknown key" for key in mapping if key not in members)
+        unknown = [k if isinstance(k, str) else _shown(k) for k in mapping if k not in members]
+        violations.extend(f"{at}{key}: unknown key" for key in unknown)
         filled = dict(mapping)
         for key, row in members.items():
             path, value = at + key, mapping.get(key)
@@ -255,7 +267,7 @@ def _check_fields(raw: dict) -> tuple[dict, dict, list[str]]:
                 if isinstance(value, dict):
                     filled[key] = scan(value, key, path + ".")
                 else:
-                    violations.append(f"{path}: must be a mapping, got {value!r}")
+                    violations.append(f"{path}: must be a mapping, got {_shown(value)}")
                 continue
             _, default, ok, rule = row
             if default is not None and (key not in mapping or (value is None and not scope)):
@@ -263,7 +275,7 @@ def _check_fields(raw: dict) -> tuple[dict, dict, list[str]]:
                 if not scope.endswith("[]"):
                     filled[key] = value
             if not ok(value):
-                violations.append(f"{path}: must be {rule}, got {value!r}")
+                violations.append(f"{path}: must be {rule}, got {_shown(value)}")
                 continue
             values[path] = value
             if row[0] + "[]" in _SCOPES:  # a list of mappings
@@ -271,7 +283,7 @@ def _check_fields(raw: dict) -> tuple[dict, dict, list[str]]:
                     if isinstance(item, dict):
                         scan(item, row[0] + "[]", f"{path}[{i}].")
                     else:
-                        violations.append(f"{path}[{i}]: must be a mapping, got {item!r}")
+                        violations.append(f"{path}[{i}]: must be a mapping, got {_shown(item)}")
         return filled
 
     return scan(raw, "", ""), values, violations
@@ -300,14 +312,14 @@ def _cross_violations(v: dict) -> list[str]:
             rows_failed = True
             continue
         if count is not None and not 1 <= asset < count:
-            out.append(f"pools[{i}].asset: {asset} outside [1, {count})")
+            out.append(f"pools[{i}].asset: {_shown(asset)} outside [1, {count})")
         if asset in hosted.get(venue, ()):
-            out.append(f"pools[{i}]: duplicate pool for venue {venue}, asset {asset}")
+            out.append(f"pools[{i}]: duplicate pool for venue {_shown(venue)}, asset {asset}")
         hosted.setdefault(venue, set()).add(asset)
         if v.get(f"pools[{i}].reference"):
             reference_venues.add(venue)
     if v.get("pools") and len(reference_venues) != 1:
-        found = ", ".join(str(x) for x in sorted(reference_venues)) or "none"
+        found = ", ".join(_shown(x) for x in sorted(reference_venues)) or "none"
         out.append(f"pools: exactly one reference venue required, found {found}")
     elif reference_venues and not rows_failed:
         # a pool that failed its row is missing from `hosted`, so coverage
@@ -317,19 +329,31 @@ def _cross_violations(v: dict) -> list[str]:
             missing = assets - hosted[ref]
             if missing:
                 out.append(
-                    f"pools: venue {venue} lists assets {sorted(missing)} "
-                    f"absent from reference venue {ref}"
+                    f"pools: venue {_shown(venue)} lists assets {sorted(missing)} "
+                    f"absent from reference venue {_shown(ref)}"
                 )
 
     epochs, length = v.get("blocks.epochs"), v.get("blocks.epoch_length")
-    if epochs is not None and length is not None and epochs * length > 1_000_000:
-        out.append(f"blocks.epochs: {epochs} epochs of {length} blocks exceed 1000000 blocks")
+    rate = v.get("user_flow.rate")
+    if epochs is not None and length is not None:
+        blocks = epochs * length
+        if blocks > 1_000_000:
+            out.append(
+                f"blocks.epochs: {_shown(epochs)} epochs of {_shown(length)} blocks "
+                "exceed 1000000 blocks"
+            )
+        elif rate is not None and rate * blocks > 10_000_000:
+            # every user tx of the run is generated before the first block
+            out.append(
+                f"user_flow.rate: {_shown(rate)} per block over {blocks} blocks "
+                "expects more than 10000000 user txs"
+            )
 
     capacity = v.get("blocks.capacity")
     for name in ("gas_per_user_swap", "gas_per_balancer_tx"):
         gas = v.get(f"blocks.{name}")
         if capacity is not None and gas is not None and gas > capacity:
-            out.append(f"blocks.{name}: {gas} exceeds block capacity {capacity}")
+            out.append(f"blocks.{name}: {_shown(gas)} exceeds block capacity {_shown(capacity)}")
 
     weights = v.get("user_flow.venue_weights")
     if weights is not None:
@@ -338,12 +362,14 @@ def _cross_violations(v: dict) -> list[str]:
         for key, weight in weights.items():
             venue = _venue_id(key)
             if venue is None:
-                out.append(f"user_flow.venue_weights: key {key!r} is not a venue id")
+                out.append(f"user_flow.venue_weights: key {_shown(key)} is not a venue id")
             elif venue not in hosted:
-                out.append(f"user_flow.venue_weights: venue {key} has no pools")
+                out.append(f"user_flow.venue_weights: venue {_shown(venue)} has no pools")
             if not (_is_number(weight) and weight >= 0):
+                name = key if isinstance(key, str) else _shown(key)
                 out.append(
-                    f"user_flow.venue_weights[{key}]: must be a non-negative number, got {weight!r}"
+                    f"user_flow.venue_weights[{name}]: must be a non-negative number, "
+                    f"got {_shown(weight)}"
                 )
     elif len(reference_venues) == 1:  # the default: weight 1 on every other venue
         weights = {venue: 1 for venue in hosted if venue not in reference_venues}
@@ -363,7 +389,7 @@ def _cross_violations(v: dict) -> list[str]:
     for i in range(len(v.get("searchers.profiles") or ())):
         pid = v.get(f"searchers.profiles[{i}].id")
         if pid is not None and pid in ids:
-            out.append(f"searchers.profiles[{i}]: duplicate id {pid}")
+            out.append(f"searchers.profiles[{i}]: duplicate id {_shown(pid)}")
         ids.add(pid)
     return out
 
@@ -378,7 +404,7 @@ def from_dict(raw: dict) -> ScenarioConfig:
     """Validate a raw scenario mapping and build the typed config."""
     raw = raw or {}
     if not isinstance(raw, dict):
-        raise ValidationError([f"top level: must be a mapping, got {raw!r}"])
+        raise ValidationError([f"top level: must be a mapping, got {_shown(raw)}"])
     merged, v, violations = _check_fields(raw)
     violations += _cross_violations(v)
     if violations:

@@ -36,18 +36,6 @@ class ObjectiveWeights:
 
 
 @dataclass
-class ObjectiveSample:
-    block: int
-    cumulative_discrepancy: float
-    utilization: float
-    psi: float
-    scalarized: float
-    captured_profit: float = 0.0
-    leaked_profit: float = 0.0
-    max_abs_deviation: float = 0.0
-
-
-@dataclass
 class ConstraintResult:
     satisfied: bool
     mean_psi: float
@@ -107,9 +95,9 @@ def max_relative_deviation(prices: Sequence[float], pairs: Sequence[tuple[int, i
     return largest
 
 
-def scalarized_objective(sample: ObjectiveSample, weights: ObjectiveWeights) -> float:
+def scalarized_objective(discrepancy: float, utilization: float, weights: ObjectiveWeights) -> float:
     """lambda1 * discrepancy - lambda2 * utilization (lower is better)."""
-    return weights.lambda1 * sample.cumulative_discrepancy - weights.lambda2 * sample.utilization
+    return weights.lambda1 * discrepancy - weights.lambda2 * utilization
 
 
 def epoch_constraint_check(psis: list[float], delta_cap: float) -> ConstraintResult:

@@ -51,13 +51,6 @@ class RewardWeights:
         if abs(total - 1) > SIMPLEX_TOLERANCE:
             raise WeightError(f"weights sum to {float(total)}, not 1")
 
-    def as_dict(self) -> dict[str, Fraction]:
-        return {
-            GROUP_SEARCHERS: self.searchers,
-            GROUP_MARKETPLACES: self.marketplaces,
-            GROUP_TREASURY: self.treasury,
-        }
-
 
 @dataclass
 class MarketplaceContribution:

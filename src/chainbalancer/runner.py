@@ -31,13 +31,13 @@ from .chain import (
 from .config import MODES, ScenarioConfig
 from .market import NUMERAIRE, snapshot_prices
 from .metrics import (
-    ObjectiveSample,
     cumulative_discrepancy,
     deviation_pairs,
     discrepancy_pairs,
     epoch_constraint_check,
     max_relative_deviation,
     ordered_sum,
+    scalarized_objective,
 )
 from .rewards import (
     GROUP_SEARCHERS,
@@ -85,7 +85,6 @@ class RunResult:
     config: ScenarioConfig
     seed: int
     mode: str
-    samples: list[ObjectiveSample] = field(default_factory=list)
     blocks: list[Block] = field(default_factory=list)
     epoch_rows: list[dict] = field(default_factory=list)
     ledgers: list[RewardLedger | None] = field(default_factory=list)
@@ -97,18 +96,23 @@ class RunResult:
 
     def report(self) -> dict:
         """JSON-ready nested report; deterministic for a fixed config+seed."""
+        cfg = self.config
         block_rows = []
-        for block, sample in zip(self.blocks, self.samples):
+        for block in self.blocks:
+            util = utilization(block)
+            profit = to_units(block.profit)
             block_rows.append(
                 {
                     "block": block.index,
-                    "discrepancy": sample.cumulative_discrepancy,
-                    "utilization": sample.utilization,
-                    "psi": sample.psi,
-                    "scalarized": sample.scalarized,
-                    "captured_profit": sample.captured_profit,
-                    "leaked_profit": sample.leaked_profit,
-                    "max_abs_deviation": sample.max_abs_deviation,
+                    "discrepancy": block.discrepancy,
+                    "utilization": util,
+                    "psi": performance_cost_psi(block, cfg.u_star),
+                    "scalarized": scalarized_objective(
+                        block.discrepancy, util, cfg.objective_weights
+                    ),
+                    "captured_profit": profit if self.mode == MODE_AUTO else 0.0,
+                    "leaked_profit": profit if self.mode == MODE_EXTERNAL else 0.0,
+                    "max_abs_deviation": block.max_abs_deviation,
                     "work": block.work,
                     "user_gas": block.user_gas,
                     "balancer_gas": block.balancer_gas,
@@ -257,11 +261,6 @@ class SimulationRun:
                 )
             active_set = list(selected.ordered_txs) if selected else []
 
-            epoch_records = []
-            epoch_psis = []
-            epoch_profit = 0
-            epoch_producer_fees = 0
-            epoch_slashed = 0
             for _ in range(cfg.epoch_length):
                 block = Block(index=block_index, capacity=cfg.capacity)
                 pending = carry + flow[block_index]
@@ -305,8 +304,6 @@ class SimulationRun:
                     block.balancer_skipped = phase.skipped
                     block.balancer_gas = phase.gas_used
                     block.fees_collected = phase.fees_paid
-                    epoch_records.extend(phase.executed)
-                    epoch_profit += phase.profit
 
                     # settle the block's gas fees: gamma to the producer,
                     # the rest is burned (tracked for conservation)
@@ -317,7 +314,6 @@ class SimulationRun:
                         self.state.transfer(
                             FEE_ESCROW, FEE_BURN, NUMERAIRE, block.fees_collected - fee
                         )
-                    epoch_producer_fees += fee
 
                     executed_ids = [r.template_id for r in block.balancer_executed]
                     penalty = cfg.slash_penalty_multiple * block.producer_fee
@@ -330,10 +326,8 @@ class SimulationRun:
                     if slash:
                         self.state.transfer(PRODUCER, TREASURY, NUMERAIRE, slash)
                     block.slashed = slash
-                    epoch_slashed += slash
 
-                self._sample_block(result, block)
-                epoch_psis.append(result.samples[-1].psi)
+                self._sample_block(block)
                 result.blocks.append(block)
                 # conservation is checked after every block, not only at the end
                 for asset, total in self.state.asset_totals().items():
@@ -346,15 +340,13 @@ class SimulationRun:
                 self.state.block_height += 1
                 block_index += 1
 
-            ledger = self._settle_epoch(
-                epoch_index, epoch_records, epoch_profit, epoch_producer_fees, epoch_slashed,
-                selected,
-            )
+            epoch = result.blocks[-cfg.epoch_length:]
+            epoch_profit = sum(b.profit for b in epoch)
+            ledger = self._settle_epoch(epoch_index, epoch, epoch_profit, selected)
             result.ledgers.append(ledger)
-            constraint = (
-                epoch_constraint_check(epoch_psis, cfg.objective_weights.delta_cap)
-                if epoch_psis
-                else None
+            constraint = epoch_constraint_check(
+                [performance_cost_psi(b, cfg.u_star) for b in epoch],
+                cfg.objective_weights.delta_cap,
             )
             if selected is not None:
                 cred = self.credibility[selected.searcher_id]
@@ -380,15 +372,11 @@ class SimulationRun:
                     ],
                     "profit_pool": to_units(epoch_profit),
                     "reward_ledger": _ledger_row(ledger),
-                    "constraint": (
-                        {
-                            "mean_psi": constraint.mean_psi,
-                            "delta": float(cfg.objective_weights.delta_cap),
-                            "satisfied": constraint.satisfied,
-                        }
-                        if constraint
-                        else None
-                    ),
+                    "constraint": {
+                        "mean_psi": constraint.mean_psi,
+                        "delta": float(cfg.objective_weights.delta_cap),
+                        "satisfied": constraint.satisfied,
+                    },
                     "credibility": {
                         str(sid): cred.score
                         for sid, cred in sorted(self.credibility.items())
@@ -400,19 +388,19 @@ class SimulationRun:
         result.pending_at_end = len(carry)
         result.user_flow_digest = digest.hexdigest()
 
-        committed = sum(r.profit for b in result.blocks for r in b.balancer_executed)
+        committed = sum(b.profit for b in result.blocks)
         captured_total = committed if self.mode == MODE_AUTO else 0
         leaked_total = committed if self.mode == MODE_EXTERNAL else 0
-        n = max(1, len(result.samples))
+        n = max(1, len(result.blocks))
         result.totals = {
             "captured": to_units(captured_total),
             "captured_nano": captured_total,
             "leaked": to_units(leaked_total),
             "leaked_nano": leaked_total,
-            "mean_discrepancy": ordered_sum(s.cumulative_discrepancy for s in result.samples) / n,
-            "mean_utilization": ordered_sum(s.utilization for s in result.samples) / n,
+            "mean_discrepancy": ordered_sum(b.discrepancy for b in result.blocks) / n,
+            "mean_utilization": ordered_sum(utilization(b) for b in result.blocks) / n,
             "max_abs_deviation": max(
-                (s.max_abs_deviation for s in result.samples), default=0.0
+                (b.max_abs_deviation for b in result.blocks), default=0.0
             ),
             "producer_fees_nano": sum(b.producer_fee for b in result.blocks),
             "slashed_nano": sum(b.slashed for b in result.blocks),
@@ -420,48 +408,31 @@ class SimulationRun:
         }
         return result
 
-    def _sample_block(self, result: RunResult, block: Block) -> None:
-        cfg = self.config
+    def _sample_block(self, block: Block) -> None:
+        """Record the block's closing price discrepancy and largest deviation."""
         prices = snapshot_prices(self.state.pools.values())
-        discrepancy = cumulative_discrepancy(prices, self._discrepancy_pairs)
-        max_dev = max_relative_deviation(prices, self._deviation_pairs)
-        util = utilization(block)
-        psi = performance_cost_psi(block, cfg.u_star)
-        committed = sum(r.profit for r in block.balancer_executed)
-        sample = ObjectiveSample(
-            block=block.index,
-            cumulative_discrepancy=discrepancy,
-            utilization=util,
-            psi=psi,
-            scalarized=cfg.objective_weights.lambda1 * discrepancy
-            - cfg.objective_weights.lambda2 * util,
-            captured_profit=to_units(committed) if self.mode == MODE_AUTO else 0.0,
-            leaked_profit=to_units(committed) if self.mode == MODE_EXTERNAL else 0.0,
-            max_abs_deviation=max_dev,
-        )
-        result.samples.append(sample)
+        block.discrepancy = cumulative_discrepancy(prices, self._discrepancy_pairs)
+        block.max_abs_deviation = max_relative_deviation(prices, self._deviation_pairs)
 
     def _settle_epoch(
         self,
         epoch_index: int,
-        epoch_records,
+        epoch: list[Block],
         epoch_profit: int,
-        producer_fees: int,
-        slashed: int,
         selected: SearcherProposal | None,
     ) -> RewardLedger | None:
         """Distribute the epoch profit pool (autobalancer mode only)."""
         cfg = self.config
         if self.mode != MODE_AUTO:
             return None
-        contributions = measure_contribution(epoch_records, cfg.venue_ids)
+        records = [r for b in epoch for r in b.balancer_executed]
         ledger = build_ledger(
             epoch_index,
             epoch_profit,
             cfg.reward_weights,
-            contributions,
-            producer_fees,
-            slashed,
+            measure_contribution(records, cfg.venue_ids),
+            sum(b.producer_fee for b in epoch),
+            sum(b.slashed for b in epoch),
         )
         # a positive pool implies commits, which imply a selected proposal
         searcher_cut = ledger.payouts[GROUP_SEARCHERS]

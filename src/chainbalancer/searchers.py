@@ -15,12 +15,7 @@ import numpy as np
 
 from .arbitrage import Deviation, Funding, Threshold, opportunity_from_deviation
 from .arbitrage import execute_atomic  # noqa: F401 - perfbench/tracer.py rebinds it here
-from .chain import (
-    FeasibilityPredicate,
-    check_feasibility,
-    execute_block_balancer_phase,
-    _live_delta,
-)
+from .chain import FeasibilityPredicate, execute_block_balancer_phase, _live_delta
 from .state import TREASURY, ChainState
 
 FUNDING_ORDER = {Funding.FLASH_LOAN: 0, Funding.NETWORK_LIQUIDITY: 1}
@@ -88,13 +83,6 @@ def _candidate_pairs(state: ChainState, reference_venue_id: int) -> list[tuple[i
     return pairs
 
 
-def _preferred_funding(conditions: GovernanceConditions) -> Funding:
-    # network liquidity avoids the flash fee, so it wins when allowed
-    if Funding.NETWORK_LIQUIDITY in conditions.allowed_funding:
-        return Funding.NETWORK_LIQUIDITY
-    return Funding.FLASH_LOAN
-
-
 def build_proposal(
     profile: SearcherProfile,
     expected_state: ChainState,
@@ -111,13 +99,15 @@ def build_proposal(
     proposal-level profit_estimate is the total from replaying the ordered
     set once on a copy of the expected state, so intra-set price-impact
     interactions are priced in rather than double-counted.
+
+    The predicate is applied here, as the filter: one funding kind both the
+    predicate and governance allow (network liquidity, which avoids the
+    flash fee, when it is), the profit floor, and the size cap.
     """
-    funding = _preferred_funding(conditions)
-    if funding not in predicate.allowed_funding:
-        allowed = predicate.allowed_funding & conditions.allowed_funding
-        if not allowed:
-            return SearcherProposal(profile.searcher_id, [], 0, 0)
-        funding = sorted(allowed, key=lambda f: FUNDING_ORDER[f])[0]
+    allowed = predicate.allowed_funding & conditions.allowed_funding
+    if not allowed:
+        return SearcherProposal(profile.searcher_id, [], 0, 0)
+    funding = max(allowed, key=FUNDING_ORDER.get)
 
     candidates: list[BalancerTemplate] = []
     for asset, venue_id in _candidate_pairs(expected_state, conditions.reference_venue_id):
@@ -156,10 +146,6 @@ def build_proposal(
     candidates.sort(key=lambda t: (-t.estimate, t.template_id))
     cap = min(conditions.max_set_size, predicate.max_txs_per_block)
     ordered = candidates[:cap]
-    if check_feasibility(predicate, ordered) != 1:
-        raise RuntimeError(
-            f"searcher {profile.searcher_id}: ordered set fails the feasibility predicate"
-        )
 
     # a residual of one transaction per template never binds
     sim_profit = _replay_once(

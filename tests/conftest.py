@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from chainbalancer import NUMERAIRE, Pool, from_dict
+from chainbalancer import Pool
+from chainbalancer.config import from_dict
+from chainbalancer.market import NUMERAIRE
 from chainbalancer.state import ChainState
 from chainbalancer.units import ppb, to_nano
 

@@ -15,23 +15,24 @@ import pytest
 
 from chainbalancer import (
     Funding,
-    FeasibilityPredicate,
-    GovernanceConditions,
-    SearcherProfile,
     Threshold,
-    build_proposal,
     deviation_bounds,
-    from_dict,
     optimal_trade_size,
     run_baseline_comparison,
     run_scenario,
     spot_price,
 )
-from chainbalancer.chain import execute_block_balancer_phase
+from chainbalancer.chain import FeasibilityPredicate, execute_block_balancer_phase
+from chainbalancer.config import from_dict
 from chainbalancer.market import NUMERAIRE
 from chainbalancer.report import dumps_report
 from chainbalancer.rewards import GROUP_MARKETPLACES, apply_slashing
 from chainbalancer.runner import SimulationRun
+from chainbalancer.searchers import (
+    GovernanceConditions,
+    SearcherProfile,
+    build_proposal,
+)
 from chainbalancer.state import TREASURY
 
 from conftest import make_pool, make_state
@@ -147,8 +148,8 @@ class TreasuryTap(SimulationRun):
         self.per_block_treasury = []
         return super().execute()
 
-    def _sample_block(self, result, block):
-        super()._sample_block(result, block)
+    def _sample_block(self, block):
+        super()._sample_block(block)
         self.per_block_treasury.append(dict(self.state.treasury))
 
 
@@ -158,8 +159,8 @@ class StrayNano(SimulationRun):
 
     k = 5
 
-    def _sample_block(self, result, block):
-        super()._sample_block(result, block)
+    def _sample_block(self, block):
+        super()._sample_block(block)
         if block.index == self.k:
             self.state.credit("stray", NUMERAIRE, 1)
         elif block.index == self.k + 1:

@@ -6,7 +6,6 @@ import pytest
 from chainbalancer import (
     Deviation,
     Funding,
-    OppDirection,
     Threshold,
     deviation_bounds,
     execute_atomic,
@@ -14,7 +13,7 @@ from chainbalancer import (
     optimal_trade_size,
     spot_price,
 )
-from chainbalancer.arbitrage import opportunity_from_deviation
+from chainbalancer.arbitrage import OppDirection, opportunity_from_deviation
 from chainbalancer.state import LENDER, TREASURY
 from chainbalancer.units import SCALE, to_nano, to_units
 

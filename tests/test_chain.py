@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from chainbalancer import (
+from chainbalancer import Funding, SwapDirection, Threshold, spot_price
+from chainbalancer.chain import (
     Block,
     FeasibilityPredicate,
-    Funding,
-    SwapDirection,
-    Threshold,
     UserFlowParams,
     UserTx,
     check_feasibility,
@@ -16,7 +14,6 @@ from chainbalancer import (
     execute_block_user_phase,
     generate_user_flow,
     performance_cost_psi,
-    spot_price,
     utilization,
 )
 from chainbalancer.searchers import BalancerTemplate, template_id_for

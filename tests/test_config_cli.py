@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from chainbalancer import ValidationError, from_dict, load_scenario, run_scenario
+from chainbalancer import ValidationError, load_scenario, run_scenario
 from chainbalancer.cli import main
+from chainbalancer.config import from_dict
 from chainbalancer.report import (
     dumps_report,
     read_json,

@@ -16,9 +16,9 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chainbalancer import ScenarioConfig, ValidationError, from_dict, load_scenario, run_scenario
+from chainbalancer import ScenarioConfig, ValidationError, load_scenario, run_scenario
 from chainbalancer.cli import main
-from chainbalancer.config import FIELDS
+from chainbalancer.config import FIELDS, from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "scenarios").glob("*.yaml"))
@@ -168,6 +168,27 @@ def test_size_bounds_are_inclusive(path, limit):
     with pytest.raises(ValidationError) as err:
         from_dict(_set(_raw("baseline.yaml"), path, limit + 1))
     assert [v for v in err.value.violations if v.startswith(path + ": ")], err.value.violations
+
+
+def test_expected_user_txs_bound_is_inclusive():
+    """rate x epochs x epoch_length user txs are generated up front, so at
+    most 10,000,000 are accepted (baseline runs 200 blocks)."""
+    from_dict(_set(_raw("baseline.yaml"), "user_flow.rate", 50_000))
+    for rate in (50_000.5, 1e12):
+        with pytest.raises(ValidationError) as err:
+            from_dict(_set(_raw("baseline.yaml"), "user_flow.rate", rate))
+        assert [v for v in err.value.violations if v.startswith("user_flow.rate: ")]
+
+
+def test_integer_too_long_to_print_is_a_violation():
+    """Python will not write an int of over 4,300 digits as text; the
+    violation gives its bit length instead of raising ValueError."""
+    with pytest.raises(ValidationError) as err:
+        from_dict(_set(_raw("baseline.yaml"), "assets.count", 10**5000))
+    assert err.value.violations == [
+        "assets.count: must be an integer in [2, 1000] (the numeraire included), "
+        "got an integer of 16610 bits"
+    ]
 
 
 @pytest.mark.parametrize(

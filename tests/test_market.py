@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainbalancer import (
-    DegenerateVenueError,
-    SwapDirection,
-    execute_swap,
-    quote_swap,
-    snapshot_prices,
-    spot_price,
-)
+from chainbalancer import SwapDirection, execute_swap, quote_swap, spot_price
+from chainbalancer.market import DegenerateVenueError, snapshot_prices
 from chainbalancer.metrics import deviation_pairs
 from chainbalancer.units import SCALE, to_nano, to_units
 

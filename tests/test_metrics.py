@@ -5,22 +5,18 @@ from itertools import combinations
 
 import pytest
 
-from chainbalancer import (
-    ObjectiveSample,
+from chainbalancer import run_baseline_comparison, run_scenario
+from chainbalancer.config import from_dict
+from chainbalancer.market import snapshot_prices
+from chainbalancer.metrics import (
     ObjectiveWeights,
     cumulative_discrepancy,
-    epoch_constraint_check,
-    from_dict,
-    run_baseline_comparison,
-    run_scenario,
-    scalarized_objective,
-    snapshot_prices,
-)
-from chainbalancer.metrics import (
     deviation_pairs,
     discrepancy_pairs,
+    epoch_constraint_check,
     max_relative_deviation,
     ordered_sum,
+    scalarized_objective,
 )
 from chainbalancer.units import to_nano
 
@@ -32,16 +28,6 @@ def discrepancy(venues):
     keys = sorted((venue, asset) for venue, prices in venues.items() for asset in prices)
     prices = [venues[venue][asset] for venue, asset in keys]
     return cumulative_discrepancy(prices, discrepancy_pairs(keys))
-
-
-def sample(discrepancy, util):
-    return ObjectiveSample(
-        block=0,
-        cumulative_discrepancy=discrepancy,
-        utilization=util,
-        psi=0.0,
-        scalarized=0.0,
-    )
 
 
 class TestCumulativeDiscrepancy:
@@ -148,15 +134,15 @@ class TestFlatSnapshotSampling:
 class TestScalarized:
     def test_example_values(self):
         w = ObjectiveWeights(lambda1=1.0, lambda2=0.1)
-        assert scalarized_objective(sample(12.0, 0.75), w) == pytest.approx(11.925)
+        assert scalarized_objective(12.0, 0.75, w) == pytest.approx(11.925)
 
     def test_lambda2_zero_reduces(self):
         w = ObjectiveWeights(lambda1=2.0, lambda2=0.0)
-        assert scalarized_objective(sample(12.0, 0.75), w) == pytest.approx(24.0)
+        assert scalarized_objective(12.0, 0.75, w) == pytest.approx(24.0)
 
     def test_pure_utilization_reward(self):
         w = ObjectiveWeights(lambda1=1.0, lambda2=1.0)
-        assert scalarized_objective(sample(0.0, 1.0), w) == pytest.approx(-1.0)
+        assert scalarized_objective(0.0, 1.0, w) == pytest.approx(-1.0)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):

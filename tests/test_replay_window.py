@@ -3,7 +3,8 @@
 import pytest
 
 import chainbalancer.runner as runner_mod
-from chainbalancer import from_dict, run_scenario
+from chainbalancer import run_scenario
+from chainbalancer.config import from_dict
 from chainbalancer.state import ChainState
 
 from conftest import baseline_raw

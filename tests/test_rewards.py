@@ -2,32 +2,32 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainbalancer import (
-    Block,
-    MarketplaceContribution,
-    RewardWeights,
-    apply_slashing,
-    build_ledger,
-    measure_contribution,
-    pay_producer,
-    split_marketplaces,
-    split_pool,
-)
-from chainbalancer.chain import ExecRecord
+from chainbalancer import load_scenario, run_scenario
+from chainbalancer.chain import Block, ExecRecord
+from chainbalancer.metrics import ordered_sum
 from chainbalancer.rewards import (
     GROUP_MARKETPLACES,
     GROUP_SEARCHERS,
     GROUP_TREASURY,
+    MarketplaceContribution,
+    RewardWeights,
     WeightError,
+    apply_slashing,
+    build_ledger,
+    measure_contribution,
+    pay_producer,
     quantize_allocations,
+    split_marketplaces,
+    split_pool,
 )
-from chainbalancer.units import to_nano
+from chainbalancer.units import to_nano, to_units
 
 
 W442 = RewardWeights.from_values(0.4, 0.4, 0.2)
@@ -246,3 +246,27 @@ class TestLedger:
         assert ledger.allocations[GROUP_MARKETPLACES] == 0
         assert ledger.payouts[GROUP_TREASURY] == 600
         assert sum(ledger.payouts.values()) == 1000
+
+
+def test_epoch_rows_agree_with_their_block_rows():
+    """Each epoch row is derived from that epoch's blocks alone. chaos.yaml
+    in autobalancer mode forces reverts and slashes a dishonest producer,
+    so every summed quantity is non-trivial somewhere."""
+    config = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "chaos.yaml")
+    result = run_scenario(config, seed=config.seeds[0], mode="autobalancer")
+    report = result.report()
+    length = config.epoch_length
+    assert sum(b.slashed for b in result.blocks) > 0
+    assert any(s.kind == "revert" for b in result.blocks for s in b.balancer_skipped)
+    assert len(report["epochs"]) == config.epochs
+    for e, row in enumerate(report["epochs"]):
+        blocks = result.blocks[e * length:(e + 1) * length]
+        block_rows = report["blocks"][e * length:(e + 1) * length]
+        assert [b.index for b in blocks] == [r["block"] for r in block_rows]
+        profit = sum(r.profit for b in blocks for r in b.balancer_executed)
+        assert row["profit_pool"] == to_units(profit)
+        ledger = result.ledgers[e]
+        assert ledger.profit_pool == profit
+        assert ledger.producer_fees == sum(b.producer_fee for b in blocks)
+        assert ledger.slashed == sum(b.slashed for b in blocks)
+        assert row["constraint"]["mean_psi"] == ordered_sum(r["psi"] for r in block_rows) / length

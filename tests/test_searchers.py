@@ -5,21 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainbalancer import (
+from chainbalancer import Funding, Threshold, execute_atomic
+from chainbalancer.arbitrage import Deviation, opportunity_from_deviation
+from chainbalancer.chain import FeasibilityPredicate, _live_delta, check_feasibility
+from chainbalancer.searchers import (
+    BalancerTemplate,
     Credibility,
-    FeasibilityPredicate,
-    Funding,
     GovernanceConditions,
     SearcherProfile,
-    Threshold,
+    SearcherProposal,
     build_proposal,
     evaluate_proposals,
-    execute_atomic,
+    template_id_for,
     update_credibility,
 )
-from chainbalancer.arbitrage import Deviation, opportunity_from_deviation
-from chainbalancer.chain import _live_delta
-from chainbalancer.searchers import SearcherProposal, BalancerTemplate, template_id_for
 
 from conftest import make_pool, make_state
 
@@ -305,17 +304,50 @@ class TestCredibility:
             assert 0.0 <= cred.score <= 1.0
 
 
-def test_infeasible_ordered_set_raises_naming_searcher(monkeypatch):
-    import chainbalancer.searchers as searchers_mod
+FL, NL = Funding.FLASH_LOAN, Funding.NETWORK_LIQUIDITY
+BOTH = frozenset({FL, NL})
 
-    monkeypatch.setattr(searchers_mod, "check_feasibility", lambda predicate, ordered: 0)
-    with pytest.raises(RuntimeError, match="searcher 3"):
-        build_proposal(
-            SearcherProfile(3),
-            three_gap_state(),
-            conditions(),
-            THRESHOLD,
-            FeasibilityPredicate(),
-            GAS_PER_TX,
-            rng_for(0),
-        )
+# (governance funding, predicate funding, funding every template must use;
+# None means the intersection is empty and so is the proposal)
+FUNDING_CASES = [
+    (BOTH, BOTH, NL),                        # both allowed: network liquidity
+    (BOTH, frozenset({FL}), FL),             # predicate narrower than governance
+    (frozenset({FL}), BOTH, FL),             # governance narrower than predicate
+    (frozenset({NL}), frozenset({FL}), None),  # disjoint sets
+    (frozenset(), BOTH, None),               # governance allows no funding at all
+]
+
+
+@pytest.mark.parametrize(
+    "governance,allowed,expected",
+    FUNDING_CASES,
+    ids=["both", "predicate-narrower", "governance-narrower", "disjoint", "governance-empty"],
+)
+@pytest.mark.parametrize("min_net_profit", [0, 1, 10**18])
+@pytest.mark.parametrize("max_set,max_txs", [(16, 2), (2, 16)])
+@pytest.mark.parametrize("noise", [0.0, 0.5])
+def test_every_proposal_passes_the_feasibility_oracle(
+    governance, allowed, expected, min_net_profit, max_set, max_txs, noise
+):
+    """The candidate filter is the only place the predicate is applied;
+    `check_feasibility` stays the independent oracle for its output."""
+    predicate = FeasibilityPredicate(
+        max_txs_per_block=max_txs, min_net_profit=min_net_profit, allowed_funding=allowed
+    )
+    proposal = build_proposal(
+        SearcherProfile(0, noise=noise),
+        three_gap_state(),
+        GovernanceConditions(governance, reference_venue_id=0, max_set_size=max_set),
+        THRESHOLD,
+        predicate,
+        GAS_PER_TX,
+        rng_for(11),
+    )
+    ordered = proposal.ordered_txs
+    assert check_feasibility(predicate, ordered) == 1
+    assert len(ordered) <= min(max_set, max_txs)
+    if expected is None or min_net_profit == 10**18:
+        assert ordered == [] and proposal.profit_estimate == 0
+    else:
+        assert len(ordered) == 2
+        assert {t.funding for t in ordered} == {expected}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from chainbalancer import NUMERAIRE
+from chainbalancer.market import NUMERAIRE
 from chainbalancer.state import ChainState, InsufficientBalanceError
 
 from conftest import make_pool

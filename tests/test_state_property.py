@@ -12,19 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainbalancer import (
-    NUMERAIRE,
     Deviation,
     Funding,
-    OppDirection,
-    Opportunity,
     SwapDirection,
     Threshold,
-    UserTx,
     execute_atomic,
-    execute_block_user_phase,
     spot_price,
 )
-from chainbalancer.arbitrage import opportunity_from_deviation
+from chainbalancer.arbitrage import (
+    OppDirection,
+    Opportunity,
+    opportunity_from_deviation,
+)
+from chainbalancer.chain import UserTx, execute_block_user_phase
+from chainbalancer.market import NUMERAIRE
 from chainbalancer.state import EXTERNAL, TREASURY, user_account
 from chainbalancer.units import to_nano
 
