@@ -163,7 +163,6 @@ def opportunity_from_deviation(
     threshold: Threshold,
     funding: Funding = Funding.FLASH_LOAN,
     gas_estimate: int = DEFAULT_BALANCER_GAS,
-    trigger_epsilon: float | None = None,
 ) -> Opportunity | None:
     """Size the trade behind a deviation; None when it does not clear the bar.
 
@@ -173,8 +172,7 @@ def opportunity_from_deviation(
     arithmetic `execute_atomic` runs, so on unchanged state the realized
     profit equals `expected_profit` to the nano-unit.
     """
-    epsilon = threshold.epsilon if trigger_epsilon is None else trigger_epsilon
-    if abs(deviation.delta_p) <= epsilon:
+    if abs(deviation.delta_p) <= threshold.epsilon:
         return None
     venue_pool = pools[(deviation.venue_id, deviation.asset)]
     ref_pool = pools[(reference_venue_id, deviation.asset)]

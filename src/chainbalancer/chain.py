@@ -91,31 +91,6 @@ class Block:
 
 
 @dataclass
-class FeasibilityPredicate:
-    """Deterministic feasibility gate over an ordered balancer set."""
-
-    max_txs_per_block: int = 16
-    min_net_profit: int = 0  # nano-units
-    allowed_funding: frozenset = frozenset(Funding)
-
-    def __post_init__(self) -> None:
-        self.allowed_funding = frozenset(Funding(f) for f in self.allowed_funding)
-
-
-def check_feasibility(predicate: FeasibilityPredicate, ordered_txs: Sequence) -> int:
-    """1 iff the sequence fits the cap, clears the profit floor, and uses
-    allowed funding; empty sequences are vacuously feasible."""
-    if len(ordered_txs) > predicate.max_txs_per_block:
-        return 0
-    for tx in ordered_txs:
-        if tx.estimate < predicate.min_net_profit:
-            return 0
-        if tx.funding not in predicate.allowed_funding:
-            return 0
-    return 1
-
-
-@dataclass
 class UserFlowParams:
     rate: float = 5.0
     size_mu: float = 2.0      # lognormal parameters, unit scale
@@ -279,7 +254,7 @@ def execute_block_balancer_phase(
         if residual_gas - gas_used < gas_per_tx:
             break
         delta = _live_delta(state, tpl.venue_id, tpl.asset, reference_venue_id)
-        if abs(delta) <= tpl.trigger_epsilon:
+        if abs(delta) <= threshold.epsilon:
             skipped.append(
                 SkipRecord(tpl.template_id, tpl.asset, tpl.venue_id, "below_epsilon", "skip")
             )
@@ -292,7 +267,6 @@ def execute_block_balancer_phase(
             threshold,
             funding=tpl.funding,
             gas_estimate=gas_per_tx,
-            trigger_epsilon=tpl.trigger_epsilon,
         )
         if opp is None:
             skipped.append(

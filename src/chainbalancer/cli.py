@@ -12,7 +12,7 @@ from pathlib import Path
 
 import yaml
 
-from .config import MODES, ValidationError, load_scenario
+from .config import INT64_MAX, MODES, ValidationError, load_scenario
 from .report import (
     write_blocks_csv,
     write_comparison_csv,
@@ -36,12 +36,15 @@ def _mode_list(text: str) -> list[str]:
 
 
 def _seed(text: str) -> int:
+    """One seed under the scenario's own rule for `seeds`."""
     try:
         seed = int(text)
     except ValueError:
         seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    if not 0 <= seed <= INT64_MAX:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in [0, 2^63 - 1], got {text!r}"
+        )
     return seed
 
 
@@ -53,9 +56,9 @@ def _seed_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"seeds must be comma-separated integers, got {text!r}"
         ) from None
-    if not seeds or min(seeds) < 0:
+    if not seeds or not 0 <= min(seeds) <= max(seeds) <= INT64_MAX:
         raise argparse.ArgumentTypeError(
-            f"seeds must be a non-empty list of non-negative integers, got {text!r}"
+            f"seeds must be a non-empty list of integers in [0, 2^63 - 1], got {text!r}"
         )
     return seeds
 

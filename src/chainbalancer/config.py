@@ -20,7 +20,7 @@ from pathlib import Path
 import yaml
 
 from .arbitrage import Funding, Threshold
-from .chain import FeasibilityPredicate, UserFlowParams
+from .chain import UserFlowParams
 from .market import MAX_FEE_PPB, NUMERAIRE, Pool
 from .metrics import ObjectiveWeights
 from .rewards import RewardWeights, WeightError
@@ -30,10 +30,16 @@ from .units import ppb, to_nano
 MODES = ("off", "autobalancer", "external")
 _FUNDING = tuple(f.value for f in Funding)
 _OMEGA_KEYS = ("searchers", "marketplaces", "treasury")
+# every integer field is a signed 64-bit integer, so every accepted
+# config can be hashed (Python will not write an int of 4,300+ digits)
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An int in the signed 64-bit range; bools are not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        return False
+    return INT64_MIN <= value <= INT64_MAX
 
 
 def _is_number(value) -> bool:
@@ -49,7 +55,7 @@ def _is_number(value) -> bool:
 def _shown(value) -> str:
     """repr(value) for a violation message, but an int too long for Python to
     write as text (4,300 digits by default, 640 at the least) by its bit length."""
-    if _is_int(value) and value.bit_length() > 2_000:  # about 602 digits
+    if isinstance(value, int) and value.bit_length() > 2_000:  # about 602 digits
         return f"an integer of {value.bit_length()} bits"
     try:
         return repr(value)
@@ -69,8 +75,9 @@ def _nonempty_list(item=lambda x: True):
     return lambda value: isinstance(value, list) and bool(value) and all(map(item, value))
 
 
-POSITIVE_INT = (_int(1), "a positive integer")
-NON_NEGATIVE_INT = (_int(0), "a non-negative integer")
+INTEGER = (_is_int, "an integer in [-2^63, 2^63 - 1]")
+POSITIVE_INT = (_int(1), "an integer in [1, 2^63 - 1]")
+NON_NEGATIVE_INT = (_int(0), "an integer in [0, 2^63 - 1]")
 NON_NEGATIVE = (_num(lambda x: x >= 0), "a non-negative number")
 UNIT_INTERVAL = (_num(lambda x: 0 <= x <= 1), "a number in [0, 1]")
 RESERVE = (_num(lambda x: to_nano(x) >= 1), "a number that rounds to at least one nano-unit (1e-9)")
@@ -83,12 +90,9 @@ RESERVE = (_num(lambda x: to_nano(x) >= 1), "a number that rounds to at least on
 FIELDS = (
     # sizes are bounded because a run allocates per asset per user and per block
     ("assets.count", 2, _int(2, 1_000), "an integer in [2, 1000] (the numeraire included)"),
-    ("assets.names", None,
-     lambda v: v is None or isinstance(v, list) and all(isinstance(n, str) for n in v),
-     "a list of strings"),
     ("pools", None, _nonempty_list(), "a non-empty list of pool mappings"),
-    ("pools[].venue", None, _is_int, "an integer"),
-    ("pools[].asset", None, _is_int, "an integer"),
+    ("pools[].venue", None, *INTEGER),
+    ("pools[].asset", None, *INTEGER),
     ("pools[].reserve_asset", None, *RESERVE),
     ("pools[].reserve_numeraire", None, *RESERVE),
     ("pools[].fee", 0.0, _num(lambda x: x >= 0 and ppb(x) < MAX_FEE_PPB), "a number in [0, 0.1)"),
@@ -127,21 +131,20 @@ FIELDS = (
          {"id": 3, "noise": 0.2, "coverage": 0.6},
      ],
      _nonempty_list(), "a non-empty list of profile mappings"),
-    ("searchers.profiles[].id", None, _is_int, "an integer"),
+    ("searchers.profiles[].id", None, *INTEGER),
     ("searchers.profiles[].noise", 0.0, *NON_NEGATIVE),
     ("searchers.profiles[].coverage", 1.0, _num(lambda x: 0 < x <= 1), "a number in (0, 1]"),
     ("governance.allowed_funding", list(_FUNDING), _nonempty_list(lambda f: f in _FUNDING),
      "a non-empty list from " + ", ".join(_FUNDING)),
     ("governance.max_set_size", 16, *POSITIVE_INT),
-    ("feasibility.max_txs_per_block", 16, *POSITIVE_INT),
-    ("feasibility.min_net_profit", 0.0, _is_number, "a number"),
+    ("governance.min_net_profit", 0.0, _is_number, "a number"),
     ("producer.dishonesty_rate", 0.0, *UNIT_INTERVAL),
     ("producer.slash_penalty_multiple", 10, *NON_NEGATIVE_INT),
     ("balances.treasury_numeraire", 1_000_000.0, *NON_NEGATIVE),
     ("balances.lender_numeraire", 1_000_000_000.0, *NON_NEGATIVE),
     ("balances.external_numeraire", 1_000_000.0, *NON_NEGATIVE),
     ("chaos.forced_revert_rate", 0.0, *UNIT_INTERVAL),
-    ("seeds", [42], _nonempty_list(_int(0)), "a non-empty list of non-negative integers"),
+    ("seeds", [42], _nonempty_list(_int(0)), "a non-empty list of integers in [0, 2^63 - 1]"),
     ("mode", "autobalancer", lambda v: v in MODES, "one of " + ", ".join(MODES)),
 )
 
@@ -200,7 +203,7 @@ class ScenarioConfig:
     searcher_profiles: list[SearcherProfile]
     governance_window: int
     governance: GovernanceConditions
-    feasibility: FeasibilityPredicate
+    reference_venue_id: int
     dishonesty_rate: float
     slash_penalty_multiple: int
     treasury_numeraire: float
@@ -210,10 +213,6 @@ class ScenarioConfig:
     seeds: list[int]
     mode: str
     raw: dict = field(repr=False, default_factory=dict)
-
-    @property
-    def reference_venue_id(self) -> int:
-        return self.governance.reference_venue_id
 
     @property
     def venue_ids(self) -> list[int]:
@@ -425,11 +424,6 @@ def from_dict(raw: dict) -> ScenarioConfig:
         venue_weights = {s.venue_id: 1.0 for s in pool_specs if s.venue_id != reference}
     else:
         venue_weights = {_venue_id(k): w for k, w in weights.items()}
-    governance = GovernanceConditions(
-        allowed_funding=frozenset(Funding(f) for f in v["governance.allowed_funding"]),
-        reference_venue_id=reference,
-        max_set_size=v["governance.max_set_size"],
-    )
     return ScenarioConfig(
         asset_count=v["assets.count"],
         pool_specs=pool_specs,
@@ -465,12 +459,12 @@ def from_dict(raw: dict) -> ScenarioConfig:
             for p in _items(v, "searchers.profiles")
         ],
         governance_window=v["searchers.window"],
-        governance=governance,
-        feasibility=FeasibilityPredicate(
-            max_txs_per_block=v["feasibility.max_txs_per_block"],
-            min_net_profit=to_nano(v["feasibility.min_net_profit"]),
-            allowed_funding=governance.allowed_funding,
+        governance=GovernanceConditions(
+            allowed_funding=frozenset(Funding(f) for f in v["governance.allowed_funding"]),
+            max_set_size=v["governance.max_set_size"],
+            min_net_profit=to_nano(v["governance.min_net_profit"]),
         ),
+        reference_venue_id=reference,
         dishonesty_rate=v["producer.dishonesty_rate"],
         slash_penalty_multiple=v["producer.slash_penalty_multiple"],
         treasury_numeraire=v["balances.treasury_numeraire"],

@@ -48,7 +48,6 @@ from .rewards import (
     pay_producer,
 )
 from .searchers import (
-    Credibility,
     SearcherProposal,
     build_proposal,
     evaluate_proposals,
@@ -208,10 +207,7 @@ class SimulationRun:
         keys = list(self.state.pools)
         self._discrepancy_pairs = discrepancy_pairs(keys)
         self._deviation_pairs = deviation_pairs(keys, config.reference_venue_id)
-        self.credibility = {
-            p.searcher_id: Credibility(p.searcher_id)
-            for p in config.searcher_profiles
-        }
+        self.credibility = {p.searcher_id: 1.0 for p in config.searcher_profiles}
 
     def execute(self) -> RunResult:
         cfg = self.config
@@ -245,7 +241,7 @@ class SimulationRun:
                             self.state,
                             cfg.governance,
                             cfg.threshold,
-                            cfg.feasibility,
+                            cfg.reference_venue_id,
                             cfg.gas_per_balancer_tx,
                             self.rng_searchers[profile.searcher_id],
                         )
@@ -349,9 +345,9 @@ class SimulationRun:
                 cfg.objective_weights.delta_cap,
             )
             if selected is not None:
-                cred = self.credibility[selected.searcher_id]
-                self.credibility[selected.searcher_id] = update_credibility(
-                    cred, selected.profit_estimate, epoch_profit, cfg.beta
+                sid = selected.searcher_id
+                self.credibility[sid] = update_credibility(
+                    self.credibility[sid], selected.profit_estimate, epoch_profit, cfg.beta
                 )
             result.epoch_rows.append(
                 {
@@ -363,10 +359,7 @@ class SimulationRun:
                             "searcher_id": p.searcher_id,
                             "n_txs": len(p.ordered_txs),
                             "profit_estimate": to_units(p.profit_estimate),
-                            **{
-                                k: (float(v) if isinstance(v, (int, float)) else v)
-                                for k, v in scores.get(p.searcher_id, {}).items()
-                            },
+                            **scores[p.searcher_id],
                         }
                         for p in proposals
                     ],
@@ -378,8 +371,7 @@ class SimulationRun:
                         "satisfied": constraint.satisfied,
                     },
                     "credibility": {
-                        str(sid): cred.score
-                        for sid, cred in sorted(self.credibility.items())
+                        str(sid): score for sid, score in sorted(self.credibility.items())
                     },
                 }
             )

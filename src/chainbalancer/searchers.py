@@ -9,13 +9,14 @@ tracks how well realized profit matched the claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .arbitrage import Deviation, Funding, Threshold, opportunity_from_deviation
 from .arbitrage import execute_atomic  # noqa: F401 - perfbench/tracer.py rebinds it here
-from .chain import FeasibilityPredicate, execute_block_balancer_phase, _live_delta
+from .chain import execute_block_balancer_phase, _live_delta
 from .state import TREASURY, ChainState
 
 FUNDING_ORDER = {Funding.FLASH_LOAN: 0, Funding.NETWORK_LIQUIDITY: 1}
@@ -23,17 +24,16 @@ FUNDING_ORDER = {Funding.FLASH_LOAN: 0, Funding.NETWORK_LIQUIDITY: 1}
 
 @dataclass
 class BalancerTemplate:
-    """A re-validating arbitrage instruction: (asset, venue, funding, trigger).
+    """A re-validating arbitrage instruction: (asset, venue, funding).
 
-    Sizing is deliberately not baked in; the optimal size is recomputed
-    from live reserves at execution time.
+    Neither the trigger nor the size is baked in: both are re-checked
+    against live reserves, under the run's one `Threshold`, at execution time.
     """
 
     template_id: int
     asset: int
     venue_id: int
     funding: Funding
-    trigger_epsilon: float
     estimate: int = 0  # searcher's estimated net profit, nano-units
 
 
@@ -49,23 +49,31 @@ class SearcherProposal:
     searcher_id: int
     ordered_txs: list[BalancerTemplate]
     profit_estimate: int   # sequential-simulation total, nano-units
-    gas_estimate: int
-
-
-@dataclass
-class Credibility:
-    searcher_id: int
-    score: float = 1.0
 
 
 @dataclass
 class GovernanceConditions:
+    """What a proposal's ordered set may hold: the run's one policy."""
+
     allowed_funding: frozenset
-    reference_venue_id: int
-    max_set_size: int = 16
+    max_set_size: int = 16   # also caps the balancer txs per block
+    min_net_profit: int = 0  # floor on each template's estimate, nano-units
 
     def __post_init__(self) -> None:
         self.allowed_funding = frozenset(Funding(f) for f in self.allowed_funding)
+
+
+def check_feasibility(conditions: GovernanceConditions, ordered_txs: Sequence) -> int:
+    """1 iff the sequence fits the cap, clears the profit floor, and uses
+    allowed funding; empty sequences are vacuously feasible."""
+    if len(ordered_txs) > conditions.max_set_size:
+        return 0
+    for tx in ordered_txs:
+        if tx.estimate < conditions.min_net_profit:
+            return 0
+        if tx.funding not in conditions.allowed_funding:
+            return 0
+    return 1
 
 
 def template_id_for(asset: int, venue_id: int, funding: Funding) -> int:
@@ -88,7 +96,7 @@ def build_proposal(
     expected_state: ChainState,
     conditions: GovernanceConditions,
     threshold: Threshold,
-    predicate: FeasibilityPredicate,
+    reference_venue_id: int,
     gas_per_tx: int,
     rng: np.random.Generator,
 ) -> SearcherProposal:
@@ -100,37 +108,33 @@ def build_proposal(
     set once on a copy of the expected state, so intra-set price-impact
     interactions are priced in rather than double-counted.
 
-    The predicate is applied here, as the filter: one funding kind both the
-    predicate and governance allow (network liquidity, which avoids the
-    flash fee, when it is), the profit floor, and the size cap.
+    The conditions are applied here, as the filter: one allowed funding
+    kind (network liquidity, which avoids the flash fee, when it is), the
+    profit floor, and the size cap.
     """
-    allowed = predicate.allowed_funding & conditions.allowed_funding
-    if not allowed:
-        return SearcherProposal(profile.searcher_id, [], 0, 0)
-    funding = max(allowed, key=FUNDING_ORDER.get)
+    if not conditions.allowed_funding:
+        return SearcherProposal(profile.searcher_id, [], 0)
+    funding = max(conditions.allowed_funding, key=FUNDING_ORDER.get)
 
     candidates: list[BalancerTemplate] = []
-    for asset, venue_id in _candidate_pairs(expected_state, conditions.reference_venue_id):
+    for asset, venue_id in _candidate_pairs(expected_state, reference_venue_id):
         covered = rng.random() < profile.coverage
         noise = float(rng.normal(0.0, profile.noise)) if profile.noise > 0 else 0.0
         if not covered:
             continue
-        delta = _live_delta(expected_state, venue_id, asset, conditions.reference_venue_id)
-        estimate = 0
-        if abs(delta) > threshold.epsilon:
-            opp = opportunity_from_deviation(
-                Deviation(asset, venue_id, delta),
-                expected_state.pools,
-                conditions.reference_venue_id,
-                threshold,
-                funding=funding,
-                gas_estimate=gas_per_tx,
-            )
-            if opp is not None:
-                estimate = opp.expected_profit
+        delta = _live_delta(expected_state, venue_id, asset, reference_venue_id)
+        opp = opportunity_from_deviation(
+            Deviation(asset, venue_id, delta),
+            expected_state.pools,
+            reference_venue_id,
+            threshold,
+            funding=funding,
+            gas_estimate=gas_per_tx,
+        )
+        estimate = 0 if opp is None else opp.expected_profit
         if estimate > 0 and noise != 0.0:
             estimate = max(0, int(round(estimate * float(np.exp(noise)))))
-        if estimate < predicate.min_net_profit:
+        if estimate < conditions.min_net_profit:
             continue
         candidates.append(
             BalancerTemplate(
@@ -138,30 +142,23 @@ def build_proposal(
                 asset=asset,
                 venue_id=venue_id,
                 funding=funding,
-                trigger_epsilon=threshold.epsilon,
                 estimate=estimate,
             )
         )
 
     candidates.sort(key=lambda t: (-t.estimate, t.template_id))
-    cap = min(conditions.max_set_size, predicate.max_txs_per_block)
-    ordered = candidates[:cap]
+    ordered = candidates[:conditions.max_set_size]
 
     # a residual of one transaction per template never binds
     sim_profit = _replay_once(
         expected_state,
         ordered,
         threshold,
-        conditions.reference_venue_id,
+        reference_venue_id,
         gas_per_tx,
         gas_per_tx * len(ordered),
     )
-    return SearcherProposal(
-        searcher_id=profile.searcher_id,
-        ordered_txs=ordered,
-        profit_estimate=sim_profit,
-        gas_estimate=gas_per_tx * len(ordered),
-    )
+    return SearcherProposal(profile.searcher_id, ordered, sim_profit)
 
 
 def _replay_once(
@@ -188,7 +185,7 @@ def _replay_once(
 def evaluate_proposals(
     proposals: list[SearcherProposal],
     recent_blocks: list[tuple[ChainState, int]],
-    credibility: dict[int, Credibility],
+    credibility: dict[int, float],
     threshold: Threshold,
     reference_venue_id: int,
     gas_per_tx: int,
@@ -221,7 +218,7 @@ def evaluate_proposals(
             sim_profit = sum(replayed) / len(replayed)
         else:
             sim_profit = 0.0
-        cred = credibility[proposal.searcher_id].score
+        cred = credibility[proposal.searcher_id]
         score = cred * sim_profit
         scores[proposal.searcher_id] = {
             "simulated_net_profit": sim_profit,
@@ -237,14 +234,12 @@ def evaluate_proposals(
 
 
 def update_credibility(
-    cred: Credibility, predicted_profit: int, realized_profit: int, beta: float = 0.8
-) -> Credibility:
+    score: float, predicted_profit: int, realized_profit: int, beta: float = 0.8
+) -> float:
     """EWMA of the clamped realized/predicted ratio; stays in [0, 1]."""
     if predicted_profit > 0:
         ratio = realized_profit / predicted_profit
     else:
         ratio = 1.0 if realized_profit >= 0 else 0.0
     ratio = min(1.0, max(0.0, ratio))
-    new_score = beta * cred.score + (1.0 - beta) * ratio
-    new_score = min(1.0, max(0.0, new_score))
-    return replace(cred, score=new_score)
+    return min(1.0, max(0.0, beta * score + (1.0 - beta) * ratio))

@@ -22,7 +22,7 @@ from chainbalancer import (
     run_scenario,
     spot_price,
 )
-from chainbalancer.chain import FeasibilityPredicate, execute_block_balancer_phase
+from chainbalancer.chain import execute_block_balancer_phase
 from chainbalancer.config import from_dict
 from chainbalancer.market import NUMERAIRE
 from chainbalancer.report import dumps_report
@@ -360,10 +360,8 @@ class TestCriterion7OrderingAudit:
         gas = 90_000
         conditions = GovernanceConditions(
             allowed_funding=frozenset({Funding.FLASH_LOAN}),
-            reference_venue_id=0,
             max_set_size=16,
         )
-        predicate = FeasibilityPredicate(max_txs_per_block=16)
 
         def plan_profit(state, templates, slots):
             sim = state.clone()
@@ -384,7 +382,7 @@ class TestCriterion7OrderingAudit:
                 state,
                 conditions,
                 threshold,
-                predicate,
+                0,
                 gas,
                 np.random.Generator(np.random.PCG64(0)),
             )
@@ -450,8 +448,9 @@ def scale_scenario():
             "blocks": {"epochs": 200, "epoch_length": 50},
             "user_flow": {"rate": 5.0, "size_mu": 2.6, "size_sigma": 0.7},
             "searchers": {"window": 4},
-            "governance": {"allowed_funding": ["flash_loan"], "max_set_size": 24},
-            "feasibility": {"max_txs_per_block": 24, "min_net_profit": 0.0},
+            "governance": {
+                "allowed_funding": ["flash_loan"], "max_set_size": 24, "min_net_profit": 0.0
+            },
             "seeds": [42],
         }
     )

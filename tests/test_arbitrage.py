@@ -226,7 +226,7 @@ class TestExecuteAtomic:
     def test_unprofitable_after_costs_reverts(self):
         # gas so expensive that proceeds cannot cover it
         state, dev, thr = _arb_fixture(gas_price=1.0)
-        opp = opportunity_from_deviation(dev, state.pools, 0, thr, Funding.FLASH_LOAN, 90_000, trigger_epsilon=0.003)
+        opp = opportunity_from_deviation(dev, state.pools, 0, thr, Funding.FLASH_LOAN, 90_000)
         # detection already refuses it: net profit would be negative
         assert opp is None
 

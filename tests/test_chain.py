@@ -6,10 +6,8 @@ import pytest
 from chainbalancer import Funding, SwapDirection, Threshold, spot_price
 from chainbalancer.chain import (
     Block,
-    FeasibilityPredicate,
     UserFlowParams,
     UserTx,
-    check_feasibility,
     execute_block_balancer_phase,
     execute_block_user_phase,
     generate_user_flow,
@@ -190,38 +188,14 @@ class TestUtilizationAndPsi:
         assert performance_cost_psi(ramp, u_star=0.9) == pytest.approx(0.5)
 
 
-def _template(asset=1, venue=1, estimate=0, funding=Funding.FLASH_LOAN, epsilon=0.003):
+def _template(asset=1, venue=1, estimate=0, funding=Funding.FLASH_LOAN):
     return BalancerTemplate(
         template_id=template_id_for(asset, venue, funding),
         asset=asset,
         venue_id=venue,
         funding=funding,
-        trigger_epsilon=epsilon,
         estimate=estimate,
     )
-
-
-class TestFeasibility:
-    def test_empty_sequence_feasible(self):
-        assert check_feasibility(FeasibilityPredicate(), []) == 1
-
-    def test_negative_profit_infeasible(self):
-        pred = FeasibilityPredicate(min_net_profit=0)
-        assert check_feasibility(pred, [_template(estimate=-1)]) == 0
-
-    def test_count_cap(self):
-        pred = FeasibilityPredicate(max_txs_per_block=10)
-        txs = [_template(venue=1, asset=a) for a in range(1, 12)]
-        assert check_feasibility(pred, txs) == 0
-
-    def test_funding_filter(self):
-        pred = FeasibilityPredicate(allowed_funding=frozenset({Funding.FLASH_LOAN}))
-        assert check_feasibility(pred, [_template(funding=Funding.NETWORK_LIQUIDITY)]) == 0
-
-    def test_deterministic(self):
-        pred = FeasibilityPredicate()
-        txs = [_template(estimate=5)]
-        assert check_feasibility(pred, txs) == check_feasibility(pred, txs)
 
 
 def _gapped_state(gap=0.02):

@@ -20,7 +20,7 @@ from conftest import baseline_raw
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 MODES_RULE = "modes must be one or more of off,autobalancer,external"
-SEEDS_RULE = "seeds must be a non-empty list of non-negative integers"
+SEEDS_RULE = "seeds must be a non-empty list of integers in [0, 2^63 - 1]"
 
 
 def minimal_raw():
@@ -97,7 +97,7 @@ class TestLoadScenario:
         with pytest.raises(ValidationError) as err:
             from_dict(raw)
         assert err.value.violations == [
-            "pools[2].venue: must be an integer, got 1.5"
+            "pools[2].venue: must be an integer in [-2^63, 2^63 - 1], got 1.5"
         ]
 
     def test_load_from_file(self, tmp_path):
@@ -251,6 +251,8 @@ class TestCli:
             ("--seeds", "1,x", "argument --seeds: seeds must be comma-separated integers, got '1,x'"),
             ("--seeds", ",", f"argument --seeds: {SEEDS_RULE}, got ','"),
             ("--seeds", "-1", f"argument --seeds: {SEEDS_RULE}, got '-1'"),
+            ("--seeds", "1,9223372036854775808",
+             f"argument --seeds: {SEEDS_RULE}, got '1,9223372036854775808'"),
         ],
     )
     def test_compare_bad_list_is_usage_error(self, tmp_path, monkeypatch, capsys, flag, value, message):
@@ -269,7 +271,9 @@ class TestCli:
         assert message in err
         assert "runtime abort" not in err
 
-    def test_run_negative_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("seed", ["-1", str(2**63)])
+    def test_run_bad_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, seed):
+        """A seed must be an integer in [0, 2^63 - 1], as the scenario's `seeds` must."""
         path = self._write(tmp_path, minimal_raw())
 
         def must_not_run(*args, **kwargs):
@@ -278,11 +282,11 @@ class TestCli:
         monkeypatch.setattr("chainbalancer.cli.load_scenario", must_not_run)
         monkeypatch.setattr("chainbalancer.cli.run_scenario", must_not_run)
         with pytest.raises(SystemExit) as exit_info:
-            main(["run", path, "--seed", "-1"])
+            main(["run", path, "--seed", seed])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: chainbalancer run")
-        assert "argument --seed: seed must be a non-negative integer, got '-1'" in err
+        assert f"argument --seed: seed must be an integer in [0, 2^63 - 1], got '{seed}'" in err
         assert "runtime abort" not in err
 
 

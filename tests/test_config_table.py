@@ -6,6 +6,7 @@ pinned; README's defaults table is checked against `config.FIELDS`.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -24,9 +25,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "scenarios").glob("*.yaml"))
 
 PINNED_HASHES = {
-    "baseline.yaml": "916997024ead284297a7963164e154adf185d0db741ab7501b70604bc1c51911",
-    "chaos.yaml": "e12d961b94561bf00e3ac6eb6536b8c782919f5b873b04d5b6d9fcaec2bf77e6",
-    "scale.yaml": "e9c2101bae473bbe860582de2671481d3b4bf17d82b21e5090140a2cfd6e507f",
+    "baseline.yaml": "51dfff5f8f472779e52e48748232037a13efa41e102fe795fe3b9c3c67c29a14",
+    "chaos.yaml": "50da8e28113072d75575be8f88f3016b4e2994ba4958b7029acb17afcc6fafc9",
+    "scale.yaml": "da3338b30078834913440057342742b5699ed4b97614c36d356e3f1642f9c1fa",
 }
 
 # a field path ("pools[3].reserve_asset"), then ": "
@@ -126,6 +127,11 @@ def test_mutated_scenario_loads_or_lists_violations(name, data, scratch):
         # only the reference venue: the default user flow has no venue (ValueError before)
         ("pools", [{"venue": 0, "asset": 1, "reserve_asset": 1.0, "reserve_numeraire": 1.0,
                     "reference": True}], "user_flow.venue_weights"),
+        # accepted, then config_hash() raised ValueError (an int over 4,300
+        # digits, which also cannot print as a test id)
+        pytest.param("blocks.capacity", 10**5000, "blocks.capacity", id="capacity-10**5000"),
+        pytest.param("searchers.window", 10**5000, "searchers.window", id="window-10**5000"),
+        pytest.param("seeds", [10**5000], "seeds", id="seeds-10**5000"),
     ],
 )
 def test_former_crash_is_a_violation_at_its_path(path, value, violation_at):
@@ -159,11 +165,13 @@ def test_validate_names_the_field_and_exits_1(old, new, path, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "path,limit",
-    [("assets.count", 1_000), ("user_flow.num_users", 10_000), ("blocks.epochs", 50_000)],
+    [("assets.count", 1_000), ("user_flow.num_users", 10_000), ("blocks.epochs", 50_000),
+     ("blocks.capacity", 2**63 - 1), ("searchers.window", 2**63 - 1)],
 )
 def test_size_bounds_are_inclusive(path, limit):
     """The largest accepted size; one more is a violation at its path
-    (baseline epochs are 20 blocks, so 50,000 epochs are 1,000,000 blocks)."""
+    (baseline epochs are 20 blocks, so 50,000 epochs are 1,000,000 blocks;
+    every integer is a signed 64-bit one)."""
     from_dict(_set(_raw("baseline.yaml"), path, limit))
     with pytest.raises(ValidationError) as err:
         from_dict(_set(_raw("baseline.yaml"), path, limit + 1))
@@ -203,18 +211,29 @@ def test_unreadable_file_exits_1(content, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("invalid scenario:")
 
 
-def test_unknown_keys_are_violations():
+def test_unknown_keys_are_violations(tmp_path, capsys):
     raw = _raw("baseline.yaml")
     raw["extra"] = 1
     raw["blocks"]["capcity"] = 5
     raw["pools"][1]["fees"] = 0.003
-    with pytest.raises(ValidationError) as err:
-        from_dict(raw)
-    assert sorted(err.value.violations) == [
+    # keys of the old schema: the cap and profit floor are governance rows now
+    raw["feasibility"] = {"max_txs_per_block": 16, "min_net_profit": 0.0}
+    raw["assets"]["names"] = ["numeraire", "alpha", "beta"]
+    expected = [
+        "assets.names: unknown key",
         "blocks.capcity: unknown key",
         "extra: unknown key",
+        "feasibility: unknown key",
         "pools[1].fees: unknown key",
     ]
+    with pytest.raises(ValidationError) as err:
+        from_dict(copy.deepcopy(raw))
+    assert sorted(err.value.violations) == expected
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["validate", str(scenario)]) == 1
+    err_text = capsys.readouterr().err
+    assert all(f"\n  {v}" in err_text for v in expected), err_text
 
 
 def test_integer_delta_reports_as_a_float():
@@ -228,6 +247,73 @@ def test_integer_delta_reports_as_a_float():
 @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
 def test_config_hash_pinned(name):
     assert load_scenario(ROOT / "scenarios" / name).config_hash() == PINNED_HASHES[name]
+
+
+# a valid value for every top-level and section row, unlike baseline's own
+# (or its default), so each row has to show that something reads it
+ALTERNATIVES = {
+    "assets.count": 4,
+    "pools": [
+        {"venue": 0, "asset": 1, "reserve_asset": 30000.0, "reserve_numeraire": 30000.0,
+         "reference": True},
+        {"venue": 1, "asset": 1, "reserve_asset": 3000.0, "reserve_numeraire": 3030.0},
+    ],
+    "blocks.capacity": 2_000_000,
+    "blocks.epoch_length": 10,
+    "blocks.epochs": 5,
+    "blocks.gas_per_user_swap": 30_000,
+    "blocks.gas_per_balancer_tx": 100_000,
+    "user_flow.rate": 2.0,
+    "user_flow.size_mu": 2.0,
+    "user_flow.size_sigma": 0.5,
+    "user_flow.num_users": 4,
+    "user_flow.endowment": 500_000.0,
+    "user_flow.venue_weights": {1: 2.0, 2: 1.0, 3: 1.0},
+    "threshold.epsilon": 0.005,
+    "threshold.flash_fee": 0.001,
+    "threshold.gas_price": 2.0e-7,
+    "weights.omega": {"searchers": 0.5, "marketplaces": 0.3, "treasury": 0.2},
+    "weights.lambda1": 2.0,
+    "weights.lambda2": 0.2,
+    "weights.delta": 0.1,
+    "weights.u_star": 0.8,
+    "weights.gamma": 0.6,
+    "weights.beta": 0.7,
+    "searchers.window": 8,
+    "searchers.profiles": [{"id": 0}],
+    "governance.allowed_funding": ["flash_loan"],
+    "governance.max_set_size": 8,
+    "governance.min_net_profit": 1.0,
+    "producer.dishonesty_rate": 0.1,
+    "producer.slash_penalty_multiple": 5,
+    "balances.treasury_numeraire": 2_000_000.0,
+    "balances.lender_numeraire": 2_000_000_000.0,
+    "balances.external_numeraire": 2_000_000.0,
+    "chaos.forced_revert_rate": 0.2,
+    "seeds": [7],
+    "mode": "off",
+}
+
+
+def _built(raw: dict) -> dict:
+    """The built config's fields, the hashed mapping excluded."""
+    config = from_dict(raw)
+    return {f.name: getattr(config, f.name) for f in dataclasses.fields(config) if f.name != "raw"}
+
+
+def test_alternatives_cover_every_key():
+    assert set(ALTERNATIVES) == {path for path, *_ in FIELDS if "[]" not in path}
+
+
+@pytest.mark.parametrize("path", sorted(ALTERNATIVES))
+def test_every_scenario_key_is_read(path):
+    """A key that is validated and hashed but changes nothing is dead."""
+    baseline = _raw("baseline.yaml")
+    section, _, key = path.rpartition(".")
+    merged = from_dict(copy.deepcopy(baseline)).raw
+    assert (merged.get(section, {}) if section else merged).get(key) != ALTERNATIVES[path]
+    changed = _set(copy.deepcopy(baseline), path, copy.deepcopy(ALTERNATIVES[path]))
+    assert _built(changed) != _built(baseline)
 
 
 def test_readme_defaults_match_field_table():

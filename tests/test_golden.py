@@ -22,15 +22,15 @@ from chainbalancer.report import write_json
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
-    ("baseline", "off"): "f7af00cdd5459a36f8030e7068232dbe1c0e62078080b191e741314e76160451",
-    ("baseline", "autobalancer"): "3b1cea47b805f5005726730eee428e3b90b1f20cc5442b777d56432d068b1d5c",
-    ("baseline", "external"): "60e434d50183e3b8108dd52bd0c85ee1bcb855ddf78ab46c0bb436a94d8cfe49",
-    ("chaos", "off"): "082f77c635f5e0509663774c72f45ba97e9f158b00ef694705b3153945f5cf77",
-    ("chaos", "autobalancer"): "1bd3970b1f094491374f8ef830e8aef68e0579a934865ab9c7173f5954ee557e",
-    ("chaos", "external"): "f227accab17e78c7e07d6e784e20f44c6bc621b41f0c659bb177fc77bc23ea41",
-    ("scale", "off"): "f8220d0c8884a05f4e763643bb4cf5bb8079309b271507a93757ae136b9f83b4",
-    ("scale", "autobalancer"): "155c36826edd77e26a925a8875d6058a4d336ea8411c3cebcba8297c2ce565b3",
-    ("scale", "external"): "448d01e33b3f0ccba115c96f7fc5763d9608f9155c8b585e1c89a3a4f6a8e596",
+    ("baseline", "off"): "3416baefabfe6a6eb58210b8884a6031ee120639f840557af9d4716c1a7ad2b5",
+    ("baseline", "autobalancer"): "8684f391c212abe223b51a5938c37ef84c640abb29e3f68dddcbbc63f3c481e9",
+    ("baseline", "external"): "40376de1470e670728a880328b748c19ee90e83619e76226e455b873dbcdb0c0",
+    ("chaos", "off"): "cbcc113c4f7ea0d0f24f295ef7e7ab18a963baca3ffa35d89e9625ab53aa58e1",
+    ("chaos", "autobalancer"): "75038c0839078097b16f4b947213e5008a9cf1b3f6eed2570a0739a1986cb1ec",
+    ("chaos", "external"): "a953a3d6202f3371a132335c84f7bd2363eeaa29a3fb1e4e3c06abbcb93f6444",
+    ("scale", "off"): "43b8a680303f162ea916dd5ddd8f17d2e14d76adb042995e2427e4edc6c7ffb3",
+    ("scale", "autobalancer"): "acc673be7bcf2457174060b6103ec67f3212ddaed7f1c0e547f47f5fba625e1d",
+    ("scale", "external"): "4f977232aa6a98d43ac10907662dcf6c8bc7238e44f1cd08a5cb6bb9e1fa37d5",
 }
 SCALE_EPOCHS = 4
 

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from chainbalancer import Funding, Threshold, execute_atomic
 from chainbalancer.arbitrage import Deviation, opportunity_from_deviation
-from chainbalancer.chain import FeasibilityPredicate, _live_delta, check_feasibility
+from chainbalancer.chain import _live_delta
 from chainbalancer.searchers import (
     BalancerTemplate,
-    Credibility,
     GovernanceConditions,
     SearcherProfile,
     SearcherProposal,
     build_proposal,
+    check_feasibility,
     evaluate_proposals,
     template_id_for,
     update_credibility,
@@ -42,11 +42,11 @@ def three_gap_state():
     return make_state(pools)
 
 
-def conditions(max_set=16, funding=("flash_loan", "network_liquidity")):
+def conditions(max_set=16, funding=("flash_loan", "network_liquidity"), min_net_profit=0):
     return GovernanceConditions(
         allowed_funding=frozenset(Funding(f) for f in funding),
-        reference_venue_id=0,
         max_set_size=max_set,
+        min_net_profit=min_net_profit,
     )
 
 
@@ -58,7 +58,7 @@ class TestBuildProposal:
             state,
             conditions(),
             THRESHOLD,
-            FeasibilityPredicate(),
+            0,
             GAS_PER_TX,
             rng_for(0),
         )
@@ -75,7 +75,7 @@ class TestBuildProposal:
             state,
             conditions(),
             THRESHOLD,
-            FeasibilityPredicate(),
+            0,
             GAS_PER_TX,
             rng_for(0),
         )
@@ -88,7 +88,7 @@ class TestBuildProposal:
             state,
             conditions(),
             THRESHOLD,
-            FeasibilityPredicate(),
+            0,
             GAS_PER_TX,
         )
         a = build_proposal(SearcherProfile(0), *args, rng_for(7))
@@ -103,7 +103,7 @@ class TestBuildProposal:
             state,
             conditions(),
             THRESHOLD,
-            FeasibilityPredicate(),
+            0,
             GAS_PER_TX,
             rng_for(0),
         )
@@ -111,7 +111,7 @@ class TestBuildProposal:
         total = 0
         for tpl in proposal.ordered_txs:
             delta = _live_delta(sim, tpl.venue_id, tpl.asset, 0)
-            if abs(delta) <= tpl.trigger_epsilon:
+            if abs(delta) <= THRESHOLD.epsilon:
                 continue
             opp = opportunity_from_deviation(
                 Deviation(tpl.asset, tpl.venue_id, delta),
@@ -120,7 +120,6 @@ class TestBuildProposal:
                 THRESHOLD,
                 funding=tpl.funding,
                 gas_estimate=GAS_PER_TX,
-                trigger_epsilon=tpl.trigger_epsilon,
             )
             if opp is None:
                 continue
@@ -137,9 +136,9 @@ class TestBuildProposal:
             make_pool(1, asset=1, reserve_asset=5000, reserve_numeraire=5000, fee=0.003),
         ]
         state = make_state(pools)
-        predicate = FeasibilityPredicate(min_net_profit=1)
         proposal = build_proposal(
-            SearcherProfile(0), state, conditions(), THRESHOLD, predicate, GAS_PER_TX, rng_for(0)
+            SearcherProfile(0), state, conditions(min_net_profit=1), THRESHOLD, 0, GAS_PER_TX,
+            rng_for(0),
         )
         assert proposal.ordered_txs == []
         assert proposal.profit_estimate == 0
@@ -148,11 +147,11 @@ class TestBuildProposal:
         state = three_gap_state()
         full = build_proposal(
             SearcherProfile(0, coverage=1.0), state, conditions(), THRESHOLD,
-            FeasibilityPredicate(), GAS_PER_TX, rng_for(5),
+            0, GAS_PER_TX, rng_for(5),
         )
         partial = build_proposal(
             SearcherProfile(1, coverage=0.34), state, conditions(), THRESHOLD,
-            FeasibilityPredicate(), GAS_PER_TX, rng_for(5),
+            0, GAS_PER_TX, rng_for(5),
         )
         assert len(partial.ordered_txs) < len(full.ordered_txs)
 
@@ -162,7 +161,6 @@ def proposal_of(searcher_id, templates):
         searcher_id=searcher_id,
         ordered_txs=templates,
         profit_estimate=sum(t.estimate for t in templates),
-        gas_estimate=GAS_PER_TX * len(templates),
     )
 
 
@@ -171,20 +169,19 @@ class TestEvaluateProposals:
         state = three_gap_state()
         p0 = build_proposal(
             SearcherProfile(0), state, conditions(), THRESHOLD,
-            FeasibilityPredicate(), GAS_PER_TX, rng_for(0),
+            0, GAS_PER_TX, rng_for(0),
         )
         # searcher 1 only sees venue 1 (the weakest gap)
         t1 = BalancerTemplate(
             template_id=template_id_for(1, 1, Funding.NETWORK_LIQUIDITY),
-            asset=1, venue_id=1, funding=Funding.NETWORK_LIQUIDITY,
-            trigger_epsilon=THRESHOLD.epsilon, estimate=1,
+            asset=1, venue_id=1, funding=Funding.NETWORK_LIQUIDITY, estimate=1,
         )
         p1 = proposal_of(1, [t1])
         return state, p0, p1
 
     def test_higher_replayed_profit_wins_on_equal_credibility(self):
         state, p0, p1 = self._proposals()
-        cred = {0: Credibility(0, 1.0), 1: Credibility(1, 1.0)}
+        cred = {0: 1.0, 1: 1.0}
         selected, scores = evaluate_proposals(
             [p0, p1], [(state, 1_000_000)], cred, THRESHOLD, 0, GAS_PER_TX
         )
@@ -193,11 +190,11 @@ class TestEvaluateProposals:
 
     def test_credibility_weighting_flips_selection(self):
         state, p0, p1 = self._proposals()
-        s0 = evaluate_proposals([p0, p1], [(state, 1_000_000)], {0: Credibility(0, 1.0), 1: Credibility(1, 1.0)}, THRESHOLD, 0, GAS_PER_TX)[1]
+        s0 = evaluate_proposals([p0, p1], [(state, 1_000_000)], {0: 1.0, 1: 1.0}, THRESHOLD, 0, GAS_PER_TX)[1]
         # weight searcher 0 down until its score drops below searcher 1's
         ratio = s0[1]["simulated_net_profit"] / s0[0]["simulated_net_profit"]
         low = ratio * 0.5
-        cred = {0: Credibility(0, low), 1: Credibility(1, 1.0)}
+        cred = {0: low, 1: 1.0}
         selected, scores = evaluate_proposals(
             [p0, p1], [(state, 1_000_000)], cred, THRESHOLD, 0, GAS_PER_TX
         )
@@ -206,7 +203,7 @@ class TestEvaluateProposals:
 
     def test_single_proposal_selected_regardless(self):
         state, p0, _ = self._proposals()
-        cred = {0: Credibility(0, 0.0)}
+        cred = {0: 0.0}
         selected, _ = evaluate_proposals(
             [p0], [(state, 1_000_000)], cred, THRESHOLD, 0, GAS_PER_TX
         )
@@ -214,7 +211,7 @@ class TestEvaluateProposals:
 
     def test_all_empty_proposals_select_nothing(self):
         state = three_gap_state()
-        cred = {0: Credibility(0), 1: Credibility(1)}
+        cred = {0: 1.0, 1: 1.0}
         selected, _ = evaluate_proposals(
             [proposal_of(0, []), proposal_of(1, [])],
             [(state, 1_000_000)],
@@ -239,7 +236,7 @@ class TestEvaluateProposals:
                 pool.reserve_quote *= factor
             return s
 
-        cred = {0: Credibility(0, 0.9), 1: Credibility(1, 1.0)}
+        cred = {0: 0.9, 1: 1.0}
         base_sel, base_scores = evaluate_proposals(
             [p0, p1], [(scaled(1), 10**9)], cred, thr, 0, GAS_PER_TX
         )
@@ -255,13 +252,13 @@ class TestEvaluateProposals:
         state = three_gap_state()
         p_a = build_proposal(
             SearcherProfile(3), state, conditions(), THRESHOLD,
-            FeasibilityPredicate(), GAS_PER_TX, rng_for(0),
+            0, GAS_PER_TX, rng_for(0),
         )
         p_b = build_proposal(
             SearcherProfile(1), state, conditions(), THRESHOLD,
-            FeasibilityPredicate(), GAS_PER_TX, rng_for(0),
+            0, GAS_PER_TX, rng_for(0),
         )
-        cred = {1: Credibility(1, 0.7), 3: Credibility(3, 0.7)}
+        cred = {1: 0.7, 3: 0.7}
         selected, _ = evaluate_proposals(
             [p_a, p_b], [(state, 10**6)], cred, THRESHOLD, 0, GAS_PER_TX
         )
@@ -270,20 +267,17 @@ class TestEvaluateProposals:
 
 class TestCredibility:
     def test_perfect_prediction_fixed_point(self):
-        cred = Credibility(0, 1.0)
-        assert update_credibility(cred, 100, 100).score == 1.0
+        assert update_credibility(1.0, 100, 100) == 1.0
 
     def test_zero_realization_decays_by_beta(self):
-        cred = Credibility(0, 1.0)
-        assert update_credibility(cred, 100, 0, beta=0.8).score == pytest.approx(0.8)
+        assert update_credibility(1.0, 100, 0, beta=0.8) == pytest.approx(0.8)
 
     def test_matching_ratio_is_fixed_point(self):
-        cred = Credibility(0, 0.5)
-        assert update_credibility(cred, 100, 50, beta=0.8).score == pytest.approx(0.5)
+        assert update_credibility(0.5, 100, 50, beta=0.8) == pytest.approx(0.5)
 
     def test_zero_prediction_convention(self):
-        assert update_credibility(Credibility(0, 0.5), 0, 10).score == pytest.approx(0.6)
-        assert update_credibility(Credibility(0, 0.5), 0, -1).score == pytest.approx(0.4)
+        assert update_credibility(0.5, 0, 10) == pytest.approx(0.6)
+        assert update_credibility(0.5, 0, -1) == pytest.approx(0.4)
 
     @given(
         updates=st.lists(
@@ -298,56 +292,80 @@ class TestCredibility:
     )
     @settings(max_examples=200, deadline=None)
     def test_score_bounded_under_any_sequence(self, updates, start, beta):
-        cred = Credibility(0, start)
+        score = start
         for predicted, realized in updates:
-            cred = update_credibility(cred, predicted, realized, beta)
-            assert 0.0 <= cred.score <= 1.0
+            score = update_credibility(score, predicted, realized, beta)
+            assert isinstance(score, float) and 0.0 <= score <= 1.0
+
+
+def _template(asset=1, venue=1, estimate=0, funding=Funding.FLASH_LOAN):
+    return BalancerTemplate(
+        template_id=template_id_for(asset, venue, funding),
+        asset=asset,
+        venue_id=venue,
+        funding=funding,
+        estimate=estimate,
+    )
+
+
+class TestFeasibility:
+    def test_empty_sequence_feasible(self):
+        assert check_feasibility(conditions(), []) == 1
+
+    def test_negative_profit_infeasible(self):
+        assert check_feasibility(conditions(min_net_profit=0), [_template(estimate=-1)]) == 0
+
+    def test_count_cap(self):
+        txs = [_template(venue=1, asset=a) for a in range(1, 12)]
+        assert check_feasibility(conditions(max_set=10), txs) == 0
+
+    def test_funding_filter(self):
+        cond = conditions(funding=("flash_loan",))
+        assert check_feasibility(cond, [_template(funding=Funding.NETWORK_LIQUIDITY)]) == 0
+
+    def test_deterministic(self):
+        txs = [_template(estimate=5)]
+        assert check_feasibility(conditions(), txs) == check_feasibility(conditions(), txs)
 
 
 FL, NL = Funding.FLASH_LOAN, Funding.NETWORK_LIQUIDITY
-BOTH = frozenset({FL, NL})
 
-# (governance funding, predicate funding, funding every template must use;
-# None means the intersection is empty and so is the proposal)
+# (allowed funding, funding every template must use; None means no
+# funding is allowed and the proposal is empty)
 FUNDING_CASES = [
-    (BOTH, BOTH, NL),                        # both allowed: network liquidity
-    (BOTH, frozenset({FL}), FL),             # predicate narrower than governance
-    (frozenset({FL}), BOTH, FL),             # governance narrower than predicate
-    (frozenset({NL}), frozenset({FL}), None),  # disjoint sets
-    (frozenset(), BOTH, None),               # governance allows no funding at all
+    (frozenset({FL, NL}), NL),  # both allowed: network liquidity avoids the flash fee
+    (frozenset({FL}), FL),
+    (frozenset({NL}), NL),
+    (frozenset(), None),
 ]
 
 
 @pytest.mark.parametrize(
-    "governance,allowed,expected",
-    FUNDING_CASES,
-    ids=["both", "predicate-narrower", "governance-narrower", "disjoint", "governance-empty"],
+    "allowed,expected", FUNDING_CASES, ids=["both", "flash-loan", "network-liquidity", "empty"]
 )
 @pytest.mark.parametrize("min_net_profit", [0, 1, 10**18])
-@pytest.mark.parametrize("max_set,max_txs", [(16, 2), (2, 16)])
+@pytest.mark.parametrize("max_set", [1, 2, 16])
 @pytest.mark.parametrize("noise", [0.0, 0.5])
 def test_every_proposal_passes_the_feasibility_oracle(
-    governance, allowed, expected, min_net_profit, max_set, max_txs, noise
+    allowed, expected, min_net_profit, max_set, noise
 ):
-    """The candidate filter is the only place the predicate is applied;
+    """The candidate filter is the only place the conditions are applied;
     `check_feasibility` stays the independent oracle for its output."""
-    predicate = FeasibilityPredicate(
-        max_txs_per_block=max_txs, min_net_profit=min_net_profit, allowed_funding=allowed
-    )
+    cond = GovernanceConditions(allowed, max_set_size=max_set, min_net_profit=min_net_profit)
     proposal = build_proposal(
         SearcherProfile(0, noise=noise),
         three_gap_state(),
-        GovernanceConditions(governance, reference_venue_id=0, max_set_size=max_set),
+        cond,
         THRESHOLD,
-        predicate,
+        0,
         GAS_PER_TX,
         rng_for(11),
     )
     ordered = proposal.ordered_txs
-    assert check_feasibility(predicate, ordered) == 1
-    assert len(ordered) <= min(max_set, max_txs)
+    assert check_feasibility(cond, ordered) == 1
     if expected is None or min_net_profit == 10**18:
         assert ordered == [] and proposal.profit_estimate == 0
     else:
-        assert len(ordered) == 2
+        # three profitable gaps, cut at the cap
+        assert len(ordered) == min(max_set, 3)
         assert {t.funding for t in ordered} == {expected}
