@@ -43,7 +43,6 @@ class UserTx:
 class ExecRecord:
     """One committed balancer execution."""
 
-    template_id: int
     asset: int
     venue_id: int
     direction: str
@@ -57,7 +56,6 @@ class ExecRecord:
 
 @dataclass
 class SkipRecord:
-    template_id: int
     asset: int
     venue_id: int
     reason: str
@@ -255,9 +253,7 @@ def execute_block_balancer_phase(
             break
         delta = _live_delta(state, tpl.venue_id, tpl.asset, reference_venue_id)
         if abs(delta) <= threshold.epsilon:
-            skipped.append(
-                SkipRecord(tpl.template_id, tpl.asset, tpl.venue_id, "below_epsilon", "skip")
-            )
+            skipped.append(SkipRecord(tpl.asset, tpl.venue_id, "below_epsilon", "skip"))
             continue
         deviation = Deviation(tpl.asset, tpl.venue_id, delta)
         opp = opportunity_from_deviation(
@@ -269,9 +265,7 @@ def execute_block_balancer_phase(
             gas_estimate=gas_per_tx,
         )
         if opp is None:
-            skipped.append(
-                SkipRecord(tpl.template_id, tpl.asset, tpl.venue_id, "unprofitable", "skip")
-            )
+            skipped.append(SkipRecord(tpl.asset, tpl.venue_id, "unprofitable", "skip"))
             continue
         inject = bool(fault_injector(tpl)) if fault_injector is not None else False
         result = execute_atomic(
@@ -289,7 +283,6 @@ def execute_block_balancer_phase(
             profit_total += result.profit
             executed.append(
                 ExecRecord(
-                    template_id=tpl.template_id,
                     asset=tpl.asset,
                     venue_id=tpl.venue_id,
                     direction=opp.direction.value,
@@ -302,9 +295,7 @@ def execute_block_balancer_phase(
                 )
             )
         else:
-            skipped.append(
-                SkipRecord(tpl.template_id, tpl.asset, tpl.venue_id, result.reason, "revert")
-            )
+            skipped.append(SkipRecord(tpl.asset, tpl.venue_id, result.reason, "revert"))
     return BalancerPhaseResult(
         executed=executed,
         skipped=skipped,

@@ -1,16 +1,19 @@
 """Epoch reward distribution, producer fees, and slashing.
 
-The epoch profit pool splits across searchers, marketplaces, and the
-treasury by configured weights; the marketplace share subdivides in
-proportion to each venue's realized contribution. Allocation arithmetic is
-exact (stdlib fractions); physical payouts quantize to nano-units with the
-last share absorbing the rounding remainder, so the quantized payouts also
-sum to the pool exactly.
+A venue's contribution rho_v is the profit of the epoch's commits whose
+non-reference leg ran there, so the epoch profit pool is exactly the sum
+of the contributions. The pool splits across searchers, marketplaces and
+the treasury by configured weights omega, the treasury taking the
+remainder, and each venue is allocated omega_marketplaces * rho_v: the
+marketplace share is always fully attributed, with nothing diverted.
+Allocation arithmetic is exact (stdlib fractions); physical payouts floor
+to nano-units with one share absorbing the rounding remainder, so the
+quantized payouts also sum to the pool exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .chain import Block, ExecRecord
@@ -53,67 +56,12 @@ class RewardWeights:
 
 
 @dataclass
-class MarketplaceContribution:
-    venue_id: int
-    rho: int  # nano-units of committed profit attributed to the venue
-
-    def __post_init__(self) -> None:
-        if self.rho < 0:
-            raise ValueError("contribution must be non-negative")
-
-
-@dataclass
 class RewardLedger:
-    epoch: int
     profit_pool: int                                  # nano-units
-    allocations: dict[str, Fraction] = field(default_factory=dict)
-    marketplace_allocations: dict[int, Fraction] = field(default_factory=dict)
-    payouts: dict[str, int] = field(default_factory=dict)
-    marketplace_payouts: dict[int, int] = field(default_factory=dict)
-    producer_fees: int = 0
-    slashed: int = 0
-    diverted_to_treasury: bool = False
-
-
-def split_pool(profit_pool: int, weights: RewardWeights) -> dict[str, Fraction]:
-    """Exact group allocations; the treasury takes the closure remainder.
-
-    With weights summing to exactly 1 the remainder is zero; the closure
-    rule only matters for weights that pass the 1e-12 simplex check with a
-    representation residue.
-    """
-    if profit_pool < 0:
-        raise ValueError("profit pool must be non-negative")
-    weights.validate()
-    searchers = weights.searchers * profit_pool
-    marketplaces = weights.marketplaces * profit_pool
-    treasury = profit_pool - searchers - marketplaces
-    return {
-        GROUP_SEARCHERS: searchers,
-        GROUP_MARKETPLACES: marketplaces,
-        GROUP_TREASURY: treasury,
-    }
-
-
-def split_marketplaces(
-    group_allocation: Fraction,
-    contributions: list[MarketplaceContribution],
-) -> tuple[dict[int, Fraction], bool]:
-    """Per-venue shares proportional to contribution, exactly.
-
-    When every contribution is zero but the allocation is positive there
-    is nothing to attribute; the share is diverted to the treasury and the
-    second return value flags it.
-    """
-    total_rho = sum(c.rho for c in contributions)
-    if group_allocation > 0 and total_rho == 0:
-        return {c.venue_id: Fraction(0) for c in contributions}, True
-    if total_rho == 0:
-        return {c.venue_id: Fraction(0) for c in contributions}, False
-    shares = {
-        c.venue_id: group_allocation * Fraction(c.rho, total_rho) for c in contributions
-    }
-    return shares, False
+    allocations: dict[str, Fraction]
+    marketplace_allocations: dict[int, Fraction]
+    payouts: dict[str, int]
+    marketplace_payouts: dict[int, int]
 
 
 def quantize_allocations(
@@ -139,12 +87,12 @@ def quantize_allocations(
 
 def measure_contribution(
     epoch_records: list[ExecRecord], venue_ids: list[int]
-) -> list[MarketplaceContribution]:
+) -> dict[int, int]:
     """rho per venue: committed profit whose non-reference leg ran there."""
-    rho = {venue_id: 0 for venue_id in sorted(venue_ids)}
+    rho = dict.fromkeys(venue_ids, 0)
     for record in epoch_records:
         rho[record.venue_id] = rho.get(record.venue_id, 0) + record.profit
-    return [MarketplaceContribution(venue_id, value) for venue_id, value in sorted(rho.items())]
+    return dict(sorted(rho.items()))
 
 
 def pay_producer(block: Block, gamma: float) -> int:
@@ -155,16 +103,19 @@ def pay_producer(block: Block, gamma: float) -> int:
     return int(gamma_frac * block.fees_collected)
 
 
-def has_order_violation(executed_ids: list[int], prescribed_ids: list[int]) -> bool:
+def has_order_violation(
+    executed: list[tuple[int, int]], prescribed: list[tuple[int, int]]
+) -> bool:
     """True iff the executed sequence is not a subsequence of the prescribed one.
 
+    Items are templates' `(asset, venue_id)` keys, unique within a proposal.
     Skipped templates are simply absent; what matters is that the executed
     templates appear in prescribed relative order.
     """
-    position = {tid: i for i, tid in enumerate(prescribed_ids)}
+    position = {key: i for i, key in enumerate(prescribed)}
     last = -1
-    for tid in executed_ids:
-        pos = position.get(tid)
+    for key in executed:
+        pos = position.get(key)
         if pos is None:  # executing an unprescribed tx is itself a violation
             return True
         if pos < last:
@@ -174,50 +125,35 @@ def has_order_violation(executed_ids: list[int], prescribed_ids: list[int]) -> b
 
 
 def apply_slashing(
-    executed_ids: list[int],
-    prescribed_ids: list[int],
+    executed: list[tuple[int, int]],
+    prescribed: list[tuple[int, int]],
     penalty: int,
     producer_balance: int,
 ) -> int:
     """Slash amount for an out-of-order execution, floored at the balance."""
-    if not has_order_violation(executed_ids, prescribed_ids):
+    if not has_order_violation(executed, prescribed):
         return 0
     return min(penalty, max(0, producer_balance))
 
 
-def build_ledger(
-    epoch: int,
-    profit_pool: int,
-    weights: RewardWeights,
-    contributions: list[MarketplaceContribution],
-    producer_fees: int,
-    slashed: int,
-) -> RewardLedger:
-    """Assemble the epoch ledger: exact allocations plus quantized payouts."""
-    allocations = split_pool(profit_pool, weights)
-    marketplace_allocs, diverted = split_marketplaces(
-        allocations[GROUP_MARKETPLACES], contributions
+def build_ledger(weights: RewardWeights, rho: dict[int, int]) -> RewardLedger:
+    """Split the epoch pool, the contributions' sum, exactly; then quantize."""
+    weights.validate()
+    if any(value < 0 for value in rho.values()):
+        raise ValueError("contributions must be non-negative")
+    pool = sum(rho.values())
+    searchers = weights.searchers * pool
+    marketplaces = weights.marketplaces * pool
+    allocations = {
+        GROUP_SEARCHERS: searchers,
+        GROUP_MARKETPLACES: marketplaces,
+        GROUP_TREASURY: pool - searchers - marketplaces,
+    }
+    venue_allocations = {venue: weights.marketplaces * value for venue, value in rho.items()}
+    payouts = quantize_allocations(allocations, pool, GROUP_TREASURY)
+    venue_payouts = (
+        quantize_allocations(venue_allocations, payouts[GROUP_MARKETPLACES], max(rho))
+        if rho
+        else {}
     )
-    if diverted:
-        allocations[GROUP_TREASURY] += allocations[GROUP_MARKETPLACES]
-        allocations[GROUP_MARKETPLACES] = Fraction(0)
-        marketplace_allocs = {venue: Fraction(0) for venue in marketplace_allocs}
-    payouts = quantize_allocations(allocations, profit_pool, GROUP_TREASURY)
-    if marketplace_allocs and payouts[GROUP_MARKETPLACES] > 0:
-        last_venue = max(marketplace_allocs)
-        marketplace_payouts = quantize_allocations(
-            marketplace_allocs, payouts[GROUP_MARKETPLACES], last_venue
-        )
-    else:
-        marketplace_payouts = {venue: 0 for venue in marketplace_allocs}
-    return RewardLedger(
-        epoch=epoch,
-        profit_pool=profit_pool,
-        allocations=allocations,
-        marketplace_allocations=marketplace_allocs,
-        payouts=payouts,
-        marketplace_payouts=marketplace_payouts,
-        producer_fees=producer_fees,
-        slashed=slashed,
-        diverted_to_treasury=diverted,
-    )
+    return RewardLedger(pool, allocations, venue_allocations, payouts, venue_payouts)

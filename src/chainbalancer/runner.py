@@ -165,7 +165,7 @@ def _genesis_state(config: ScenarioConfig) -> ChainState:
     return state
 
 
-def _ledger_row(ledger: RewardLedger | None) -> dict | None:
+def _ledger_row(ledger: RewardLedger | None, epoch: list[Block]) -> dict | None:
     if ledger is None:
         return None
     return {
@@ -178,9 +178,8 @@ def _ledger_row(ledger: RewardLedger | None) -> dict | None:
         "marketplace_payouts_nano": {
             str(k): v for k, v in sorted(ledger.marketplace_payouts.items())
         },
-        "producer_fees": to_units(ledger.producer_fees),
-        "slashed": to_units(ledger.slashed),
-        "diverted_to_treasury": ledger.diverted_to_treasury,
+        "producer_fees": to_units(sum(b.producer_fee for b in epoch)),
+        "slashed": to_units(sum(b.slashed for b in epoch)),
     }
 
 
@@ -272,7 +271,7 @@ class SimulationRun:
 
                 residual = cfg.capacity - block.user_gas
 
-                prescribed_ids = [t.template_id for t in active_set]
+                prescribed = [(t.asset, t.venue_id) for t in active_set]
                 if active_set and self.mode != MODE_OFF:
                     order = list(range(len(active_set)))
                     if (
@@ -311,11 +310,11 @@ class SimulationRun:
                             FEE_ESCROW, FEE_BURN, NUMERAIRE, block.fees_collected - fee
                         )
 
-                    executed_ids = [r.template_id for r in block.balancer_executed]
+                    executed = [(r.asset, r.venue_id) for r in block.balancer_executed]
                     penalty = cfg.slash_penalty_multiple * block.producer_fee
                     slash = apply_slashing(
-                        executed_ids,
-                        prescribed_ids,
+                        executed,
+                        prescribed,
                         penalty,
                         self.state.balance(PRODUCER, NUMERAIRE),
                     )
@@ -338,7 +337,7 @@ class SimulationRun:
 
             epoch = result.blocks[-cfg.epoch_length:]
             epoch_profit = sum(b.profit for b in epoch)
-            ledger = self._settle_epoch(epoch_index, epoch, epoch_profit, selected)
+            ledger = self._settle_epoch(epoch, selected)
             result.ledgers.append(ledger)
             constraint = epoch_constraint_check(
                 [performance_cost_psi(b, cfg.u_star) for b in epoch],
@@ -364,7 +363,7 @@ class SimulationRun:
                         for p in proposals
                     ],
                     "profit_pool": to_units(epoch_profit),
-                    "reward_ledger": _ledger_row(ledger),
+                    "reward_ledger": _ledger_row(ledger, epoch),
                     "constraint": {
                         "mean_psi": constraint.mean_psi,
                         "delta": float(cfg.objective_weights.delta_cap),
@@ -407,11 +406,7 @@ class SimulationRun:
         block.max_abs_deviation = max_relative_deviation(prices, self._deviation_pairs)
 
     def _settle_epoch(
-        self,
-        epoch_index: int,
-        epoch: list[Block],
-        epoch_profit: int,
-        selected: SearcherProposal | None,
+        self, epoch: list[Block], selected: SearcherProposal | None
     ) -> RewardLedger | None:
         """Distribute the epoch profit pool (autobalancer mode only)."""
         cfg = self.config
@@ -419,12 +414,7 @@ class SimulationRun:
             return None
         records = [r for b in epoch for r in b.balancer_executed]
         ledger = build_ledger(
-            epoch_index,
-            epoch_profit,
-            cfg.reward_weights,
-            measure_contribution(records, cfg.venue_ids),
-            sum(b.producer_fee for b in epoch),
-            sum(b.slashed for b in epoch),
+            cfg.reward_weights, measure_contribution(records, cfg.venue_ids)
         )
         # a positive pool implies commits, which imply a selected proposal
         searcher_cut = ledger.payouts[GROUP_SEARCHERS]

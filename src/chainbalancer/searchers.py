@@ -26,11 +26,13 @@ FUNDING_ORDER = {Funding.FLASH_LOAN: 0, Funding.NETWORK_LIQUIDITY: 1}
 class BalancerTemplate:
     """A re-validating arbitrage instruction: (asset, venue, funding).
 
+    A proposal has one funding kind, so `(asset, venue_id)` names the
+    template within it; the producer's ordering audit compares those keys.
+
     Neither the trigger nor the size is baked in: both are re-checked
     against live reserves, under the run's one `Threshold`, at execution time.
     """
 
-    template_id: int
     asset: int
     venue_id: int
     funding: Funding
@@ -76,11 +78,6 @@ def check_feasibility(conditions: GovernanceConditions, ordered_txs: Sequence) -
     return 1
 
 
-def template_id_for(asset: int, venue_id: int, funding: Funding) -> int:
-    """Stable id shared by all searchers, used for deterministic tie-breaks."""
-    return (asset * 10_000 + venue_id) * 10 + FUNDING_ORDER[funding]
-
-
 def _candidate_pairs(state: ChainState, reference_venue_id: int) -> list[tuple[int, int]]:
     pairs = []
     for venue_id, asset in sorted(state.pools):
@@ -103,7 +100,7 @@ def build_proposal(
     """Enumerate, estimate, filter, and order one searcher's template set.
 
     Ordering is by the searcher's own (noise-perturbed) per-template net
-    profit estimates, descending, with template-id tie-breaks. The
+    profit estimates, descending, with (asset, venue) tie-breaks. The
     proposal-level profit_estimate is the total from replaying the ordered
     set once on a copy of the expected state, so intra-set price-impact
     interactions are priced in rather than double-counted.
@@ -136,17 +133,9 @@ def build_proposal(
             estimate = max(0, int(round(estimate * float(np.exp(noise)))))
         if estimate < conditions.min_net_profit:
             continue
-        candidates.append(
-            BalancerTemplate(
-                template_id=template_id_for(asset, venue_id, funding),
-                asset=asset,
-                venue_id=venue_id,
-                funding=funding,
-                estimate=estimate,
-            )
-        )
+        candidates.append(BalancerTemplate(asset, venue_id, funding, estimate))
 
-    candidates.sort(key=lambda t: (-t.estimate, t.template_id))
+    candidates.sort(key=lambda t: (-t.estimate, t.asset, t.venue_id))
     ordered = candidates[:conditions.max_set_size]
 
     # a residual of one transaction per template never binds

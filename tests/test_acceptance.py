@@ -302,8 +302,7 @@ class TestCriterion6RewardExactness:
                 for record in block.balancer_executed:
                     rho[record.venue_id] += record.profit
             total_rho = sum(rho.values())
-            if total_rho == 0:
-                continue
+            assert total_rho == ledger.profit_pool
             # F_l * sum(rho) == omega_L * pool * rho_l must hold exactly
             for venue, share in ledger.marketplace_allocations.items():
                 residual = abs(

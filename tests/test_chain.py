@@ -14,7 +14,7 @@ from chainbalancer.chain import (
     performance_cost_psi,
     utilization,
 )
-from chainbalancer.searchers import BalancerTemplate, template_id_for
+from chainbalancer.searchers import BalancerTemplate
 from chainbalancer.state import TREASURY, user_account
 from chainbalancer.units import to_nano
 
@@ -190,7 +190,6 @@ class TestUtilizationAndPsi:
 
 def _template(asset=1, venue=1, estimate=0, funding=Funding.FLASH_LOAN):
     return BalancerTemplate(
-        template_id=template_id_for(asset, venue, funding),
         asset=asset,
         venue_id=venue,
         funding=funding,

@@ -16,7 +16,6 @@ from chainbalancer.searchers import (
     build_proposal,
     check_feasibility,
     evaluate_proposals,
-    template_id_for,
     update_credibility,
 )
 
@@ -68,19 +67,29 @@ class TestBuildProposal:
         venues = [t.venue_id for t in proposal.ordered_txs if t.estimate > 0]
         assert venues == [2, 3, 1]
 
-    def test_tie_break_by_template_id(self):
-        state = three_gap_state()
+    def test_tie_break_by_asset_then_venue(self):
+        # equal gaps on every (asset, venue) pair, so every estimate ties
+        pools = []
+        for asset in (1, 2):
+            pools.append(
+                make_pool(0, asset=asset, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003, is_reference=True)
+            )
+            for venue in (10001, 1):
+                pools.append(
+                    make_pool(venue, asset=asset, reserve_asset=5000, reserve_numeraire=5000 * 1.030, fee=0.003)
+                )
         proposal = build_proposal(
             SearcherProfile(0),
-            state,
+            make_state(pools),
             conditions(),
             THRESHOLD,
             0,
             GAS_PER_TX,
             rng_for(0),
         )
-        for a, b in zip(proposal.ordered_txs, proposal.ordered_txs[1:]):
-            assert (-a.estimate, a.template_id) <= (-b.estimate, b.template_id)
+        assert len({t.estimate for t in proposal.ordered_txs}) == 1
+        keys = [(t.asset, t.venue_id) for t in proposal.ordered_txs]
+        assert keys == [(1, 1), (1, 10001), (2, 1), (2, 10001)]
 
     def test_zero_noise_is_deterministic(self):
         state = three_gap_state()
@@ -173,7 +182,6 @@ class TestEvaluateProposals:
         )
         # searcher 1 only sees venue 1 (the weakest gap)
         t1 = BalancerTemplate(
-            template_id=template_id_for(1, 1, Funding.NETWORK_LIQUIDITY),
             asset=1, venue_id=1, funding=Funding.NETWORK_LIQUIDITY, estimate=1,
         )
         p1 = proposal_of(1, [t1])
@@ -300,7 +308,6 @@ class TestCredibility:
 
 def _template(asset=1, venue=1, estimate=0, funding=Funding.FLASH_LOAN):
     return BalancerTemplate(
-        template_id=template_id_for(asset, venue, funding),
         asset=asset,
         venue_id=venue,
         funding=funding,
