@@ -7,7 +7,6 @@ to the fee-implied no-arbitrage band.
 """
 
 from chainbalancer import (
-    Deviation,
     Funding,
     Threshold,
     deviation_bounds,
@@ -65,12 +64,10 @@ def main():
     state = ChainState(pools={(0, 1): ref, (1, 1): venue})
     state.credit("lender", 0, to_nano(10**7))
     thr = Threshold(epsilon=0.003, flash_fee=0.0009, gas_price=1e-7)
-    opp = opportunity_from_deviation(
-        Deviation(1, 1, delta), state.pools, 0, thr, Funding.FLASH_LOAN, 90_000
-    )
-    result = execute_atomic(state, opp, thr, 0)
+    opp = opportunity_from_deviation(state.pools, 0, thr, 1, 1, delta, Funding.FLASH_LOAN)
+    result = execute_atomic(state, opp, thr)
     print(f"committed: {result.committed}, net profit {to_units(result.profit):.6f} "
-          f"(after flash fee and {opp.gas_estimate} gas)")
+          f"(after flash fee and {thr.gas_per_tx} gas)")
     after = (spot_price(venue) - spot_price(ref)) / spot_price(ref)
     print(f"post-trade deviation {after:+.4%} sits inside [{lo:+.4%}, {hi:+.4%}]")
     print(f"treasury numeraire gained: {to_units(state.balance('treasury', 0)):.6f}")

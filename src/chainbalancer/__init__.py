@@ -11,7 +11,6 @@ own module.
 """
 
 from .arbitrage import (
-    Deviation,
     Funding,
     Threshold,
     deviation_bounds,

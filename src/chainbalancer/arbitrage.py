@@ -26,17 +26,10 @@ from .market import NUMERAIRE, Pool, SwapDirection, execute_swap, quote_swap
 from .state import FEE_ESCROW, LENDER, TREASURY, ChainState
 from .units import SCALE, fee_due, ppb, to_nano
 
-DEFAULT_BALANCER_GAS = 90_000
-
 
 class Funding(str, Enum):
     FLASH_LOAN = "flash_loan"
     NETWORK_LIQUIDITY = "network_liquidity"
-
-
-class OppDirection(str, Enum):
-    BUY_ON_VENUE_SELL_ON_REF = "buy_on_venue_sell_on_ref"
-    BUY_ON_REF_SELL_ON_VENUE = "buy_on_ref_sell_on_venue"
 
 
 @dataclass
@@ -46,6 +39,7 @@ class Threshold:
     epsilon: float = 0.003        # relative deviation trigger
     flash_fee: float = 0.0009     # fraction of the borrowed size
     gas_price: float = 1e-7       # numeraire per gas unit
+    gas_per_tx: int = 90_000      # gas of one balancer tx (flash-loan overhead included)
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
@@ -55,25 +49,15 @@ class Threshold:
         if self.gas_price < 0:
             raise ValueError("gas_price must be non-negative")
         self.flash_fee_ppb = ppb(self.flash_fee)
-        self.gas_price_nano = to_nano(self.gas_price)
-
-
-@dataclass
-class Deviation:
-    """Relative price deviation of one (asset, venue) pair vs the reference."""
-
-    asset: int
-    venue_id: int
-    delta_p: float  # (p_venue - p_ref) / p_ref
+        self.gas_fee_nano = self.gas_per_tx * to_nano(self.gas_price)  # per balancer tx
 
 
 @dataclass
 class Opportunity:
-    deviation: Deviation
-    direction: OppDirection
-    optimal_size: int      # nano-units of numeraire spent on the cheap leg
-    expected_profit: int   # nano-units, net of flash fee and gas
-    gas_estimate: int
+    cheap: tuple[int, int]  # (venue_id, asset) of the pool the asset is bought on
+    dear: tuple[int, int]   # (venue_id, asset) of the pool it is sold back to
+    optimal_size: int       # nano-units of numeraire spent on the cheap leg
+    expected_profit: int    # nano-units, net of flash fee and gas
     funding: Funding
 
 
@@ -81,7 +65,6 @@ class Opportunity:
 class ExecutionResult:
     committed: bool
     profit: int = 0      # nano-units of numeraire added to the beneficiary
-    gas_used: int = 0
     reason: str = ""
 
 
@@ -157,67 +140,45 @@ def _quote_round_trip(
 
 
 def opportunity_from_deviation(
-    deviation: Deviation,
     pools: dict[tuple[int, int], Pool],
     reference_venue_id: int,
     threshold: Threshold,
-    funding: Funding = Funding.FLASH_LOAN,
-    gas_estimate: int = DEFAULT_BALANCER_GAS,
+    asset: int,
+    venue_id: int,
+    delta_p: float,
+    funding: Funding,
 ) -> Opportunity | None:
     """Size the trade behind a deviation; None when it does not clear the bar.
 
-    The bar is threefold: |delta_p| above the trigger, a closed-form optimal
-    size that is at least one nano-unit once floored, and a positive profit
-    after the flash fee and gas. That profit is quoted with the integer
-    arithmetic `execute_atomic` runs, so on unchanged state the realized
-    profit equals `expected_profit` to the nano-unit.
+    `delta_p` is (p_venue - p_ref) / p_ref for `asset` on `venue_id`; its
+    sign names the cheap pool. The bar is threefold: |delta_p| above the
+    trigger, a closed-form optimal size that is at least one nano-unit once
+    floored, and a positive profit after the flash fee and gas. That profit
+    is quoted with the integer arithmetic `execute_atomic` runs, so on
+    unchanged state the realized profit equals `expected_profit` to the
+    nano-unit.
     """
-    if abs(deviation.delta_p) <= threshold.epsilon:
+    if abs(delta_p) <= threshold.epsilon:
         return None
-    venue_pool = pools[(deviation.venue_id, deviation.asset)]
-    ref_pool = pools[(reference_venue_id, deviation.asset)]
-    if deviation.delta_p > 0:
-        direction = OppDirection.BUY_ON_REF_SELL_ON_VENUE
-        cheap, dear = ref_pool, venue_pool
-    else:
-        direction = OppDirection.BUY_ON_VENUE_SELL_ON_REF
-        cheap, dear = venue_pool, ref_pool
+    venue_key, ref_key = (venue_id, asset), (reference_venue_id, asset)
+    cheap, dear = (ref_key, venue_key) if delta_p > 0 else (venue_key, ref_key)
+    pool_cheap, pool_dear = pools[cheap], pools[dear]
     flash = funding is Funding.FLASH_LOAN
-    size_units, _ = optimal_trade_size(cheap, dear, threshold.flash_fee if flash else 0.0)
+    size_units, _ = optimal_trade_size(pool_cheap, pool_dear, threshold.flash_fee if flash else 0.0)
     size = int(size_units * SCALE)
     if size <= 0:
         return None
     loan_fee = fee_due(size, threshold.flash_fee_ppb) if flash else 0
-    _, net = _quote_round_trip(
-        cheap, dear, size, loan_fee, gas_estimate * threshold.gas_price_nano
-    )
+    _, net = _quote_round_trip(pool_cheap, pool_dear, size, loan_fee, threshold.gas_fee_nano)
     if net <= 0:
         return None
-    return Opportunity(
-        deviation=deviation,
-        direction=direction,
-        optimal_size=size,
-        expected_profit=net,
-        gas_estimate=gas_estimate,
-        funding=funding,
-    )
-
-
-def _cheap_dear(
-    state: ChainState, opp: Opportunity, reference_venue_id: int
-) -> tuple[Pool, Pool]:
-    venue_pool = state.pool(opp.deviation.venue_id, opp.deviation.asset)
-    ref_pool = state.pool(reference_venue_id, opp.deviation.asset)
-    if opp.direction is OppDirection.BUY_ON_REF_SELL_ON_VENUE:
-        return ref_pool, venue_pool
-    return venue_pool, ref_pool
+    return Opportunity(cheap, dear, size, net, funding)
 
 
 def execute_atomic(
     state: ChainState,
     opp: Opportunity,
     threshold: Threshold,
-    reference_venue_id: int,
     beneficiary: str = TREASURY,
     inject_fault: bool = False,
 ) -> ExecutionResult:
@@ -231,10 +192,8 @@ def execute_atomic(
     other balance it holds is unchanged. `inject_fault` forces a revert
     just before repayment, for fault-injection tests.
     """
-    cheap, dear = _cheap_dear(state, opp, reference_venue_id)
-    asset = opp.deviation.asset
+    cheap, dear = state.pools[opp.cheap], state.pools[opp.dear]
     size = opp.optimal_size
-    gas_fee = opp.gas_estimate * threshold.gas_price_nano
 
     if opp.funding is Funding.FLASH_LOAN:
         if state.balance(LENDER, NUMERAIRE) < size:
@@ -245,7 +204,7 @@ def execute_atomic(
             return ExecutionResult(False, reason="insufficient_treasury")
         loan_fee = 0
 
-    bought, profit = _quote_round_trip(cheap, dear, size, loan_fee, gas_fee)
+    bought, profit = _quote_round_trip(cheap, dear, size, loan_fee, threshold.gas_fee_nano)
     if bought == 0:  # sub-nano trade rounded away; nothing to sell back
         return ExecutionResult(False, reason="insufficient_proceeds")
     if inject_fault:
@@ -253,12 +212,12 @@ def execute_atomic(
     if profit < 0:
         return ExecutionResult(False, reason="insufficient_proceeds")
 
-    execute_swap(cheap, SwapDirection.QUOTE_IN, size, gas=0)
-    execute_swap(dear, SwapDirection.BASE_IN, bought, gas=0)
+    execute_swap(cheap, SwapDirection.QUOTE_IN, size)
+    execute_swap(dear, SwapDirection.BASE_IN, bought)
     # the beneficiary held the bought asset between the legs; its key stays
-    state.credit(beneficiary, asset, 0)
+    state.credit(beneficiary, cheap.base, 0)
     if opp.funding is Funding.FLASH_LOAN:
         state.credit(LENDER, NUMERAIRE, loan_fee)
-    state.credit(FEE_ESCROW, NUMERAIRE, gas_fee)
+    state.credit(FEE_ESCROW, NUMERAIRE, threshold.gas_fee_nano)
     state.credit(beneficiary, NUMERAIRE, profit)
-    return ExecutionResult(True, profit=profit, gas_used=opp.gas_estimate)
+    return ExecutionResult(True, profit=profit)

@@ -15,13 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .arbitrage import (
-    Deviation,
-    Funding,
-    Threshold,
-    execute_atomic,
-    opportunity_from_deviation,
-)
+from .arbitrage import Funding, Threshold, execute_atomic, opportunity_from_deviation
 from .market import NUMERAIRE, SwapDirection, execute_swap, spot_price
 from .state import ChainState, user_account
 
@@ -45,11 +39,9 @@ class ExecRecord:
 
     asset: int
     venue_id: int
-    direction: str
     funding: Funding
     size: int
     profit: int
-    gas_used: int
     delta_p_before: float
     delta_p_after: float
 
@@ -201,9 +193,9 @@ def execute_block_user_phase(
             events.append((tx, "balance_deferred"))
             continue
         state.debit(tx.submitter, pay_asset, tx.amount_in)
-        amount_out, gas = execute_swap(pool, tx.direction, tx.amount_in, gas=tx.gas)
+        amount_out = execute_swap(pool, tx.direction, tx.amount_in)
         state.credit(tx.submitter, get_asset, amount_out)
-        gas_used += gas
+        gas_used += tx.gas
         applied.append(tx)
         events.append((tx, "applied"))
     carried = list(pending[stop_index:]) + balance_deferred
@@ -232,7 +224,6 @@ def execute_block_balancer_phase(
     threshold: Threshold,
     reference_venue_id: int,
     beneficiary: str,
-    gas_per_tx: int,
     fault_injector: Callable[[object], bool] | None = None,
 ) -> BalancerPhaseResult:
     """Walk the active set in priority order inside the residual gas.
@@ -241,55 +232,34 @@ def execute_block_balancer_phase(
     earlier in the block may have closed (or opened) its gap. Failing
     candidates are skipped with a reason code, never aborting the walk;
     the walk stops once the residual cannot cover one more transaction.
-    Reverted attempts leave no state change and consume no work.
+    Reverted attempts leave no state change and consume no work; each
+    commit costs `threshold.gas_per_tx` gas and `threshold.gas_fee_nano`.
     """
     executed: list[ExecRecord] = []
     skipped: list[SkipRecord] = []
-    gas_used = 0
-    fees_paid = 0
-    profit_total = 0
     for tpl in templates:
-        if residual_gas - gas_used < gas_per_tx:
+        if residual_gas < (len(executed) + 1) * threshold.gas_per_tx:
             break
         delta = _live_delta(state, tpl.venue_id, tpl.asset, reference_venue_id)
         if abs(delta) <= threshold.epsilon:
             skipped.append(SkipRecord(tpl.asset, tpl.venue_id, "below_epsilon", "skip"))
             continue
-        deviation = Deviation(tpl.asset, tpl.venue_id, delta)
         opp = opportunity_from_deviation(
-            deviation,
-            state.pools,
-            reference_venue_id,
-            threshold,
-            funding=tpl.funding,
-            gas_estimate=gas_per_tx,
+            state.pools, reference_venue_id, threshold, tpl.asset, tpl.venue_id, delta, tpl.funding
         )
         if opp is None:
             skipped.append(SkipRecord(tpl.asset, tpl.venue_id, "unprofitable", "skip"))
             continue
         inject = bool(fault_injector(tpl)) if fault_injector is not None else False
-        result = execute_atomic(
-            state,
-            opp,
-            threshold,
-            reference_venue_id,
-            beneficiary=beneficiary,
-            inject_fault=inject,
-        )
+        result = execute_atomic(state, opp, threshold, beneficiary, inject_fault=inject)
         if result.committed:
-            gas_used += result.gas_used
-            fee = opp.gas_estimate * threshold.gas_price_nano
-            fees_paid += fee
-            profit_total += result.profit
             executed.append(
                 ExecRecord(
                     asset=tpl.asset,
                     venue_id=tpl.venue_id,
-                    direction=opp.direction.value,
                     funding=tpl.funding,
                     size=opp.optimal_size,
                     profit=result.profit,
-                    gas_used=result.gas_used,
                     delta_p_before=delta,
                     delta_p_after=_live_delta(state, tpl.venue_id, tpl.asset, reference_venue_id),
                 )
@@ -299,9 +269,9 @@ def execute_block_balancer_phase(
     return BalancerPhaseResult(
         executed=executed,
         skipped=skipped,
-        gas_used=gas_used,
-        fees_paid=fees_paid,
-        profit=profit_total,
+        gas_used=len(executed) * threshold.gas_per_tx,
+        fees_paid=len(executed) * threshold.gas_fee_nano,
+        profit=sum(r.profit for r in executed),
     )
 
 

@@ -80,7 +80,11 @@ POSITIVE_INT = (_int(1), "an integer in [1, 2^63 - 1]")
 NON_NEGATIVE_INT = (_int(0), "an integer in [0, 2^63 - 1]")
 NON_NEGATIVE = (_num(lambda x: x >= 0), "a non-negative number")
 UNIT_INTERVAL = (_num(lambda x: 0 <= x <= 1), "a number in [0, 1]")
-RESERVE = (_num(lambda x: to_nano(x) >= 1), "a number that rounds to at least one nano-unit (1e-9)")
+# 1e30 keeps every product in the float sizing closed form below about 1e120
+RESERVE = (
+    _num(lambda x: x <= 1e30 and to_nano(x) >= 1),
+    "a number of at most 1e30 that rounds to at least one nano-unit (1e-9)",
+)
 
 # (path, default, check, rule). A default fills an absent top-level or
 # section key in the hashed mapping; a `[]` row applies to every item of
@@ -103,8 +107,9 @@ FIELDS = (
     ("blocks.gas_per_user_swap", 21_000, *POSITIVE_INT),
     ("blocks.gas_per_balancer_tx", 90_000, *POSITIVE_INT),
     ("user_flow.rate", 5.0, *NON_NEGATIVE),
-    ("user_flow.size_mu", 2.0, _is_number, "a number"),
-    ("user_flow.size_sigma", 0.5, *NON_NEGATIVE),
+    # bounded so that exp() of a swap size draw stays a finite float
+    ("user_flow.size_mu", 2.0, _num(lambda x: -20 <= x <= 20), "a number in [-20, 20]"),
+    ("user_flow.size_sigma", 0.5, _num(lambda x: 0 <= x <= 3), "a number in [0, 3]"),
     ("user_flow.num_users", 8, _int(1, 10_000), "an integer in [1, 10000]"),
     ("user_flow.endowment", 1_000_000.0, *NON_NEGATIVE),
     ("user_flow.venue_weights", None, lambda v: v is None or isinstance(v, dict),
@@ -132,7 +137,8 @@ FIELDS = (
      ],
      _nonempty_list(), "a non-empty list of profile mappings"),
     ("searchers.profiles[].id", None, *INTEGER),
-    ("searchers.profiles[].noise", 0.0, *NON_NEGATIVE),
+    # bounded so that exp() of an estimate's noise draw stays a finite float
+    ("searchers.profiles[].noise", 0.0, _num(lambda x: 0 <= x <= 10), "a number in [0, 10]"),
     ("searchers.profiles[].coverage", 1.0, _num(lambda x: 0 < x <= 1), "a number in (0, 1]"),
     ("governance.allowed_funding", list(_FUNDING), _nonempty_list(lambda f: f in _FUNDING),
      "a non-empty list from " + ", ".join(_FUNDING)),
@@ -191,7 +197,6 @@ class ScenarioConfig:
     capacity: int
     epoch_length: int
     epochs: int
-    gas_per_balancer_tx: int
     user_flow: UserFlowParams
     endowment: float
     threshold: Threshold
@@ -430,7 +435,6 @@ def from_dict(raw: dict) -> ScenarioConfig:
         capacity=v["blocks.capacity"],
         epoch_length=v["blocks.epoch_length"],
         epochs=v["blocks.epochs"],
-        gas_per_balancer_tx=v["blocks.gas_per_balancer_tx"],
         user_flow=UserFlowParams(
             rate=v["user_flow.rate"],
             size_mu=v["user_flow.size_mu"],
@@ -444,6 +448,7 @@ def from_dict(raw: dict) -> ScenarioConfig:
             epsilon=v["threshold.epsilon"],
             flash_fee=v["threshold.flash_fee"],
             gas_price=v["threshold.gas_price"],
+            gas_per_tx=v["blocks.gas_per_balancer_tx"],
         ),
         reward_weights=RewardWeights.from_values(*(v["weights.omega"][k] for k in _OMEGA_KEYS)),
         objective_weights=ObjectiveWeights(

@@ -106,10 +106,8 @@ def quote_swap(pool: Pool, direction: SwapDirection, amount_in: int) -> int:
     return net_in * reserve_out // (reserve_in + net_in)
 
 
-def execute_swap(
-    pool: Pool, direction: SwapDirection, amount_in: int, gas: int = 21_000
-) -> tuple[int, int]:
-    """Apply a swap to the pool, returning (amount_out, gas_used).
+def execute_swap(pool: Pool, direction: SwapDirection, amount_in: int) -> int:
+    """Apply a swap to the pool, returning amount_out.
 
     The full input (fee included) is added to the reserves; the output is
     exactly what quote_swap reports on the pre-state.
@@ -121,7 +119,7 @@ def execute_swap(
     else:
         pool.reserve_quote += amount_in
         pool.reserve_base -= amount_out
-    return amount_out, gas
+    return amount_out
 
 
 def snapshot_prices(pools: Iterable[Pool]) -> list[float]:

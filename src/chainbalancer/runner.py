@@ -241,7 +241,6 @@ class SimulationRun:
                             cfg.governance,
                             cfg.threshold,
                             cfg.reference_venue_id,
-                            cfg.gas_per_balancer_tx,
                             self.rng_searchers[profile.searcher_id],
                         )
                     )
@@ -252,7 +251,6 @@ class SimulationRun:
                     self.credibility,
                     cfg.threshold,
                     cfg.reference_venue_id,
-                    cfg.gas_per_balancer_tx,
                 )
             active_set = list(selected.ordered_txs) if selected else []
 
@@ -292,7 +290,6 @@ class SimulationRun:
                         cfg.threshold,
                         cfg.reference_venue_id,
                         beneficiary,
-                        cfg.gas_per_balancer_tx,
                         fault_injector=injector,
                     )
                     block.balancer_executed = phase.executed

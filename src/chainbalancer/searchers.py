@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arbitrage import Deviation, Funding, Threshold, opportunity_from_deviation
+from .arbitrage import Funding, Threshold, opportunity_from_deviation
 from .arbitrage import execute_atomic  # noqa: F401 - perfbench/tracer.py rebinds it here
 from .chain import execute_block_balancer_phase, _live_delta
 from .state import TREASURY, ChainState
@@ -94,7 +94,6 @@ def build_proposal(
     conditions: GovernanceConditions,
     threshold: Threshold,
     reference_venue_id: int,
-    gas_per_tx: int,
     rng: np.random.Generator,
 ) -> SearcherProposal:
     """Enumerate, estimate, filter, and order one searcher's template set.
@@ -121,12 +120,7 @@ def build_proposal(
             continue
         delta = _live_delta(expected_state, venue_id, asset, reference_venue_id)
         opp = opportunity_from_deviation(
-            Deviation(asset, venue_id, delta),
-            expected_state.pools,
-            reference_venue_id,
-            threshold,
-            funding=funding,
-            gas_estimate=gas_per_tx,
+            expected_state.pools, reference_venue_id, threshold, asset, venue_id, delta, funding
         )
         estimate = 0 if opp is None else opp.expected_profit
         if estimate > 0 and noise != 0.0:
@@ -140,12 +134,7 @@ def build_proposal(
 
     # a residual of one transaction per template never binds
     sim_profit = _replay_once(
-        expected_state,
-        ordered,
-        threshold,
-        reference_venue_id,
-        gas_per_tx,
-        gas_per_tx * len(ordered),
+        expected_state, ordered, threshold, reference_venue_id, threshold.gas_per_tx * len(ordered)
     )
     return SearcherProposal(profile.searcher_id, ordered, sim_profit)
 
@@ -155,18 +144,11 @@ def _replay_once(
     templates: list[BalancerTemplate],
     threshold: Threshold,
     reference_venue_id: int,
-    gas_per_tx: int,
     residual_gas: int,
 ) -> int:
     """Net profit of the block's balancer phase run on a throwaway copy."""
     phase = execute_block_balancer_phase(
-        base_state.clone(),
-        templates,
-        residual_gas,
-        threshold,
-        reference_venue_id,
-        TREASURY,
-        gas_per_tx,
+        base_state.clone(), templates, residual_gas, threshold, reference_venue_id, TREASURY
     )
     return phase.profit
 
@@ -177,7 +159,6 @@ def evaluate_proposals(
     credibility: dict[int, float],
     threshold: Threshold,
     reference_venue_id: int,
-    gas_per_tx: int,
 ) -> tuple[SearcherProposal | None, dict[int, dict]]:
     """Deterministic governance: argmax of credibility x replayed profit.
 
@@ -194,14 +175,7 @@ def evaluate_proposals(
     for proposal in sorted(proposals, key=lambda p: p.searcher_id):
         if proposal.ordered_txs and recent_blocks:
             replayed = [
-                _replay_once(
-                    state,
-                    proposal.ordered_txs,
-                    threshold,
-                    reference_venue_id,
-                    gas_per_tx,
-                    residual,
-                )
+                _replay_once(state, proposal.ordered_txs, threshold, reference_venue_id, residual)
                 for state, residual in recent_blocks
             ]
             sim_profit = sum(replayed) / len(replayed)

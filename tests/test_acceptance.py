@@ -356,7 +356,6 @@ class TestCriterion7OrderingAudit:
     def test_greedy_vs_exhaustive(self):
         rng = np.random.default_rng(777)
         threshold = Threshold(epsilon=0.003, flash_fee=0.0009, gas_price=1e-7)
-        gas = 90_000
         conditions = GovernanceConditions(
             allowed_funding=frozenset({Funding.FLASH_LOAN}),
             max_set_size=16,
@@ -365,7 +364,7 @@ class TestCriterion7OrderingAudit:
         def plan_profit(state, templates, slots):
             sim = state.clone()
             phase = execute_block_balancer_phase(
-                sim, templates, slots * gas, threshold, 0, TREASURY, gas
+                sim, templates, slots * threshold.gas_per_tx, threshold, 0, TREASURY
             )
             return phase.profit
 
@@ -382,7 +381,6 @@ class TestCriterion7OrderingAudit:
                 conditions,
                 threshold,
                 0,
-                gas,
                 np.random.Generator(np.random.PCG64(0)),
             )
             if not proposal.ordered_txs or proposal.ordered_txs[0].estimate <= 0:

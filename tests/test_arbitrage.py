@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chainbalancer import (
-    Deviation,
     Funding,
     Threshold,
     deviation_bounds,
@@ -13,7 +12,7 @@ from chainbalancer import (
     optimal_trade_size,
     spot_price,
 )
-from chainbalancer.arbitrage import OppDirection, opportunity_from_deviation
+from chainbalancer.arbitrage import opportunity_from_deviation
 from chainbalancer.state import LENDER, TREASURY
 from chainbalancer.units import SCALE, to_nano, to_units
 
@@ -64,8 +63,9 @@ def grid_search_oracle(pool_cheap, pool_dear, flash, points=10_000, rounds=4):
 
 # --- opportunity detection ------------------------------------------------
 
-def deviation_of(delta_p, venue=1, asset=1):
-    return Deviation(asset=asset, venue_id=venue, delta_p=delta_p)
+def opportunity(pools, thr, delta_p, funding=Funding.FLASH_LOAN):
+    """The opportunity of asset 1 on venue 1 against reference venue 0."""
+    return opportunity_from_deviation(pools, 0, thr, 1, 1, delta_p, funding)
 
 
 class TestDetectOpportunities:
@@ -76,9 +76,9 @@ class TestDetectOpportunities:
             (1, 1): make_pool(1, reserve_asset=100_000, reserve_numeraire=10_300_000),
         }
         thr = Threshold(epsilon=0.005, flash_fee=0.0, gas_price=0.0)
-        opp = opportunity_from_deviation(deviation_of((103.0 - 100.0) / 100.0), pools, 0, thr)
+        opp = opportunity(pools, thr, (103.0 - 100.0) / 100.0)
         assert opp is not None
-        assert opp.direction is OppDirection.BUY_ON_REF_SELL_ON_VENUE
+        assert (opp.cheap, opp.dear) == ((0, 1), (1, 1))
         assert opp.expected_profit > 0
 
     def test_below_threshold_ignored(self):
@@ -87,7 +87,7 @@ class TestDetectOpportunities:
             (1, 1): make_pool(1, reserve_numeraire=1004.0),
         }
         thr = Threshold(epsilon=0.005, flash_fee=0.0, gas_price=0.0)
-        assert opportunity_from_deviation(deviation_of((1.004 - 1.0) / 1.0), pools, 0, thr) is None
+        assert opportunity(pools, thr, (1.004 - 1.0) / 1.0) is None
 
     def test_fee_band_swallows_gap(self):
         # 3% gap against 2% fees on each side: the oracle confirms no
@@ -98,7 +98,7 @@ class TestDetectOpportunities:
         assert oracle_best <= 0.0
         pools = {(0, 1): cheap, (1, 1): dear}
         thr = Threshold(epsilon=0.005, flash_fee=0.0, gas_price=0.0)
-        assert opportunity_from_deviation(deviation_of((103.0 - 100.0) / 100.0), pools, 0, thr) is None
+        assert opportunity(pools, thr, (103.0 - 100.0) / 100.0) is None
 
 
 class TestOptimalTradeSize:
@@ -137,27 +137,28 @@ class TestOptimalTradeSize:
         assert profit >= profit_at(2 * size)
 
     def test_role_swap_mirrors_direction_same_profit(self):
-        """Negating the deviation (swap venue/reference roles) flips the
-        direction label but prices the identical physical trade."""
+        """Negating the deviation (swap venue/reference roles) swaps which
+        pool key is cheap but prices the identical physical trade."""
         low = make_pool(0, reserve_asset=5000, reserve_numeraire=5000, fee=0.003, is_reference=True)
         high = make_pool(1, reserve_asset=5000, reserve_numeraire=5150, fee=0.003)
         thr = Threshold(epsilon=0.003, flash_fee=0.0009, gas_price=0.0)
 
         pools_a = {(0, 1): low, (1, 1): high}
-        dev_a = Deviation(1, 1, (spot_price(high) - spot_price(low)) / spot_price(low))
-        opp_a = opportunity_from_deviation(dev_a, pools_a, 0, thr, Funding.FLASH_LOAN, 90_000)
+        delta_a = (spot_price(high) - spot_price(low)) / spot_price(low)
+        opp_a = opportunity(pools_a, thr, delta_a)
 
         low2, high2 = low.clone(), high.clone()
         low2.venue_id, low2.is_reference = 1, False
         high2.venue_id, high2.is_reference = 0, True
         pools_b = {(0, 1): high2, (1, 1): low2}
-        dev_b = Deviation(1, 1, (spot_price(low2) - spot_price(high2)) / spot_price(high2))
-        opp_b = opportunity_from_deviation(dev_b, pools_b, 0, thr, Funding.FLASH_LOAN, 90_000)
+        delta_b = (spot_price(low2) - spot_price(high2)) / spot_price(high2)
+        opp_b = opportunity(pools_b, thr, delta_b)
 
         assert opp_a is not None and opp_b is not None
-        assert dev_a.delta_p > 0 > dev_b.delta_p
-        assert opp_a.direction is OppDirection.BUY_ON_REF_SELL_ON_VENUE
-        assert opp_b.direction is OppDirection.BUY_ON_VENUE_SELL_ON_REF
+        assert delta_a > 0 > delta_b
+        # the same pool is cheap in both: the low one, at key (0, 1) then (1, 1)
+        assert (opp_a.cheap, opp_a.dear) == ((0, 1), (1, 1))
+        assert (opp_b.cheap, opp_b.dear) == ((1, 1), (0, 1))
         assert abs(opp_a.expected_profit - opp_b.expected_profit) <= 1
         assert abs(opp_a.optimal_size - opp_b.optimal_size) <= 1
 
@@ -186,19 +187,18 @@ def _arb_fixture(flash_fee=0.0009, gap=0.03, fee=0.003, gas_price=1e-7):
     venue = make_pool(1, asset=1, reserve_asset=5000, reserve_numeraire=5000 * (1 + gap), fee=fee)
     state = make_state([ref, venue])
     p_r, p_v = spot_price(ref), spot_price(venue)
-    dev = Deviation(asset=1, venue_id=1, delta_p=(p_v - p_r) / p_r)
     thr = Threshold(epsilon=0.003, flash_fee=flash_fee, gas_price=gas_price)
-    return state, dev, thr
+    return state, (p_v - p_r) / p_r, thr
 
 
 class TestExecuteAtomic:
     def test_flash_loan_commit_books_net_profit(self):
-        state, dev, thr = _arb_fixture()
-        opp = opportunity_from_deviation(dev, state.pools, 0, thr, Funding.FLASH_LOAN, 90_000)
+        state, delta, thr = _arb_fixture()
+        opp = opportunity(state.pools, thr, delta)
         assert opp is not None
         lender_before = state.balance(LENDER, 0)
         treasury_before = state.balance(TREASURY, 0)
-        result = execute_atomic(state, opp, thr, 0)
+        result = execute_atomic(state, opp, thr)
         assert result.committed
         assert result.profit > 0
         assert state.balance(TREASURY, 0) == treasury_before + result.profit
@@ -213,10 +213,10 @@ class TestExecuteAtomic:
         assert to_units(to_nano(104) - (size + fee)) == pytest.approx(3.91, abs=1e-12)
 
     def test_injected_fault_restores_state_exactly(self):
-        state, dev, thr = _arb_fixture()
-        opp = opportunity_from_deviation(dev, state.pools, 0, thr, Funding.FLASH_LOAN, 90_000)
+        state, delta, thr = _arb_fixture()
+        opp = opportunity(state.pools, thr, delta)
         before = state.clone()
-        result = execute_atomic(state, opp, thr, 0, inject_fault=True)
+        result = execute_atomic(state, opp, thr, inject_fault=True)
         assert not result.committed and result.reason == "injected_fault"
         assert state.pools[(0, 1)].reserve_base == before.pools[(0, 1)].reserve_base
         assert state.pools[(1, 1)].reserve_quote == before.pools[(1, 1)].reserve_quote
@@ -225,41 +225,41 @@ class TestExecuteAtomic:
 
     def test_unprofitable_after_costs_reverts(self):
         # gas so expensive that proceeds cannot cover it
-        state, dev, thr = _arb_fixture(gas_price=1.0)
-        opp = opportunity_from_deviation(dev, state.pools, 0, thr, Funding.FLASH_LOAN, 90_000)
+        state, delta, thr = _arb_fixture(gas_price=1.0)
+        opp = opportunity(state.pools, thr, delta)
         # detection already refuses it: net profit would be negative
         assert opp is None
 
     def test_network_liquidity_insufficient_treasury(self):
-        state, dev, thr = _arb_fixture()
-        opp = opportunity_from_deviation(dev, state.pools, 0, thr, Funding.NETWORK_LIQUIDITY, 90_000)
+        state, delta, thr = _arb_fixture()
+        opp = opportunity(state.pools, thr, delta, Funding.NETWORK_LIQUIDITY)
         assert opp is not None
         state.treasury[0] = opp.optimal_size - 1
         before = state.clone()
-        result = execute_atomic(state, opp, thr, 0)
+        result = execute_atomic(state, opp, thr)
         assert not result.committed and result.reason == "insufficient_treasury"
         assert state.treasury == before.treasury
         assert state.pools[(0, 1)].reserve_base == before.pools[(0, 1)].reserve_base
 
     def test_revert_leaves_no_phantom_holder(self):
         # no lender account at all: the flash loan cannot be funded
-        state, dev, thr = _arb_fixture()
-        opp = opportunity_from_deviation(dev, state.pools, 0, thr, Funding.FLASH_LOAN, 90_000)
+        state, delta, thr = _arb_fixture()
+        opp = opportunity(state.pools, thr, delta)
         del state.accounts[LENDER]
         before = state.clone()
-        result = execute_atomic(state, opp, thr, 0)
+        result = execute_atomic(state, opp, thr)
         assert not result.committed and result.reason == "insufficient_lender"
         assert state.accounts == before.accounts
         assert state.treasury == before.treasury
 
     def test_no_inventory_risk_per_asset(self):
-        state, dev, thr = _arb_fixture()
+        state, delta, thr = _arb_fixture()
         for funding in (Funding.FLASH_LOAN, Funding.NETWORK_LIQUIDITY):
-            opp = opportunity_from_deviation(dev, state.pools, 0, thr, funding, 90_000)
+            opp = opportunity(state.pools, thr, delta, funding)
             if opp is None:
                 continue
             before = {a: state.balance(TREASURY, a) for a in (0, 1)}
-            result = execute_atomic(state, opp, thr, 0)
+            result = execute_atomic(state, opp, thr)
             after = {a: state.balance(TREASURY, a) for a in (0, 1)}
             if result.committed:
                 assert after[0] >= before[0]
@@ -271,16 +271,16 @@ class TestExecuteAtomic:
 class TestDeviationContraction:
     @pytest.mark.parametrize("gap", [0.03, -0.03, 0.012, -0.012])
     def test_contraction_into_directional_band(self, gap):
-        state, dev, thr = _arb_fixture(gap=gap)
-        opp = opportunity_from_deviation(dev, state.pools, 0, thr, Funding.FLASH_LOAN, 90_000)
+        state, delta, thr = _arb_fixture(gap=gap)
+        opp = opportunity(state.pools, thr, delta)
         assert opp is not None
-        result = execute_atomic(state, opp, thr, 0)
+        result = execute_atomic(state, opp, thr)
         assert result.committed
         p_v = spot_price(state.pools[(1, 1)])
         p_r = spot_price(state.pools[(0, 1)])
         after = (p_v - p_r) / p_r
         lo, hi = deviation_bounds(0.003, 0.003, thr.flash_fee)
-        assert abs(after) < abs(dev.delta_p)
+        assert abs(after) < abs(delta)
         assert lo - 1e-9 <= after <= hi + 1e-9
 
     def test_band_formula(self):

@@ -212,7 +212,7 @@ class TestBalancerPhase:
     def test_zero_residual_no_executions(self):
         state = _gapped_state()
         result = execute_block_balancer_phase(
-            state, [_template()], 0, THRESHOLD, 0, TREASURY, 90_000
+            state, [_template()], 0, THRESHOLD, 0, TREASURY
         )
         assert result.executed == [] and result.gas_used == 0
 
@@ -220,7 +220,7 @@ class TestBalancerPhase:
         """Recompute the post-trade deviation from raw reserves."""
         state = _gapped_state(gap=0.02)
         result = execute_block_balancer_phase(
-            state, [_template()], 1_000_000, THRESHOLD, 0, TREASURY, 90_000
+            state, [_template()], 1_000_000, THRESHOLD, 0, TREASURY
         )
         assert len(result.executed) == 1
         p_v = spot_price(state.pools[(1, 1)])
@@ -243,7 +243,7 @@ class TestBalancerPhase:
         first = _template(funding=Funding.FLASH_LOAN)
         second = _template(funding=Funding.NETWORK_LIQUIDITY)
         result = execute_block_balancer_phase(
-            state, [first, second], 1_000_000, threshold, 0, TREASURY, 90_000
+            state, [first, second], 1_000_000, threshold, 0, TREASURY
         )
         assert len(result.executed) == 1
         assert [s.reason for s in result.skipped] == ["below_epsilon"]
@@ -254,7 +254,7 @@ class TestBalancerPhase:
         state.pools[(2, 1)] = second_state_pool
         templates = [_template(venue=1), _template(venue=2)]
         result = execute_block_balancer_phase(
-            state, templates, 100_000, THRESHOLD, 0, TREASURY, 90_000
+            state, templates, 100_000, THRESHOLD, 0, TREASURY
         )
         # only one 90k tx fits in 100k residual
         assert len(result.executed) == 1
@@ -263,9 +263,10 @@ class TestBalancerPhase:
     def test_gas_accounting_exact(self):
         state = _gapped_state(gap=0.02)
         result = execute_block_balancer_phase(
-            state, [_template()], 1_000_000, THRESHOLD, 0, TREASURY, 90_000
+            state, [_template()], 1_000_000, THRESHOLD, 0, TREASURY
         )
-        assert result.gas_used == sum(r.gas_used for r in result.executed)
+        assert result.gas_used == len(result.executed) * THRESHOLD.gas_per_tx
+        assert result.fees_paid == len(result.executed) * THRESHOLD.gas_fee_nano
 
     def test_user_tx_sandwich_revalidation(self):
         """A user swap inside the block closes the gap; the stale balancer
@@ -291,7 +292,7 @@ class TestBalancerPhase:
         assert abs(live) <= 0.005  # the gap is gone before the balancer runs
 
         phase = execute_block_balancer_phase(
-            state, [_template()], 1_000_000, THRESHOLD, 0, TREASURY, 90_000
+            state, [_template()], 1_000_000, THRESHOLD, 0, TREASURY
         )
         assert phase.executed == []
         assert len(phase.skipped) == 1
@@ -336,9 +337,9 @@ class TestRunLevelInvariants:
 
         result = run_scenario(baseline_config, seed=21, mode="autobalancer")
         for block in result.blocks:
-            recorded = sum(tx.gas for tx in block.user_txs) + sum(
-                r.gas_used for r in block.balancer_executed
-            )
+            recorded = sum(tx.gas for tx in block.user_txs) + len(
+                block.balancer_executed
+            ) * baseline_config.threshold.gas_per_tx
             assert block.work == recorded
             assert block.work <= block.capacity
 

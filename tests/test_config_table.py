@@ -62,10 +62,11 @@ def _paths(node, prefix=()):
 
 
 def _set(raw: dict, path: str, value) -> dict:
-    *parents, last = path.split(".")
+    """Set `path` ("blocks.epochs", "pools[0].fee") in `raw`, making sections."""
+    *parents, last = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
     node = raw
     for key in parents:
-        node = node.setdefault(key, {})
+        node = node[key] if isinstance(key, int) else node.setdefault(key, {})
     node[last] = value
     return raw
 
@@ -132,6 +133,13 @@ def test_mutated_scenario_loads_or_lists_violations(name, data, scratch):
         pytest.param("blocks.capacity", 10**5000, "blocks.capacity", id="capacity-10**5000"),
         pytest.param("searchers.window", 10**5000, "searchers.window", id="window-10**5000"),
         pytest.param("seeds", [10**5000], "seeds", id="seeds-10**5000"),
+        # accepted, then the run aborted on int(inf) (OverflowError)
+        ("user_flow.size_mu", 800, "user_flow.size_mu"),
+        ("user_flow.size_sigma", 500, "user_flow.size_sigma"),
+        ("searchers.profiles[0].noise", 1000, "searchers.profiles[0].noise"),
+        ("pools[0].reserve_asset", 1e100, "pools[0].reserve_asset"),
+        # accepted, then every sizing overflowed to (0, 0): captured 0 in silence
+        ("pools[0].reserve_numeraire", 1e155, "pools[0].reserve_numeraire"),
     ],
 )
 def test_former_crash_is_a_violation_at_its_path(path, value, violation_at):
@@ -166,16 +174,53 @@ def test_validate_names_the_field_and_exits_1(old, new, path, tmp_path, capsys):
 @pytest.mark.parametrize(
     "path,limit",
     [("assets.count", 1_000), ("user_flow.num_users", 10_000), ("blocks.epochs", 50_000),
-     ("blocks.capacity", 2**63 - 1), ("searchers.window", 2**63 - 1)],
+     ("blocks.capacity", 2**63 - 1), ("searchers.window", 2**63 - 1),
+     ("user_flow.size_mu", 20.0), ("user_flow.size_mu", -20.0), ("user_flow.size_sigma", 3.0),
+     ("searchers.profiles[0].noise", 10.0), ("pools[0].reserve_asset", 1e30),
+     ("pools[0].reserve_numeraire", 1e30)],
 )
 def test_size_bounds_are_inclusive(path, limit):
-    """The largest accepted size; one more is a violation at its path
-    (baseline epochs are 20 blocks, so 50,000 epochs are 1,000,000 blocks;
-    every integer is a signed 64-bit one)."""
+    """The largest accepted size; one more (the next float away from zero,
+    for a float limit) is a violation at its path (baseline epochs are 20
+    blocks, so 50,000 epochs are 1,000,000 blocks; every integer is a
+    signed 64-bit one)."""
     from_dict(_set(_raw("baseline.yaml"), path, limit))
+    if isinstance(limit, int):
+        over = limit + 1
+    else:
+        over = math.nextafter(limit, math.copysign(math.inf, limit))
     with pytest.raises(ValidationError) as err:
-        from_dict(_set(_raw("baseline.yaml"), path, limit + 1))
+        from_dict(_set(_raw("baseline.yaml"), path, over))
     assert [v for v in err.value.violations if v.startswith(path + ": ")], err.value.violations
+
+
+def _at_limits(reserve, size_mu, size_sigma, noise) -> dict:
+    """baseline.yaml scaled so its largest reserve is `reserve` (price gaps
+    kept), with balances and endowments that deep, the given user swap
+    sizes and every searcher's estimate noise; 2 epochs."""
+    raw = _raw("baseline.yaml")
+    keys = ("reserve_asset", "reserve_numeraire")
+    top = max(pool[k] for pool in raw["pools"] for k in keys)
+    for pool in raw["pools"]:
+        pool.update({k: reserve * (pool[k] / top) for k in keys})
+    raw["blocks"]["epochs"] = 2
+    raw["user_flow"].update(size_mu=size_mu, size_sigma=size_sigma, endowment=reserve)
+    for profile in raw["searchers"]["profiles"]:
+        profile["noise"] = noise
+    raw["balances"] = {f"{who}_numeraire": reserve for who in ("treasury", "lender", "external")}
+    return raw
+
+
+@pytest.mark.parametrize("mode", ["off", "autobalancer", "external"])
+def test_largest_accepted_sizes_run(mode):
+    """The largest accepted reserves, swap sizes and noise run to the end
+    and still size trades. With reserves of 1e100 units the run aborted on
+    int(inf); from about 1e155 every sizing returned (0, 0) and the run
+    captured 0."""
+    result = run_scenario(from_dict(_at_limits(1e30, 20.0, 3.0, 10.0)), mode=mode)
+    assert len(result.blocks) == 40
+    if mode == "autobalancer":
+        assert result.totals["captured"] > 0
 
 
 def test_expected_user_txs_bound_is_inclusive():

@@ -70,17 +70,16 @@ class TestQuoteSwap:
 class TestExecuteSwap:
     def test_reserves_after_swap(self):
         pool = make_pool(1)
-        out, gas = execute_swap(pool, SwapDirection.BASE_IN, to_nano(100))
+        out = execute_swap(pool, SwapDirection.BASE_IN, to_nano(100))
         assert pool.reserve_base == to_nano(1100)
         assert pool.reserve_quote == to_nano(1000) - out
         assert to_units(pool.reserve_quote) == pytest.approx(909.0909090909, abs=1e-8)
-        assert gas == 21_000
 
     def test_two_swaps_compose(self):
         pool = make_pool(1, fee=0.003)
         twin = pool.clone()
-        out1, _ = execute_swap(pool, SwapDirection.BASE_IN, to_nano(50))
-        out2, _ = execute_swap(pool, SwapDirection.BASE_IN, to_nano(70))
+        out1 = execute_swap(pool, SwapDirection.BASE_IN, to_nano(50))
+        out2 = execute_swap(pool, SwapDirection.BASE_IN, to_nano(70))
         q1 = quote_swap(twin, SwapDirection.BASE_IN, to_nano(50))
         execute_swap(twin, SwapDirection.BASE_IN, to_nano(50))
         q2 = quote_swap(twin, SwapDirection.BASE_IN, to_nano(70))
@@ -95,7 +94,7 @@ class TestExecuteSwap:
     def test_matches_quote_exactly(self):
         pool = make_pool(1, fee=0.01)
         quoted = quote_swap(pool, SwapDirection.QUOTE_IN, to_nano(33))
-        executed, _ = execute_swap(pool, SwapDirection.QUOTE_IN, to_nano(33))
+        executed = execute_swap(pool, SwapDirection.QUOTE_IN, to_nano(33))
         assert executed == quoted
 
 
@@ -125,7 +124,7 @@ class TestSwapProperties:
         pool = make_pool(1)
         pool.reserve_base, pool.reserve_quote, pool.fee_ppb = rb, rq, fee
         quoted = quote_swap(pool, direction, amount)
-        executed, _ = execute_swap(pool, direction, amount)
+        executed = execute_swap(pool, direction, amount)
         assert executed == quoted
 
     @given(rb=reserves, rq=reserves, amount=amounts, fee=fees)
@@ -151,7 +150,7 @@ class TestSwapProperties:
         trader = {1: amount, 0: amount}
         total_base = pool.reserve_base + trader[1]
         total_quote = pool.reserve_quote + trader[0]
-        out, _ = execute_swap(pool, direction, amount)
+        out = execute_swap(pool, direction, amount)
         if direction is SwapDirection.BASE_IN:
             trader[1] -= amount
             trader[0] += out

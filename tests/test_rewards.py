@@ -151,11 +151,9 @@ def record(venue, profit):
     return ExecRecord(
         asset=1,
         venue_id=venue,
-        direction="buy_on_ref_sell_on_venue",
         funding="flash_loan",
         size=0,
         profit=profit,
-        gas_used=90_000,
         delta_p_before=0.0,
         delta_p_after=0.0,
     )

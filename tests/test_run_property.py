@@ -4,8 +4,9 @@ Each drawn scenario is valid and runs in all three modes: conservation
 holds to the nano-unit after every block, every generated user tx is
 applied or still queued, each epoch's ledger pays out exactly its pool,
 the beneficiary is never debited inside an epoch (it gains exactly the
-block's profit, and the slash when it is the treasury), a rerun writes
-the same bytes, and no run aborts.
+block's profit, and the slash when it is the treasury), every committed
+balancer tx costs the run's one gas and fee per tx, a rerun writes the
+same bytes, and no run aborts.
 """
 
 import math
@@ -18,8 +19,10 @@ from chainbalancer.report import dumps_report
 from chainbalancer.rewards import GROUP_MARKETPLACES
 from chainbalancer.runner import SimulationRun, run_scenario
 from chainbalancer.state import EXTERNAL, TREASURY
+from chainbalancer.units import to_nano
 
 EPOCHS, EPOCH_LENGTH = 2, 4
+CAPACITY = 1_000_000  # the default
 
 # 1 nano-unit to 10^8 units, spread over every order of magnitude
 RESERVES = st.builds(
@@ -48,8 +51,15 @@ def scenarios(draw) -> dict:
     return {
         "assets": {"count": assets + 1},
         "pools": pools,
-        "blocks": {"epochs": EPOCHS, "epoch_length": EPOCH_LENGTH},
-        "threshold": {"epsilon": 10 ** draw(st.floats(-9.0, math.log10(0.5)))},
+        "blocks": {
+            "epochs": EPOCHS,
+            "epoch_length": EPOCH_LENGTH,
+            "gas_per_balancer_tx": draw(st.integers(1, CAPACITY)),
+        },
+        "threshold": {
+            "epsilon": 10 ** draw(st.floats(-9.0, math.log10(0.5))),
+            "gas_price": draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-5))),
+        },
         "governance": {
             "allowed_funding": draw(
                 st.lists(st.sampled_from(["flash_loan", "network_liquidity"]),
@@ -93,6 +103,9 @@ class BeneficiaryTap(SimulationRun):
 def test_random_scenarios_keep_run_invariants(raw):
     config = from_dict(raw)
     seed = config.seeds[0]
+    gas_per_tx = raw["blocks"]["gas_per_balancer_tx"]
+    fee_per_tx = gas_per_tx * to_nano(raw["threshold"]["gas_price"])
+    assert config.threshold.gas_fee_nano == fee_per_tx
     for mode in MODES:
         run = BeneficiaryTap(config, seed, mode)
         result = run.execute()
@@ -101,6 +114,11 @@ def test_random_scenarios_keep_run_invariants(raw):
         report = result.report()
         reconciliation = report["final"]["reconciliation"]
         assert reconciliation["generated"] == reconciliation["applied"] + reconciliation["queued"]
+        for block in result.blocks:
+            commits = len(block.balancer_executed)
+            assert block.balancer_gas == commits * gas_per_tx
+            assert block.fees_collected == commits * fee_per_tx
+            assert block.user_gas + block.balancer_gas <= CAPACITY
 
         # inside an epoch the beneficiary only gains: the block's profit, and
         # the block's slash when the beneficiary is the treasury

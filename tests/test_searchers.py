@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainbalancer import Funding, Threshold, execute_atomic
-from chainbalancer.arbitrage import Deviation, opportunity_from_deviation
+from chainbalancer.arbitrage import opportunity_from_deviation
 from chainbalancer.chain import _live_delta
 from chainbalancer.searchers import (
     BalancerTemplate,
@@ -27,7 +27,6 @@ def rng_for(seed):
 
 
 THRESHOLD = Threshold(epsilon=0.003, flash_fee=0.0009, gas_price=1e-7)
-GAS_PER_TX = 90_000
 
 
 def three_gap_state():
@@ -58,7 +57,6 @@ class TestBuildProposal:
             conditions(),
             THRESHOLD,
             0,
-            GAS_PER_TX,
             rng_for(0),
         )
         estimates = [t.estimate for t in proposal.ordered_txs]
@@ -84,7 +82,6 @@ class TestBuildProposal:
             conditions(),
             THRESHOLD,
             0,
-            GAS_PER_TX,
             rng_for(0),
         )
         assert len({t.estimate for t in proposal.ordered_txs}) == 1
@@ -98,7 +95,6 @@ class TestBuildProposal:
             conditions(),
             THRESHOLD,
             0,
-            GAS_PER_TX,
         )
         a = build_proposal(SearcherProfile(0), *args, rng_for(7))
         b = build_proposal(SearcherProfile(0), *args, rng_for(7))
@@ -113,7 +109,6 @@ class TestBuildProposal:
             conditions(),
             THRESHOLD,
             0,
-            GAS_PER_TX,
             rng_for(0),
         )
         sim = state.clone()
@@ -123,16 +118,11 @@ class TestBuildProposal:
             if abs(delta) <= THRESHOLD.epsilon:
                 continue
             opp = opportunity_from_deviation(
-                Deviation(tpl.asset, tpl.venue_id, delta),
-                sim.pools,
-                0,
-                THRESHOLD,
-                funding=tpl.funding,
-                gas_estimate=GAS_PER_TX,
+                sim.pools, 0, THRESHOLD, tpl.asset, tpl.venue_id, delta, tpl.funding
             )
             if opp is None:
                 continue
-            result = execute_atomic(sim, opp, THRESHOLD, 0)
+            result = execute_atomic(sim, opp, THRESHOLD)
             if result.committed:
                 total += result.profit
         assert proposal.profit_estimate == total
@@ -146,7 +136,7 @@ class TestBuildProposal:
         ]
         state = make_state(pools)
         proposal = build_proposal(
-            SearcherProfile(0), state, conditions(min_net_profit=1), THRESHOLD, 0, GAS_PER_TX,
+            SearcherProfile(0), state, conditions(min_net_profit=1), THRESHOLD, 0,
             rng_for(0),
         )
         assert proposal.ordered_txs == []
@@ -156,11 +146,11 @@ class TestBuildProposal:
         state = three_gap_state()
         full = build_proposal(
             SearcherProfile(0, coverage=1.0), state, conditions(), THRESHOLD,
-            0, GAS_PER_TX, rng_for(5),
+            0, rng_for(5),
         )
         partial = build_proposal(
             SearcherProfile(1, coverage=0.34), state, conditions(), THRESHOLD,
-            0, GAS_PER_TX, rng_for(5),
+            0, rng_for(5),
         )
         assert len(partial.ordered_txs) < len(full.ordered_txs)
 
@@ -178,7 +168,7 @@ class TestEvaluateProposals:
         state = three_gap_state()
         p0 = build_proposal(
             SearcherProfile(0), state, conditions(), THRESHOLD,
-            0, GAS_PER_TX, rng_for(0),
+            0, rng_for(0),
         )
         # searcher 1 only sees venue 1 (the weakest gap)
         t1 = BalancerTemplate(
@@ -191,20 +181,20 @@ class TestEvaluateProposals:
         state, p0, p1 = self._proposals()
         cred = {0: 1.0, 1: 1.0}
         selected, scores = evaluate_proposals(
-            [p0, p1], [(state, 1_000_000)], cred, THRESHOLD, 0, GAS_PER_TX
+            [p0, p1], [(state, 1_000_000)], cred, THRESHOLD, 0
         )
         assert selected.searcher_id == 0
         assert scores[0]["score"] > scores[1]["score"]
 
     def test_credibility_weighting_flips_selection(self):
         state, p0, p1 = self._proposals()
-        s0 = evaluate_proposals([p0, p1], [(state, 1_000_000)], {0: 1.0, 1: 1.0}, THRESHOLD, 0, GAS_PER_TX)[1]
+        s0 = evaluate_proposals([p0, p1], [(state, 1_000_000)], {0: 1.0, 1: 1.0}, THRESHOLD, 0)[1]
         # weight searcher 0 down until its score drops below searcher 1's
         ratio = s0[1]["simulated_net_profit"] / s0[0]["simulated_net_profit"]
         low = ratio * 0.5
         cred = {0: low, 1: 1.0}
         selected, scores = evaluate_proposals(
-            [p0, p1], [(state, 1_000_000)], cred, THRESHOLD, 0, GAS_PER_TX
+            [p0, p1], [(state, 1_000_000)], cred, THRESHOLD, 0
         )
         assert selected.searcher_id == 1
         assert scores[0]["score"] < scores[1]["score"]
@@ -213,7 +203,7 @@ class TestEvaluateProposals:
         state, p0, _ = self._proposals()
         cred = {0: 0.0}
         selected, _ = evaluate_proposals(
-            [p0], [(state, 1_000_000)], cred, THRESHOLD, 0, GAS_PER_TX
+            [p0], [(state, 1_000_000)], cred, THRESHOLD, 0
         )
         assert selected is p0
 
@@ -226,7 +216,6 @@ class TestEvaluateProposals:
             cred,
             THRESHOLD,
             0,
-            GAS_PER_TX,
         )
         assert selected is None
 
@@ -246,10 +235,10 @@ class TestEvaluateProposals:
 
         cred = {0: 0.9, 1: 1.0}
         base_sel, base_scores = evaluate_proposals(
-            [p0, p1], [(scaled(1), 10**9)], cred, thr, 0, GAS_PER_TX
+            [p0, p1], [(scaled(1), 10**9)], cred, thr, 0
         )
         big_sel, big_scores = evaluate_proposals(
-            [p0, p1], [(scaled(10), 10**9)], cred, thr, 0, GAS_PER_TX
+            [p0, p1], [(scaled(10), 10**9)], cred, thr, 0
         )
         assert base_sel.searcher_id == big_sel.searcher_id
         assert big_scores[0]["simulated_net_profit"] == pytest.approx(
@@ -260,15 +249,15 @@ class TestEvaluateProposals:
         state = three_gap_state()
         p_a = build_proposal(
             SearcherProfile(3), state, conditions(), THRESHOLD,
-            0, GAS_PER_TX, rng_for(0),
+            0, rng_for(0),
         )
         p_b = build_proposal(
             SearcherProfile(1), state, conditions(), THRESHOLD,
-            0, GAS_PER_TX, rng_for(0),
+            0, rng_for(0),
         )
         cred = {1: 0.7, 3: 0.7}
         selected, _ = evaluate_proposals(
-            [p_a, p_b], [(state, 10**6)], cred, THRESHOLD, 0, GAS_PER_TX
+            [p_a, p_b], [(state, 10**6)], cred, THRESHOLD, 0
         )
         assert selected.searcher_id == 1
 
@@ -365,7 +354,6 @@ def test_every_proposal_passes_the_feasibility_oracle(
         cond,
         THRESHOLD,
         0,
-        GAS_PER_TX,
         rng_for(11),
     )
     ordered = proposal.ordered_txs

@@ -12,18 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainbalancer import (
-    Deviation,
     Funding,
     SwapDirection,
     Threshold,
     execute_atomic,
     spot_price,
 )
-from chainbalancer.arbitrage import (
-    OppDirection,
-    Opportunity,
-    opportunity_from_deviation,
-)
+from chainbalancer.arbitrage import Opportunity, opportunity_from_deviation
 from chainbalancer.chain import UserTx, execute_block_user_phase
 from chainbalancer.market import NUMERAIRE
 from chainbalancer.state import EXTERNAL, TREASURY, user_account
@@ -79,8 +74,9 @@ balancer_attempts = st.tuples(
     st.sampled_from([TREASURY, EXTERNAL]),
     st.booleans(),  # inject a fault
     # None sizes the trade from the live deviation; otherwise a forced size
-    # and direction, which is usually unprofitable and must revert
-    st.one_of(st.none(), st.tuples(st.integers(1, 10**14), st.sampled_from(list(OppDirection)))),
+    # and cheap pool (the venue's or the reference's), which is usually
+    # unprofitable and must revert
+    st.one_of(st.none(), st.tuples(st.integers(1, 10**14), st.sampled_from(["venue", "reference"]))),
 )
 
 
@@ -95,11 +91,14 @@ def _snapshot(state):
 def _opportunity(state, venue, asset, funding, forced):
     ref_price = spot_price(state.pool(REFERENCE, asset))
     delta_p = (spot_price(state.pool(venue, asset)) - ref_price) / ref_price
-    deviation = Deviation(asset, venue, delta_p)
     if forced is None:
-        return opportunity_from_deviation(deviation, state.pools, REFERENCE, THRESHOLD, funding)
-    size, direction = forced
-    return Opportunity(deviation, direction, size, 0, 90_000, funding)
+        return opportunity_from_deviation(
+            state.pools, REFERENCE, THRESHOLD, asset, venue, delta_p, funding
+        )
+    size, cheap_side = forced
+    venue_key, ref_key = (venue, asset), (REFERENCE, asset)
+    cheap, dear = (venue_key, ref_key) if cheap_side == "venue" else (ref_key, venue_key)
+    return Opportunity(cheap, dear, size, 0, funding)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -119,7 +118,7 @@ def test_random_operations_conserve_totals_and_never_cost_the_beneficiary(state,
                 continue
             before = _snapshot(state)
             paid_before = state.balance(beneficiary, NUMERAIRE)
-            result = execute_atomic(state, opp, THRESHOLD, REFERENCE, beneficiary, inject_fault=fault)
+            result = execute_atomic(state, opp, THRESHOLD, beneficiary, inject_fault=fault)
             if result.committed:
                 assert not fault
                 assert state.balance(beneficiary, NUMERAIRE) - paid_before == result.profit >= 0
