@@ -126,32 +126,25 @@ def generate_user_flow(
     # rng.random() draws the same index from the same stream position
     cumulative = weights.cumsum()
     cdf = (cumulative / cumulative[-1]).tolist()
+    # the draws, in this order per tx, are the stream: venue, asset,
+    # direction, size, submitter
+    random, integers, lognormal, poisson = rng.random, rng.integers, rng.lognormal, rng.poisson
+    rate, mu, sigma, gas = params.rate, params.size_mu, params.size_sigma, params.gas_per_swap
+    num_users = params.num_users
+    users = [user_account(i) for i in range(num_users)]
+    base_in, quote_in = SwapDirection.BASE_IN, SwapDirection.QUOTE_IN
     flow: list[list[UserTx]] = []
     next_id = 0
     for _ in range(n_blocks):
-        count = int(rng.poisson(params.rate))
         txs: list[UserTx] = []
-        for _ in range(count):
-            venue = venues[bisect.bisect_right(cdf, rng.random())]
+        for _ in range(int(poisson(rate))):
+            venue = venues[bisect.bisect_right(cdf, random())]
             assets = venue_assets[venue]
-            asset = assets[int(rng.integers(len(assets)))]
-            direction = (
-                SwapDirection.BASE_IN if rng.random() < 0.5 else SwapDirection.QUOTE_IN
-            )
-            size_units = float(rng.lognormal(params.size_mu, params.size_sigma))
-            amount_in = max(1, int(size_units * 1e9))
-            submitter = user_account(int(rng.integers(params.num_users)))
-            txs.append(
-                UserTx(
-                    id=next_id,
-                    venue_id=venue,
-                    asset=asset,
-                    direction=direction,
-                    amount_in=amount_in,
-                    gas=params.gas_per_swap,
-                    submitter=submitter,
-                )
-            )
+            asset = assets[integers(len(assets))]
+            direction = base_in if random() < 0.5 else quote_in
+            amount_in = max(1, int(lognormal(mu, sigma) * 1e9))
+            submitter = users[integers(num_users)]
+            txs.append(UserTx(next_id, venue, asset, direction, amount_in, gas, submitter))
             next_id += 1
         flow.append(txs)
     return flow

@@ -118,10 +118,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the simulation
         if args.command == "run":
             result = run_scenario(config, seed=args.seed, mode=args.mode)
             report = result.report()
-            out = Path(args.out)
             json_path = write_json(report, out / "report.json")
             csv_path = write_blocks_csv(report, out / "blocks.csv")
             totals = result.totals
@@ -134,7 +135,6 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         comparison = run_baseline_comparison(config, args.modes, args.seeds or config.seeds)
-        out = Path(args.out)
         json_path = write_comparison_json(comparison, out / "comparison.json")
         csv_path = write_comparison_csv(comparison, out / "comparison.csv")
         for mode in args.modes:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainbalancer import ValidationError, load_scenario, run_scenario
 from chainbalancer.cli import main
@@ -174,12 +176,32 @@ class TestRunShapes:
         assert "synthetic pool failure" in str(err.value)
 
 
+# nested JSON data: empty containers, non-ASCII text, big ints, inf and nan,
+# bools and None; keys all strings or (json coerces them) all ints
+JSON_DATA = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+        | st.dictionaries(st.integers(), children)
+    ),
+    max_leaves=40,
+)
+
+
 class TestReportFiles:
     def test_json_round_trip(self, tmp_path, baseline_config):
         result = run_scenario(baseline_config, seed=4)
         report = result.report()
         path = write_json(report, tmp_path / "report.json")
         assert read_json(path) == report
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(JSON_DATA)
+    @example({"a": {}, "b": [], "c": [{}, []], "d": {"e": [1.5, float("inf"), float("nan"), None, True, "é"]}})
+    def test_dumps_report_matches_json_dumps(self, data):
+        assert dumps_report(data) == json.dumps(data, sort_keys=True, indent=2)
 
     def test_csv_shape(self, tmp_path, baseline_config):
         result = run_scenario(baseline_config, seed=4)
@@ -242,6 +264,22 @@ class TestCli:
         monkeypatch.setattr("chainbalancer.cli.run_scenario", boom)
         assert main(["run", path]) == 2
         assert "synthetic failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_unusable_out_fails_before_simulating(self, tmp_path, monkeypatch, capsys, command):
+        path = self._write(tmp_path, minimal_raw())
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("no simulation may start")
+
+        monkeypatch.setattr("chainbalancer.cli.run_scenario", must_not_run)
+        monkeypatch.setattr("chainbalancer.cli.run_baseline_comparison", must_not_run)
+        assert main([command, path, "--out", str(blocker / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime abort: [Errno 20] Not a directory")
+        assert "no simulation may start" not in err
 
     @pytest.mark.parametrize(
         "flag, value, message",
