@@ -10,19 +10,6 @@ and sizing primitives the demos use; everything else is imported from its
 own module.
 """
 
-import os as _os
-import sys as _sys
-
-# OpenBLAS starts a worker thread per core when numpy loads it, and reads
-# OPENBLAS_NUM_THREADS only then. Nothing here calls BLAS, so load it
-# single-threaded and leave the environment as it was, children included.
-if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
-    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy as _numpy  # noqa: F401
-    finally:
-        del _os.environ["OPENBLAS_NUM_THREADS"]
-
 from .arbitrage import (
     Funding,
     Threshold,

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from itertools import accumulate
+from math import cos, exp, log, sqrt, tau
+from random import Random
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .arbitrage import Funding, Threshold, execute_atomic, opportunity_from_deviation
 from .market import NUMERAIRE, SwapDirection, execute_swap, spot_price
@@ -105,8 +106,16 @@ class UserFlowParams:
                 raise ValueError("venue weights must not all be zero")
 
 
+def standard_normal(random: Callable[[], float]) -> float:
+    """One Box-Muller N(0, 1) draw from two uniforms in [0, 1).
+
+    1 - u is at least 2**-53, so |z| never exceeds sqrt(106 ln 2) ~ 8.57.
+    """
+    return sqrt(-2.0 * log(1.0 - random())) * cos(tau * random())
+
+
 def generate_user_flow(
-    rng: np.random.Generator,
+    rng: Random,
     params: UserFlowParams,
     n_blocks: int,
     venue_assets: dict[int, list[int]],
@@ -120,15 +129,11 @@ def generate_user_flow(
     if params.rate == 0 or n_blocks == 0:
         return [[] for _ in range(n_blocks)]
     venues = sorted(params.venue_weights)
-    weights = np.array([params.venue_weights[v] for v in venues], dtype=float)
-    weights = weights / weights.sum()
-    # the cdf Generator.choice(p=weights) builds: bisecting it with one
-    # rng.random() draws the same index from the same stream position
-    cumulative = weights.cumsum()
-    cdf = (cumulative / cumulative[-1]).tolist()
+    cumulative = list(accumulate(params.venue_weights[v] for v in venues))
+    cdf = [c / cumulative[-1] for c in cumulative]
     # the draws, in this order per tx, are the stream: venue, asset,
     # direction, size, submitter
-    random, integers, lognormal, poisson = rng.random, rng.integers, rng.lognormal, rng.poisson
+    random = rng.random
     rate, mu, sigma, gas = params.rate, params.size_mu, params.size_sigma, params.gas_per_swap
     num_users = params.num_users
     users = [user_account(i) for i in range(num_users)]
@@ -136,14 +141,19 @@ def generate_user_flow(
     flow: list[list[UserTx]] = []
     next_id = 0
     for _ in range(n_blocks):
+        # Poisson(rate): the unit-rate exponential gaps that fit inside rate
+        arrivals, elapsed = 0, -log(1.0 - random())
+        while elapsed < rate:
+            arrivals += 1
+            elapsed -= log(1.0 - random())
         txs: list[UserTx] = []
-        for _ in range(int(poisson(rate))):
+        for _ in range(arrivals):
             venue = venues[bisect.bisect_right(cdf, random())]
             assets = venue_assets[venue]
-            asset = assets[integers(len(assets))]
+            asset = assets[int(random() * len(assets))]
             direction = base_in if random() < 0.5 else quote_in
-            amount_in = max(1, int(lognormal(mu, sigma) * 1e9))
-            submitter = users[integers(num_users)]
+            amount_in = max(1, int(exp(mu + sigma * standard_normal(random)) * 1e9))
+            submitter = users[int(random() * num_users)]
             txs.append(UserTx(next_id, venue, asset, direction, amount_in, gas, submitter))
             next_id += 1
         flow.append(txs)

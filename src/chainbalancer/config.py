@@ -137,7 +137,7 @@ FIELDS = (
      ],
      _nonempty_list(), "a non-empty list of profile mappings"),
     ("searchers.profiles[].id", None, *INTEGER),
-    # bounded so that exp() of an estimate's noise draw stays a finite float
+    # bounded so exp() of a noise draw stays finite (math.exp raises): Box-Muller |z| <= 8.58
     ("searchers.profiles[].noise", 0.0, _num(lambda x: 0 <= x <= 10), "a number in [0, 10]"),
     ("searchers.profiles[].coverage", 1.0, _num(lambda x: 0 < x <= 1), "a number in (0, 1]"),
     ("governance.allowed_funding", list(_FUNDING), _nonempty_list(lambda f: f in _FUNDING),

@@ -16,8 +16,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
+from random import Random
 
 from .chain import (
     Block,
@@ -192,15 +191,15 @@ class SimulationRun:
         self.config = config
         self.seed = seed
         self.mode = mode
-        roots = np.random.SeedSequence(seed).spawn(4)
-        self.rng_user = np.random.Generator(np.random.PCG64(roots[0]))
-        self._searcher_seeds = roots[1].spawn(len(config.searcher_profiles))
+        # one stream per source, seeded by a label (hashed with sha512); every
+        # draw is built from random(), the one stream Python keeps across versions
+        self.rng_user = Random(f"{seed}:user")
         self.rng_searchers = {
-            profile.searcher_id: np.random.Generator(np.random.PCG64(ss))
-            for profile, ss in zip(config.searcher_profiles, self._searcher_seeds)
+            p.searcher_id: Random(f"{seed}:searcher:{p.searcher_id}")
+            for p in config.searcher_profiles
         }
-        self.rng_producer = np.random.Generator(np.random.PCG64(roots[2]))
-        self.rng_chaos = np.random.Generator(np.random.PCG64(roots[3]))
+        self.rng_producer = Random(f"{seed}:producer")
+        self.rng_chaos = Random(f"{seed}:chaos")
         self.state = _genesis_state(config)
         # the pool set is fixed for the run, so the snapshot's index plan is too
         keys = list(self.state.pools)
@@ -276,7 +275,10 @@ class SimulationRun:
                         cfg.dishonesty_rate > 0
                         and self.rng_producer.random() < cfg.dishonesty_rate
                     ):
-                        order = list(self.rng_producer.permutation(len(order)))
+                        # Fisher-Yates, as shuffle() may change across versions
+                        for i in range(len(order) - 1, 0, -1):
+                            j = int(self.rng_producer.random() * (i + 1))
+                            order[i], order[j] = order[j], order[i]
                     templates = [active_set[i] for i in order]
                     injector = None
                     if cfg.forced_revert_rate > 0:

@@ -10,13 +10,13 @@ tracks how well realized profit matched the claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp
+from random import Random
 from typing import Sequence
-
-import numpy as np
 
 from .arbitrage import Funding, Threshold, opportunity_from_deviation
 from .arbitrage import execute_atomic  # noqa: F401 - perfbench/tracer.py rebinds it here
-from .chain import execute_block_balancer_phase, _live_delta
+from .chain import execute_block_balancer_phase, _live_delta, standard_normal
 from .state import TREASURY, ChainState
 
 FUNDING_ORDER = {Funding.FLASH_LOAN: 0, Funding.NETWORK_LIQUIDITY: 1}
@@ -94,7 +94,7 @@ def build_proposal(
     conditions: GovernanceConditions,
     threshold: Threshold,
     reference_venue_id: int,
-    rng: np.random.Generator,
+    rng: Random,
 ) -> SearcherProposal:
     """Enumerate, estimate, filter, and order one searcher's template set.
 
@@ -115,7 +115,7 @@ def build_proposal(
     candidates: list[BalancerTemplate] = []
     for asset, venue_id in _candidate_pairs(expected_state, reference_venue_id):
         covered = rng.random() < profile.coverage
-        noise = float(rng.normal(0.0, profile.noise)) if profile.noise > 0 else 0.0
+        noise = profile.noise * standard_normal(rng.random) if profile.noise > 0 else 0.0
         if not covered:
             continue
         delta = _live_delta(expected_state, venue_id, asset, reference_venue_id)
@@ -124,7 +124,7 @@ def build_proposal(
         )
         estimate = 0 if opp is None else opp.expected_profit
         if estimate > 0 and noise != 0.0:
-            estimate = max(0, int(round(estimate * float(np.exp(noise)))))
+            estimate = max(0, int(round(estimate * exp(noise))))
         if estimate < conditions.min_net_profit:
             continue
         candidates.append(BalancerTemplate(asset, venue_id, funding, estimate))

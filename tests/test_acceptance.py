@@ -381,7 +381,7 @@ class TestCriterion7OrderingAudit:
                 conditions,
                 threshold,
                 0,
-                np.random.Generator(np.random.PCG64(0)),
+                random.Random(0),
             )
             if not proposal.ordered_txs or proposal.ordered_txs[0].estimate <= 0:
                 continue  # no live opportunity; resample

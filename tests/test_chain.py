@@ -1,6 +1,10 @@
 """Block production: user flow, gas packing, phases, utilization."""
 
-import numpy as np
+import hashlib
+import math
+import random
+import statistics
+
 import pytest
 
 from chainbalancer import Funding, SwapDirection, Threshold, spot_price
@@ -22,11 +26,13 @@ from conftest import make_pool, make_state
 
 
 def rng_for(seed):
-    return np.random.Generator(np.random.PCG64(seed))
+    return random.Random(seed)
 
 
 FLOW_PARAMS = UserFlowParams(rate=5.0, size_mu=2.0, size_sigma=0.5, venue_weights={1: 1.0, 2: 3.0})
 VENUE_ASSETS = {1: [1, 2], 2: [1]}
+# sha256 of the 51 txs that rng_for(42) draws in 10 blocks of FLOW_PARAMS
+FLOW_DIGEST = "97d066b4f41f9b214411a93e1c5a304f7dbbe0b5e555905197dc42d3efab409f"
 
 
 class TestGenerateUserFlow:
@@ -64,45 +70,48 @@ class TestGenerateUserFlow:
         with pytest.raises(ValueError):
             UserFlowParams(rate=1.0, venue_weights={1: -2.0})
 
-    def test_venue_draw_matches_generator_choice(self):
-        """The bisect draw returns Generator.choice's index from the same
-        stream position, with zero weights and other draws interleaved."""
-        meta = np.random.default_rng(2026)
-        for case in range(300):
-            n_venues = int(meta.integers(1, 7))
-            weights = meta.random(n_venues) * (meta.random(n_venues) < 0.7)
-            weights[int(meta.integers(n_venues))] += 0.01
-            params = UserFlowParams(
-                rate=float(meta.uniform(0.5, 6.0)),
-                venue_weights={v: float(w) for v, w in enumerate(weights)},
-            )
-            assets = {v: list(range(1, int(meta.integers(2, 5)))) for v in range(n_venues)}
-            twin = rng_for(case)
-            expected = _choice_flow(twin, params, 20, assets)
-            rng = rng_for(case)
-            assert generate_user_flow(rng, params, 20, assets) == expected
-            assert rng.random() == twin.random()
+    def test_draws_follow_their_distributions(self):
+        """Each draw within 4 standard errors of its distribution's moments."""
+        params = UserFlowParams(
+            rate=5.0, size_mu=2.0, size_sigma=0.5, venue_weights={1: 1.0, 2: 3.0, 3: 0.0}
+        )
+        blocks = 20_000
+        flow = generate_user_flow(rng_for(2026), params, blocks, {1: [1, 2], 2: [1], 3: [1]})
+        counts = [len(txs) for txs in flow]
+        rate = params.rate
+        assert abs(statistics.fmean(counts) - rate) < 4 * math.sqrt(rate / blocks)
+        # a Poisson count's sample variance has variance (rate + 2 rate^2) / n
+        assert abs(statistics.variance(counts) - rate) < 4 * math.sqrt((rate + 2 * rate**2) / blocks)
 
+        txs = [tx for block in flow for tx in block]
+        n = len(txs)
+        log_sizes = [math.log(tx.amount_in / 1e9) for tx in txs]
+        mu, sigma = params.size_mu, params.size_sigma
+        assert abs(statistics.fmean(log_sizes) - mu) < 4 * sigma / math.sqrt(n)
+        assert abs(statistics.stdev(log_sizes) - sigma) < 4 * sigma / math.sqrt(2 * n)
 
-def _choice_flow(rng, params, n_blocks, venue_assets):
-    """generate_user_flow as drawn with Generator.choice(n, p=weights)."""
-    venues = sorted(params.venue_weights)
-    weights = np.array([params.venue_weights[v] for v in venues], dtype=float)
-    weights = weights / weights.sum()
-    flow, next_id = [], 0
-    for _ in range(n_blocks):
-        txs = []
-        for _ in range(int(rng.poisson(params.rate))):
-            venue = venues[int(rng.choice(len(venues), p=weights))]
-            assets = venue_assets[venue]
-            asset = assets[int(rng.integers(len(assets)))]
-            direction = SwapDirection.BASE_IN if rng.random() < 0.5 else SwapDirection.QUOTE_IN
-            amount_in = max(1, int(float(rng.lognormal(params.size_mu, params.size_sigma)) * 1e9))
-            submitter = user_account(int(rng.integers(params.num_users)))
-            txs.append(UserTx(next_id, venue, asset, direction, amount_in, params.gas_per_swap, submitter))
-            next_id += 1
-        flow.append(txs)
-    return flow
+        def within(count, total, p):
+            return abs(count / total - p) < 4 * math.sqrt(p * (1 - p) / total)
+
+        venues = [tx.venue_id for tx in txs]
+        assert within(venues.count(2), n, 0.75)
+        assert 3 not in venues
+        venue_1 = [tx.asset for tx in txs if tx.venue_id == 1]
+        assert within(venue_1.count(1), len(venue_1), 0.5)
+        assert within(sum(tx.direction is SwapDirection.BASE_IN for tx in txs), n, 0.5)
+        submitters = [tx.submitter for tx in txs]
+        assert within(submitters.count(user_account(0)), n, 1 / params.num_users)
+        assert set(submitters) == {user_account(i) for i in range(params.num_users)}
+
+    def test_flow_digest_pinned(self):
+        """The draw order and arithmetic, pinned apart from the run goldens."""
+        flow = generate_user_flow(rng_for(42), FLOW_PARAMS, 10, VENUE_ASSETS)
+        lines = "".join(
+            f"{tx.id}|{tx.venue_id}|{tx.asset}|{tx.direction.value}|{tx.amount_in}|{tx.gas}|{tx.submitter}\n"
+            for txs in flow
+            for tx in txs
+        )
+        assert hashlib.sha256(lines.encode()).hexdigest() == FLOW_DIGEST
 
 
 def _funded_state():

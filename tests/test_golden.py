@@ -22,22 +22,23 @@ from chainbalancer.report import write_json
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
-    ("baseline", "off"): "3416baefabfe6a6eb58210b8884a6031ee120639f840557af9d4716c1a7ad2b5",
-    ("baseline", "autobalancer"): "8c53114ca6cbf5a4429711da2bb5dc5991a6d437ef3f3027c895f550a23589c4",
-    ("baseline", "external"): "40376de1470e670728a880328b748c19ee90e83619e76226e455b873dbcdb0c0",
-    ("chaos", "off"): "cbcc113c4f7ea0d0f24f295ef7e7ab18a963baca3ffa35d89e9625ab53aa58e1",
-    ("chaos", "autobalancer"): "3ae89fd3277011411b685f024c1e1cc0e943adef747af0da71d8f178747774ca",
-    ("chaos", "external"): "a953a3d6202f3371a132335c84f7bd2363eeaa29a3fb1e4e3c06abbcb93f6444",
-    ("scale", "off"): "43b8a680303f162ea916dd5ddd8f17d2e14d76adb042995e2427e4edc6c7ffb3",
-    ("scale", "autobalancer"): "78039d364280114c1b0317e843298ce3f5f22b547f6926779ca94534534680d9",
-    ("scale", "external"): "4f977232aa6a98d43ac10907662dcf6c8bc7238e44f1cd08a5cb6bb9e1fa37d5",
+    ("baseline", "off"): "6f6f9141336c069953204892a7f2552f5491880b5e22d72fd791619c553d2b85",
+    ("baseline", "autobalancer"): "1f82a2d76aaa0074220438b68418239937dfcffe8b586c95836f35c804d76014",
+    ("baseline", "external"): "bd7bb718c2937f94bf8b19441218f6295b841d6de4ce1b67851f019a21451ef2",
+    ("chaos", "off"): "b24c7ba8c7c8aa17fecf0a6a098f15c6a5033d48c908597e91da2faaa0dd336e",
+    ("chaos", "autobalancer"): "6599b157125253388c718ae924257311f257eb1c15778e01388f45e13adea1cf",
+    ("chaos", "external"): "696157f00571d1f3932e93217d0d7f94e94d705a9e940ffaf77c11248033c879",
+    ("scale", "off"): "f233ef3b9fa533357356999dbd6ad3edf894daec66be6969cec08afc1ff5fb2a",
+    ("scale", "autobalancer"): "df14807af10bce977961bb5cc3bedb6ad9c9c7e5e9485c01390fb2dc941cd68e",
+    ("scale", "external"): "2c940ef985ebb9721c07296dcf00614d87be788c543e7189bef68ea24aa8a4bc",
 }
-# Autobalancer digests from before `reward_ledger` lost its constant
-# `"diverted_to_treasury": false` key.
+# Autobalancer digests with `reward_ledger`'s former constant
+# `"diverted_to_treasury": false` key put back: the bytes the code from
+# before the key's removal writes on the same draws.
 WITH_DIVERTED_KEY = {
-    "baseline": "8684f391c212abe223b51a5938c37ef84c640abb29e3f68dddcbbc63f3c481e9",
-    "chaos": "75038c0839078097b16f4b947213e5008a9cf1b3f6eed2570a0739a1986cb1ec",
-    "scale": "acc673be7bcf2457174060b6103ec67f3212ddaed7f1c0e547f47f5fba625e1d",
+    "baseline": "597f81ae668679274af5a110bcb29bfe0905d3e2726d8678fdea54b0484b81d6",
+    "chaos": "66555891dae8e45694253677a719fef0ffd2d441d8fa922694e16ffac1c9a05f",
+    "scale": "5151966e8df2a500e4303f71d2d2699cabe98d5eb76224520528e03496af9747",
 }
 SCALE_EPOCHS = 4
 

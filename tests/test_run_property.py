@@ -2,7 +2,8 @@
 
 Each drawn scenario is valid and runs in all three modes: conservation
 holds to the nano-unit after every block, every generated user tx is
-applied or still queued, each epoch's ledger pays out exactly its pool,
+applied or still queued (and some are queued when the drawn capacity
+binds), each epoch's ledger pays out exactly its pool,
 the beneficiary is never debited inside an epoch (it gains exactly the
 block's profit, and the slash when it is the treasury), every committed
 balancer tx costs the run's one gas and fee per tx, a rerun writes the
@@ -22,7 +23,7 @@ from chainbalancer.state import EXTERNAL, TREASURY
 from chainbalancer.units import to_nano
 
 EPOCHS, EPOCH_LENGTH = 2, 4
-CAPACITY = 1_000_000  # the default
+USER_GAS = 21_000  # the default gas per user swap
 
 # 1 nano-unit to 10^8 units, spread over every order of magnitude
 RESERVES = st.builds(
@@ -35,6 +36,13 @@ RESERVES = st.builds(
 @st.composite
 def scenarios(draw) -> dict:
     venues = draw(st.integers(2, 4))  # venue 0 is the reference
+    # the default capacity, or one of 1-3 user swaps (plus spare gas) against
+    # well over 3 arrivals a block, so the carry queue fills
+    if draw(st.booleans()):
+        capacity = draw(st.integers(1, 3)) * USER_GAS + draw(st.integers(0, USER_GAS - 1))
+        rate = draw(st.floats(12.0, 40.0))
+    else:
+        capacity, rate = 1_000_000, 5.0
     assets = draw(st.integers(1, 3))  # the numeraire not counted
     pools = [
         {
@@ -54,8 +62,10 @@ def scenarios(draw) -> dict:
         "blocks": {
             "epochs": EPOCHS,
             "epoch_length": EPOCH_LENGTH,
-            "gas_per_balancer_tx": draw(st.integers(1, CAPACITY)),
+            "capacity": capacity,
+            "gas_per_balancer_tx": draw(st.integers(1, capacity)),
         },
+        "user_flow": {"rate": rate},
         "threshold": {
             "epsilon": 10 ** draw(st.floats(-9.0, math.log10(0.5))),
             "gas_price": draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-5))),
@@ -114,11 +124,13 @@ def test_random_scenarios_keep_run_invariants(raw):
         report = result.report()
         reconciliation = report["final"]["reconciliation"]
         assert reconciliation["generated"] == reconciliation["applied"] + reconciliation["queued"]
+        if config.capacity < 4 * USER_GAS:
+            assert reconciliation["queued"] > 0
         for block in result.blocks:
             commits = len(block.balancer_executed)
             assert block.balancer_gas == commits * gas_per_tx
             assert block.fees_collected == commits * fee_per_tx
-            assert block.user_gas + block.balancer_gas <= CAPACITY
+            assert block.user_gas + block.balancer_gas <= config.capacity
 
         # inside an epoch the beneficiary only gains: the block's profit, and
         # the block's slash when the beneficiary is the treasury

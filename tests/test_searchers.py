@@ -1,13 +1,17 @@
 """Proposal building, governance selection, credibility dynamics."""
 
-import numpy as np
+import math
+import random
+from itertools import cycle
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainbalancer import Funding, Threshold, execute_atomic
 from chainbalancer.arbitrage import opportunity_from_deviation
-from chainbalancer.chain import _live_delta
+from chainbalancer.chain import _live_delta, standard_normal
 from chainbalancer.searchers import (
     BalancerTemplate,
     GovernanceConditions,
@@ -23,7 +27,7 @@ from conftest import make_pool, make_state
 
 
 def rng_for(seed):
-    return np.random.Generator(np.random.PCG64(seed))
+    return random.Random(seed)
 
 
 THRESHOLD = Threshold(epsilon=0.003, flash_fee=0.0009, gas_price=1e-7)
@@ -153,6 +157,23 @@ class TestBuildProposal:
             0, rng_for(5),
         )
         assert len(partial.ordered_txs) < len(full.ordered_txs)
+
+    def test_largest_noise_draw_keeps_estimates_finite(self):
+        """At the largest noise the config accepts, Box-Muller's largest z
+        (1 - u = 2**-53, cos 0 = 1) still leaves exp(noise) a finite float."""
+        extreme = [0.0, 1.0 - 2**-53, 0.0]  # per candidate: coverage, then z's two uniforms
+        z = standard_normal(iter(extreme[1:]).__next__)
+        assert z == pytest.approx(math.sqrt(106 * math.log(2)))  # 8.57
+
+        noisy = build_proposal(
+            SearcherProfile(0, noise=10.0), three_gap_state(), conditions(), THRESHOLD, 0,
+            SimpleNamespace(random=cycle(extreme).__next__),
+        )
+        exact = build_proposal(SearcherProfile(0), three_gap_state(), conditions(), THRESHOLD, 0, rng_for(0))
+        assert len(exact.ordered_txs) == 3
+        assert [t.estimate for t in noisy.ordered_txs] == [
+            round(t.estimate * math.exp(10.0 * z)) for t in exact.ordered_txs
+        ]
 
 
 def proposal_of(searcher_id, templates):
