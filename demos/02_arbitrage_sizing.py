@@ -7,7 +7,6 @@ to the fee-implied no-arbitrage band.
 """
 
 from chainbalancer import (
-    Funding,
     Threshold,
     deviation_bounds,
     execute_atomic,
@@ -60,14 +59,14 @@ def main():
     size, profit = optimal_trade_size(ref, venue, flash_fee=0.0009)
     print(f"\nclosed-form optimum: spend {size:.4f}, gross profit {profit:.4f}")
 
-    print("\n=== Execute atomically under a flash loan ===")
+    print("\n=== Execute atomically; the treasury is empty, so a flash loan funds it ===")
     state = ChainState(pools={(0, 1): ref, (1, 1): venue})
     state.credit("lender", 0, to_nano(10**7))
     thr = Threshold(epsilon=0.003, flash_fee=0.0009, gas_price=1e-7)
-    opp = opportunity_from_deviation(state.pools, 0, thr, 1, 1, delta, Funding.FLASH_LOAN)
+    opp = opportunity_from_deviation(state, 0, thr, 1, 1, delta)
     result = execute_atomic(state, opp, thr)
-    print(f"committed: {result.committed}, net profit {to_units(result.profit):.6f} "
-          f"(after flash fee and {thr.gas_per_tx} gas)")
+    print(f"funding: {opp.funding.value}, committed: {result.committed}, "
+          f"net profit {to_units(result.profit):.6f} (after flash fee and {thr.gas_per_tx} gas)")
     after = (spot_price(venue) - spot_price(ref)) / spot_price(ref)
     print(f"post-trade deviation {after:+.4%} sits inside [{lo:+.4%}, {hi:+.4%}]")
     print(f"treasury numeraire gained: {to_units(state.balance('treasury', 0)):.6f}")

@@ -2,11 +2,13 @@
 
 A balancer transaction closes the gap between one venue pool and the
 reference pool for a single asset: buy where the asset is cheap, sell
-where it is dear, both legs denominated in the numeraire. Funding is a
-flash loan (repaid with a fee inside the same transaction) or
-network-owned liquidity fronted by the treasury; either way the whole
-round trip is quoted first and the commit-or-revert decision is made
-before any state is written.
+where it is dear, both legs denominated in the numeraire. Funding is
+chosen per transaction, against the live balance: network-owned
+liquidity fronted by the beneficiary when it is allowed and covers the
+size, otherwise a flash loan (repaid with a fee inside the same
+transaction) when that is allowed. Either way the whole round trip is
+quoted first and the commit-or-revert decision is made before any state
+is written.
 
 Sizing is closed-form. The two constant-product legs compose into one
 curve out(x) = A x / (B + C x), so with k = 1 + flash_fee the profit
@@ -34,12 +36,13 @@ class Funding(str, Enum):
 
 @dataclass
 class Threshold:
-    """Trigger and cost parameters for deviation arbitrage."""
+    """Trigger, cost and funding parameters for deviation arbitrage."""
 
     epsilon: float = 0.003        # relative deviation trigger
     flash_fee: float = 0.0009     # fraction of the borrowed size
     gas_price: float = 1e-7       # numeraire per gas unit
     gas_per_tx: int = 90_000      # gas of one balancer tx (flash-loan overhead included)
+    allowed_funding: frozenset = frozenset(Funding)  # the kinds a balancer tx may use
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
@@ -58,7 +61,7 @@ class Opportunity:
     dear: tuple[int, int]   # (venue_id, asset) of the pool it is sold back to
     optimal_size: int       # nano-units of numeraire spent on the cheap leg
     expected_profit: int    # nano-units, net of flash fee and gas
-    funding: Funding
+    funding: Funding        # the kind chosen for this execution
 
 
 @dataclass
@@ -140,15 +143,15 @@ def _quote_round_trip(
 
 
 def opportunity_from_deviation(
-    pools: dict[tuple[int, int], Pool],
+    state: ChainState,
     reference_venue_id: int,
     threshold: Threshold,
     asset: int,
     venue_id: int,
     delta_p: float,
-    funding: Funding,
+    beneficiary: str = TREASURY,
 ) -> Opportunity | None:
-    """Size the trade behind a deviation; None when it does not clear the bar.
+    """Size and fund the trade behind a deviation; None when it does not clear the bar.
 
     `delta_p` is (p_venue - p_ref) / p_ref for `asset` on `venue_id`; its
     sign names the cheap pool. The bar is threefold: |delta_p| above the
@@ -157,21 +160,32 @@ def opportunity_from_deviation(
     is quoted with the integer arithmetic `execute_atomic` runs, so on
     unchanged state the realized profit equals `expected_profit` to the
     nano-unit.
+
+    Funding: network liquidity, sized without a loan fee, when it is allowed
+    and the beneficiary's numeraire covers the size; else a flash loan, sized
+    with the fee, when that is allowed; else network liquidity, which
+    `execute_atomic` reverts as `insufficient_treasury`. With no kind
+    allowed nothing is sized.
     """
     if abs(delta_p) <= threshold.epsilon:
         return None
     venue_key, ref_key = (venue_id, asset), (reference_venue_id, asset)
     cheap, dear = (ref_key, venue_key) if delta_p > 0 else (venue_key, ref_key)
-    pool_cheap, pool_dear = pools[cheap], pools[dear]
-    flash = funding is Funding.FLASH_LOAN
-    size_units, _ = optimal_trade_size(pool_cheap, pool_dear, threshold.flash_fee if flash else 0.0)
-    size = int(size_units * SCALE)
+    pool_cheap, pool_dear = state.pools[cheap], state.pools[dear]
+    allowed = threshold.allowed_funding
+    flash, size = Funding.FLASH_LOAN in allowed, 0
+    if Funding.NETWORK_LIQUIDITY in allowed:
+        size = int(optimal_trade_size(pool_cheap, pool_dear)[0] * SCALE)
+        flash = flash and size > state.balance(beneficiary, NUMERAIRE)
+    if flash:
+        size = int(optimal_trade_size(pool_cheap, pool_dear, threshold.flash_fee)[0] * SCALE)
     if size <= 0:
         return None
     loan_fee = fee_due(size, threshold.flash_fee_ppb) if flash else 0
     _, net = _quote_round_trip(pool_cheap, pool_dear, size, loan_fee, threshold.gas_fee_nano)
     if net <= 0:
         return None
+    funding = Funding.FLASH_LOAN if flash else Funding.NETWORK_LIQUIDITY
     return Opportunity(cheap, dear, size, net, funding)
 
 

@@ -40,7 +40,7 @@ class ExecRecord:
 
     asset: int
     venue_id: int
-    funding: Funding
+    funding: Funding  # the kind the execution used
     size: int
     profit: int
     delta_p_before: float
@@ -89,21 +89,6 @@ class UserFlowParams:
     venue_weights: dict[int, float] = field(default_factory=dict)
     num_users: int = 8
     gas_per_swap: int = DEFAULT_USER_GAS
-
-    def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError("arrival rate must be non-negative")
-        if self.size_sigma < 0:
-            raise ValueError("size_sigma must be non-negative")
-        if self.num_users < 1:
-            raise ValueError("num_users must be positive")
-        if self.rate > 0:
-            if not self.venue_weights:
-                raise ValueError("venue_weights required when rate > 0")
-            if any(w < 0 for w in self.venue_weights.values()):
-                raise ValueError("venue weights must be non-negative")
-            if sum(self.venue_weights.values()) <= 0:
-                raise ValueError("venue weights must not all be zero")
 
 
 def standard_normal(random: Callable[[], float]) -> float:
@@ -209,9 +194,11 @@ def execute_block_user_phase(
 class BalancerPhaseResult:
     executed: list[ExecRecord]
     skipped: list[SkipRecord]
-    gas_used: int
-    fees_paid: int
-    profit: int
+
+    @property
+    def profit(self) -> int:
+        """Net profit of the committed executions, nano-units."""
+        return sum(r.profit for r in self.executed)
 
 
 def _live_delta(state: ChainState, venue_id: int, asset: int, reference_venue_id: int) -> float:
@@ -248,7 +235,7 @@ def execute_block_balancer_phase(
             skipped.append(SkipRecord(tpl.asset, tpl.venue_id, "below_epsilon", "skip"))
             continue
         opp = opportunity_from_deviation(
-            state.pools, reference_venue_id, threshold, tpl.asset, tpl.venue_id, delta, tpl.funding
+            state, reference_venue_id, threshold, tpl.asset, tpl.venue_id, delta, beneficiary
         )
         if opp is None:
             skipped.append(SkipRecord(tpl.asset, tpl.venue_id, "unprofitable", "skip"))
@@ -260,7 +247,7 @@ def execute_block_balancer_phase(
                 ExecRecord(
                     asset=tpl.asset,
                     venue_id=tpl.venue_id,
-                    funding=tpl.funding,
+                    funding=opp.funding,
                     size=opp.optimal_size,
                     profit=result.profit,
                     delta_p_before=delta,
@@ -269,13 +256,7 @@ def execute_block_balancer_phase(
             )
         else:
             skipped.append(SkipRecord(tpl.asset, tpl.venue_id, result.reason, "revert"))
-    return BalancerPhaseResult(
-        executed=executed,
-        skipped=skipped,
-        gas_used=len(executed) * threshold.gas_per_tx,
-        fees_paid=len(executed) * threshold.gas_fee_nano,
-        profit=sum(r.profit for r in executed),
-    )
+    return BalancerPhaseResult(executed, skipped)
 
 
 def utilization(block: Block) -> float:

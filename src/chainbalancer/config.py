@@ -449,6 +449,7 @@ def from_dict(raw: dict) -> ScenarioConfig:
             flash_fee=v["threshold.flash_fee"],
             gas_price=v["threshold.gas_price"],
             gas_per_tx=v["blocks.gas_per_balancer_tx"],
+            allowed_funding=frozenset(Funding(f) for f in v["governance.allowed_funding"]),
         ),
         reward_weights=RewardWeights.from_values(*(v["weights.omega"][k] for k in _OMEGA_KEYS)),
         objective_weights=ObjectiveWeights(
@@ -465,7 +466,6 @@ def from_dict(raw: dict) -> ScenarioConfig:
         ],
         governance_window=v["searchers.window"],
         governance=GovernanceConditions(
-            allowed_funding=frozenset(Funding(f) for f in v["governance.allowed_funding"]),
             max_set_size=v["governance.max_set_size"],
             min_net_profit=to_nano(v["governance.min_net_profit"]),
         ),

@@ -28,12 +28,6 @@ class ObjectiveWeights:
     lambda2: float = 0.1
     delta_cap: float = 0.05
 
-    def __post_init__(self) -> None:
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("objective weights must be non-negative")
-        if self.lambda1 == 0 and self.lambda2 == 0:
-            raise ValueError("objective weights must not both be zero")
-
 
 @dataclass
 class ConstraintResult:

@@ -133,11 +133,12 @@ class RunResult:
             "final": {
                 "treasury": {
                     str(a): to_units(v)
-                    for a, v in sorted((self.final_state.treasury or {}).items())
+                    for a, v in sorted(self.final_state.accounts.get(TREASURY, {}).items())
                 },
                 "balances": {
                     holder: {str(a): to_units(v) for a, v in sorted(bal.items())}
                     for holder, bal in sorted(self.final_state.accounts.items())
+                    if holder != TREASURY
                 },
                 "totals": self.totals,
                 "reconciliation": {
@@ -296,8 +297,8 @@ class SimulationRun:
                     )
                     block.balancer_executed = phase.executed
                     block.balancer_skipped = phase.skipped
-                    block.balancer_gas = phase.gas_used
-                    block.fees_collected = phase.fees_paid
+                    block.balancer_gas = len(phase.executed) * cfg.threshold.gas_per_tx
+                    block.fees_collected = len(phase.executed) * cfg.threshold.gas_fee_nano
 
                     # settle the block's gas fees: gamma to the producer,
                     # the rest is burned (tracked for conservation)

@@ -1,7 +1,8 @@
 """Searcher proposals, governance selection, and credibility tracking.
 
 Simulated searchers enumerate candidate balancer templates from the
-expected epoch state, estimate per-template net profit, and submit a
+expected epoch state, estimate per-template net profit (funded as the
+execution would be, against the treasury's balance), and submit a
 priority-ordered proposal. A deterministic scoring rule (credibility times
 replayed profit) picks the active set for the next epoch; credibility then
 tracks how well realized profit matched the claim.
@@ -14,28 +15,26 @@ from math import exp
 from random import Random
 from typing import Sequence
 
-from .arbitrage import Funding, Threshold, opportunity_from_deviation
+from .arbitrage import Threshold, opportunity_from_deviation
 from .arbitrage import execute_atomic  # noqa: F401 - perfbench/tracer.py rebinds it here
 from .chain import execute_block_balancer_phase, _live_delta, standard_normal
 from .state import TREASURY, ChainState
 
-FUNDING_ORDER = {Funding.FLASH_LOAN: 0, Funding.NETWORK_LIQUIDITY: 1}
-
 
 @dataclass
 class BalancerTemplate:
-    """A re-validating arbitrage instruction: (asset, venue, funding).
+    """A re-validating arbitrage instruction: (asset, venue).
 
-    A proposal has one funding kind, so `(asset, venue_id)` names the
-    template within it; the producer's ordering audit compares those keys.
+    `(asset, venue_id)` names the template within a proposal; the
+    producer's ordering audit compares those keys.
 
-    Neither the trigger nor the size is baked in: both are re-checked
-    against live reserves, under the run's one `Threshold`, at execution time.
+    Neither the trigger, the size nor the funding is baked in: each is
+    re-checked against live state, under the run's one `Threshold`, at
+    execution time.
     """
 
     asset: int
     venue_id: int
-    funding: Funding
     estimate: int = 0  # searcher's estimated net profit, nano-units
 
 
@@ -57,23 +56,17 @@ class SearcherProposal:
 class GovernanceConditions:
     """What a proposal's ordered set may hold: the run's one policy."""
 
-    allowed_funding: frozenset
     max_set_size: int = 16   # also caps the balancer txs per block
     min_net_profit: int = 0  # floor on each template's estimate, nano-units
 
-    def __post_init__(self) -> None:
-        self.allowed_funding = frozenset(Funding(f) for f in self.allowed_funding)
-
 
 def check_feasibility(conditions: GovernanceConditions, ordered_txs: Sequence) -> int:
-    """1 iff the sequence fits the cap, clears the profit floor, and uses
-    allowed funding; empty sequences are vacuously feasible."""
+    """1 iff the sequence fits the cap and clears the profit floor; empty
+    sequences are vacuously feasible."""
     if len(ordered_txs) > conditions.max_set_size:
         return 0
     for tx in ordered_txs:
         if tx.estimate < conditions.min_net_profit:
-            return 0
-        if tx.funding not in conditions.allowed_funding:
             return 0
     return 1
 
@@ -104,14 +97,9 @@ def build_proposal(
     set once on a copy of the expected state, so intra-set price-impact
     interactions are priced in rather than double-counted.
 
-    The conditions are applied here, as the filter: one allowed funding
-    kind (network liquidity, which avoids the flash fee, when it is), the
-    profit floor, and the size cap.
+    The conditions are applied here, as the filter: the profit floor and
+    the size cap.
     """
-    if not conditions.allowed_funding:
-        return SearcherProposal(profile.searcher_id, [], 0)
-    funding = max(conditions.allowed_funding, key=FUNDING_ORDER.get)
-
     candidates: list[BalancerTemplate] = []
     for asset, venue_id in _candidate_pairs(expected_state, reference_venue_id):
         covered = rng.random() < profile.coverage
@@ -120,14 +108,14 @@ def build_proposal(
             continue
         delta = _live_delta(expected_state, venue_id, asset, reference_venue_id)
         opp = opportunity_from_deviation(
-            expected_state.pools, reference_venue_id, threshold, asset, venue_id, delta, funding
+            expected_state, reference_venue_id, threshold, asset, venue_id, delta
         )
         estimate = 0 if opp is None else opp.expected_profit
         if estimate > 0 and noise != 0.0:
             estimate = max(0, int(round(estimate * exp(noise))))
         if estimate < conditions.min_net_profit:
             continue
-        candidates.append(BalancerTemplate(asset, venue_id, funding, estimate))
+        candidates.append(BalancerTemplate(asset, venue_id, estimate))
 
     candidates.sort(key=lambda t: (-t.estimate, t.asset, t.venue_id))
     ordered = candidates[:conditions.max_set_size]

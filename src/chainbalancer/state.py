@@ -4,7 +4,7 @@ The simulation is a closed system. Every quantity that leaves a pool or an
 account lands in another tracked holder, so per-asset totals are constant
 to the nano-unit across any sequence of operations. Special holders:
 
-    treasury    network-owned capital (stored on ChainState.treasury)
+    treasury    network-owned capital
     lender      flash-loan liquidity
     producer    accumulated block-producer fees
     external    the external-arbitrageur baseline account
@@ -53,27 +53,19 @@ class InsufficientBalanceError(Exception):
 class ChainState:
     pools: dict[tuple[int, int], Pool]          # (venue_id, asset) -> Pool
     accounts: dict[str, dict[int, int]] = field(default_factory=dict)
-    treasury: dict[int, int] = field(default_factory=dict)
     block_height: int = 0
 
     def pool(self, venue_id: int, asset: int) -> Pool:
         return self.pools[(venue_id, asset)]
 
-    def _balances(self, holder: str) -> dict[int, int]:
-        if holder == TREASURY:
-            return self.treasury
-        return self.accounts.setdefault(holder, {})
-
     def balance(self, holder: str, asset: int) -> int:
         """Read-only: an unknown holder has a zero balance and stays unknown."""
-        if holder == TREASURY:
-            return self.treasury.get(asset, 0)
         return self.accounts.get(holder, {}).get(asset, 0)
 
     def credit(self, holder: str, asset: int, amount: int) -> None:
         if amount < 0:
             raise ValueError("credit amount must be non-negative")
-        bal = self._balances(holder)
+        bal = self.accounts.setdefault(holder, {})
         bal[asset] = bal.get(asset, 0) + amount
 
     def debit(self, holder: str, asset: int, amount: int) -> None:
@@ -82,14 +74,14 @@ class ChainState:
         have = self.balance(holder, asset)
         if have < amount:
             raise InsufficientBalanceError(holder, asset, amount, have)
-        self._balances(holder)[asset] = have - amount
+        self.accounts.setdefault(holder, {})[asset] = have - amount
 
     def transfer(self, src: str, dst: str, asset: int, amount: int) -> None:
         self.debit(src, asset, amount)
         self.credit(dst, asset, amount)
 
     def asset_totals(self) -> dict[int, int]:
-        """Per-asset totals over pools, accounts and treasury (nano-units)."""
+        """Per-asset totals over pools and accounts (nano-units)."""
         totals: dict[int, int] = {}
         for pool in self.pools.values():
             totals[pool.base] = totals.get(pool.base, 0) + pool.reserve_base
@@ -97,14 +89,11 @@ class ChainState:
         for balances in self.accounts.values():
             for asset, amount in balances.items():
                 totals[asset] = totals.get(asset, 0) + amount
-        for asset, amount in self.treasury.items():
-            totals[asset] = totals.get(asset, 0) + amount
         return totals
 
     def clone(self) -> "ChainState":
         return ChainState(
             pools={key: pool.clone() for key, pool in self.pools.items()},
             accounts={holder: dict(bal) for holder, bal in self.accounts.items()},
-            treasury=dict(self.treasury),
             block_height=self.block_height,
         )

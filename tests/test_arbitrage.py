@@ -1,7 +1,12 @@
-"""Opportunity detection, trade sizing against a grid-search oracle, atomicity."""
+"""Opportunity detection, trade sizing against a grid-search oracle, funding
+choice, atomicity."""
+
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from chainbalancer import (
     Funding,
@@ -13,7 +18,9 @@ from chainbalancer import (
     spot_price,
 )
 from chainbalancer.arbitrage import opportunity_from_deviation
-from chainbalancer.state import LENDER, TREASURY
+from chainbalancer.config import from_dict
+from chainbalancer.runner import run_scenario
+from chainbalancer.state import LENDER, TREASURY, ChainState
 from chainbalancer.units import SCALE, to_nano, to_units
 
 from conftest import make_pool, make_state
@@ -64,8 +71,10 @@ def grid_search_oracle(pool_cheap, pool_dear, flash, points=10_000, rounds=4):
 # --- opportunity detection ------------------------------------------------
 
 def opportunity(pools, thr, delta_p, funding=Funding.FLASH_LOAN):
-    """The opportunity of asset 1 on venue 1 against reference venue 0."""
-    return opportunity_from_deviation(pools, 0, thr, 1, 1, delta_p, funding)
+    """The opportunity of asset 1 on venue 1 against reference venue 0, when
+    `funding` is the one kind allowed."""
+    thr = replace(thr, allowed_funding=frozenset({funding}))
+    return opportunity_from_deviation(ChainState(pools), 0, thr, 1, 1, delta_p)
 
 
 class TestDetectOpportunities:
@@ -220,7 +229,6 @@ class TestExecuteAtomic:
         assert not result.committed and result.reason == "injected_fault"
         assert state.pools[(0, 1)].reserve_base == before.pools[(0, 1)].reserve_base
         assert state.pools[(1, 1)].reserve_quote == before.pools[(1, 1)].reserve_quote
-        assert state.treasury == before.treasury
         assert state.accounts == before.accounts
 
     def test_unprofitable_after_costs_reverts(self):
@@ -234,11 +242,11 @@ class TestExecuteAtomic:
         state, delta, thr = _arb_fixture()
         opp = opportunity(state.pools, thr, delta, Funding.NETWORK_LIQUIDITY)
         assert opp is not None
-        state.treasury[0] = opp.optimal_size - 1
+        state.accounts[TREASURY][0] = opp.optimal_size - 1
         before = state.clone()
         result = execute_atomic(state, opp, thr)
         assert not result.committed and result.reason == "insufficient_treasury"
-        assert state.treasury == before.treasury
+        assert state.accounts.get(TREASURY) == before.accounts.get(TREASURY)
         assert state.pools[(0, 1)].reserve_base == before.pools[(0, 1)].reserve_base
 
     def test_revert_leaves_no_phantom_holder(self):
@@ -250,7 +258,6 @@ class TestExecuteAtomic:
         result = execute_atomic(state, opp, thr)
         assert not result.committed and result.reason == "insufficient_lender"
         assert state.accounts == before.accounts
-        assert state.treasury == before.treasury
 
     def test_no_inventory_risk_per_asset(self):
         state, delta, thr = _arb_fixture()
@@ -289,3 +296,80 @@ class TestDeviationContraction:
         lo, hi = deviation_bounds(0.003, 0.003, 0.0009)
         assert lo == -band
         assert hi == pytest.approx(band / (1 - band), abs=1e-15)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+BOTH = frozenset(Funding)
+
+
+def _scaled_baseline(allowed_funding):
+    """baseline.yaml with every reserve scaled so the largest is 10^12 units,
+    so no trade's size fits in the treasury's 10^6; autobalancer, seed 42."""
+    raw = yaml.safe_load((ROOT / "scenarios" / "baseline.yaml").read_text(encoding="utf-8"))
+    top = max(max(p["reserve_asset"], p["reserve_numeraire"]) for p in raw["pools"])
+    for pool in raw["pools"]:
+        pool["reserve_asset"] *= 1e12 / top
+        pool["reserve_numeraire"] *= 1e12 / top
+    raw["governance"]["allowed_funding"] = allowed_funding
+    return run_scenario(from_dict(raw), seed=42, mode="autobalancer")
+
+
+class TestFundingChoice:
+    """Network liquidity when the beneficiary covers the size, else a flash
+    loan when one is allowed, else the insufficient_treasury revert."""
+
+    def _sized(self, allowed=BOTH, treasury=None, lender=None):
+        """The fixture's opportunity, after setting the treasury's and the
+        lender's numeraire; `treasury` is relative to the fee-free size."""
+        state, delta, thr = _arb_fixture()
+        thr = replace(thr, allowed_funding=allowed)
+        free = int(optimal_trade_size(state.pools[(0, 1)], state.pools[(1, 1)])[0] * SCALE)
+        if treasury is not None:
+            state.accounts[TREASURY][0] = free + treasury
+        if lender is not None:
+            state.accounts[LENDER][0] = lender
+        return state, thr, free, opportunity_from_deviation(state, 0, thr, 1, 1, delta)
+
+    def test_treasury_covers_the_size(self):
+        state, thr, free, opp = self._sized(treasury=0)
+        assert opp.funding is Funding.NETWORK_LIQUIDITY
+        assert opp.optimal_size == free  # sized without a loan fee
+        lender_before = state.balance(LENDER, 0)
+        result = execute_atomic(state, opp, thr)
+        assert result.committed and result.profit == opp.expected_profit
+        assert state.balance(LENDER, 0) == lender_before
+
+    def test_treasury_short_falls_back_to_a_flash_loan(self):
+        state, thr, free, opp = self._sized(treasury=-1)
+        assert opp.funding is Funding.FLASH_LOAN
+        pools = state.pools[(0, 1)], state.pools[(1, 1)]
+        flash = int(optimal_trade_size(*pools, thr.flash_fee)[0] * SCALE)
+        assert opp.optimal_size == flash < free  # sized with the loan fee
+        lender_before = state.balance(LENDER, 0)
+        result = execute_atomic(state, opp, thr)
+        assert result.committed and result.profit == opp.expected_profit
+        assert state.balance(LENDER, 0) - lender_before == -(-flash * thr.flash_fee_ppb // SCALE)
+
+    def test_treasury_short_with_network_liquidity_only_reverts(self):
+        state, thr, free, opp = self._sized({Funding.NETWORK_LIQUIDITY}, treasury=-1)
+        assert opp.funding is Funding.NETWORK_LIQUIDITY and opp.optimal_size == free
+        before = state.clone()
+        result = execute_atomic(state, opp, thr)
+        assert not result.committed and result.reason == "insufficient_treasury"
+        assert state.accounts == before.accounts
+
+    def test_treasury_and_lender_short_reverts_on_the_lender(self):
+        state, thr, _, opp = self._sized(treasury=-1, lender=0)
+        assert opp.funding is Funding.FLASH_LOAN
+        before = state.clone()
+        result = execute_atomic(state, opp, thr)
+        assert not result.committed and result.reason == "insufficient_lender"
+        assert state.accounts == before.accounts
+
+    def test_scaled_baseline_commits_by_flash_loan(self):
+        both = _scaled_baseline(["flash_loan", "network_liquidity"])
+        records = [r for b in both.blocks for r in b.balancer_executed]
+        assert len(records) > 0
+        assert {r.funding for r in records} == {Funding.FLASH_LOAN}
+        # the treasury never covers a size, so the run is the flash-only one
+        assert both.totals == _scaled_baseline(["flash_loan"]).totals

@@ -18,11 +18,12 @@ from chainbalancer.chain import (
     performance_cost_psi,
     utilization,
 )
+from chainbalancer.config import ValidationError, from_dict
 from chainbalancer.searchers import BalancerTemplate
-from chainbalancer.state import TREASURY, user_account
+from chainbalancer.state import FEE_ESCROW, TREASURY, user_account
 from chainbalancer.units import to_nano
 
-from conftest import make_pool, make_state
+from conftest import baseline_raw, make_pool, make_state
 
 
 def rng_for(seed):
@@ -63,12 +64,19 @@ class TestGenerateUserFlow:
         assert share_2 == pytest.approx(0.75, abs=0.05)
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            UserFlowParams(rate=-1, venue_weights={1: 1.0})
-        with pytest.raises(ValueError):
-            UserFlowParams(rate=1.0, venue_weights={})
-        with pytest.raises(ValueError):
-            UserFlowParams(rate=1.0, venue_weights={1: -2.0})
+        """The scenario loader is where user-flow parameters are checked."""
+        cases = [
+            ({"rate": -1, "venue_weights": {1: 1.0}}, "user_flow.rate:"),
+            ({"size_sigma": -0.1}, "user_flow.size_sigma:"),
+            ({"num_users": 0}, "user_flow.num_users:"),
+            ({"rate": 1.0, "venue_weights": {}}, "user_flow.venue_weights: must weigh a venue"),
+            ({"rate": 1.0, "venue_weights": {1: -2.0}}, "user_flow.venue_weights[1]:"),
+            ({"rate": 1.0, "venue_weights": {1: 0.0}}, "user_flow.venue_weights: must weigh a venue"),
+        ]
+        for user_flow, path in cases:
+            with pytest.raises(ValidationError) as caught:
+                from_dict(baseline_raw(user_flow=user_flow))
+            assert [v for v in caught.value.violations if v.startswith(path)], user_flow
 
     def test_draws_follow_their_distributions(self):
         """Each draw within 4 standard errors of its distribution's moments."""
@@ -197,13 +205,8 @@ class TestUtilizationAndPsi:
         assert performance_cost_psi(ramp, u_star=0.9) == pytest.approx(0.5)
 
 
-def _template(asset=1, venue=1, estimate=0, funding=Funding.FLASH_LOAN):
-    return BalancerTemplate(
-        asset=asset,
-        venue_id=venue,
-        funding=funding,
-        estimate=estimate,
-    )
+def _template(asset=1, venue=1, estimate=0):
+    return BalancerTemplate(asset=asset, venue_id=venue, estimate=estimate)
 
 
 def _gapped_state(gap=0.02):
@@ -214,7 +217,9 @@ def _gapped_state(gap=0.02):
     return make_state(pools)
 
 
-THRESHOLD = Threshold(epsilon=0.003, flash_fee=0.0009, gas_price=1e-7)
+THRESHOLD = Threshold(
+    epsilon=0.003, flash_fee=0.0009, gas_price=1e-7, allowed_funding=frozenset({Funding.FLASH_LOAN})
+)
 
 
 class TestBalancerPhase:
@@ -223,7 +228,7 @@ class TestBalancerPhase:
         result = execute_block_balancer_phase(
             state, [_template()], 0, THRESHOLD, 0, TREASURY
         )
-        assert result.executed == [] and result.gas_used == 0
+        assert result.executed == []
 
     def test_single_trigger_closes_into_band(self):
         """Recompute the post-trade deviation from raw reserves."""
@@ -249,10 +254,8 @@ class TestBalancerPhase:
         ]
         state = make_state(pools)
         threshold = Threshold(epsilon=0.003, flash_fee=0.0, gas_price=1e-9)
-        first = _template(funding=Funding.FLASH_LOAN)
-        second = _template(funding=Funding.NETWORK_LIQUIDITY)
         result = execute_block_balancer_phase(
-            state, [first, second], 1_000_000, threshold, 0, TREASURY
+            state, [_template(), _template()], 1_000_000, threshold, 0, TREASURY
         )
         assert len(result.executed) == 1
         assert [s.reason for s in result.skipped] == ["below_epsilon"]
@@ -267,22 +270,24 @@ class TestBalancerPhase:
         )
         # only one 90k tx fits in 100k residual
         assert len(result.executed) == 1
-        assert result.gas_used == 90_000
 
     def test_gas_accounting_exact(self):
+        """Each commit escrows the one gas fee per tx; the beneficiary nets the profit."""
         state = _gapped_state(gap=0.02)
+        escrow, treasury = state.balance(FEE_ESCROW, 0), state.balance(TREASURY, 0)
         result = execute_block_balancer_phase(
             state, [_template()], 1_000_000, THRESHOLD, 0, TREASURY
         )
-        assert result.gas_used == len(result.executed) * THRESHOLD.gas_per_tx
-        assert result.fees_paid == len(result.executed) * THRESHOLD.gas_fee_nano
+        assert len(result.executed) == 1
+        assert state.balance(FEE_ESCROW, 0) - escrow == THRESHOLD.gas_fee_nano
+        assert state.balance(TREASURY, 0) - treasury == result.profit == result.executed[0].profit
 
     def test_user_tx_sandwich_revalidation(self):
         """A user swap inside the block closes the gap; the stale balancer
         candidate is skipped at execution time and the treasury never moves.
         Verified by replaying the event records and diffing treasury."""
         state = _gapped_state(gap=0.02)  # venue trades 2% above reference
-        treasury_before = dict(state.treasury)
+        treasury_before = dict(state.accounts.get(TREASURY))
         closer = UserTx(
             id=0,
             venue_id=1,
@@ -306,7 +311,7 @@ class TestBalancerPhase:
         assert phase.executed == []
         assert len(phase.skipped) == 1
         assert phase.skipped[0].reason in ("below_epsilon", "unprofitable")
-        assert state.treasury == treasury_before
+        assert state.accounts.get(TREASURY) == treasury_before
 
 
 class TestRunLevelInvariants:
@@ -357,8 +362,7 @@ class TestRunLevelInvariants:
 
         a = run_scenario(baseline_config, seed=33, mode="autobalancer")
         b = run_scenario(baseline_config, seed=33, mode="autobalancer")
-        assert a.final_state.treasury == b.final_state.treasury
-        assert a.final_state.accounts == b.final_state.accounts
+        assert a.final_state.accounts == b.final_state.accounts  # the treasury's too
         assert all(
             (p.reserve_base, p.reserve_quote)
             == (b.final_state.pools[k].reserve_base, b.final_state.pools[k].reserve_quote)

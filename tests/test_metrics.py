@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from chainbalancer import run_baseline_comparison, run_scenario
-from chainbalancer.config import from_dict
+from chainbalancer.config import ValidationError, from_dict
 from chainbalancer.market import snapshot_prices
 from chainbalancer.metrics import (
     ObjectiveWeights,
@@ -18,6 +18,7 @@ from chainbalancer.metrics import (
     ordered_sum,
     scalarized_objective,
 )
+from chainbalancer.state import TREASURY
 from chainbalancer.units import to_nano
 
 from conftest import baseline_raw, make_pool
@@ -145,10 +146,15 @@ class TestScalarized:
         assert scalarized_objective(0.0, 1.0, w) == pytest.approx(-1.0)
 
     def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            ObjectiveWeights(lambda1=0.0, lambda2=0.0)
-        with pytest.raises(ValueError):
-            ObjectiveWeights(lambda1=-1.0, lambda2=1.0)
+        """The scenario loader is where objective weights are checked."""
+        cases = [
+            ({"lambda1": 0.0, "lambda2": 0.0}, "weights: lambda1 and lambda2 must not both be zero"),
+            ({"lambda1": -1.0, "lambda2": 1.0}, "weights.lambda1:"),
+        ]
+        for weights, path in cases:
+            with pytest.raises(ValidationError) as caught:
+                from_dict(baseline_raw(weights=weights))
+            assert [v for v in caught.value.violations if v.startswith(path)], weights
 
 
 class TestConstraintCheck:
@@ -208,7 +214,7 @@ class TestModeComparison:
     def test_external_treasury_untouched(self, comparison):
         config, _ = comparison
         run = run_scenario(config, seed=11, mode="external")
-        assert run.final_state.treasury[0] == to_nano(config.treasury_numeraire)
+        assert run.final_state.accounts.get(TREASURY)[0] == to_nano(config.treasury_numeraire)
         assert run.totals["leaked_nano"] > 0
 
     def test_autobalancer_reduces_discrepancy(self, comparison):

@@ -6,8 +6,8 @@ applied or still queued (and some are queued when the drawn capacity
 binds), each epoch's ledger pays out exactly its pool,
 the beneficiary is never debited inside an epoch (it gains exactly the
 block's profit, and the slash when it is the treasury), every committed
-balancer tx costs the run's one gas and fee per tx, a rerun writes the
-same bytes, and no run aborts.
+balancer tx costs the run's one gas and fee per tx and uses an allowed
+funding kind, a rerun writes the same bytes, and no run aborts.
 """
 
 import math
@@ -130,6 +130,8 @@ def test_random_scenarios_keep_run_invariants(raw):
             commits = len(block.balancer_executed)
             assert block.balancer_gas == commits * gas_per_tx
             assert block.fees_collected == commits * fee_per_tx
+            for record in block.balancer_executed:
+                assert record.funding.value in raw["governance"]["allowed_funding"]
             assert block.user_gas + block.balancer_gas <= config.capacity
 
         # inside an epoch the beneficiary only gains: the block's profit, and

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from itertools import cycle
 from types import SimpleNamespace
 
@@ -44,12 +45,8 @@ def three_gap_state():
     return make_state(pools)
 
 
-def conditions(max_set=16, funding=("flash_loan", "network_liquidity"), min_net_profit=0):
-    return GovernanceConditions(
-        allowed_funding=frozenset(Funding(f) for f in funding),
-        max_set_size=max_set,
-        min_net_profit=min_net_profit,
-    )
+def conditions(max_set=16, min_net_profit=0):
+    return GovernanceConditions(max_set_size=max_set, min_net_profit=min_net_profit)
 
 
 class TestBuildProposal:
@@ -121,9 +118,7 @@ class TestBuildProposal:
             delta = _live_delta(sim, tpl.venue_id, tpl.asset, 0)
             if abs(delta) <= THRESHOLD.epsilon:
                 continue
-            opp = opportunity_from_deviation(
-                sim.pools, 0, THRESHOLD, tpl.asset, tpl.venue_id, delta, tpl.funding
-            )
+            opp = opportunity_from_deviation(sim, 0, THRESHOLD, tpl.asset, tpl.venue_id, delta)
             if opp is None:
                 continue
             result = execute_atomic(sim, opp, THRESHOLD)
@@ -192,9 +187,7 @@ class TestEvaluateProposals:
             0, rng_for(0),
         )
         # searcher 1 only sees venue 1 (the weakest gap)
-        t1 = BalancerTemplate(
-            asset=1, venue_id=1, funding=Funding.NETWORK_LIQUIDITY, estimate=1,
-        )
+        t1 = BalancerTemplate(asset=1, venue_id=1, estimate=1)
         p1 = proposal_of(1, [t1])
         return state, p0, p1
 
@@ -316,13 +309,8 @@ class TestCredibility:
             assert isinstance(score, float) and 0.0 <= score <= 1.0
 
 
-def _template(asset=1, venue=1, estimate=0, funding=Funding.FLASH_LOAN):
-    return BalancerTemplate(
-        asset=asset,
-        venue_id=venue,
-        funding=funding,
-        estimate=estimate,
-    )
+def _template(asset=1, venue=1, estimate=0):
+    return BalancerTemplate(asset=asset, venue_id=venue, estimate=estimate)
 
 
 class TestFeasibility:
@@ -337,8 +325,17 @@ class TestFeasibility:
         assert check_feasibility(conditions(max_set=10), txs) == 0
 
     def test_funding_filter(self):
-        cond = conditions(funding=("flash_loan",))
-        assert check_feasibility(cond, [_template(funding=Funding.NETWORK_LIQUIDITY)]) == 0
+        """Funding is filtered where it is chosen: a kind the threshold does
+        not allow is never used, even where it would be preferred."""
+        state = three_gap_state()
+        delta = _live_delta(state, 1, 1, 0)
+        both = opportunity_from_deviation(state, 0, THRESHOLD, 1, 1, delta)
+        assert both.funding is Funding.NETWORK_LIQUIDITY  # the treasury covers it
+        flash_only = replace(THRESHOLD, allowed_funding=frozenset({Funding.FLASH_LOAN}))
+        opp = opportunity_from_deviation(state, 0, flash_only, 1, 1, delta)
+        assert opp.funding is Funding.FLASH_LOAN
+        none_allowed = replace(THRESHOLD, allowed_funding=frozenset())
+        assert opportunity_from_deviation(state, 0, none_allowed, 1, 1, delta) is None
 
     def test_deterministic(self):
         txs = [_template(estimate=5)]
@@ -347,8 +344,9 @@ class TestFeasibility:
 
 FL, NL = Funding.FLASH_LOAN, Funding.NETWORK_LIQUIDITY
 
-# (allowed funding, funding every template must use; None means no
-# funding is allowed and the proposal is empty)
+# (allowed funding, the kind every template's execution uses on the
+# proposal's state, whose treasury covers every size; None means no funding
+# is allowed and nothing earns)
 FUNDING_CASES = [
     (frozenset({FL, NL}), NL),  # both allowed: network liquidity avoids the flash fee
     (frozenset({FL}), FL),
@@ -368,20 +366,22 @@ def test_every_proposal_passes_the_feasibility_oracle(
 ):
     """The candidate filter is the only place the conditions are applied;
     `check_feasibility` stays the independent oracle for its output."""
-    cond = GovernanceConditions(allowed, max_set_size=max_set, min_net_profit=min_net_profit)
-    proposal = build_proposal(
-        SearcherProfile(0, noise=noise),
-        three_gap_state(),
-        cond,
-        THRESHOLD,
-        0,
-        rng_for(11),
-    )
+    cond = GovernanceConditions(max_set_size=max_set, min_net_profit=min_net_profit)
+    thr = replace(THRESHOLD, allowed_funding=allowed)
+    state = three_gap_state()
+    proposal = build_proposal(SearcherProfile(0, noise=noise), state, cond, thr, 0, rng_for(11))
     ordered = proposal.ordered_txs
     assert check_feasibility(cond, ordered) == 1
-    if expected is None or min_net_profit == 10**18:
+    if min_net_profit == 10**18 or (expected is None and min_net_profit > 0):
         assert ordered == [] and proposal.profit_estimate == 0
+    elif expected is None:
+        # every pair is a candidate, but none can be funded
+        assert len(ordered) == min(max_set, 3)
+        assert proposal.profit_estimate == 0 and {t.estimate for t in ordered} == {0}
     else:
         # three profitable gaps, cut at the cap
         assert len(ordered) == min(max_set, 3)
-        assert {t.funding for t in ordered} == {expected}
+        for t in ordered:
+            delta = _live_delta(state, t.venue_id, t.asset, 0)
+            opp = opportunity_from_deviation(state, 0, thr, t.asset, t.venue_id, delta)
+            assert opp.funding is expected

@@ -7,6 +7,7 @@ nothing.
 """
 
 import copy
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,17 +85,15 @@ def _snapshot(state):
     return (
         {key: (p.reserve_base, p.reserve_quote) for key, p in state.pools.items()},
         copy.deepcopy(state.accounts),
-        dict(state.treasury),
     )
 
 
-def _opportunity(state, venue, asset, funding, forced):
+def _opportunity(state, venue, asset, funding, beneficiary, forced):
     ref_price = spot_price(state.pool(REFERENCE, asset))
     delta_p = (spot_price(state.pool(venue, asset)) - ref_price) / ref_price
     if forced is None:
-        return opportunity_from_deviation(
-            state.pools, REFERENCE, THRESHOLD, asset, venue, delta_p, funding
-        )
+        thr = replace(THRESHOLD, allowed_funding=frozenset({funding}))
+        return opportunity_from_deviation(state, REFERENCE, thr, asset, venue, delta_p, beneficiary)
     size, cheap_side = forced
     venue_key, ref_key = (venue, asset), (REFERENCE, asset)
     cheap, dear = (venue_key, ref_key) if cheap_side == "venue" else (ref_key, venue_key)
@@ -113,7 +112,7 @@ def test_random_operations_conserve_totals_and_never_cost_the_beneficiary(state,
             execute_block_user_phase(state, [tx], capacity=10**9)
         else:
             _, venue, asset, funding, beneficiary, fault, forced = step
-            opp = _opportunity(state, venue, asset, funding, forced)
+            opp = _opportunity(state, venue, asset, funding, beneficiary, forced)
             if opp is None:
                 continue
             before = _snapshot(state)
