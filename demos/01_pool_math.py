@@ -22,7 +22,6 @@ def main():
     pool = Pool(
         venue_id=1,
         base=1,
-        quote=0,
         reserve_base=to_nano(1000),
         reserve_quote=to_nano(1000),
         fee_ppb=ppb(0.003),

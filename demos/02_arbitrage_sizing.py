@@ -20,10 +20,10 @@ from chainbalancer.units import SCALE, to_nano, to_units
 from chainbalancer import Pool
 
 
-def pool(venue, rb, rq, fee=0.003, ref=False):
-    return Pool(venue_id=venue, base=1, quote=0,
+def pool(venue, rb, rq, fee=0.003):
+    return Pool(venue_id=venue, base=1,
                 reserve_base=to_nano(rb), reserve_quote=to_nano(rq),
-                fee_ppb=to_nano(fee), is_reference=ref)
+                fee_ppb=to_nano(fee))
 
 
 def leg_out(pool, x, base_in):
@@ -40,11 +40,13 @@ def round_trip_profit(cheap, dear, flash_fee, x):
 
 
 def main():
-    ref = pool(0, 50_000, 50_000, ref=True)
+    ref = pool(0, 50_000, 50_000)
     venue = pool(1, 5_000, 5_150)  # trades 3% above the reference
+    # venue 0 is the reference market every other venue is measured against
+    state = ChainState(pools={(0, 1): ref, (1, 1): venue}, reference_venue_id=0)
     print("=== Setup ===")
     print(f"reference spot {spot_price(ref):.4f}, venue spot {spot_price(venue):.4f}")
-    delta = (spot_price(venue) - spot_price(ref)) / spot_price(ref)
+    delta = state.deviation(1, 1)
     print(f"relative deviation: {delta:+.4%}")
 
     band = fee_band(0.003, 0.003, 0.0009)
@@ -60,14 +62,13 @@ def main():
     print(f"\nclosed-form optimum: spend {size:.4f}, gross profit {profit:.4f}")
 
     print("\n=== Execute atomically; the treasury is empty, so a flash loan funds it ===")
-    state = ChainState(pools={(0, 1): ref, (1, 1): venue})
     state.credit("lender", 0, to_nano(10**7))
     thr = Threshold(epsilon=0.003, flash_fee=0.0009, gas_price=1e-7)
-    opp = opportunity_from_deviation(state, 0, thr, 1, 1, delta)
+    opp = opportunity_from_deviation(state, thr, 1, 1, delta)
     result = execute_atomic(state, opp, thr)
     print(f"funding: {opp.funding.value}, committed: {result.committed}, "
           f"net profit {to_units(result.profit):.6f} (after flash fee and {thr.gas_per_tx} gas)")
-    after = (spot_price(venue) - spot_price(ref)) / spot_price(ref)
+    after = state.deviation(1, 1)
     print(f"post-trade deviation {after:+.4%} sits inside [{lo:+.4%}, {hi:+.4%}]")
     print(f"treasury numeraire gained: {to_units(state.balance('treasury', 0)):.6f}")
     print(f"treasury asset exposure: {state.balance('treasury', 1)} (no inventory risk)")

@@ -1,7 +1,7 @@
 """Opportunity sizing and atomic arbitrage execution.
 
 A balancer transaction closes the gap between one venue pool and the
-reference pool for a single asset: buy where the asset is cheap, sell
+chain state's reference pool for a single asset: buy where it is cheap, sell
 where it is dear, both legs denominated in the numeraire. Funding is
 chosen per transaction, against the live balance: network-owned
 liquidity fronted by the beneficiary when it is allowed and covers the
@@ -144,7 +144,6 @@ def _quote_round_trip(
 
 def opportunity_from_deviation(
     state: ChainState,
-    reference_venue_id: int,
     threshold: Threshold,
     asset: int,
     venue_id: int,
@@ -153,11 +152,11 @@ def opportunity_from_deviation(
 ) -> Opportunity | None:
     """Size and fund the trade behind a deviation; None when it does not clear the bar.
 
-    `delta_p` is (p_venue - p_ref) / p_ref for `asset` on `venue_id`; its
-    sign names the cheap pool. The bar is threefold: |delta_p| above the
-    trigger, a closed-form optimal size that is at least one nano-unit once
-    floored, and a positive profit after the flash fee and gas. That profit
-    is quoted with the integer arithmetic `execute_atomic` runs, so on
+    `delta_p` is `state.deviation(venue_id, asset)`; its sign names the
+    cheap pool. The bar is threefold: |delta_p| above the trigger, a
+    closed-form optimal size that is at least one nano-unit once floored,
+    and a positive profit after the flash fee and gas. That profit is
+    quoted with the integer arithmetic `execute_atomic` runs, so on
     unchanged state the realized profit equals `expected_profit` to the
     nano-unit.
 
@@ -169,7 +168,7 @@ def opportunity_from_deviation(
     """
     if abs(delta_p) <= threshold.epsilon:
         return None
-    venue_key, ref_key = (venue_id, asset), (reference_venue_id, asset)
+    venue_key, ref_key = (venue_id, asset), (state.reference_venue_id, asset)
     cheap, dear = (ref_key, venue_key) if delta_p > 0 else (venue_key, ref_key)
     pool_cheap, pool_dear = state.pools[cheap], state.pools[dear]
     allowed = threshold.allowed_funding

@@ -17,7 +17,7 @@ from random import Random
 from typing import Callable, Sequence
 
 from .arbitrage import Funding, Threshold, execute_atomic, opportunity_from_deviation
-from .market import NUMERAIRE, SwapDirection, execute_swap, spot_price
+from .market import NUMERAIRE, SwapDirection, execute_swap
 from .state import ChainState, user_account
 
 DEFAULT_USER_GAS = 21_000
@@ -201,18 +201,11 @@ class BalancerPhaseResult:
         return sum(r.profit for r in self.executed)
 
 
-def _live_delta(state: ChainState, venue_id: int, asset: int, reference_venue_id: int) -> float:
-    p_v = spot_price(state.pool(venue_id, asset))
-    p_r = spot_price(state.pool(reference_venue_id, asset))
-    return (p_v - p_r) / p_r
-
-
 def execute_block_balancer_phase(
     state: ChainState,
     templates: Sequence,
     residual_gas: int,
     threshold: Threshold,
-    reference_venue_id: int,
     beneficiary: str,
     fault_injector: Callable[[object], bool] | None = None,
 ) -> BalancerPhaseResult:
@@ -230,12 +223,12 @@ def execute_block_balancer_phase(
     for tpl in templates:
         if residual_gas < (len(executed) + 1) * threshold.gas_per_tx:
             break
-        delta = _live_delta(state, tpl.venue_id, tpl.asset, reference_venue_id)
+        delta = state.deviation(tpl.venue_id, tpl.asset)
         if abs(delta) <= threshold.epsilon:
             skipped.append(SkipRecord(tpl.asset, tpl.venue_id, "below_epsilon", "skip"))
             continue
         opp = opportunity_from_deviation(
-            state, reference_venue_id, threshold, tpl.asset, tpl.venue_id, delta, beneficiary
+            state, threshold, tpl.asset, tpl.venue_id, delta, beneficiary
         )
         if opp is None:
             skipped.append(SkipRecord(tpl.asset, tpl.venue_id, "unprofitable", "skip"))
@@ -251,7 +244,7 @@ def execute_block_balancer_phase(
                     size=opp.optimal_size,
                     profit=result.profit,
                     delta_p_before=delta,
-                    delta_p_after=_live_delta(state, tpl.venue_id, tpl.asset, reference_venue_id),
+                    delta_p_after=state.deviation(tpl.venue_id, tpl.asset),
                 )
             )
         else:

@@ -21,7 +21,7 @@ import yaml
 
 from .arbitrage import Funding, Threshold
 from .chain import UserFlowParams
-from .market import MAX_FEE_PPB, NUMERAIRE, Pool
+from .market import MAX_FEE_PPB, Pool
 from .metrics import ObjectiveWeights
 from .rewards import RewardWeights, WeightError
 from .searchers import GovernanceConditions, SearcherProfile
@@ -181,19 +181,9 @@ class ValidationError(Exception):
 
 
 @dataclass
-class PoolSpec:
-    venue_id: int
-    asset: int
-    reserve_asset: float
-    reserve_numeraire: float
-    fee: float
-    is_reference: bool = False
-
-
-@dataclass
 class ScenarioConfig:
     asset_count: int
-    pool_specs: list[PoolSpec]
+    pools: dict[tuple[int, int], Pool]  # genesis pools by (venue, asset); runs clone them
     capacity: int
     epoch_length: int
     epochs: int
@@ -221,32 +211,18 @@ class ScenarioConfig:
 
     @property
     def venue_ids(self) -> list[int]:
-        return sorted({p.venue_id for p in self.pool_specs if not p.is_reference})
+        return sorted({v for v, _ in self.pools if v != self.reference_venue_id})
 
     @property
     def venue_assets(self) -> dict[int, list[int]]:
         mapping: dict[int, list[int]] = {}
-        for spec in self.pool_specs:
-            mapping.setdefault(spec.venue_id, []).append(spec.asset)
-        return {v: sorted(assets) for v, assets in mapping.items()}
+        for venue, asset in self.pools:  # sorted, so each venue's assets are too
+            mapping.setdefault(venue, []).append(asset)
+        return mapping
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def build_pools(self) -> dict[tuple[int, int], Pool]:
-        pools = {}
-        for spec in sorted(self.pool_specs, key=lambda s: (s.venue_id, s.asset)):
-            pools[(spec.venue_id, spec.asset)] = Pool(
-                venue_id=spec.venue_id,
-                base=spec.asset,
-                quote=NUMERAIRE,
-                reserve_base=to_nano(spec.reserve_asset),
-                reserve_quote=to_nano(spec.reserve_numeraire),
-                fee_ppb=ppb(spec.fee),
-                is_reference=spec.is_reference,
-            )
-        return pools
 
 
 def _check_fields(raw: dict) -> tuple[dict, dict, list[str]]:
@@ -414,24 +390,23 @@ def from_dict(raw: dict) -> ScenarioConfig:
     if violations:
         raise ValidationError(violations)
 
-    pools = _items(v, "pools")
-    reference = next(p["venue"] for p in pools if p["reference"])
-    # every pool on the reference venue is reference-flagged
-    pool_specs = [
-        PoolSpec(
-            p["venue"], p["asset"], p["reserve_asset"], p["reserve_numeraire"], p["fee"],
-            is_reference=p["venue"] == reference,
+    rows = _items(v, "pools")
+    reference = next(p["venue"] for p in rows if p["reference"])
+    pools = {
+        (p["venue"], p["asset"]): Pool(
+            p["venue"], p["asset"], to_nano(p["reserve_asset"]),
+            to_nano(p["reserve_numeraire"]), ppb(p["fee"]),
         )
-        for p in pools
-    ]
+        for p in sorted(rows, key=lambda p: (p["venue"], p["asset"]))
+    }
     weights = v["user_flow.venue_weights"]
     if weights is None:
-        venue_weights = {s.venue_id: 1.0 for s in pool_specs if s.venue_id != reference}
+        venue_weights = {p["venue"]: 1.0 for p in rows if p["venue"] != reference}
     else:
         venue_weights = {_venue_id(k): w for k, w in weights.items()}
     return ScenarioConfig(
         asset_count=v["assets.count"],
-        pool_specs=pool_specs,
+        pools=pools,
         capacity=v["blocks.capacity"],
         epoch_length=v["blocks.epoch_length"],
         epochs=v["blocks.epochs"],

@@ -1,8 +1,8 @@
 """Constant-product venues and spot-price snapshots.
 
 A venue hosts one pool per tradeable asset, quoted against the numeraire
-(asset 0). Exactly one venue is flagged as the reference market; deviation
-scans measure every other venue against it.
+(asset 0). The chain state names one venue the reference market and
+measures every other venue's price against it.
 
 Swap accounting is Uniswap-v2 style with an input-side fee: the full input
 amount enters the reserves, but only the fee-reduced portion prices the
@@ -25,7 +25,7 @@ MAX_FEE_PPB = SCALE // 10
 
 class SwapDirection(str, Enum):
     BASE_IN = "base_in"    # sell the base asset into the pool
-    QUOTE_IN = "quote_in"  # spend quote (numeraire) to buy the base asset
+    QUOTE_IN = "quote_in"  # spend the numeraire to buy the base asset
 
 
 class DegenerateVenueError(ValueError):
@@ -34,19 +34,17 @@ class DegenerateVenueError(ValueError):
 
 @dataclass
 class Pool:
-    """One constant-product pair: `base` asset priced in `quote` units."""
+    """One constant-product pair: the `base` asset priced in the numeraire."""
 
     venue_id: int
     base: int
-    quote: int
     reserve_base: int   # nano-units
-    reserve_quote: int  # nano-units
+    reserve_quote: int  # nano-units of the numeraire
     fee_ppb: int = 0
-    is_reference: bool = False
 
     def __post_init__(self) -> None:
-        if self.base == self.quote:
-            raise ValueError(f"pool {self.venue_id}: base and quote must differ")
+        if self.base == NUMERAIRE:
+            raise ValueError(f"pool {self.venue_id}: base must not be the numeraire")
         if not 0 <= self.fee_ppb < MAX_FEE_PPB:
             raise ValueError(f"pool {self.venue_id}: fee {self.fee_ppb} ppb out of [0, 10%) range")
         if self.reserve_base < 0 or self.reserve_quote < 0:
@@ -64,22 +62,14 @@ class Pool:
         return Pool(
             venue_id=self.venue_id,
             base=self.base,
-            quote=self.quote,
             reserve_base=self.reserve_base,
             reserve_quote=self.reserve_quote,
             fee_ppb=self.fee_ppb,
-            is_reference=self.is_reference,
         )
 
 
-def spot_price(pool: Pool, asset: int | None = None) -> float:
-    """Marginal (fee-exclusive) price of the pool's base asset.
-
-    `asset`, when given, must be the pool's base; passing the quote asset
-    is a caller bug, not a quoting convention.
-    """
-    if asset is not None and asset != pool.base:
-        raise ValueError(f"pool quotes asset {pool.base}, not {asset}")
+def spot_price(pool: Pool) -> float:
+    """Marginal (fee-exclusive) price of the pool's base asset."""
     if not pool.tradeable:
         raise DegenerateVenueError(
             f"venue {pool.venue_id} asset {pool.base}: empty reserve"

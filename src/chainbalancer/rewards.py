@@ -96,9 +96,10 @@ def measure_contribution(
 
 
 def pay_producer(block: Block, gamma: float) -> int:
-    """Producer's cut of the block's balancer gas fees: floor(gamma * fees)."""
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must lie strictly inside (0, 1)")
+    """Producer's cut of the block's balancer gas fees: floor(gamma * fees).
+
+    `gamma` lies in (0, 1); the scenario's `weights.gamma` row enforces it.
+    """
     gamma_frac = Fraction(str(gamma))
     return int(gamma_frac * block.fees_collected)
 
@@ -137,8 +138,10 @@ def apply_slashing(
 
 
 def build_ledger(weights: RewardWeights, rho: dict[int, int]) -> RewardLedger:
-    """Split the epoch pool, the contributions' sum, exactly; then quantize."""
-    weights.validate()
+    """Split the epoch pool, the contributions' sum, exactly; then quantize.
+
+    `weights` lie on the unit simplex: `RewardWeights.from_values` checks them.
+    """
     if any(value < 0 for value in rho.values()):
         raise ValueError("contributions must be non-negative")
     pool = sum(rho.values())

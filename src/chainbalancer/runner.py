@@ -152,7 +152,9 @@ class RunResult:
 
 
 def _genesis_state(config: ScenarioConfig) -> ChainState:
-    state = ChainState(pools=config.build_pools())
+    state = ChainState(
+        {key: pool.clone() for key, pool in config.pools.items()}, config.reference_venue_id
+    )
     endowment = to_nano(config.endowment)
     for user in range(config.user_flow.num_users):
         for asset in range(config.asset_count):
@@ -234,23 +236,13 @@ class SimulationRun:
                 # the closing state proxies the epoch's expected state;
                 # proposals only read it (their replays run on copies)
                 for profile in cfg.searcher_profiles:
+                    rng = self.rng_searchers[profile.searcher_id]
                     proposals.append(
-                        build_proposal(
-                            profile,
-                            self.state,
-                            cfg.governance,
-                            cfg.threshold,
-                            cfg.reference_venue_id,
-                            self.rng_searchers[profile.searcher_id],
-                        )
+                        build_proposal(profile, self.state, cfg.governance, cfg.threshold, rng)
                     )
                 replay_contexts = list(recent) or [(self.state, cfg.capacity)]
                 selected, scores = evaluate_proposals(
-                    proposals,
-                    replay_contexts,
-                    self.credibility,
-                    cfg.threshold,
-                    cfg.reference_venue_id,
+                    proposals, replay_contexts, self.credibility, cfg.threshold
                 )
             active_set = list(selected.ordered_txs) if selected else []
 
@@ -287,13 +279,7 @@ class SimulationRun:
                             lambda tpl: self.rng_chaos.random() < cfg.forced_revert_rate
                         )
                     phase = execute_block_balancer_phase(
-                        self.state,
-                        templates,
-                        residual,
-                        cfg.threshold,
-                        cfg.reference_venue_id,
-                        beneficiary,
-                        fault_injector=injector,
+                        self.state, templates, residual, cfg.threshold, beneficiary, injector
                     )
                     block.balancer_executed = phase.executed
                     block.balancer_skipped = phase.skipped
@@ -447,8 +433,7 @@ def run_scenario(
         return run.execute()
     except Exception as exc:
         block = run.state.block_height
-        epoch = block // config.epoch_length if config.epoch_length else 0
-        raise SimulationAbort(epoch, block, exc) from exc
+        raise SimulationAbort(block // config.epoch_length, block, exc) from exc
 
 
 def run_baseline_comparison(config: ScenarioConfig, modes: list[str], seeds: list[int]) -> dict:

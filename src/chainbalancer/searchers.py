@@ -1,11 +1,12 @@
 """Searcher proposals, governance selection, and credibility tracking.
 
-Simulated searchers enumerate candidate balancer templates from the
-expected epoch state, estimate per-template net profit (funded as the
-execution would be, against the treasury's balance), and submit a
-priority-ordered proposal. A deterministic scoring rule (credibility times
-replayed profit) picks the active set for the next epoch; credibility then
-tracks how well realized profit matched the claim.
+Simulated searchers enumerate candidate balancer templates (each venue
+pool whose asset the state's reference venue lists) from the expected
+epoch state, estimate per-template net profit (funded as the execution
+would be, against the treasury's balance), and submit a priority-ordered
+proposal. A deterministic scoring rule (credibility times replayed
+profit) picks the active set for the next epoch; credibility then tracks
+how well realized profit matched the claim.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 
 from .arbitrage import Threshold, opportunity_from_deviation
 from .arbitrage import execute_atomic  # noqa: F401 - perfbench/tracer.py rebinds it here
-from .chain import execute_block_balancer_phase, _live_delta, standard_normal
+from .chain import execute_block_balancer_phase, standard_normal
 from .state import TREASURY, ChainState
 
 
@@ -71,14 +72,13 @@ def check_feasibility(conditions: GovernanceConditions, ordered_txs: Sequence) -
     return 1
 
 
-def _candidate_pairs(state: ChainState, reference_venue_id: int) -> list[tuple[int, int]]:
-    pairs = []
-    for venue_id, asset in sorted(state.pools):
-        if venue_id == reference_venue_id:
-            continue
-        if (reference_venue_id, asset) in state.pools:
-            pairs.append((asset, venue_id))
-    return pairs
+def _candidate_pairs(state: ChainState) -> list[tuple[int, int]]:
+    ref = state.reference_venue_id
+    return [
+        (asset, venue_id)
+        for venue_id, asset in sorted(state.pools)
+        if venue_id != ref and (ref, asset) in state.pools
+    ]
 
 
 def build_proposal(
@@ -86,7 +86,6 @@ def build_proposal(
     expected_state: ChainState,
     conditions: GovernanceConditions,
     threshold: Threshold,
-    reference_venue_id: int,
     rng: Random,
 ) -> SearcherProposal:
     """Enumerate, estimate, filter, and order one searcher's template set.
@@ -101,15 +100,13 @@ def build_proposal(
     the size cap.
     """
     candidates: list[BalancerTemplate] = []
-    for asset, venue_id in _candidate_pairs(expected_state, reference_venue_id):
+    for asset, venue_id in _candidate_pairs(expected_state):
         covered = rng.random() < profile.coverage
         noise = profile.noise * standard_normal(rng.random) if profile.noise > 0 else 0.0
         if not covered:
             continue
-        delta = _live_delta(expected_state, venue_id, asset, reference_venue_id)
-        opp = opportunity_from_deviation(
-            expected_state, reference_venue_id, threshold, asset, venue_id, delta
-        )
+        delta = expected_state.deviation(venue_id, asset)
+        opp = opportunity_from_deviation(expected_state, threshold, asset, venue_id, delta)
         estimate = 0 if opp is None else opp.expected_profit
         if estimate > 0 and noise != 0.0:
             estimate = max(0, int(round(estimate * exp(noise))))
@@ -121,9 +118,8 @@ def build_proposal(
     ordered = candidates[:conditions.max_set_size]
 
     # a residual of one transaction per template never binds
-    sim_profit = _replay_once(
-        expected_state, ordered, threshold, reference_venue_id, threshold.gas_per_tx * len(ordered)
-    )
+    residual_gas = threshold.gas_per_tx * len(ordered)
+    sim_profit = _replay_once(expected_state, ordered, threshold, residual_gas)
     return SearcherProposal(profile.searcher_id, ordered, sim_profit)
 
 
@@ -131,14 +127,12 @@ def _replay_once(
     base_state: ChainState,
     templates: list[BalancerTemplate],
     threshold: Threshold,
-    reference_venue_id: int,
     residual_gas: int,
 ) -> int:
     """Net profit of the block's balancer phase run on a throwaway copy."""
-    phase = execute_block_balancer_phase(
-        base_state.clone(), templates, residual_gas, threshold, reference_venue_id, TREASURY
-    )
-    return phase.profit
+    return execute_block_balancer_phase(
+        base_state.clone(), templates, residual_gas, threshold, TREASURY
+    ).profit
 
 
 def evaluate_proposals(
@@ -146,7 +140,6 @@ def evaluate_proposals(
     recent_blocks: list[tuple[ChainState, int]],
     credibility: dict[int, float],
     threshold: Threshold,
-    reference_venue_id: int,
 ) -> tuple[SearcherProposal | None, dict[int, dict]]:
     """Deterministic governance: argmax of credibility x replayed profit.
 
@@ -163,7 +156,7 @@ def evaluate_proposals(
     for proposal in sorted(proposals, key=lambda p: p.searcher_id):
         if proposal.ordered_txs and recent_blocks:
             replayed = [
-                _replay_once(state, proposal.ordered_txs, threshold, reference_venue_id, residual)
+                _replay_once(state, proposal.ordered_txs, threshold, residual)
                 for state, residual in recent_blocks
             ]
             sim_profit = sum(replayed) / len(replayed)

@@ -1,4 +1,5 @@
-"""Chain state: pools plus per-asset balances for every tracked holder.
+"""Chain state: pools, per-asset balances for every tracked holder, and the
+reference venue that `deviation` measures every other venue against.
 
 The simulation is a closed system. Every quantity that leaves a pool or an
 account lands in another tracked holder, so per-asset totals are constant
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .market import Pool
+from .market import NUMERAIRE, Pool, spot_price
 
 TREASURY = "treasury"
 LENDER = "lender"
@@ -52,11 +53,18 @@ class InsufficientBalanceError(Exception):
 @dataclass
 class ChainState:
     pools: dict[tuple[int, int], Pool]          # (venue_id, asset) -> Pool
+    reference_venue_id: int
     accounts: dict[str, dict[int, int]] = field(default_factory=dict)
     block_height: int = 0
 
     def pool(self, venue_id: int, asset: int) -> Pool:
         return self.pools[(venue_id, asset)]
+
+    def deviation(self, venue_id: int, asset: int) -> float:
+        """(p_venue - p_ref) / p_ref for `asset`: positive when the venue is dear."""
+        p_v = spot_price(self.pools[(venue_id, asset)])
+        p_r = spot_price(self.pools[(self.reference_venue_id, asset)])
+        return (p_v - p_r) / p_r
 
     def balance(self, holder: str, asset: int) -> int:
         """Read-only: an unknown holder has a zero balance and stays unknown."""
@@ -85,7 +93,7 @@ class ChainState:
         totals: dict[int, int] = {}
         for pool in self.pools.values():
             totals[pool.base] = totals.get(pool.base, 0) + pool.reserve_base
-            totals[pool.quote] = totals.get(pool.quote, 0) + pool.reserve_quote
+            totals[NUMERAIRE] = totals.get(NUMERAIRE, 0) + pool.reserve_quote
         for balances in self.accounts.values():
             for asset, amount in balances.items():
                 totals[asset] = totals.get(asset, 0) + amount
@@ -94,6 +102,7 @@ class ChainState:
     def clone(self) -> "ChainState":
         return ChainState(
             pools={key: pool.clone() for key, pool in self.pools.items()},
+            reference_venue_id=self.reference_venue_id,
             accounts={holder: dict(bal) for holder, bal in self.accounts.items()},
             block_height=self.block_height,
         )

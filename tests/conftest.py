@@ -17,21 +17,23 @@ def make_pool(
     reserve_asset: float = 1000.0,
     reserve_numeraire: float = 1000.0,
     fee: float = 0.0,
-    is_reference: bool = False,
 ) -> Pool:
     return Pool(
         venue_id=venue_id,
         base=asset,
-        quote=NUMERAIRE,
         reserve_base=to_nano(reserve_asset),
         reserve_quote=to_nano(reserve_numeraire),
         fee_ppb=ppb(fee),
-        is_reference=is_reference,
     )
 
 
-def make_state(pools: list[Pool], treasury_numeraire: float = 1e6, lender: float = 1e9) -> ChainState:
-    state = ChainState(pools={(p.venue_id, p.base): p for p in pools})
+def make_state(
+    pools: list[Pool],
+    treasury_numeraire: float = 1e6,
+    lender: float = 1e9,
+    reference_venue_id: int = 0,
+) -> ChainState:
+    state = ChainState({(p.venue_id, p.base): p for p in pools}, reference_venue_id)
     state.credit("treasury", NUMERAIRE, to_nano(treasury_numeraire))
     state.credit("lender", NUMERAIRE, to_nano(lender))
     state.credit("external", NUMERAIRE, to_nano(treasury_numeraire))

@@ -340,7 +340,7 @@ def _audit_state(rng):
     the reference pool and ordering genuinely matters."""
     n = int(rng.integers(4, 11))
     pools = [
-        make_pool(0, asset=1, reserve_asset=8000.0, reserve_numeraire=8000.0, fee=0.003, is_reference=True)
+        make_pool(0, asset=1, reserve_asset=8000.0, reserve_numeraire=8000.0, fee=0.003)
     ]
     for venue in range(1, n + 1):
         gap = float(rng.uniform(-0.04, 0.04))
@@ -363,7 +363,7 @@ class TestCriterion7OrderingAudit:
         def plan_profit(state, templates, slots):
             sim = state.clone()
             phase = execute_block_balancer_phase(
-                sim, templates, slots * threshold.gas_per_tx, threshold, 0, TREASURY
+                sim, templates, slots * threshold.gas_per_tx, threshold, TREASURY
             )
             return phase.profit
 
@@ -379,7 +379,6 @@ class TestCriterion7OrderingAudit:
                 state,
                 conditions,
                 threshold,
-                0,
                 random.Random(0),
             )
             if not proposal.ordered_txs or proposal.ordered_txs[0].estimate <= 0:

@@ -74,14 +74,14 @@ def opportunity(pools, thr, delta_p, funding=Funding.FLASH_LOAN):
     """The opportunity of asset 1 on venue 1 against reference venue 0, when
     `funding` is the one kind allowed."""
     thr = replace(thr, allowed_funding=frozenset({funding}))
-    return opportunity_from_deviation(ChainState(pools), 0, thr, 1, 1, delta_p)
+    return opportunity_from_deviation(ChainState(pools, 0), thr, 1, 1, delta_p)
 
 
 class TestDetectOpportunities:
     def test_direction_buys_where_cheaper(self):
         # venue above reference: the asset is cheaper on the reference
         pools = {
-            (0, 1): make_pool(0, reserve_asset=100_000, reserve_numeraire=10_000_000, is_reference=True),
+            (0, 1): make_pool(0, reserve_asset=100_000, reserve_numeraire=10_000_000),
             (1, 1): make_pool(1, reserve_asset=100_000, reserve_numeraire=10_300_000),
         }
         thr = Threshold(epsilon=0.005, flash_fee=0.0, gas_price=0.0)
@@ -92,7 +92,7 @@ class TestDetectOpportunities:
 
     def test_below_threshold_ignored(self):
         pools = {
-            (0, 1): make_pool(0, reserve_numeraire=1000.0, is_reference=True),
+            (0, 1): make_pool(0, reserve_numeraire=1000.0),
             (1, 1): make_pool(1, reserve_numeraire=1004.0),
         }
         thr = Threshold(epsilon=0.005, flash_fee=0.0, gas_price=0.0)
@@ -101,7 +101,7 @@ class TestDetectOpportunities:
     def test_fee_band_swallows_gap(self):
         # 3% gap against 2% fees on each side: the oracle confirms no
         # profitable size exists, and the engine emits nothing
-        cheap = make_pool(0, reserve_asset=10_000, reserve_numeraire=1_000_000, fee=0.02, is_reference=True)
+        cheap = make_pool(0, reserve_asset=10_000, reserve_numeraire=1_000_000, fee=0.02)
         dear = make_pool(1, reserve_asset=10_000, reserve_numeraire=1_030_000, fee=0.02)
         _, oracle_best = grid_search_oracle(cheap, dear, flash=0.0)
         assert oracle_best <= 0.0
@@ -148,7 +148,7 @@ class TestOptimalTradeSize:
     def test_role_swap_mirrors_direction_same_profit(self):
         """Negating the deviation (swap venue/reference roles) swaps which
         pool key is cheap but prices the identical physical trade."""
-        low = make_pool(0, reserve_asset=5000, reserve_numeraire=5000, fee=0.003, is_reference=True)
+        low = make_pool(0, reserve_asset=5000, reserve_numeraire=5000, fee=0.003)
         high = make_pool(1, reserve_asset=5000, reserve_numeraire=5150, fee=0.003)
         thr = Threshold(epsilon=0.003, flash_fee=0.0009, gas_price=0.0)
 
@@ -157,8 +157,8 @@ class TestOptimalTradeSize:
         opp_a = opportunity(pools_a, thr, delta_a)
 
         low2, high2 = low.clone(), high.clone()
-        low2.venue_id, low2.is_reference = 1, False
-        high2.venue_id, high2.is_reference = 0, True
+        low2.venue_id = 1
+        high2.venue_id = 0
         pools_b = {(0, 1): high2, (1, 1): low2}
         delta_b = (spot_price(low2) - spot_price(high2)) / spot_price(high2)
         opp_b = opportunity(pools_b, thr, delta_b)
@@ -192,7 +192,7 @@ class TestOptimalTradeSize:
 
 
 def _arb_fixture(flash_fee=0.0009, gap=0.03, fee=0.003, gas_price=1e-7):
-    ref = make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000, fee=fee, is_reference=True)
+    ref = make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000, fee=fee)
     venue = make_pool(1, asset=1, reserve_asset=5000, reserve_numeraire=5000 * (1 + gap), fee=fee)
     state = make_state([ref, venue])
     p_r, p_v = spot_price(ref), spot_price(venue)
@@ -328,7 +328,7 @@ class TestFundingChoice:
             state.accounts[TREASURY][0] = free + treasury
         if lender is not None:
             state.accounts[LENDER][0] = lender
-        return state, thr, free, opportunity_from_deviation(state, 0, thr, 1, 1, delta)
+        return state, thr, free, opportunity_from_deviation(state, thr, 1, 1, delta)
 
     def test_treasury_covers_the_size(self):
         state, thr, free, opp = self._sized(treasury=0)

@@ -124,7 +124,7 @@ class TestGenerateUserFlow:
 
 def _funded_state():
     pools = [
-        make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003, is_reference=True),
+        make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003),
         make_pool(1, asset=1, reserve_asset=5000, reserve_numeraire=5000, fee=0.003),
     ]
     state = make_state(pools)
@@ -211,7 +211,7 @@ def _template(asset=1, venue=1, estimate=0):
 
 def _gapped_state(gap=0.02):
     pools = [
-        make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003, is_reference=True),
+        make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003),
         make_pool(1, asset=1, reserve_asset=5000, reserve_numeraire=5000 * (1 + gap), fee=0.003),
     ]
     return make_state(pools)
@@ -226,7 +226,7 @@ class TestBalancerPhase:
     def test_zero_residual_no_executions(self):
         state = _gapped_state()
         result = execute_block_balancer_phase(
-            state, [_template()], 0, THRESHOLD, 0, TREASURY
+            state, [_template()], 0, THRESHOLD, TREASURY
         )
         assert result.executed == []
 
@@ -234,7 +234,7 @@ class TestBalancerPhase:
         """Recompute the post-trade deviation from raw reserves."""
         state = _gapped_state(gap=0.02)
         result = execute_block_balancer_phase(
-            state, [_template()], 1_000_000, THRESHOLD, 0, TREASURY
+            state, [_template()], 1_000_000, THRESHOLD, TREASURY
         )
         assert len(result.executed) == 1
         p_v = spot_price(state.pools[(1, 1)])
@@ -249,13 +249,13 @@ class TestBalancerPhase:
         # frictionless pools: the first execution pulls the gap to ~zero,
         # so the second candidate's re-validation finds nothing left
         pools = [
-            make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000, is_reference=True),
+            make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000),
             make_pool(1, asset=1, reserve_asset=5000, reserve_numeraire=5100),
         ]
         state = make_state(pools)
         threshold = Threshold(epsilon=0.003, flash_fee=0.0, gas_price=1e-9)
         result = execute_block_balancer_phase(
-            state, [_template(), _template()], 1_000_000, threshold, 0, TREASURY
+            state, [_template(), _template()], 1_000_000, threshold, TREASURY
         )
         assert len(result.executed) == 1
         assert [s.reason for s in result.skipped] == ["below_epsilon"]
@@ -266,7 +266,7 @@ class TestBalancerPhase:
         state.pools[(2, 1)] = second_state_pool
         templates = [_template(venue=1), _template(venue=2)]
         result = execute_block_balancer_phase(
-            state, templates, 100_000, THRESHOLD, 0, TREASURY
+            state, templates, 100_000, THRESHOLD, TREASURY
         )
         # only one 90k tx fits in 100k residual
         assert len(result.executed) == 1
@@ -276,7 +276,7 @@ class TestBalancerPhase:
         state = _gapped_state(gap=0.02)
         escrow, treasury = state.balance(FEE_ESCROW, 0), state.balance(TREASURY, 0)
         result = execute_block_balancer_phase(
-            state, [_template()], 1_000_000, THRESHOLD, 0, TREASURY
+            state, [_template()], 1_000_000, THRESHOLD, TREASURY
         )
         assert len(result.executed) == 1
         assert state.balance(FEE_ESCROW, 0) - escrow == THRESHOLD.gas_fee_nano
@@ -306,7 +306,7 @@ class TestBalancerPhase:
         assert abs(live) <= 0.005  # the gap is gone before the balancer runs
 
         phase = execute_block_balancer_phase(
-            state, [_template()], 1_000_000, THRESHOLD, 0, TREASURY
+            state, [_template()], 1_000_000, THRESHOLD, TREASURY
         )
         assert phase.executed == []
         assert len(phase.skipped) == 1

@@ -60,11 +60,23 @@ class TestLoadScenario:
         assert "0" in msg and "2" in msg
 
     def test_omega_simplex_violation(self):
-        raw = minimal_raw()
-        raw["weights"] = {"omega": {"searchers": 0.4, "marketplaces": 0.4, "treasury": 0.1}}
-        with pytest.raises(ValidationError) as err:
-            from_dict(raw)
-        assert any("omega" in v for v in err.value.violations)
+        # below and above the simplex; build_ledger relies on this check
+        for treasury, total in ((0.1, "0.9"), (0.5, "1.3")):
+            raw = minimal_raw()
+            raw["weights"] = {"omega": {"searchers": 0.4, "marketplaces": 0.4, "treasury": treasury}}
+            with pytest.raises(ValidationError) as err:
+                from_dict(raw)
+            assert err.value.violations == [f"weights.omega: weights sum to {total}, not 1"]
+
+    def test_gamma_domain_open(self):
+        for gamma in (0.0, 1.0, -0.1, 1.5):
+            raw = minimal_raw()
+            raw["weights"] = {"gamma": gamma}
+            with pytest.raises(ValidationError) as err:
+                from_dict(raw)
+            assert err.value.violations == [
+                f"weights.gamma: must be a number in (0, 1), got {gamma!r}"
+            ]
 
     def test_all_violations_reported_at_once(self):
         raw = minimal_raw()

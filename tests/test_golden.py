@@ -70,3 +70,14 @@ def test_only_the_diverted_key_left_the_report(scenario, tmp_path):
         ledger["diverted_to_treasury"] = False
     path = write_json(report, tmp_path / "report.json")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == WITH_DIVERTED_KEY[scenario]
+
+
+def test_one_config_reruns_like_fresh_configs():
+    """Runs clone the config's genesis pools: reusing one config across modes
+    gives the reports of fresh configs and leaves its reserves as loaded."""
+    config = golden_config("baseline")
+    loaded = {key: (p.reserve_base, p.reserve_quote) for key, p in config.pools.items()}
+    for mode in ("off", "autobalancer", "external", "autobalancer"):
+        fresh = run_scenario(golden_config("baseline"), mode=mode).report()
+        assert run_scenario(config, mode=mode).report() == fresh
+    assert {key: (p.reserve_base, p.reserve_quote) for key, p in config.pools.items()} == loaded

@@ -113,7 +113,7 @@ class TestFlatSnapshotSampling:
             for venue in range(n_venues):
                 assets = listed if venue == reference else rng.sample(listed, rng.randint(1, len(listed)))
                 for asset in sorted(assets):
-                    pool = make_pool(venue, asset=asset, is_reference=venue == reference)
+                    pool = make_pool(venue, asset=asset)
                     pool.reserve_base = rng.randint(1, 10**13)
                     pool.reserve_quote = rng.randint(1, 10**13)
                     pools.append(pool)

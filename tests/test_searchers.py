@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from chainbalancer import Funding, Threshold, execute_atomic
 from chainbalancer.arbitrage import opportunity_from_deviation
-from chainbalancer.chain import _live_delta, standard_normal
+from chainbalancer.chain import standard_normal
 from chainbalancer.searchers import (
     BalancerTemplate,
     GovernanceConditions,
@@ -37,7 +37,7 @@ THRESHOLD = Threshold(epsilon=0.003, flash_fee=0.0009, gas_price=1e-7)
 def three_gap_state():
     """Three venues with distinct profitable gaps against the reference."""
     pools = [
-        make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003, is_reference=True),
+        make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003),
         make_pool(1, asset=1, reserve_asset=5000, reserve_numeraire=5000 * 1.010, fee=0.003),
         make_pool(2, asset=1, reserve_asset=5000, reserve_numeraire=5000 * 1.030, fee=0.003),
         make_pool(3, asset=1, reserve_asset=5000, reserve_numeraire=5000 * 1.018, fee=0.003),
@@ -57,7 +57,6 @@ class TestBuildProposal:
             state,
             conditions(),
             THRESHOLD,
-            0,
             rng_for(0),
         )
         estimates = [t.estimate for t in proposal.ordered_txs]
@@ -71,7 +70,7 @@ class TestBuildProposal:
         pools = []
         for asset in (1, 2):
             pools.append(
-                make_pool(0, asset=asset, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003, is_reference=True)
+                make_pool(0, asset=asset, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003)
             )
             for venue in (10001, 1):
                 pools.append(
@@ -82,7 +81,6 @@ class TestBuildProposal:
             make_state(pools),
             conditions(),
             THRESHOLD,
-            0,
             rng_for(0),
         )
         assert len({t.estimate for t in proposal.ordered_txs}) == 1
@@ -91,12 +89,7 @@ class TestBuildProposal:
 
     def test_zero_noise_is_deterministic(self):
         state = three_gap_state()
-        args = (
-            state,
-            conditions(),
-            THRESHOLD,
-            0,
-        )
+        args = (state, conditions(), THRESHOLD)
         a = build_proposal(SearcherProfile(0), *args, rng_for(7))
         b = build_proposal(SearcherProfile(0), *args, rng_for(7))
         assert a == b
@@ -109,16 +102,15 @@ class TestBuildProposal:
             state,
             conditions(),
             THRESHOLD,
-            0,
             rng_for(0),
         )
         sim = state.clone()
         total = 0
         for tpl in proposal.ordered_txs:
-            delta = _live_delta(sim, tpl.venue_id, tpl.asset, 0)
+            delta = sim.deviation(tpl.venue_id, tpl.asset)
             if abs(delta) <= THRESHOLD.epsilon:
                 continue
-            opp = opportunity_from_deviation(sim, 0, THRESHOLD, tpl.asset, tpl.venue_id, delta)
+            opp = opportunity_from_deviation(sim, THRESHOLD, tpl.asset, tpl.venue_id, delta)
             if opp is None:
                 continue
             result = execute_atomic(sim, opp, THRESHOLD)
@@ -130,12 +122,12 @@ class TestBuildProposal:
 
     def test_no_profitable_candidates_yields_empty_valid_proposal(self):
         pools = [
-            make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003, is_reference=True),
+            make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003),
             make_pool(1, asset=1, reserve_asset=5000, reserve_numeraire=5000, fee=0.003),
         ]
         state = make_state(pools)
         proposal = build_proposal(
-            SearcherProfile(0), state, conditions(min_net_profit=1), THRESHOLD, 0,
+            SearcherProfile(0), state, conditions(min_net_profit=1), THRESHOLD,
             rng_for(0),
         )
         assert proposal.ordered_txs == []
@@ -145,11 +137,11 @@ class TestBuildProposal:
         state = three_gap_state()
         full = build_proposal(
             SearcherProfile(0, coverage=1.0), state, conditions(), THRESHOLD,
-            0, rng_for(5),
+            rng_for(5),
         )
         partial = build_proposal(
             SearcherProfile(1, coverage=0.34), state, conditions(), THRESHOLD,
-            0, rng_for(5),
+            rng_for(5),
         )
         assert len(partial.ordered_txs) < len(full.ordered_txs)
 
@@ -161,10 +153,10 @@ class TestBuildProposal:
         assert z == pytest.approx(math.sqrt(106 * math.log(2)))  # 8.57
 
         noisy = build_proposal(
-            SearcherProfile(0, noise=10.0), three_gap_state(), conditions(), THRESHOLD, 0,
+            SearcherProfile(0, noise=10.0), three_gap_state(), conditions(), THRESHOLD,
             SimpleNamespace(random=cycle(extreme).__next__),
         )
-        exact = build_proposal(SearcherProfile(0), three_gap_state(), conditions(), THRESHOLD, 0, rng_for(0))
+        exact = build_proposal(SearcherProfile(0), three_gap_state(), conditions(), THRESHOLD, rng_for(0))
         assert len(exact.ordered_txs) == 3
         assert [t.estimate for t in noisy.ordered_txs] == [
             round(t.estimate * math.exp(10.0 * z)) for t in exact.ordered_txs
@@ -184,7 +176,7 @@ class TestEvaluateProposals:
         state = three_gap_state()
         p0 = build_proposal(
             SearcherProfile(0), state, conditions(), THRESHOLD,
-            0, rng_for(0),
+            rng_for(0),
         )
         # searcher 1 only sees venue 1 (the weakest gap)
         t1 = BalancerTemplate(asset=1, venue_id=1, estimate=1)
@@ -195,20 +187,20 @@ class TestEvaluateProposals:
         state, p0, p1 = self._proposals()
         cred = {0: 1.0, 1: 1.0}
         selected, scores = evaluate_proposals(
-            [p0, p1], [(state, 1_000_000)], cred, THRESHOLD, 0
+            [p0, p1], [(state, 1_000_000)], cred, THRESHOLD
         )
         assert selected.searcher_id == 0
         assert scores[0]["score"] > scores[1]["score"]
 
     def test_credibility_weighting_flips_selection(self):
         state, p0, p1 = self._proposals()
-        s0 = evaluate_proposals([p0, p1], [(state, 1_000_000)], {0: 1.0, 1: 1.0}, THRESHOLD, 0)[1]
+        s0 = evaluate_proposals([p0, p1], [(state, 1_000_000)], {0: 1.0, 1: 1.0}, THRESHOLD)[1]
         # weight searcher 0 down until its score drops below searcher 1's
         ratio = s0[1]["simulated_net_profit"] / s0[0]["simulated_net_profit"]
         low = ratio * 0.5
         cred = {0: low, 1: 1.0}
         selected, scores = evaluate_proposals(
-            [p0, p1], [(state, 1_000_000)], cred, THRESHOLD, 0
+            [p0, p1], [(state, 1_000_000)], cred, THRESHOLD
         )
         assert selected.searcher_id == 1
         assert scores[0]["score"] < scores[1]["score"]
@@ -217,7 +209,7 @@ class TestEvaluateProposals:
         state, p0, _ = self._proposals()
         cred = {0: 0.0}
         selected, _ = evaluate_proposals(
-            [p0], [(state, 1_000_000)], cred, THRESHOLD, 0
+            [p0], [(state, 1_000_000)], cred, THRESHOLD
         )
         assert selected is p0
 
@@ -229,7 +221,6 @@ class TestEvaluateProposals:
             [(state, 1_000_000)],
             cred,
             THRESHOLD,
-            0,
         )
         assert selected is None
 
@@ -249,10 +240,10 @@ class TestEvaluateProposals:
 
         cred = {0: 0.9, 1: 1.0}
         base_sel, base_scores = evaluate_proposals(
-            [p0, p1], [(scaled(1), 10**9)], cred, thr, 0
+            [p0, p1], [(scaled(1), 10**9)], cred, thr
         )
         big_sel, big_scores = evaluate_proposals(
-            [p0, p1], [(scaled(10), 10**9)], cred, thr, 0
+            [p0, p1], [(scaled(10), 10**9)], cred, thr
         )
         assert base_sel.searcher_id == big_sel.searcher_id
         assert big_scores[0]["simulated_net_profit"] == pytest.approx(
@@ -263,15 +254,15 @@ class TestEvaluateProposals:
         state = three_gap_state()
         p_a = build_proposal(
             SearcherProfile(3), state, conditions(), THRESHOLD,
-            0, rng_for(0),
+            rng_for(0),
         )
         p_b = build_proposal(
             SearcherProfile(1), state, conditions(), THRESHOLD,
-            0, rng_for(0),
+            rng_for(0),
         )
         cred = {1: 0.7, 3: 0.7}
         selected, _ = evaluate_proposals(
-            [p_a, p_b], [(state, 10**6)], cred, THRESHOLD, 0
+            [p_a, p_b], [(state, 10**6)], cred, THRESHOLD
         )
         assert selected.searcher_id == 1
 
@@ -328,14 +319,14 @@ class TestFeasibility:
         """Funding is filtered where it is chosen: a kind the threshold does
         not allow is never used, even where it would be preferred."""
         state = three_gap_state()
-        delta = _live_delta(state, 1, 1, 0)
-        both = opportunity_from_deviation(state, 0, THRESHOLD, 1, 1, delta)
+        delta = state.deviation(1, 1)
+        both = opportunity_from_deviation(state, THRESHOLD, 1, 1, delta)
         assert both.funding is Funding.NETWORK_LIQUIDITY  # the treasury covers it
         flash_only = replace(THRESHOLD, allowed_funding=frozenset({Funding.FLASH_LOAN}))
-        opp = opportunity_from_deviation(state, 0, flash_only, 1, 1, delta)
+        opp = opportunity_from_deviation(state, flash_only, 1, 1, delta)
         assert opp.funding is Funding.FLASH_LOAN
         none_allowed = replace(THRESHOLD, allowed_funding=frozenset())
-        assert opportunity_from_deviation(state, 0, none_allowed, 1, 1, delta) is None
+        assert opportunity_from_deviation(state, none_allowed, 1, 1, delta) is None
 
     def test_deterministic(self):
         txs = [_template(estimate=5)]
@@ -369,7 +360,7 @@ def test_every_proposal_passes_the_feasibility_oracle(
     cond = GovernanceConditions(max_set_size=max_set, min_net_profit=min_net_profit)
     thr = replace(THRESHOLD, allowed_funding=allowed)
     state = three_gap_state()
-    proposal = build_proposal(SearcherProfile(0, noise=noise), state, cond, thr, 0, rng_for(11))
+    proposal = build_proposal(SearcherProfile(0, noise=noise), state, cond, thr, rng_for(11))
     ordered = proposal.ordered_txs
     assert check_feasibility(cond, ordered) == 1
     if min_net_profit == 10**18 or (expected is None and min_net_profit > 0):
@@ -382,6 +373,6 @@ def test_every_proposal_passes_the_feasibility_oracle(
         # three profitable gaps, cut at the cap
         assert len(ordered) == min(max_set, 3)
         for t in ordered:
-            delta = _live_delta(state, t.venue_id, t.asset, 0)
-            opp = opportunity_from_deviation(state, 0, thr, t.asset, t.venue_id, delta)
+            delta = state.deviation(t.venue_id, t.asset)
+            opp = opportunity_from_deviation(state, thr, t.asset, t.venue_id, delta)
             assert opp.funding is expected

@@ -2,14 +2,14 @@
 
 import pytest
 
-from chainbalancer.market import NUMERAIRE
+from chainbalancer.market import NUMERAIRE, spot_price
 from chainbalancer.state import ChainState, InsufficientBalanceError
 
 from conftest import make_pool
 
 
 def fresh_state():
-    state = ChainState(pools={(0, 1): make_pool(0, is_reference=True)})
+    state = ChainState(pools={(0, 1): make_pool(0)}, reference_venue_id=0)
     state.credit("alice", NUMERAIRE, 5)
     return state
 
@@ -28,3 +28,36 @@ class TestReadsDoNotWrite:
         with pytest.raises(InsufficientBalanceError):
             state.transfer("nobody", "alice", NUMERAIRE, 1)
         assert state.accounts == {"alice": {NUMERAIRE: 5}}
+
+
+def three_venue_state(reference_venue_id=0):
+    """Asset 1 at 1.0 on venue 0, 3% dearer on venue 1, 3% cheaper on venue 2."""
+    pools = {
+        (0, 1): make_pool(0, reserve_asset=1000.0, reserve_numeraire=1000.0),
+        (1, 1): make_pool(1, reserve_asset=1000.0, reserve_numeraire=1030.0),
+        (2, 1): make_pool(2, reserve_asset=1000.0, reserve_numeraire=970.0),
+    }
+    return ChainState(pools, reference_venue_id)
+
+
+class TestDeviation:
+    def test_matches_the_spot_price_formula_on_both_signs(self):
+        state = three_venue_state()
+        p_r = spot_price(state.pools[(0, 1)])
+        for venue, sign in ((1, 1), (2, -1)):
+            expected = (spot_price(state.pools[(venue, 1)]) - p_r) / p_r
+            assert sign * expected > 0
+            assert state.deviation(venue, 1) == expected
+        assert state.deviation(0, 1) == 0.0
+
+    def test_measured_against_the_state_reference(self):
+        state = three_venue_state(reference_venue_id=1)
+        p_r = spot_price(state.pools[(1, 1)])
+        assert state.deviation(0, 1) == (spot_price(state.pools[(0, 1)]) - p_r) / p_r < 0
+        assert state.deviation(1, 1) == 0.0
+
+    def test_clone_keeps_the_reference(self):
+        state = three_venue_state(reference_venue_id=2)
+        copy = state.clone()
+        assert copy.reference_venue_id == 2
+        assert copy.deviation(1, 1) == state.deviation(1, 1) > 0

@@ -43,7 +43,6 @@ def states(draw):
             reserve_asset=draw(st.floats(100.0, 50_000.0)),
             reserve_numeraire=draw(st.floats(100.0, 50_000.0)),
             fee=draw(st.sampled_from([0.0, 0.003, 0.01])),
-            is_reference=venue == REFERENCE,
         )
         for venue in VENUES
         for asset in ASSETS
@@ -52,6 +51,7 @@ def states(draw):
         pools,
         treasury_numeraire=draw(st.sampled_from([0.0, 1_000.0, 1e6])),
         lender=draw(st.sampled_from([0.0, 1_000.0, 1e6])),
+        reference_venue_id=REFERENCE,
     )
     for user in range(USERS):
         for asset in (NUMERAIRE, *ASSETS):
@@ -93,7 +93,7 @@ def _opportunity(state, venue, asset, funding, beneficiary, forced):
     delta_p = (spot_price(state.pool(venue, asset)) - ref_price) / ref_price
     if forced is None:
         thr = replace(THRESHOLD, allowed_funding=frozenset({funding}))
-        return opportunity_from_deviation(state, REFERENCE, thr, asset, venue, delta_p, beneficiary)
+        return opportunity_from_deviation(state, thr, asset, venue, delta_p, beneficiary)
     size, cheap_side = forced
     venue_key, ref_key = (venue, asset), (REFERENCE, asset)
     cheap, dear = (venue_key, ref_key) if cheap_side == "venue" else (ref_key, venue_key)
