@@ -16,7 +16,7 @@ from chainbalancer import (
 )
 from chainbalancer.arbitrage import opportunity_from_deviation
 from chainbalancer.state import ChainState
-from chainbalancer.units import SCALE, to_nano, to_units
+from chainbalancer.units import SCALE, ppb, to_nano, to_units
 from chainbalancer import Pool
 
 
@@ -58,7 +58,8 @@ def main():
         p = round_trip_profit(ref, venue, 0.0009, float(x))
         print(f"  spend {x:>4} numeraire -> profit {p:+.4f}")
 
-    size, profit = optimal_trade_size(ref, venue, flash_fee=0.0009)
+    size = to_units(optimal_trade_size(ref, venue, ppb(0.0009)))
+    profit = round_trip_profit(ref, venue, 0.0009, size)
     print(f"\nclosed-form optimum: spend {size:.4f}, gross profit {profit:.4f}")
 
     print("\n=== Execute atomically; the treasury is empty, so a flash loan funds it ===")

@@ -10,10 +10,11 @@ transaction) when that is allowed. Either way the whole round trip is
 quoted first and the commit-or-revert decision is made before any state
 is written.
 
-Sizing is closed-form. The two constant-product legs compose into one
-curve out(x) = A x / (B + C x), so with k = 1 + flash_fee the profit
-out(x) - k x peaks at x* = (sqrt(A B / k) - B) / C (coefficients in
-`optimal_trade_size`). The size is x* floored to nano-units, and the
+Sizing is closed-form and integer-exact. The two constant-product legs
+compose into one curve out(x) = A x / (B + C x), so with k = 1 + flash_fee
+the profit out(x) - k x peaks at x* = (sqrt(A B / k) - B) / C. On nano
+reserves and ppb fees `optimal_trade_size` computes the floor of x* with
+`math.isqrt`, and returns 0 inside the no-trade region A <= k B. The
 expected profit at that size is quoted with the same integer swap, fee
 and gas arithmetic that executes the trade.
 """
@@ -95,35 +96,28 @@ def deviation_bounds(
     return -band, band / (1.0 - band)
 
 
-def optimal_trade_size(
-    pool_cheap: Pool, pool_dear: Pool, flash_fee: float = 0.0
-) -> tuple[float, float]:
-    """Profit-maximizing numeraire input for a cheap->dear round trip.
+def optimal_trade_size(pool_cheap: Pool, pool_dear: Pool, flash_fee_ppb: int = 0) -> int:
+    """Profit-maximizing numeraire input, in nano-units, of a cheap->dear round trip.
 
-    Returns (size, profit) in asset units; (0, 0) when no profitable size
-    exists. The two constant-product legs compose into one curve,
-    out(x) = A x / (B + C x), with A = g1 g2 Rb1 Rq2, B = Rq1 Rb2 and
-    C = g1 (Rb2 + g2 Rb1), where g = 1 - fee and pool 1 is the cheap one.
-    With k = 1 + flash_fee the profit out(x) - k x peaks at
-    x* = (sqrt(A B / k) - B) / C, where it is (sqrt(A) - sqrt(k B))^2 / C;
-    it is positive for some size iff A > k B. Gas is a fixed cost and does
-    not move the maximizer, so callers subtract it afterwards.
+    With G = 10^9 - fee_ppb, c the cheap pool and d the dear one, all in
+    nano-units and ppb:
+      a = G_c G_d Rb_c Rq_d,  b = Rq_c Rb_d,  k = 10^9 + flash_fee_ppb,
+      C = G_c (10^9 Rb_d + G_d Rb_c).
+    No size is profitable iff a <= k b 10^9, and then the size is 0.
+    Otherwise it is (isqrt(a b 10^27 // k) - b 10^18) // C. Every floor
+    nests inside the next, so the result is exactly the floor of the real
+    optimum x*. Gas is a fixed cost and does not move the maximizer, so
+    callers subtract it afterwards.
     """
-    g_cheap = 1.0 - pool_cheap.fee_ppb / SCALE
-    g_dear = 1.0 - pool_dear.fee_ppb / SCALE
-    rb_cheap = pool_cheap.reserve_base / SCALE
-    rq_cheap = pool_cheap.reserve_quote / SCALE
-    rb_dear = pool_dear.reserve_base / SCALE
-    rq_dear = pool_dear.reserve_quote / SCALE
-    a = g_cheap * g_dear * rb_cheap * rq_dear
-    b = rq_cheap * rb_dear
-    c = g_cheap * (rb_dear + g_dear * rb_cheap)
-    k = 1.0 + flash_fee
-    if a <= k * b:
-        return 0.0, 0.0
-    size = (math.sqrt(a * b / k) - b) / c
-    profit = (math.sqrt(a) - math.sqrt(k * b)) ** 2 / c
-    return size, profit
+    g_cheap = SCALE - pool_cheap.fee_ppb
+    g_dear = SCALE - pool_dear.fee_ppb
+    a = g_cheap * g_dear * pool_cheap.reserve_base * pool_dear.reserve_quote
+    b = pool_cheap.reserve_quote * pool_dear.reserve_base
+    k = SCALE + flash_fee_ppb
+    if a <= k * b * SCALE:
+        return 0
+    c = g_cheap * (SCALE * pool_dear.reserve_base + g_dear * pool_cheap.reserve_base)
+    return (math.isqrt(a * b * 10**27 // k) - b * 10**18) // c
 
 
 def _quote_round_trip(
@@ -153,9 +147,10 @@ def opportunity_from_deviation(
     """Size and fund the trade behind a deviation; None when it does not clear the bar.
 
     `delta_p` is `state.deviation(venue_id, asset)`; its sign names the
-    cheap pool. The bar is threefold: |delta_p| above the trigger, a
-    closed-form optimal size that is at least one nano-unit once floored,
-    and a positive profit after the flash fee and gas. That profit is
+    cheap pool. The bar is threefold: |delta_p| above the trigger, an
+    `optimal_trade_size` of at least one nano-unit (the floor of the real
+    optimum, with the flash fee when a loan funds it), and a positive
+    profit after the flash fee and gas. That profit is
     quoted with the integer arithmetic `execute_atomic` runs, so on
     unchanged state the realized profit equals `expected_profit` to the
     nano-unit.
@@ -174,11 +169,11 @@ def opportunity_from_deviation(
     allowed = threshold.allowed_funding
     flash, size = Funding.FLASH_LOAN in allowed, 0
     if Funding.NETWORK_LIQUIDITY in allowed:
-        size = int(optimal_trade_size(pool_cheap, pool_dear)[0] * SCALE)
+        size = optimal_trade_size(pool_cheap, pool_dear)
         flash = flash and size > state.balance(beneficiary, NUMERAIRE)
     if flash:
-        size = int(optimal_trade_size(pool_cheap, pool_dear, threshold.flash_fee)[0] * SCALE)
-    if size <= 0:
+        size = optimal_trade_size(pool_cheap, pool_dear, threshold.flash_fee_ppb)
+    if size == 0:
         return None
     loan_fee = fee_due(size, threshold.flash_fee_ppb) if flash else 0
     _, net = _quote_round_trip(pool_cheap, pool_dear, size, loan_fee, threshold.gas_fee_nano)

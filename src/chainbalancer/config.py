@@ -80,7 +80,9 @@ POSITIVE_INT = (_int(1), "an integer in [1, 2^63 - 1]")
 NON_NEGATIVE_INT = (_int(0), "an integer in [0, 2^63 - 1]")
 NON_NEGATIVE = (_num(lambda x: x >= 0), "a non-negative number")
 UNIT_INTERVAL = (_num(lambda x: 0 <= x <= 1), "a number in [0, 1]")
-# 1e30 keeps every product in the float sizing closed form below about 1e120
+# searchers.build_proposal scales a float profit estimate by exp(noise);
+# with baseline scaled to 1e301-unit reserves that overflows and int(inf)
+# aborts the run (1e300 runs). 1e30 keeps a wide margin below that.
 RESERVE = (
     _num(lambda x: x <= 1e30 and to_nano(x) >= 1),
     "a number of at most 1e30 that rounds to at least one nano-unit (1e-9)",

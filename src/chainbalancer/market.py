@@ -28,10 +28,6 @@ class SwapDirection(str, Enum):
     QUOTE_IN = "quote_in"  # spend the numeraire to buy the base asset
 
 
-class DegenerateVenueError(ValueError):
-    """A pool with an empty reserve cannot quote or trade."""
-
-
 @dataclass
 class Pool:
     """One constant-product pair: the `base` asset priced in the numeraire."""
@@ -47,12 +43,9 @@ class Pool:
             raise ValueError(f"pool {self.venue_id}: base must not be the numeraire")
         if not 0 <= self.fee_ppb < MAX_FEE_PPB:
             raise ValueError(f"pool {self.venue_id}: fee {self.fee_ppb} ppb out of [0, 10%) range")
-        if self.reserve_base < 0 or self.reserve_quote < 0:
-            raise ValueError(f"pool {self.venue_id}: negative reserve")
-
-    @property
-    def tradeable(self) -> bool:
-        return self.reserve_base > 0 and self.reserve_quote > 0
+        # a swap pays out at most reserve_out - 1, so a reserve never reaches 0 later
+        if self.reserve_base < 1 or self.reserve_quote < 1:
+            raise ValueError(f"pool {self.venue_id}: reserve below 1 nano-unit")
 
     @property
     def product(self) -> int:
@@ -70,10 +63,6 @@ class Pool:
 
 def spot_price(pool: Pool) -> float:
     """Marginal (fee-exclusive) price of the pool's base asset."""
-    if not pool.tradeable:
-        raise DegenerateVenueError(
-            f"venue {pool.venue_id} asset {pool.base}: empty reserve"
-        )
     return pool.reserve_quote / pool.reserve_base
 
 
@@ -84,10 +73,6 @@ def quote_swap(pool: Pool, direction: SwapDirection, amount_in: int) -> int:
     """
     if amount_in <= 0:
         raise ValueError(f"amount_in must be positive, got {amount_in}")
-    if not pool.tradeable:
-        raise DegenerateVenueError(
-            f"venue {pool.venue_id} asset {pool.base}: empty reserve"
-        )
     if direction is SwapDirection.BASE_IN:
         reserve_in, reserve_out = pool.reserve_base, pool.reserve_quote
     else:
@@ -113,9 +98,5 @@ def execute_swap(pool: Pool, direction: SwapDirection, amount_in: int) -> int:
 
 
 def snapshot_prices(pools: Iterable[Pool]) -> list[float]:
-    """Spot price of every pool, in iteration order; equal to spot_price.
-
-    No guard is needed: a validated scenario starts every reserve at 1 nano
-    or more, and a swap never pays out its whole output reserve.
-    """
+    """Spot price of every pool, in iteration order; equal to spot_price."""
     return [pool.reserve_quote / pool.reserve_base for pool in pools]

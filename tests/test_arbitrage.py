@@ -21,7 +21,7 @@ from chainbalancer.arbitrage import opportunity_from_deviation
 from chainbalancer.config import from_dict
 from chainbalancer.runner import run_scenario
 from chainbalancer.state import LENDER, TREASURY, ChainState
-from chainbalancer.units import SCALE, to_nano, to_units
+from chainbalancer.units import SCALE, ppb, to_nano, to_units
 
 from conftest import make_pool, make_state
 
@@ -40,13 +40,25 @@ def oracle_profit(x, rq_c, rb_c, f_c, rb_d, rq_d, f_d, flash):
     return back - x * (1.0 + flash)
 
 
+def _float_terms(pool_cheap, pool_dear):
+    """The pools' reserves and fees in float units, in `oracle_profit` order."""
+    return (
+        pool_cheap.reserve_quote / SCALE,
+        pool_cheap.reserve_base / SCALE,
+        pool_cheap.fee_ppb / SCALE,
+        pool_dear.reserve_base / SCALE,
+        pool_dear.reserve_quote / SCALE,
+        pool_dear.fee_ppb / SCALE,
+    )
+
+
+def oracle_profit_at(pool_cheap, pool_dear, flash, size):
+    """The oracle's float profit of spending `size` nano-units."""
+    return oracle_profit(size / SCALE, *_float_terms(pool_cheap, pool_dear), flash)
+
+
 def grid_search_oracle(pool_cheap, pool_dear, flash, points=10_000, rounds=4):
-    rq_c = pool_cheap.reserve_quote / SCALE
-    rb_c = pool_cheap.reserve_base / SCALE
-    f_c = pool_cheap.fee_ppb / SCALE
-    rb_d = pool_dear.reserve_base / SCALE
-    rq_d = pool_dear.reserve_quote / SCALE
-    f_d = pool_dear.fee_ppb / SCALE
+    rq_c, rb_c, f_c, rb_d, rq_d, f_d = _float_terms(pool_cheap, pool_dear)
 
     upper = max(rq_c, rq_d)
     for _ in range(80):
@@ -114,36 +126,24 @@ class TestOptimalTradeSize:
     def test_matches_grid_oracle(self):
         cheap = make_pool(0, reserve_asset=1000, reserve_numeraire=1000)
         dear = make_pool(1, reserve_asset=1000, reserve_numeraire=1100)
-        size, profit = optimal_trade_size(cheap, dear)
+        size = optimal_trade_size(cheap, dear)
         oracle_size, oracle_best = grid_search_oracle(cheap, dear, flash=0.0)
-        assert profit == pytest.approx(oracle_best, rel=1e-5)
-        assert size == pytest.approx(oracle_size, rel=1e-3)
+        assert oracle_profit_at(cheap, dear, 0.0, size) == pytest.approx(oracle_best, rel=1e-5)
+        assert to_units(size) == pytest.approx(oracle_size, rel=1e-3)
 
     def test_equal_pools_yield_nothing(self):
         a = make_pool(0)
         b = make_pool(1)
-        assert optimal_trade_size(a, b) == (0.0, 0.0)
+        assert optimal_trade_size(a, b) == 0
 
     def test_local_optimality_probe(self):
         cheap = make_pool(0, reserve_asset=2000, reserve_numeraire=1960, fee=0.003)
         dear = make_pool(1, reserve_asset=2000, reserve_numeraire=2040, fee=0.003)
-        size, profit = optimal_trade_size(cheap, dear, flash_fee=0.0009)
+        size = optimal_trade_size(cheap, dear, ppb(0.0009))
         assert size > 0
-
-        def profit_at(x):
-            return oracle_profit(
-                x,
-                cheap.reserve_quote / SCALE,
-                cheap.reserve_base / SCALE,
-                cheap.fee_ppb / SCALE,
-                dear.reserve_base / SCALE,
-                dear.reserve_quote / SCALE,
-                dear.fee_ppb / SCALE,
-                0.0009,
-            )
-
-        assert profit >= profit_at(size / 2)
-        assert profit >= profit_at(2 * size)
+        profit = oracle_profit_at(cheap, dear, 0.0009, size)
+        assert profit >= oracle_profit_at(cheap, dear, 0.0009, size // 2)
+        assert profit >= oracle_profit_at(cheap, dear, 0.0009, 2 * size)
 
     def test_role_swap_mirrors_direction_same_profit(self):
         """Negating the deviation (swap venue/reference roles) swaps which
@@ -181,11 +181,12 @@ class TestOptimalTradeSize:
             a = make_pool(0, reserve_asset=r[0], reserve_numeraire=r[1], fee=f_c)
             b = make_pool(1, reserve_asset=r[2], reserve_numeraire=r[3], fee=f_d)
             cheap, dear = (a, b) if spot_price(a) < spot_price(b) else (b, a)
-            size, profit = optimal_trade_size(cheap, dear, flash_fee=flash)
+            size = optimal_trade_size(cheap, dear, ppb(flash))
             _, oracle_best = grid_search_oracle(cheap, dear, flash)
             if oracle_best <= 0:
-                assert profit == 0.0
+                assert size == 0
             else:
+                profit = oracle_profit_at(cheap, dear, flash, size)
                 assert profit == pytest.approx(oracle_best, rel=1e-5)
                 checked += 1
         assert checked > 10
@@ -323,7 +324,7 @@ class TestFundingChoice:
         lender's numeraire; `treasury` is relative to the fee-free size."""
         state, delta, thr = _arb_fixture()
         thr = replace(thr, allowed_funding=allowed)
-        free = int(optimal_trade_size(state.pools[(0, 1)], state.pools[(1, 1)])[0] * SCALE)
+        free = optimal_trade_size(state.pools[(0, 1)], state.pools[(1, 1)])
         if treasury is not None:
             state.accounts[TREASURY][0] = free + treasury
         if lender is not None:
@@ -343,7 +344,7 @@ class TestFundingChoice:
         state, thr, free, opp = self._sized(treasury=-1)
         assert opp.funding is Funding.FLASH_LOAN
         pools = state.pools[(0, 1)], state.pools[(1, 1)]
-        flash = int(optimal_trade_size(*pools, thr.flash_fee)[0] * SCALE)
+        flash = optimal_trade_size(*pools, thr.flash_fee_ppb)
         assert opp.optimal_size == flash < free  # sized with the loan fee
         lender_before = state.balance(LENDER, 0)
         result = execute_atomic(state, opp, thr)

@@ -137,8 +137,11 @@ def test_mutated_scenario_loads_or_lists_violations(name, data, scratch):
         ("user_flow.size_mu", 800, "user_flow.size_mu"),
         ("user_flow.size_sigma", 500, "user_flow.size_sigma"),
         ("searchers.profiles[0].noise", 1000, "searchers.profiles[0].noise"),
+        # accepted, then float sizing aborted the run on int(inf) at 1e100 and
+        # sized every trade 0 from about 1e155, capturing 0 in silence. Integer
+        # sizing runs both; the bound now keeps build_proposal's float
+        # estimate finite, which overflows from 1e301
         ("pools[0].reserve_asset", 1e100, "pools[0].reserve_asset"),
-        # accepted, then every sizing overflowed to (0, 0): captured 0 in silence
         ("pools[0].reserve_numeraire", 1e155, "pools[0].reserve_numeraire"),
     ],
 )
@@ -214,9 +217,9 @@ def _at_limits(reserve, size_mu, size_sigma, noise) -> dict:
 @pytest.mark.parametrize("mode", ["off", "autobalancer", "external"])
 def test_largest_accepted_sizes_run(mode):
     """The largest accepted reserves, swap sizes and noise run to the end
-    and still size trades. With reserves of 1e100 units the run aborted on
-    int(inf); from about 1e155 every sizing returned (0, 0) and the run
-    captured 0."""
+    and still size trades. Sizing is integer-exact at any reserve; from
+    1e301-unit reserves the run aborts on int(inf) in build_proposal,
+    whose float estimate times exp(noise) overflows."""
     result = run_scenario(from_dict(_at_limits(1e30, 20.0, 3.0, 10.0)), mode=mode)
     assert len(result.blocks) == 40
     if mode == "autobalancer":

@@ -6,12 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainbalancer import SwapDirection, execute_swap, quote_swap, spot_price
-from chainbalancer.market import DegenerateVenueError, snapshot_prices
+from chainbalancer import Pool, SwapDirection, execute_swap, quote_swap, spot_price
+from chainbalancer.market import snapshot_prices
 from chainbalancer.metrics import deviation_pairs
 from chainbalancer.units import SCALE, to_nano, to_units
 
 from conftest import make_pool
+
+
+class TestPool:
+    def test_rejects_an_empty_reserve(self):
+        Pool(venue_id=1, base=1, reserve_base=1, reserve_quote=1)
+        with pytest.raises(ValueError, match="reserve below 1 nano-unit"):
+            Pool(venue_id=1, base=1, reserve_base=0, reserve_quote=1)
+        with pytest.raises(ValueError, match="reserve below 1 nano-unit"):
+            Pool(venue_id=1, base=1, reserve_base=1, reserve_quote=0)
 
 
 class TestSpotPrice:
@@ -23,12 +32,6 @@ class TestSpotPrice:
 
     def test_small_pool(self):
         assert spot_price(make_pool(1, reserve_asset=1, reserve_numeraire=3)) == 3.0
-
-    def test_degenerate_pool(self):
-        pool = make_pool(1)
-        pool.reserve_base = 0
-        with pytest.raises(DegenerateVenueError):
-            spot_price(pool)
 
 
 class TestQuoteSwap:

@@ -1,13 +1,16 @@
-"""Closed-form sizing: exact expected profit, integer optimality, no-trade region."""
+"""Closed-form sizing: exact expected profit, the exact integer floor of the
+optimum, integer optimality, no-trade region."""
 
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chainbalancer.chain as chain_mod
-from chainbalancer import load_scenario, optimal_trade_size, run_scenario, spot_price
+from chainbalancer import Pool, load_scenario, optimal_trade_size, run_scenario, spot_price
 from chainbalancer.market import SwapDirection, quote_swap
 from chainbalancer.units import SCALE, fee_due, ppb
 
@@ -55,8 +58,7 @@ def test_floored_optimum_beats_nearby_integer_sizes():
         a = make_pool(0, reserve_asset=r[0], reserve_numeraire=r[1], fee=f_a)
         b = make_pool(1, reserve_asset=r[2], reserve_numeraire=r[3], fee=f_b)
         cheap, dear = (a, b) if spot_price(a) < spot_price(b) else (b, a)
-        size_units, _ = optimal_trade_size(cheap, dear, flash_fee=flash)
-        size = int(size_units * SCALE)
+        size = optimal_trade_size(cheap, dear, ppb(flash))
         if size == 0:
             continue
         best = _quoted_net(cheap, dear, size, ppb(flash))
@@ -78,7 +80,7 @@ def _composed_coefficients(cheap, dear):
 
 def test_no_trade_region_returns_zero():
     # equal pools sit exactly on the boundary A == k B
-    assert optimal_trade_size(make_pool(0), make_pool(1)) == (0.0, 0.0)
+    assert optimal_trade_size(make_pool(0), make_pool(1)) == 0
 
     rng = np.random.default_rng(7)
     inside = 0
@@ -93,5 +95,36 @@ def test_no_trade_region_returns_zero():
         if a > (1 + Fraction(flash)) * b * (1 - Fraction(1, 10**9)):
             continue
         inside += 1
-        assert optimal_trade_size(cheap, dear, flash_fee=flash) == (0.0, 0.0)
+        assert optimal_trade_size(cheap, dear, ppb(flash)) == 0
     assert inside > 200
+
+
+RESERVES = st.integers(1, 10**39)  # nano-units
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    reserves=st.tuples(RESERVES, RESERVES, RESERVES, RESERVES),
+    fees=st.tuples(st.integers(0, 10**8 - 1), st.integers(0, 10**8 - 1)),
+    flash_ppb=st.integers(0, 10**7 - 1),
+)
+def test_size_is_the_exact_floor_of_the_optimum(reserves, fees, flash_ppb):
+    """With a, b, C and k as in `optimal_trade_size`, the real optimum x*
+    solves k (C x* + b 10^18)^2 = a b 10^27, so s = floor(x*) is the one
+    integer with k (C s + b 10^18)^2 <= a b 10^27 < k (C (s + 1) + b 10^18)^2.
+    Inside the no-trade region a <= k b 10^9 the size is 0."""
+    rb_c, rq_c, rb_d, rq_d = reserves
+    cheap = Pool(venue_id=0, base=1, reserve_base=rb_c, reserve_quote=rq_c, fee_ppb=fees[0])
+    dear = Pool(venue_id=1, base=1, reserve_base=rb_d, reserve_quote=rq_d, fee_ppb=fees[1])
+    size = optimal_trade_size(cheap, dear, flash_ppb)
+    assert isinstance(size, int)
+    g_c, g_d = SCALE - fees[0], SCALE - fees[1]
+    a = g_c * g_d * rb_c * rq_d
+    b = rq_c * rb_d
+    c = g_c * (SCALE * rb_d + g_d * rb_c)
+    k = SCALE + flash_ppb
+    if a <= k * b * SCALE:
+        assert size == 0
+        return
+    target = a * b * 10**27
+    assert k * (c * size + b * 10**18) ** 2 <= target < k * (c * (size + 1) + b * 10**18) ** 2
