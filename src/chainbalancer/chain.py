@@ -64,7 +64,6 @@ class Block:
     balancer_skipped: list[SkipRecord] = field(default_factory=list)
     user_gas: int = 0
     balancer_gas: int = 0
-    fees_collected: int = 0   # nano-numeraire gas fees paid by balancer txs
     producer_fee: int = 0
     slashed: int = 0
     # sampled from the closing prices, after both phases and settlement

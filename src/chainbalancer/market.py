@@ -52,13 +52,14 @@ class Pool:
         return self.reserve_base * self.reserve_quote
 
     def clone(self) -> "Pool":
-        return Pool(
-            venue_id=self.venue_id,
-            base=self.base,
-            reserve_base=self.reserve_base,
-            reserve_quote=self.reserve_quote,
-            fee_ppb=self.fee_ppb,
-        )
+        # no checks for a checked pool's copy; field by field, as a copied __dict__ reads slower
+        twin = object.__new__(Pool)
+        twin.venue_id = self.venue_id
+        twin.base = self.base
+        twin.reserve_base = self.reserve_base
+        twin.reserve_quote = self.reserve_quote
+        twin.fee_ppb = self.fee_ppb
+        return twin
 
 
 def spot_price(pool: Pool) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import Block, ExecRecord
+from .chain import ExecRecord
 
 GROUP_SEARCHERS = "searchers"
 GROUP_MARKETPLACES = "marketplaces"
@@ -95,13 +95,12 @@ def measure_contribution(
     return dict(sorted(rho.items()))
 
 
-def pay_producer(block: Block, gamma: float) -> int:
-    """Producer's cut of the block's balancer gas fees: floor(gamma * fees).
+def pay_producer(fees: int, gamma: float) -> int:
+    """Producer's cut of a block's balancer gas fees (nano-units): floor(gamma * fees).
 
     `gamma` lies in (0, 1); the scenario's `weights.gamma` row enforces it.
     """
-    gamma_frac = Fraction(str(gamma))
-    return int(gamma_frac * block.fees_collected)
+    return int(Fraction(str(gamma)) * fees)
 
 
 def has_order_violation(

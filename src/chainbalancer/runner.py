@@ -4,6 +4,13 @@ One run is a pure function of (scenario config, seed, mode). Independent
 RNG streams drive user flow, searcher noise, producer honesty, and fault
 injection, so the user flow is identical across modes for the same seed.
 
+`SimulationRun.execute` draws the user flow, then drives three steps, whose
+shared values live on the run so that each can be called alone:
+    _open_epoch   builds and scores the proposals (none in off mode)
+    _step_block   runs one block: both phases, the producer's order, fees and
+                  slashing, then the sample, conservation check and replay capture
+    _close_epoch  settles the epoch, updates credibility, returns its row
+
 Modes:
     off           no balancer phase; the no-intervention baseline
     autobalancer  profits accrue to the treasury and are redistributed
@@ -204,186 +211,171 @@ class SimulationRun:
         self.rng_producer = Random(f"{seed}:producer")
         self.rng_chaos = Random(f"{seed}:chaos")
         self.state = _genesis_state(config)
+        self.genesis_totals = self.state.asset_totals()
         # the pool set is fixed for the run, so the snapshot's index plan is too
         keys = list(self.state.pools)
         self._discrepancy_pairs = discrepancy_pairs(keys)
         self._deviation_pairs = deviation_pairs(keys, config.reference_venue_id)
         self.credibility = {p.searcher_id: 1.0 for p in config.searcher_profiles}
+        self.beneficiary = EXTERNAL if mode == MODE_EXTERNAL else TREASURY
+        rate, chaos = config.forced_revert_rate, self.rng_chaos
+        self.injector = (lambda tpl: chaos.random() < rate) if rate > 0 else None
+        self.carry: list[UserTx] = []
+        self.digest = hashlib.sha256()
+        self.drift = 0
+        # (closing state, residual gas) of the blocks governance replays
+        self.recent: deque = deque(maxlen=config.governance_window)
 
     def execute(self) -> RunResult:
         cfg = self.config
         result = RunResult(config=cfg, seed=self.seed, mode=self.mode)
-        genesis_totals = self.state.asset_totals()
-
-        n_blocks = cfg.epochs * cfg.epoch_length
         flow = generate_user_flow(
-            self.rng_user, cfg.user_flow, n_blocks, cfg.venue_assets
+            self.rng_user, cfg.user_flow, cfg.epochs * cfg.epoch_length, cfg.venue_assets
         )
         result.generated_txs = sum(len(txs) for txs in flow)
-
-        beneficiary = EXTERNAL if self.mode == MODE_EXTERNAL else TREASURY
-        recent: deque = deque(maxlen=cfg.governance_window)
-        carry: list[UserTx] = []
-        digest = hashlib.sha256()
-        drift = 0
-        block_index = 0
-
         for epoch_index in range(cfg.epochs):
-            proposals: list[SearcherProposal] = []
-            scores: dict = {}
-            selected: SearcherProposal | None = None
-            if self.mode != MODE_OFF:
-                # the closing state proxies the epoch's expected state;
-                # proposals only read it (their replays run on copies)
-                for profile in cfg.searcher_profiles:
-                    rng = self.rng_searchers[profile.searcher_id]
-                    proposals.append(
-                        build_proposal(profile, self.state, cfg.governance, cfg.threshold, rng)
-                    )
-                replay_contexts = list(recent) or [(self.state, cfg.capacity)]
-                selected, scores = evaluate_proposals(
-                    proposals, replay_contexts, self.credibility, cfg.threshold
-                )
-            active_set = list(selected.ordered_txs) if selected else []
-
-            for _ in range(cfg.epoch_length):
-                block = Block(index=block_index, capacity=cfg.capacity)
-                pending = carry + flow[block_index]
-                user_result = execute_block_user_phase(self.state, pending, cfg.capacity)
-                carry = user_result.carried
-                block.user_txs = user_result.applied
-                block.user_gas = user_result.gas_used
-                for tx, status in user_result.events:
-                    digest.update(
-                        f"{block_index}|{tx.id}|{tx.venue_id}|{tx.asset}|"
-                        f"{tx.direction.value}|{tx.amount_in}|{tx.gas}|{status}\n".encode()
-                    )
-
-                residual = cfg.capacity - block.user_gas
-
-                prescribed = [(t.asset, t.venue_id) for t in active_set]
-                if active_set and self.mode != MODE_OFF:
-                    order = list(range(len(active_set)))
-                    if (
-                        cfg.dishonesty_rate > 0
-                        and self.rng_producer.random() < cfg.dishonesty_rate
-                    ):
-                        # Fisher-Yates, as shuffle() may change across versions
-                        for i in range(len(order) - 1, 0, -1):
-                            j = int(self.rng_producer.random() * (i + 1))
-                            order[i], order[j] = order[j], order[i]
-                    templates = [active_set[i] for i in order]
-                    injector = None
-                    if cfg.forced_revert_rate > 0:
-                        injector = (
-                            lambda tpl: self.rng_chaos.random() < cfg.forced_revert_rate
-                        )
-                    phase = execute_block_balancer_phase(
-                        self.state, templates, residual, cfg.threshold, beneficiary, injector
-                    )
-                    block.balancer_executed = phase.executed
-                    block.balancer_skipped = phase.skipped
-                    block.balancer_gas = len(phase.executed) * cfg.threshold.gas_per_tx
-                    block.fees_collected = len(phase.executed) * cfg.threshold.gas_fee_nano
-
-                    # settle the block's gas fees: gamma to the producer,
-                    # the rest is burned (tracked for conservation)
-                    fee = pay_producer(block, cfg.gamma)
-                    block.producer_fee = fee
-                    if block.fees_collected:
-                        self.state.transfer(FEE_ESCROW, PRODUCER, NUMERAIRE, fee)
-                        self.state.transfer(
-                            FEE_ESCROW, FEE_BURN, NUMERAIRE, block.fees_collected - fee
-                        )
-
-                    executed = [(r.asset, r.venue_id) for r in block.balancer_executed]
-                    penalty = cfg.slash_penalty_multiple * block.producer_fee
-                    slash = apply_slashing(
-                        executed,
-                        prescribed,
-                        penalty,
-                        self.state.balance(PRODUCER, NUMERAIRE),
-                    )
-                    if slash:
-                        self.state.transfer(PRODUCER, TREASURY, NUMERAIRE, slash)
-                    block.slashed = slash
-
-                self._sample_block(block)
-                result.blocks.append(block)
-                # conservation is checked after every block, not only at the end
-                for asset, total in self.state.asset_totals().items():
-                    drift = max(drift, abs(total - genesis_totals.get(asset, 0)))
-                # governance replays only the last `window` closing states
-                # before each epoch boundary, and none in off mode
-                blocks_to_boundary = cfg.epoch_length - 1 - block_index % cfg.epoch_length
-                if self.mode != MODE_OFF and blocks_to_boundary < cfg.governance_window:
-                    recent.append((self.state.clone(), residual))
-                self.state.block_height += 1
-                block_index += 1
-
-            epoch = result.blocks[-cfg.epoch_length:]
-            epoch_profit = sum(b.profit for b in epoch)
-            ledger = self._settle_epoch(epoch, selected)
+            proposals, scores, selected = self._open_epoch()
+            active_set = selected.ordered_txs if selected else []
+            epoch = [
+                self._step_block(flow[self.state.block_height], active_set)
+                for _ in range(cfg.epoch_length)
+            ]
+            result.blocks += epoch
+            row, ledger = self._close_epoch(epoch_index, epoch, proposals, scores, selected)
+            result.epoch_rows.append(row)
             result.ledgers.append(ledger)
-            constraint = epoch_constraint_check(
-                [performance_cost_psi(b, cfg.u_star) for b in epoch],
-                cfg.objective_weights.delta_cap,
-            )
-            if selected is not None:
-                sid = selected.searcher_id
-                self.credibility[sid] = update_credibility(
-                    self.credibility[sid], selected.profit_estimate, epoch_profit, cfg.beta
-                )
-            result.epoch_rows.append(
-                {
-                    "epoch": epoch_index,
-                    "selected_searcher": selected.searcher_id if selected else None,
-                    "active_set_size": len(active_set),
-                    "proposals": [
-                        {
-                            "searcher_id": p.searcher_id,
-                            "n_txs": len(p.ordered_txs),
-                            "profit_estimate": to_units(p.profit_estimate),
-                            **scores[p.searcher_id],
-                        }
-                        for p in proposals
-                    ],
-                    "profit_pool": to_units(epoch_profit),
-                    "reward_ledger": _ledger_row(ledger, epoch),
-                    "constraint": {
-                        "mean_psi": constraint.mean_psi,
-                        "delta": float(cfg.objective_weights.delta_cap),
-                        "satisfied": constraint.satisfied,
-                    },
-                    "credibility": {
-                        str(sid): score for sid, score in sorted(self.credibility.items())
-                    },
-                }
-            )
-
         result.final_state = self.state
-        result.pending_at_end = len(carry)
-        result.user_flow_digest = digest.hexdigest()
-
-        committed = sum(b.profit for b in result.blocks)
+        result.pending_at_end = len(self.carry)
+        result.user_flow_digest = self.digest.hexdigest()
+        blocks = result.blocks
+        committed = sum(b.profit for b in blocks)
         captured_total = committed if self.mode == MODE_AUTO else 0
         leaked_total = committed if self.mode == MODE_EXTERNAL else 0
-        n = max(1, len(result.blocks))
+        n = max(1, len(blocks))
         result.totals = {
             "captured": to_units(captured_total),
             "captured_nano": captured_total,
             "leaked": to_units(leaked_total),
             "leaked_nano": leaked_total,
-            "mean_discrepancy": ordered_sum(b.discrepancy for b in result.blocks) / n,
-            "mean_utilization": ordered_sum(utilization(b) for b in result.blocks) / n,
-            "max_abs_deviation": max(
-                (b.max_abs_deviation for b in result.blocks), default=0.0
-            ),
-            "producer_fees_nano": sum(b.producer_fee for b in result.blocks),
-            "slashed_nano": sum(b.slashed for b in result.blocks),
-            "max_conservation_drift_nano": drift,
+            "mean_discrepancy": ordered_sum(b.discrepancy for b in blocks) / n,
+            "mean_utilization": ordered_sum(utilization(b) for b in blocks) / n,
+            "max_abs_deviation": max((b.max_abs_deviation for b in blocks), default=0.0),
+            "producer_fees_nano": sum(b.producer_fee for b in blocks),
+            "slashed_nano": sum(b.slashed for b in blocks),
+            "max_conservation_drift_nano": self.drift,
         }
         return result
+
+    def _open_epoch(self) -> tuple[list[SearcherProposal], dict, SearcherProposal | None]:
+        """Build and score the proposals; off mode builds none and draws nothing."""
+        cfg = self.config
+        if self.mode == MODE_OFF:
+            return [], {}, None
+        # the closing state proxies the epoch's expected state; proposals only
+        # read it (their replays run on copies)
+        rngs = self.rng_searchers
+        proposals = [
+            build_proposal(p, self.state, cfg.governance, cfg.threshold, rngs[p.searcher_id])
+            for p in cfg.searcher_profiles
+        ]
+        replays = list(self.recent) or [(self.state, cfg.capacity)]
+        selected, scores = evaluate_proposals(proposals, replays, self.credibility, cfg.threshold)
+        return proposals, scores, selected
+
+    def _step_block(self, arrivals: list[UserTx], active_set: list) -> Block:
+        """Run the next block on the carried txs plus `arrivals` and return it."""
+        cfg, state = self.config, self.state
+        height = state.block_height
+        user = execute_block_user_phase(state, self.carry + arrivals, cfg.capacity)
+        self.carry = user.carried
+        block = Block(height, cfg.capacity, user_txs=user.applied, user_gas=user.gas_used)
+        for tx, status in user.events:
+            self.digest.update(
+                f"{height}|{tx.id}|{tx.venue_id}|{tx.asset}|"
+                f"{tx.direction.value}|{tx.amount_in}|{tx.gas}|{status}\n".encode()
+            )
+        residual = cfg.capacity - block.user_gas
+
+        if active_set:
+            order = list(range(len(active_set)))
+            if cfg.dishonesty_rate > 0 and self.rng_producer.random() < cfg.dishonesty_rate:
+                # Fisher-Yates, as shuffle() may change across versions
+                for i in range(len(order) - 1, 0, -1):
+                    j = int(self.rng_producer.random() * (i + 1))
+                    order[i], order[j] = order[j], order[i]
+            phase = execute_block_balancer_phase(
+                state, [active_set[i] for i in order], residual, cfg.threshold,
+                self.beneficiary, self.injector,
+            )
+            block.balancer_executed, block.balancer_skipped = phase.executed, phase.skipped
+            block.balancer_gas = len(phase.executed) * cfg.threshold.gas_per_tx
+            # gamma of the gas fees to the producer, the rest burned
+            fees = len(phase.executed) * cfg.threshold.gas_fee_nano
+            block.producer_fee = pay_producer(fees, cfg.gamma)
+            if fees:
+                state.transfer(FEE_ESCROW, PRODUCER, NUMERAIRE, block.producer_fee)
+                state.transfer(FEE_ESCROW, FEE_BURN, NUMERAIRE, fees - block.producer_fee)
+            block.slashed = apply_slashing(
+                [(r.asset, r.venue_id) for r in phase.executed],
+                [(t.asset, t.venue_id) for t in active_set],
+                cfg.slash_penalty_multiple * block.producer_fee,
+                state.balance(PRODUCER, NUMERAIRE),
+            )
+            if block.slashed:
+                state.transfer(PRODUCER, TREASURY, NUMERAIRE, block.slashed)
+
+        self._sample_block(block)
+        # conservation is checked after every block, not only at the end
+        for asset, total in state.asset_totals().items():
+            self.drift = max(self.drift, abs(total - self.genesis_totals.get(asset, 0)))
+        # governance replays only the last `window` closing states before
+        # each epoch boundary, and none in off mode
+        blocks_to_boundary = cfg.epoch_length - 1 - height % cfg.epoch_length
+        if self.mode != MODE_OFF and blocks_to_boundary < cfg.governance_window:
+            self.recent.append((state.clone(), residual))
+        state.block_height += 1
+        return block
+
+    def _close_epoch(
+        self, epoch_index: int, epoch: list[Block], proposals: list[SearcherProposal],
+        scores: dict, selected: SearcherProposal | None,
+    ) -> tuple[dict, RewardLedger | None]:
+        """Settle the epoch and update the winner's credibility: (row, ledger)."""
+        cfg = self.config
+        epoch_profit = sum(b.profit for b in epoch)
+        ledger = self._settle_epoch(epoch, selected)
+        constraint = epoch_constraint_check(
+            [performance_cost_psi(b, cfg.u_star) for b in epoch],
+            cfg.objective_weights.delta_cap,
+        )
+        if selected is not None:
+            sid = selected.searcher_id
+            self.credibility[sid] = update_credibility(
+                self.credibility[sid], selected.profit_estimate, epoch_profit, cfg.beta
+            )
+        row = {
+            "epoch": epoch_index,
+            "selected_searcher": selected.searcher_id if selected else None,
+            "active_set_size": len(selected.ordered_txs) if selected else 0,
+            "proposals": [
+                {
+                    "searcher_id": p.searcher_id,
+                    "n_txs": len(p.ordered_txs),
+                    "profit_estimate": to_units(p.profit_estimate),
+                    **scores[p.searcher_id],
+                }
+                for p in proposals
+            ],
+            "profit_pool": to_units(epoch_profit),
+            "reward_ledger": _ledger_row(ledger, epoch),
+            "constraint": {
+                "mean_psi": constraint.mean_psi,
+                "delta": float(cfg.objective_weights.delta_cap),
+                "satisfied": constraint.satisfied,
+            },
+            "credibility": {str(sid): score for sid, score in sorted(self.credibility.items())},
+        }
+        return row, ledger
 
     def _sample_block(self, block: Block) -> None:
         """Record the block's closing price discrepancy and largest deviation."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp
 from random import Random
-from typing import Sequence
 
 from .arbitrage import Threshold, opportunity_from_deviation
 from .arbitrage import execute_atomic  # noqa: F401 - perfbench/tracer.py rebinds it here
@@ -59,17 +58,6 @@ class GovernanceConditions:
 
     max_set_size: int = 16   # also caps the balancer txs per block
     min_net_profit: int = 0  # floor on each template's estimate, nano-units
-
-
-def check_feasibility(conditions: GovernanceConditions, ordered_txs: Sequence) -> int:
-    """1 iff the sequence fits the cap and clears the profit floor; empty
-    sequences are vacuously feasible."""
-    if len(ordered_txs) > conditions.max_set_size:
-        return 0
-    for tx in ordered_txs:
-        if tx.estimate < conditions.min_net_profit:
-            return 0
-    return 1
 
 
 def _candidate_pairs(state: ChainState) -> list[tuple[int, int]]:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainbalancer import load_scenario, run_scenario
-from chainbalancer.chain import Block, ExecRecord
+from chainbalancer.chain import ExecRecord
 from chainbalancer.config import from_dict
 from chainbalancer.metrics import ordered_sum
 from chainbalancer.rewards import (
@@ -177,14 +177,13 @@ class TestMeasureContribution:
 
 class TestPayProducer:
     def test_half_of_fees(self):
-        block = Block(index=0, capacity=10**6, fees_collected=to_nano(0.09))
-        assert pay_producer(block, 0.5) == to_nano(0.045)
+        assert pay_producer(to_nano(0.09), 0.5) == to_nano(0.045)
 
     def test_no_balancer_txs(self):
-        assert pay_producer(Block(index=0, capacity=10**6), 0.5) == 0
+        assert pay_producer(0, 0.5) == 0
 
     def test_monotone_in_balancer_gas(self):
-        fees = [pay_producer(Block(index=0, capacity=10**6, fees_collected=f), 0.5) for f in range(0, 10_000, 97)]
+        fees = [pay_producer(f, 0.5) for f in range(0, 10_000, 97)]
         assert fees == sorted(fees)
 
 

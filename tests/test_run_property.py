@@ -6,8 +6,10 @@ applied or still queued (and some are queued when the drawn capacity
 binds), each epoch's ledger pays out exactly its pool,
 the beneficiary is never debited inside an epoch (it gains exactly the
 block's profit, and the slash when it is the treasury), every committed
-balancer tx costs the run's one gas and fee per tx and uses an allowed
-funding kind, a rerun writes the same bytes, and no run aborts.
+balancer tx costs the run's one gas per tx and uses an allowed funding
+kind, the fee burn ends with exactly the run's fees less the producer's
+cuts and the producer with its cuts less its slashes, a rerun writes the
+same bytes, and no run aborts.
 """
 
 import math
@@ -19,7 +21,8 @@ from chainbalancer.config import MODES, from_dict
 from chainbalancer.report import dumps_report
 from chainbalancer.rewards import GROUP_MARKETPLACES
 from chainbalancer.runner import SimulationRun, run_scenario
-from chainbalancer.state import EXTERNAL, TREASURY
+from chainbalancer.market import NUMERAIRE
+from chainbalancer.state import EXTERNAL, FEE_BURN, PRODUCER, TREASURY
 from chainbalancer.units import to_nano
 
 EPOCHS, EPOCH_LENGTH = 2, 4
@@ -129,10 +132,18 @@ def test_random_scenarios_keep_run_invariants(raw):
         for block in result.blocks:
             commits = len(block.balancer_executed)
             assert block.balancer_gas == commits * gas_per_tx
-            assert block.fees_collected == commits * fee_per_tx
             for record in block.balancer_executed:
                 assert record.funding.value in raw["governance"]["allowed_funding"]
             assert block.user_gas + block.balancer_gas <= config.capacity
+        # each commit's fee is split: the producer's cut, less its slashes,
+        # stays with the producer and the rest is burned
+        final = result.final_state
+        assert final.balance(FEE_BURN, NUMERAIRE) == sum(
+            len(b.balancer_executed) * fee_per_tx - b.producer_fee for b in result.blocks
+        )
+        assert final.balance(PRODUCER, NUMERAIRE) == sum(
+            b.producer_fee for b in result.blocks
+        ) - sum(b.slashed for b in result.blocks)
 
         # inside an epoch the beneficiary only gains: the block's profit, and
         # the block's slash when the beneficiary is the treasury

@@ -1,0 +1,41 @@
+"""The run's three steps, each called alone: epoch open, block step, epoch close."""
+
+from pathlib import Path
+
+from chainbalancer import load_scenario
+from chainbalancer.chain import generate_user_flow
+from chainbalancer.runner import SimulationRun
+
+BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.yaml"
+
+
+def test_off_mode_opening_builds_nothing_and_draws_nothing():
+    config = load_scenario(BASELINE)
+    run = SimulationRun(config, seed=config.seeds[0], mode="off")
+    before = {sid: rng.getstate() for sid, rng in run.rng_searchers.items()}
+    proposals, scores, selected = run._open_epoch()
+    assert proposals == [] and scores == {} and selected is None
+    assert {sid: rng.getstate() for sid, rng in run.rng_searchers.items()} == before
+
+
+def test_one_epoch_driven_by_hand_matches_execute():
+    config = load_scenario(BASELINE)
+    seed = config.seeds[0]
+    full = SimulationRun(config, seed, "autobalancer").execute()
+
+    run = SimulationRun(config, seed, "autobalancer")
+    # the flow's draws run block by block, so the first epoch's arrivals
+    # are a prefix of the whole run's
+    flow = generate_user_flow(
+        run.rng_user, config.user_flow, config.epoch_length, config.venue_assets
+    )
+    proposals, scores, selected = run._open_epoch()
+    active_set = selected.ordered_txs if selected else []
+    blocks = [run._step_block(arrivals, active_set) for arrivals in flow]
+    row, ledger = run._close_epoch(0, blocks, proposals, scores, selected)
+
+    assert any(b.balancer_executed for b in blocks), "the epoch must commit balancer txs"
+    assert blocks == full.blocks[: config.epoch_length]
+    assert row == full.epoch_rows[0]
+    assert ledger == full.ledgers[0]
+    assert run.state.block_height == config.epoch_length

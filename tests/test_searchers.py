@@ -19,7 +19,6 @@ from chainbalancer.searchers import (
     SearcherProfile,
     SearcherProposal,
     build_proposal,
-    check_feasibility,
     evaluate_proposals,
     update_credibility,
 )
@@ -302,6 +301,17 @@ class TestCredibility:
 
 def _template(asset=1, venue=1, estimate=0):
     return BalancerTemplate(asset=asset, venue_id=venue, estimate=estimate)
+
+
+def check_feasibility(conditions: GovernanceConditions, ordered_txs) -> int:
+    """The oracle: 1 iff the sequence fits the cap and clears the profit
+    floor; empty sequences are vacuously feasible."""
+    if len(ordered_txs) > conditions.max_set_size:
+        return 0
+    for tx in ordered_txs:
+        if tx.estimate < conditions.min_net_profit:
+            return 0
+    return 1
 
 
 class TestFeasibility:
