@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .market import NUMERAIRE, Pool, SwapDirection, execute_swap, quote_swap
-from .state import FEE_ESCROW, LENDER, TREASURY, ChainState
+from .state import FEE_ESCROW, LENDER, ChainState
 from .units import SCALE, fee_due, ppb, to_nano
 
 
@@ -142,7 +142,6 @@ def opportunity_from_deviation(
     asset: int,
     venue_id: int,
     delta_p: float,
-    beneficiary: str = TREASURY,
 ) -> Opportunity | None:
     """Size and fund the trade behind a deviation; None when it does not clear the bar.
 
@@ -156,10 +155,10 @@ def opportunity_from_deviation(
     nano-unit.
 
     Funding: network liquidity, sized without a loan fee, when it is allowed
-    and the beneficiary's numeraire covers the size; else a flash loan, sized
-    with the fee, when that is allowed; else network liquidity, which
-    `execute_atomic` reverts as `insufficient_treasury`. With no kind
-    allowed nothing is sized.
+    and the numeraire of the state's beneficiary covers the size; else a
+    flash loan, sized with the fee, when that is allowed; else network
+    liquidity, which `execute_atomic` reverts as `insufficient_treasury`.
+    With no kind allowed nothing is sized.
     """
     if abs(delta_p) <= threshold.epsilon:
         return None
@@ -170,7 +169,7 @@ def opportunity_from_deviation(
     flash, size = Funding.FLASH_LOAN in allowed, 0
     if Funding.NETWORK_LIQUIDITY in allowed:
         size = optimal_trade_size(pool_cheap, pool_dear)
-        flash = flash and size > state.balance(beneficiary, NUMERAIRE)
+        flash = flash and size > state.balance(state.beneficiary, NUMERAIRE)
     if flash:
         size = optimal_trade_size(pool_cheap, pool_dear, threshold.flash_fee_ppb)
     if size == 0:
@@ -187,10 +186,9 @@ def execute_atomic(
     state: ChainState,
     opp: Opportunity,
     threshold: Threshold,
-    beneficiary: str = TREASURY,
     inject_fault: bool = False,
 ) -> ExecutionResult:
-    """Run both legs atomically; commit only if the beneficiary cannot lose.
+    """Run both legs atomically; commit only if the state's beneficiary cannot lose.
 
     The legs trade on distinct pools, so both outputs are pure functions of
     the pre-trade reserves: the round trip is quoted and the commit-or-revert
@@ -201,7 +199,7 @@ def execute_atomic(
     just before repayment, for fault-injection tests.
     """
     cheap, dear = state.pools[opp.cheap], state.pools[opp.dear]
-    size = opp.optimal_size
+    size, beneficiary = opp.optimal_size, state.beneficiary
 
     if opp.funding is Funding.FLASH_LOAN:
         if state.balance(LENDER, NUMERAIRE) < size:

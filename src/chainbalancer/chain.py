@@ -41,10 +41,8 @@ class ExecRecord:
     asset: int
     venue_id: int
     funding: Funding  # the kind the execution used
-    size: int
     profit: int
-    delta_p_before: float
-    delta_p_after: float
+    delta_p_after: float  # acceptance criterion 1 reads it: the gap the commit left
 
 
 @dataclass
@@ -163,7 +161,6 @@ def execute_block_user_phase(
     of the carry queue) without stopping the scan, so it is never dropped.
     """
     applied: list[UserTx] = []
-    carried: list[UserTx] = []
     balance_deferred: list[UserTx] = []
     events: list[tuple[UserTx, str]] = []
     gas_used = 0
@@ -172,7 +169,7 @@ def execute_block_user_phase(
         if gas_used + tx.gas > capacity:
             stop_index = i
             break
-        pool = state.pool(tx.venue_id, tx.asset)
+        pool = state.pools[(tx.venue_id, tx.asset)]
         pay_asset = tx.asset if tx.direction is SwapDirection.BASE_IN else NUMERAIRE
         get_asset = NUMERAIRE if tx.direction is SwapDirection.BASE_IN else tx.asset
         if state.balance(tx.submitter, pay_asset) < tx.amount_in:
@@ -205,7 +202,6 @@ def execute_block_balancer_phase(
     templates: Sequence,
     residual_gas: int,
     threshold: Threshold,
-    beneficiary: str,
     fault_injector: Callable[[object], bool] | None = None,
 ) -> BalancerPhaseResult:
     """Walk the active set in priority order inside the residual gas.
@@ -215,7 +211,8 @@ def execute_block_balancer_phase(
     candidates are skipped with a reason code, never aborting the walk;
     the walk stops once the residual cannot cover one more transaction.
     Reverted attempts leave no state change and consume no work; each
-    commit costs `threshold.gas_per_tx` gas and `threshold.gas_fee_nano`.
+    commit costs `threshold.gas_per_tx` gas and `threshold.gas_fee_nano`,
+    and pays its profit to `state.beneficiary`.
     """
     executed: list[ExecRecord] = []
     skipped: list[SkipRecord] = []
@@ -226,23 +223,19 @@ def execute_block_balancer_phase(
         if abs(delta) <= threshold.epsilon:
             skipped.append(SkipRecord(tpl.asset, tpl.venue_id, "below_epsilon", "skip"))
             continue
-        opp = opportunity_from_deviation(
-            state, threshold, tpl.asset, tpl.venue_id, delta, beneficiary
-        )
+        opp = opportunity_from_deviation(state, threshold, tpl.asset, tpl.venue_id, delta)
         if opp is None:
             skipped.append(SkipRecord(tpl.asset, tpl.venue_id, "unprofitable", "skip"))
             continue
         inject = bool(fault_injector(tpl)) if fault_injector is not None else False
-        result = execute_atomic(state, opp, threshold, beneficiary, inject_fault=inject)
+        result = execute_atomic(state, opp, threshold, inject_fault=inject)
         if result.committed:
             executed.append(
                 ExecRecord(
                     asset=tpl.asset,
                     venue_id=tpl.venue_id,
                     funding=opp.funding,
-                    size=opp.optimal_size,
                     profit=result.profit,
-                    delta_p_before=delta,
                     delta_p_after=state.deviation(tpl.venue_id, tpl.asset),
                 )
             )

@@ -56,12 +56,12 @@ def deviation_pairs(
     keys: Sequence[tuple[int, int]], reference_venue_id: int
 ) -> list[tuple[int, int]]:
     """Snapshot index pairs (venue pool, reference pool) of the same asset,
-    for every non-reference pool whose asset the reference lists."""
+    for every non-reference pool; the reference lists every asset."""
     index = {key: n for n, key in enumerate(keys)}
     return [
         (n, index[(reference_venue_id, asset)])
         for n, (venue, asset) in enumerate(keys)
-        if venue != reference_venue_id and (reference_venue_id, asset) in index
+        if venue != reference_venue_id
     ]
 
 

@@ -64,10 +64,6 @@ def write_json(report: dict, path: str | Path) -> Path:
     return path
 
 
-def read_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def write_blocks_csv(report: dict, path: str | Path) -> Path:
     """One row per block sample, header included, UTF-8."""
     path = Path(path)

@@ -88,11 +88,12 @@ def quantize_allocations(
 def measure_contribution(
     epoch_records: list[ExecRecord], venue_ids: list[int]
 ) -> dict[int, int]:
-    """rho per venue: committed profit whose non-reference leg ran there."""
+    """rho per venue: committed profit whose non-reference leg ran there.
+    `venue_ids` is ascending and holds the venue of every record."""
     rho = dict.fromkeys(venue_ids, 0)
     for record in epoch_records:
-        rho[record.venue_id] = rho.get(record.venue_id, 0) + record.profit
-    return dict(sorted(rho.items()))
+        rho[record.venue_id] += record.profit
+    return rho
 
 
 def pay_producer(fees: int, gamma: float) -> int:

@@ -15,7 +15,7 @@ Modes:
     off           no balancer phase; the no-intervention baseline
     autobalancer  profits accrue to the treasury and are redistributed
     external      the same arbitrage runs, but profits leave the protocol
-                  (tracked in the external account; nothing redistributed)
+                  (the external account is the beneficiary; nothing redistributed)
 """
 
 from __future__ import annotations
@@ -211,13 +211,13 @@ class SimulationRun:
         self.rng_producer = Random(f"{seed}:producer")
         self.rng_chaos = Random(f"{seed}:chaos")
         self.state = _genesis_state(config)
+        self.state.beneficiary = EXTERNAL if mode == MODE_EXTERNAL else TREASURY
         self.genesis_totals = self.state.asset_totals()
         # the pool set is fixed for the run, so the snapshot's index plan is too
         keys = list(self.state.pools)
         self._discrepancy_pairs = discrepancy_pairs(keys)
         self._deviation_pairs = deviation_pairs(keys, config.reference_venue_id)
         self.credibility = {p.searcher_id: 1.0 for p in config.searcher_profiles}
-        self.beneficiary = EXTERNAL if mode == MODE_EXTERNAL else TREASURY
         rate, chaos = config.forced_revert_rate, self.rng_chaos
         self.injector = (lambda tpl: chaos.random() < rate) if rate > 0 else None
         self.carry: list[UserTx] = []
@@ -304,8 +304,7 @@ class SimulationRun:
                     j = int(self.rng_producer.random() * (i + 1))
                     order[i], order[j] = order[j], order[i]
             phase = execute_block_balancer_phase(
-                state, [active_set[i] for i in order], residual, cfg.threshold,
-                self.beneficiary, self.injector,
+                state, [active_set[i] for i in order], residual, cfg.threshold, self.injector
             )
             block.balancer_executed, block.balancer_skipped = phase.executed, phase.skipped
             block.balancer_gas = len(phase.executed) * cfg.threshold.gas_per_tx

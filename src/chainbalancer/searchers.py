@@ -3,7 +3,7 @@
 Simulated searchers enumerate candidate balancer templates (each venue
 pool whose asset the state's reference venue lists) from the expected
 epoch state, estimate per-template net profit (funded as the execution
-would be, against the treasury's balance), and submit a priority-ordered
+would be, against the beneficiary's balance), and submit a priority-ordered
 proposal. A deterministic scoring rule (credibility times replayed
 profit) picks the active set for the next epoch; credibility then tracks
 how well realized profit matched the claim.
@@ -18,7 +18,7 @@ from random import Random
 from .arbitrage import Threshold, opportunity_from_deviation
 from .arbitrage import execute_atomic  # noqa: F401 - perfbench/tracer.py rebinds it here
 from .chain import execute_block_balancer_phase, standard_normal
-from .state import TREASURY, ChainState
+from .state import ChainState
 
 
 @dataclass
@@ -60,15 +60,6 @@ class GovernanceConditions:
     min_net_profit: int = 0  # floor on each template's estimate, nano-units
 
 
-def _candidate_pairs(state: ChainState) -> list[tuple[int, int]]:
-    ref = state.reference_venue_id
-    return [
-        (asset, venue_id)
-        for venue_id, asset in sorted(state.pools)
-        if venue_id != ref and (ref, asset) in state.pools
-    ]
-
-
 def build_proposal(
     profile: SearcherProfile,
     expected_state: ChainState,
@@ -88,7 +79,10 @@ def build_proposal(
     the size cap.
     """
     candidates: list[BalancerTemplate] = []
-    for asset, venue_id in _candidate_pairs(expected_state):
+    ref = expected_state.reference_venue_id
+    for venue_id, asset in sorted(expected_state.pools):
+        if venue_id == ref:
+            continue
         covered = rng.random() < profile.coverage
         noise = profile.noise * standard_normal(rng.random) if profile.noise > 0 else 0.0
         if not covered:
@@ -97,7 +91,7 @@ def build_proposal(
         opp = opportunity_from_deviation(expected_state, threshold, asset, venue_id, delta)
         estimate = 0 if opp is None else opp.expected_profit
         if estimate > 0 and noise != 0.0:
-            estimate = max(0, int(round(estimate * exp(noise))))
+            estimate = round(estimate * exp(noise))
         if estimate < conditions.min_net_profit:
             continue
         candidates.append(BalancerTemplate(asset, venue_id, estimate))
@@ -119,7 +113,7 @@ def _replay_once(
 ) -> int:
     """Net profit of the block's balancer phase run on a throwaway copy."""
     return execute_block_balancer_phase(
-        base_state.clone(), templates, residual_gas, threshold, TREASURY
+        base_state.clone(), templates, residual_gas, threshold
     ).profit
 
 
@@ -139,9 +133,7 @@ def evaluate_proposals(
     if not proposals:
         raise ValueError("evaluate_proposals requires at least one proposal")
     scores: dict[int, dict] = {}
-    best_key: tuple[float, int] | None = None
-    selected: SearcherProposal | None = None
-    for proposal in sorted(proposals, key=lambda p: p.searcher_id):
+    for proposal in proposals:
         if proposal.ordered_txs and recent_blocks:
             replayed = [
                 _replay_once(state, proposal.ordered_txs, threshold, residual)
@@ -157,11 +149,11 @@ def evaluate_proposals(
             "credibility": cred,
             "score": score,
         }
-        if proposal.ordered_txs:
-            key = (-score, proposal.searcher_id)
-            if best_key is None or key < best_key:
-                best_key = key
-                selected = proposal
+    selected = min(
+        (p for p in proposals if p.ordered_txs),
+        key=lambda p: (-scores[p.searcher_id]["score"], p.searcher_id),
+        default=None,
+    )
     return selected, scores
 
 

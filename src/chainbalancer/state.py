@@ -1,5 +1,6 @@
-"""Chain state: pools, per-asset balances for every tracked holder, and the
-reference venue that `deviation` measures every other venue against.
+"""Chain state: pools, per-asset balances for every tracked holder, the
+reference venue that `deviation` measures every other venue against, and
+the beneficiary that funds the balancer's trades and keeps their profit.
 
 The simulation is a closed system. Every quantity that leaves a pool or an
 account lands in another tracked holder, so per-asset totals are constant
@@ -40,14 +41,7 @@ def marketplace_account(venue_id: int) -> str:
 
 
 class InsufficientBalanceError(Exception):
-    def __init__(self, holder: str, asset: int, needed: int, available: int):
-        super().__init__(
-            f"{holder} needs {needed} nano of asset {asset}, has {available}"
-        )
-        self.holder = holder
-        self.asset = asset
-        self.needed = needed
-        self.available = available
+    """A debit larger than the holder's balance; the message gives both amounts."""
 
 
 @dataclass
@@ -56,9 +50,7 @@ class ChainState:
     reference_venue_id: int
     accounts: dict[str, dict[int, int]] = field(default_factory=dict)
     block_height: int = 0
-
-    def pool(self, venue_id: int, asset: int) -> Pool:
-        return self.pools[(venue_id, asset)]
+    beneficiary: str = TREASURY  # funds the balancer's trades and keeps their profit
 
     def deviation(self, venue_id: int, asset: int) -> float:
         """(p_venue - p_ref) / p_ref for `asset`: positive when the venue is dear."""
@@ -81,7 +73,9 @@ class ChainState:
             raise ValueError("debit amount must be non-negative")
         have = self.balance(holder, asset)
         if have < amount:
-            raise InsufficientBalanceError(holder, asset, amount, have)
+            raise InsufficientBalanceError(
+                f"{holder} needs {amount} nano of asset {asset}, has {have}"
+            )
         self.accounts.setdefault(holder, {})[asset] = have - amount
 
     def transfer(self, src: str, dst: str, asset: int, amount: int) -> None:
@@ -105,4 +99,5 @@ class ChainState:
             reference_venue_id=self.reference_venue_id,
             accounts={holder: dict(bal) for holder, bal in self.accounts.items()},
             block_height=self.block_height,
+            beneficiary=self.beneficiary,
         )

@@ -366,7 +366,7 @@ class TestCriterion7OrderingAudit:
         def plan_profit(state, templates, slots):
             sim = state.clone()
             phase = execute_block_balancer_phase(
-                sim, templates, slots * threshold.gas_per_tx, threshold, TREASURY
+                sim, templates, slots * threshold.gas_per_tx, threshold
             )
             return phase.profit
 

@@ -225,17 +225,13 @@ THRESHOLD = Threshold(
 class TestBalancerPhase:
     def test_zero_residual_no_executions(self):
         state = _gapped_state()
-        result = execute_block_balancer_phase(
-            state, [_template()], 0, THRESHOLD, TREASURY
-        )
+        result = execute_block_balancer_phase(state, [_template()], 0, THRESHOLD)
         assert result.executed == []
 
     def test_single_trigger_closes_into_band(self):
         """Recompute the post-trade deviation from raw reserves."""
         state = _gapped_state(gap=0.02)
-        result = execute_block_balancer_phase(
-            state, [_template()], 1_000_000, THRESHOLD, TREASURY
-        )
+        result = execute_block_balancer_phase(state, [_template()], 1_000_000, THRESHOLD)
         assert len(result.executed) == 1
         p_v = spot_price(state.pools[(1, 1)])
         p_r = spot_price(state.pools[(0, 1)])
@@ -254,9 +250,7 @@ class TestBalancerPhase:
         ]
         state = make_state(pools)
         threshold = Threshold(epsilon=0.003, flash_fee=0.0, gas_price=1e-9)
-        result = execute_block_balancer_phase(
-            state, [_template(), _template()], 1_000_000, threshold, TREASURY
-        )
+        result = execute_block_balancer_phase(state, [_template(), _template()], 1_000_000, threshold)
         assert len(result.executed) == 1
         assert [s.reason for s in result.skipped] == ["below_epsilon"]
 
@@ -265,9 +259,7 @@ class TestBalancerPhase:
         second_state_pool = make_pool(2, asset=1, reserve_asset=5000, reserve_numeraire=5100, fee=0.003)
         state.pools[(2, 1)] = second_state_pool
         templates = [_template(venue=1), _template(venue=2)]
-        result = execute_block_balancer_phase(
-            state, templates, 100_000, THRESHOLD, TREASURY
-        )
+        result = execute_block_balancer_phase(state, templates, 100_000, THRESHOLD)
         # only one 90k tx fits in 100k residual
         assert len(result.executed) == 1
 
@@ -275,9 +267,7 @@ class TestBalancerPhase:
         """Each commit escrows the one gas fee per tx; the beneficiary nets the profit."""
         state = _gapped_state(gap=0.02)
         escrow, treasury = state.balance(FEE_ESCROW, 0), state.balance(TREASURY, 0)
-        result = execute_block_balancer_phase(
-            state, [_template()], 1_000_000, THRESHOLD, TREASURY
-        )
+        result = execute_block_balancer_phase(state, [_template()], 1_000_000, THRESHOLD)
         assert len(result.executed) == 1
         assert state.balance(FEE_ESCROW, 0) - escrow == THRESHOLD.gas_fee_nano
         assert state.balance(TREASURY, 0) - treasury == result.profit == result.executed[0].profit
@@ -305,9 +295,7 @@ class TestBalancerPhase:
         )
         assert abs(live) <= 0.005  # the gap is gone before the balancer runs
 
-        phase = execute_block_balancer_phase(
-            state, [_template()], 1_000_000, THRESHOLD, TREASURY
-        )
+        phase = execute_block_balancer_phase(state, [_template()], 1_000_000, THRESHOLD)
         assert phase.executed == []
         assert len(phase.skipped) == 1
         assert phase.skipped[0].reason in ("below_epsilon", "unprofitable")

@@ -13,7 +13,6 @@ from chainbalancer.cli import main
 from chainbalancer.config import from_dict
 from chainbalancer.report import (
     dumps_report,
-    read_json,
     write_blocks_csv,
     write_json,
 )
@@ -207,7 +206,7 @@ class TestReportFiles:
         result = run_scenario(baseline_config, seed=4)
         report = result.report()
         path = write_json(report, tmp_path / "report.json")
-        assert read_json(path) == report
+        assert json.loads(path.read_text(encoding="utf-8")) == report
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(JSON_DATA)

@@ -150,9 +150,7 @@ def record(venue, profit):
         asset=1,
         venue_id=venue,
         funding="flash_loan",
-        size=0,
         profit=profit,
-        delta_p_before=0.0,
         delta_p_after=0.0,
     )
 

@@ -4,15 +4,18 @@ import math
 import random
 from dataclasses import replace
 from itertools import cycle
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainbalancer import Funding, Threshold, execute_atomic
+from chainbalancer import Funding, Threshold, execute_atomic, run_scenario
 from chainbalancer.arbitrage import opportunity_from_deviation
 from chainbalancer.chain import standard_normal
+from chainbalancer.config import from_dict
 from chainbalancer.searchers import (
     BalancerTemplate,
     GovernanceConditions,
@@ -31,6 +34,7 @@ def rng_for(seed):
 
 
 THRESHOLD = Threshold(epsilon=0.003, flash_fee=0.0009, gas_price=1e-7)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def three_gap_state():
@@ -386,3 +390,17 @@ def test_every_proposal_passes_the_feasibility_oracle(
             delta = state.deviation(t.venue_id, t.asset)
             opp = opportunity_from_deviation(state, thr, t.asset, t.venue_id, delta)
             assert opp.funding is expected
+
+
+def test_external_mode_governance_prices_the_external_account():
+    """With an empty treasury and network liquidity the only funding, only the
+    external account can fund a trade in external mode. Governance must size
+    and replay against that account, as the execution does; priced against
+    the treasury, every proposal would score 0 while the run still leaks."""
+    data = yaml.safe_load((SCENARIOS / "baseline.yaml").read_text(encoding="utf-8"))
+    data["balances"] = {"treasury_numeraire": 0.0}
+    data["governance"]["allowed_funding"] = ["network_liquidity"]
+    result = run_scenario(from_dict(data), seed=42, mode="external")
+    assert result.totals["leaked_nano"] > 0
+    scores = [p["simulated_net_profit"] for row in result.epoch_rows for p in row["proposals"]]
+    assert max(scores) > 0

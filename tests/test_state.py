@@ -23,7 +23,7 @@ class TestReadsDoNotWrite:
 
     def test_failed_debit_of_unknown_holder_inserts_nothing(self):
         state = fresh_state()
-        with pytest.raises(InsufficientBalanceError):
+        with pytest.raises(InsufficientBalanceError, match="nobody needs 1 nano of asset 0, has 0"):
             state.debit("nobody", NUMERAIRE, 1)
         with pytest.raises(InsufficientBalanceError):
             state.transfer("nobody", "alice", NUMERAIRE, 1)

@@ -88,12 +88,12 @@ def _snapshot(state):
     )
 
 
-def _opportunity(state, venue, asset, funding, beneficiary, forced):
-    ref_price = spot_price(state.pool(REFERENCE, asset))
-    delta_p = (spot_price(state.pool(venue, asset)) - ref_price) / ref_price
+def _opportunity(state, venue, asset, funding, forced):
+    ref_price = spot_price(state.pools[(REFERENCE, asset)])
+    delta_p = (spot_price(state.pools[(venue, asset)]) - ref_price) / ref_price
     if forced is None:
         thr = replace(THRESHOLD, allowed_funding=frozenset({funding}))
-        return opportunity_from_deviation(state, thr, asset, venue, delta_p, beneficiary)
+        return opportunity_from_deviation(state, thr, asset, venue, delta_p)
     size, cheap_side = forced
     venue_key, ref_key = (venue, asset), (REFERENCE, asset)
     cheap, dear = (venue_key, ref_key) if cheap_side == "venue" else (ref_key, venue_key)
@@ -112,12 +112,13 @@ def test_random_operations_conserve_totals_and_never_cost_the_beneficiary(state,
             execute_block_user_phase(state, [tx], capacity=10**9)
         else:
             _, venue, asset, funding, beneficiary, fault, forced = step
-            opp = _opportunity(state, venue, asset, funding, beneficiary, forced)
+            state.beneficiary = beneficiary
+            opp = _opportunity(state, venue, asset, funding, forced)
             if opp is None:
                 continue
             before = _snapshot(state)
             paid_before = state.balance(beneficiary, NUMERAIRE)
-            result = execute_atomic(state, opp, THRESHOLD, beneficiary, inject_fault=fault)
+            result = execute_atomic(state, opp, THRESHOLD, inject_fault=fault)
             if result.committed:
                 assert not fault
                 assert state.balance(beneficiary, NUMERAIRE) - paid_before == result.profit >= 0
