@@ -191,11 +191,6 @@ class BalancerPhaseResult:
     executed: list[ExecRecord]
     skipped: list[SkipRecord]
 
-    @property
-    def profit(self) -> int:
-        """Net profit of the committed executions, nano-units."""
-        return sum(r.profit for r in self.executed)
-
 
 def execute_block_balancer_phase(
     state: ChainState,
@@ -243,15 +238,3 @@ def execute_block_balancer_phase(
             skipped.append(SkipRecord(tpl.asset, tpl.venue_id, result.reason, "revert"))
     return BalancerPhaseResult(executed, skipped)
 
-
-def utilization(block: Block) -> float:
-    """U = work/capacity, in [0, 1]."""
-    return block.work / block.capacity
-
-
-def performance_cost_psi(block: Block, u_star: float = 0.9) -> float:
-    """Piecewise-linear congestion ramp: 0 below the knee, 1 at saturation."""
-    u = utilization(block)
-    if u <= u_star:
-        return 0.0
-    return (u - u_star) / (1.0 - u_star)

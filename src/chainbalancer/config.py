@@ -194,7 +194,6 @@ class ScenarioConfig:
     threshold: Threshold
     reward_weights: RewardWeights
     objective_weights: ObjectiveWeights
-    u_star: float
     gamma: float
     beta: float
     searcher_profiles: list[SearcherProfile]
@@ -341,10 +340,16 @@ def _cross_violations(v: dict) -> list[str]:
     if weights is not None:
         if len({isinstance(k, str) for k in weights}) > 1:
             out.append("user_flow.venue_weights: keys must be all integers or all strings")
+        named: dict = {}  # venue id -> the first key that names it
         for key, weight in weights.items():
             venue = _venue_id(key)
             if venue is None:
                 out.append(f"user_flow.venue_weights: key {_shown(key)} is not a venue id")
+            elif venue in named:
+                out.append(
+                    f"user_flow.venue_weights: keys {_shown(named[venue])} and {_shown(key)} "
+                    f"both name venue {_shown(venue)}"
+                )
             elif venue not in hosted:
                 out.append(f"user_flow.venue_weights: venue {_shown(venue)} has no pools")
             if not (_is_number(weight) and weight >= 0):
@@ -353,6 +358,7 @@ def _cross_violations(v: dict) -> list[str]:
                     f"user_flow.venue_weights[{name}]: must be a non-negative number, "
                     f"got {_shown(weight)}"
                 )
+            named.setdefault(venue, key)
     elif len(reference_venues) == 1:  # the default: weight 1 on every other venue
         weights = {venue: 1 for venue in hosted if venue not in reference_venues}
     if v.get("user_flow.rate") and weights is not None and all(w == 0 for w in weights.values()):
@@ -433,8 +439,8 @@ def from_dict(raw: dict) -> ScenarioConfig:
             lambda1=v["weights.lambda1"],
             lambda2=v["weights.lambda2"],
             delta_cap=v["weights.delta"],
+            u_star=v["weights.u_star"],
         ),
-        u_star=v["weights.u_star"],
         gamma=v["weights.gamma"],
         beta=v["weights.beta"],
         searcher_profiles=[

@@ -1,9 +1,11 @@
-"""Objective metrics: price discrepancy and utilization cost.
+"""The objective: price discrepancy, utilization and its performance cost.
 
 The mechanism is scored, not solved in closed form: each run realizes a
 feasible transaction sequence, and these metrics report the objective it
-achieves. Discrepancy sums unordered venue pairs once; doubling recovers
-the ordered-pair convention.
+achieves. Each block scores lambda1 * discrepancy - lambda2 * utilization;
+each epoch checks its mean performance cost psi (a ramp above the knee
+u_star) against the cap delta. Discrepancy sums unordered venue pairs
+once; doubling recovers the ordered-pair convention.
 
 Prices come as one flat snapshot (market.snapshot_prices) indexed like the
 run's pool keys. The index plans below are built once per run, since the
@@ -21,18 +23,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from .chain import Block
+
 
 @dataclass
 class ObjectiveWeights:
     lambda1: float = 1.0
     lambda2: float = 0.1
     delta_cap: float = 0.05
-
-
-@dataclass
-class ConstraintResult:
-    satisfied: bool
-    mean_psi: float
+    u_star: float = 0.9  # psi's knee
 
 
 def discrepancy_pairs(keys: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -89,14 +88,26 @@ def max_relative_deviation(prices: Sequence[float], pairs: Sequence[tuple[int, i
     return largest
 
 
+def utilization(block: Block) -> float:
+    """U = work/capacity, in [0, 1]."""
+    return block.work / block.capacity
+
+
+def performance_cost_psi(u: float, u_star: float) -> float:
+    """Piecewise-linear congestion ramp in utilization: 0 up to the knee, 1 at saturation."""
+    if u <= u_star:
+        return 0.0
+    return (u - u_star) / (1.0 - u_star)
+
+
 def scalarized_objective(discrepancy: float, utilization: float, weights: ObjectiveWeights) -> float:
     """lambda1 * discrepancy - lambda2 * utilization (lower is better)."""
     return weights.lambda1 * discrepancy - weights.lambda2 * utilization
 
 
-def epoch_constraint_check(psis: list[float], delta_cap: float) -> ConstraintResult:
-    """Mean per-block performance cost against the cap; reported, not enforced."""
+def epoch_constraint_check(psis: list[float], delta_cap: float) -> dict:
+    """The epoch's mean performance cost against the cap; reported, not enforced."""
     if not psis:
         raise ValueError("constraint check requires a non-empty epoch")
     mean_psi = ordered_sum(psis) / len(psis)
-    return ConstraintResult(satisfied=mean_psi <= delta_cap, mean_psi=mean_psi)
+    return {"mean_psi": mean_psi, "delta": float(delta_cap), "satisfied": mean_psi <= delta_cap}

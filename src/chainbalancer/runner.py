@@ -31,8 +31,6 @@ from .chain import (
     execute_block_balancer_phase,
     execute_block_user_phase,
     generate_user_flow,
-    performance_cost_psi,
-    utilization,
 )
 from .config import MODES, ScenarioConfig
 from .market import NUMERAIRE, snapshot_prices
@@ -43,7 +41,9 @@ from .metrics import (
     epoch_constraint_check,
     max_relative_deviation,
     ordered_sum,
+    performance_cost_psi,
     scalarized_objective,
+    utilization,
 )
 from .rewards import (
     GROUP_SEARCHERS,
@@ -77,11 +77,14 @@ MODE_OFF, MODE_AUTO, MODE_EXTERNAL = MODES
 
 
 class SimulationAbort(RuntimeError):
-    """A module error surfaced mid-run, tagged with its coordinate."""
+    """A module error surfaced mid-run, tagged with its coordinate: the epoch,
+    the step ("open", "block" or "close") and, in a block step, the block."""
 
-    def __init__(self, epoch: int, block: int, cause: Exception):
-        super().__init__(f"aborted at epoch {epoch}, block {block}: {cause}")
+    def __init__(self, epoch: int, step: str, block: int | None, cause: Exception):
+        at = f", block {block}" if step == "block" else f" ({step})"
+        super().__init__(f"aborted at epoch {epoch}{at}: {cause}")
         self.epoch = epoch
+        self.step = step
         self.block = block
 
 
@@ -101,7 +104,7 @@ class RunResult:
 
     def report(self) -> dict:
         """JSON-ready nested report; deterministic for a fixed config+seed."""
-        cfg = self.config
+        weights = self.config.objective_weights
         block_rows = []
         for block in self.blocks:
             util = utilization(block)
@@ -111,10 +114,8 @@ class RunResult:
                     "block": block.index,
                     "discrepancy": block.discrepancy,
                     "utilization": util,
-                    "psi": performance_cost_psi(block, cfg.u_star),
-                    "scalarized": scalarized_objective(
-                        block.discrepancy, util, cfg.objective_weights
-                    ),
+                    "psi": performance_cost_psi(util, weights.u_star),
+                    "scalarized": scalarized_objective(block.discrepancy, util, weights),
                     "captured_profit": profit if self.mode == MODE_AUTO else 0.0,
                     "leaked_profit": profit if self.mode == MODE_EXTERNAL else 0.0,
                     "max_abs_deviation": block.max_abs_deviation,
@@ -225,6 +226,8 @@ class SimulationRun:
         self.drift = 0
         # (closing state, residual gas) of the blocks governance replays
         self.recent: deque = deque(maxlen=config.governance_window)
+        # where the run is, for an abort's coordinate
+        self.epoch, self.step = 0, "open"
 
     def execute(self) -> RunResult:
         cfg = self.config
@@ -234,13 +237,16 @@ class SimulationRun:
         )
         result.generated_txs = sum(len(txs) for txs in flow)
         for epoch_index in range(cfg.epochs):
+            self.epoch, self.step = epoch_index, "open"
             proposals, scores, selected = self._open_epoch()
             active_set = selected.ordered_txs if selected else []
+            self.step = "block"
             epoch = [
                 self._step_block(flow[self.state.block_height], active_set)
                 for _ in range(cfg.epoch_length)
             ]
             result.blocks += epoch
+            self.step = "close"
             row, ledger = self._close_epoch(epoch_index, epoch, proposals, scores, selected)
             result.epoch_rows.append(row)
             result.ledgers.append(ledger)
@@ -340,13 +346,10 @@ class SimulationRun:
         scores: dict, selected: SearcherProposal | None,
     ) -> tuple[dict, RewardLedger | None]:
         """Settle the epoch and update the winner's credibility: (row, ledger)."""
-        cfg = self.config
+        cfg, weights = self.config, self.config.objective_weights
         epoch_profit = sum(b.profit for b in epoch)
         ledger = self._settle_epoch(epoch, selected)
-        constraint = epoch_constraint_check(
-            [performance_cost_psi(b, cfg.u_star) for b in epoch],
-            cfg.objective_weights.delta_cap,
-        )
+        psis = [performance_cost_psi(utilization(b), weights.u_star) for b in epoch]
         if selected is not None:
             sid = selected.searcher_id
             self.credibility[sid] = update_credibility(
@@ -367,11 +370,7 @@ class SimulationRun:
             ],
             "profit_pool": to_units(epoch_profit),
             "reward_ledger": _ledger_row(ledger, epoch),
-            "constraint": {
-                "mean_psi": constraint.mean_psi,
-                "delta": float(cfg.objective_weights.delta_cap),
-                "satisfied": constraint.satisfied,
-            },
+            "constraint": epoch_constraint_check(psis, weights.delta_cap),
             "credibility": {str(sid): score for sid, score in sorted(self.credibility.items())},
         }
         return row, ledger
@@ -412,7 +411,7 @@ def run_scenario(
 ) -> RunResult:
     """Convenience wrapper: one deterministic run of a scenario.
 
-    Module errors abort as SimulationAbort carrying the epoch/block
+    Module errors abort as SimulationAbort carrying the epoch/step/block
     coordinate; the original exception rides along as __cause__.
     """
     run = SimulationRun(
@@ -423,8 +422,8 @@ def run_scenario(
     try:
         return run.execute()
     except Exception as exc:
-        block = run.state.block_height
-        raise SimulationAbort(block // config.epoch_length, block, exc) from exc
+        block = run.state.block_height if run.step == "block" else None
+        raise SimulationAbort(run.epoch, run.step, block, exc) from exc
 
 
 def run_baseline_comparison(config: ScenarioConfig, modes: list[str], seeds: list[int]) -> dict:

@@ -112,9 +112,8 @@ def _replay_once(
     residual_gas: int,
 ) -> int:
     """Net profit of the block's balancer phase run on a throwaway copy."""
-    return execute_block_balancer_phase(
-        base_state.clone(), templates, residual_gas, threshold
-    ).profit
+    phase = execute_block_balancer_phase(base_state.clone(), templates, residual_gas, threshold)
+    return sum(r.profit for r in phase.executed)
 
 
 def evaluate_proposals(

@@ -368,7 +368,7 @@ class TestCriterion7OrderingAudit:
             phase = execute_block_balancer_phase(
                 sim, templates, slots * threshold.gas_per_tx, threshold
             )
-            return phase.profit
+            return sum(r.profit for r in phase.executed)
 
         ratios = []
         single_failures = 0

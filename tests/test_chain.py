@@ -1,4 +1,4 @@
-"""Block production: user flow, gas packing, phases, utilization."""
+"""Block production: user flow, gas packing, phases."""
 
 import hashlib
 import math
@@ -15,10 +15,9 @@ from chainbalancer.chain import (
     execute_block_balancer_phase,
     execute_block_user_phase,
     generate_user_flow,
-    performance_cost_psi,
-    utilization,
 )
 from chainbalancer.config import ValidationError, from_dict
+from chainbalancer.metrics import utilization
 from chainbalancer.searchers import BalancerTemplate
 from chainbalancer.state import FEE_ESCROW, TREASURY, user_account
 from chainbalancer.units import to_nano
@@ -190,21 +189,6 @@ class TestUserPhase:
         assert state.asset_totals() == before
 
 
-class TestUtilizationAndPsi:
-    def test_utilization_values(self):
-        assert utilization(Block(index=0, capacity=1_000_000, user_gas=750_000)) == 0.75
-        assert utilization(Block(index=0, capacity=1_000_000)) == 0.0
-        assert utilization(Block(index=0, capacity=1_000_000, user_gas=1_000_000)) == 1.0
-
-    def test_psi_ramp(self):
-        below = Block(index=0, capacity=100, user_gas=50)
-        saturated = Block(index=0, capacity=100, user_gas=100)
-        ramp = Block(index=0, capacity=100, user_gas=95)
-        assert performance_cost_psi(below, u_star=0.9) == 0.0
-        assert performance_cost_psi(saturated, u_star=0.9) == 1.0
-        assert performance_cost_psi(ramp, u_star=0.9) == pytest.approx(0.5)
-
-
 def _template(asset=1, venue=1, estimate=0):
     return BalancerTemplate(asset=asset, venue_id=venue, estimate=estimate)
 
@@ -270,7 +254,7 @@ class TestBalancerPhase:
         result = execute_block_balancer_phase(state, [_template()], 1_000_000, THRESHOLD)
         assert len(result.executed) == 1
         assert state.balance(FEE_ESCROW, 0) - escrow == THRESHOLD.gas_fee_nano
-        assert state.balance(TREASURY, 0) - treasury == result.profit == result.executed[0].profit
+        assert state.balance(TREASURY, 0) - treasury == result.executed[0].profit
 
     def test_user_tx_sandwich_revalidation(self):
         """A user swap inside the block closes the gap; the stale balancer

@@ -39,7 +39,7 @@ class TestLoadScenario:
         config = from_dict(minimal_raw())
         assert config.threshold.epsilon == 0.003
         assert config.threshold.flash_fee == 0.0009
-        assert config.u_star == 0.9
+        assert config.objective_weights.u_star == 0.9
         assert config.beta == 0.8
         assert config.gamma == 0.5
         assert config.capacity == 1_000_000
@@ -185,6 +185,20 @@ class TestRunShapes:
         assert err.value.block == 6
         assert err.value.epoch == 0  # 20-block epochs in the baseline
         assert "synthetic pool failure" in str(err.value)
+
+    def test_settlement_errors_abort_at_the_closing_epoch(self, baseline_config, monkeypatch):
+        """Settling epoch 0 ran past its last block, and read as epoch 1, block 20."""
+        import chainbalancer.runner as runner_mod
+        from chainbalancer import SimulationAbort
+
+        def sabotage(*args, **kwargs):
+            raise KeyError("synthetic ledger failure")
+
+        monkeypatch.setattr(runner_mod, "build_ledger", sabotage)
+        with pytest.raises(SimulationAbort) as err:
+            run_scenario(baseline_config, seed=1, mode="autobalancer")
+        assert (err.value.epoch, err.value.step, err.value.block) == (0, "close", None)
+        assert str(err.value).startswith("aborted at epoch 0 (close): ")
 
 
 # nested JSON data: empty containers, non-ASCII text, big ints, inf and nan,

@@ -151,6 +151,17 @@ def test_former_crash_is_a_violation_at_its_path(path, value, violation_at):
     assert any(v.startswith(violation_at + ": ") for v in err.value.violations), err.value.violations
 
 
+@pytest.mark.parametrize("weights", [{"1": 1.0, "01": 5.0}, {"01": 5.0, "1": 1.0}])
+def test_two_venue_weight_keys_for_one_venue_are_a_violation(weights):
+    """Accepted before: the later key's weight won, and both orders hashed alike."""
+    with pytest.raises(ValidationError) as err:
+        from_dict(_set(_raw("baseline.yaml"), "user_flow.venue_weights", weights))
+    first, second = weights
+    assert err.value.violations == [
+        f"user_flow.venue_weights: keys {first!r} and {second!r} both name venue 1"
+    ]
+
+
 @pytest.mark.parametrize(
     "old,new,path",
     [

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from chainbalancer import run_baseline_comparison, run_scenario
+from chainbalancer.chain import Block
 from chainbalancer.config import ValidationError, from_dict
 from chainbalancer.market import snapshot_prices
 from chainbalancer.metrics import (
@@ -16,7 +17,9 @@ from chainbalancer.metrics import (
     epoch_constraint_check,
     max_relative_deviation,
     ordered_sum,
+    performance_cost_psi,
     scalarized_objective,
+    utilization,
 )
 from chainbalancer.state import TREASURY
 from chainbalancer.units import to_nano
@@ -67,7 +70,7 @@ def test_ordered_sum_is_not_compensated():
     `sum()` returns 1.0 here from Python 3.12 on."""
     values = [1.0, 1e100, -1e100]
     assert ordered_sum(values) == 0.0
-    assert epoch_constraint_check(values, 0.05).mean_psi == 0.0
+    assert epoch_constraint_check(values, 0.05)["mean_psi"] == 0.0
 
 
 def _old_sample(pools, reference_venue_id):
@@ -157,19 +160,34 @@ class TestScalarized:
             assert [v for v in caught.value.violations if v.startswith(path)], weights
 
 
+class TestUtilizationAndPsi:
+    def test_utilization_values(self):
+        assert utilization(Block(index=0, capacity=1_000_000, user_gas=750_000)) == 0.75
+        assert utilization(Block(index=0, capacity=1_000_000)) == 0.0
+        assert utilization(Block(index=0, capacity=1_000_000, user_gas=1_000_000)) == 1.0
+
+    def test_psi_ramp(self):
+        below = Block(index=0, capacity=100, user_gas=50)
+        saturated = Block(index=0, capacity=100, user_gas=100)
+        ramp = Block(index=0, capacity=100, user_gas=95)
+        assert performance_cost_psi(utilization(below), 0.9) == 0.0
+        assert performance_cost_psi(utilization(saturated), 0.9) == 1.0
+        assert performance_cost_psi(utilization(ramp), 0.9) == pytest.approx(0.5)
+
+
 class TestConstraintCheck:
     def test_all_zero_satisfied(self):
         result = epoch_constraint_check([0.0] * 10, 0.05)
-        assert result.satisfied and result.mean_psi == 0.0
+        assert result["satisfied"] and result["mean_psi"] == 0.0
 
     def test_violated_reports_mean(self):
         result = epoch_constraint_check([0.06] * 5, 0.05)
-        assert not result.satisfied
-        assert result.mean_psi == pytest.approx(0.06)
+        assert not result["satisfied"]
+        assert result["mean_psi"] == pytest.approx(0.06)
 
     def test_single_block_epoch(self):
         result = epoch_constraint_check([0.04], 0.05)
-        assert result.satisfied and result.mean_psi == pytest.approx(0.04)
+        assert result["satisfied"] and result["mean_psi"] == pytest.approx(0.04)
 
     def test_empty_epoch_rejected(self):
         with pytest.raises(ValueError):
