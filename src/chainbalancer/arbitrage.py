@@ -54,9 +54,11 @@ class Threshold:
             raise ValueError("gas_price must be non-negative")
         self.flash_fee_ppb = ppb(self.flash_fee)
         self.gas_fee_nano = self.gas_per_tx * to_nano(self.gas_price)  # per balancer tx
+        # only then does opportunity_from_deviation read the beneficiary's balance
+        self.reads_balance = frozenset(Funding) <= self.allowed_funding
 
 
-@dataclass
+@dataclass(slots=True)
 class Opportunity:
     cheap: tuple[int, int]  # (venue_id, asset) of the pool the asset is bought on
     dear: tuple[int, int]   # (venue_id, asset) of the pool it is sold back to
@@ -65,7 +67,7 @@ class Opportunity:
     funding: Funding        # the kind chosen for this execution
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionResult:
     committed: bool
     profit: int = 0      # nano-units of numeraire added to the beneficiary

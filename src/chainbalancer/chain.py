@@ -4,7 +4,10 @@ Each block runs two strictly ordered phases. The user phase applies
 submitted swaps in arrival order until the next one would exceed the gas
 capacity; the remainder carries to the next block. The balancer phase then
 walks the epoch's active transaction set in priority order inside the
-residual gas, re-validating every trigger against live state.
+residual gas, re-validating every trigger against live state. `decide`
+turns a template into its skip or its sized opportunity for both that phase
+and the searchers' proposals, and keeps one decision per template on the
+chain state, reused while nothing the decision reads has moved.
 """
 
 from __future__ import annotations
@@ -16,14 +19,20 @@ from math import cos, exp, log, sqrt, tau
 from random import Random
 from typing import Callable, Sequence
 
-from .arbitrage import Funding, Threshold, execute_atomic, opportunity_from_deviation
+from .arbitrage import (
+    Funding,
+    Opportunity,
+    Threshold,
+    execute_atomic,
+    opportunity_from_deviation,
+)
 from .market import NUMERAIRE, SwapDirection, execute_swap
 from .state import ChainState, user_account
 
 DEFAULT_USER_GAS = 21_000
 
 
-@dataclass
+@dataclass(slots=True)
 class UserTx:
     id: int
     venue_id: int
@@ -34,7 +43,7 @@ class UserTx:
     submitter: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecRecord:
     """One committed balancer execution."""
 
@@ -45,7 +54,7 @@ class ExecRecord:
     delta_p_after: float  # acceptance criterion 1 reads it: the gap the commit left
 
 
-@dataclass
+@dataclass(slots=True)
 class SkipRecord:
     asset: int
     venue_id: int
@@ -53,7 +62,7 @@ class SkipRecord:
     kind: str  # "skip" (not sized) or "revert" (sized, quoted, nothing written)
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     index: int
     capacity: int
@@ -186,6 +195,43 @@ def execute_block_user_phase(
     return UserPhaseResult(applied=applied, carried=carried, events=events, gas_used=gas_used)
 
 
+def decide(
+    state: ChainState, threshold: Threshold, asset: int, venue_id: int
+) -> SkipRecord | Opportunity:
+    """The template's skip (`below_epsilon` or `unprofitable`) or its sized opportunity.
+
+    The decision reads the venue pool's and the reference pool's reserves,
+    the threshold and, only when both funding kinds are allowed, the
+    beneficiary's numeraire (pool fees and the reference venue never change
+    after genesis). `state.decisions` keeps one slot per
+    `(venue_id, asset)` and every clone of the state shares it, so a
+    decision is made once and reused while none of those has moved (the
+    threshold compared by identity). A reused skip is the same object; a
+    reused opportunity still goes to `execute_atomic`, which is never cached.
+    """
+    venue_key = (venue_id, asset)
+    pool, ref = state.pools[venue_key], state.pools[(state.reference_venue_id, asset)]
+    key = (
+        pool.reserve_base,
+        pool.reserve_quote,
+        ref.reserve_base,
+        ref.reserve_quote,
+        state.balance(state.beneficiary, NUMERAIRE) if threshold.reads_balance else None,
+    )
+    slot = state.decisions.get(venue_key)
+    if slot is not None and slot[0] is threshold and slot[1] == key:
+        return slot[2]
+    delta = state.deviation(venue_id, asset)
+    if abs(delta) <= threshold.epsilon:
+        decision = SkipRecord(asset, venue_id, "below_epsilon", "skip")
+    else:
+        decision = opportunity_from_deviation(state, threshold, asset, venue_id, delta)
+        if decision is None:
+            decision = SkipRecord(asset, venue_id, "unprofitable", "skip")
+    state.decisions[venue_key] = (threshold, key, decision)
+    return decision
+
+
 @dataclass
 class BalancerPhaseResult:
     executed: list[ExecRecord]
@@ -214,13 +260,9 @@ def execute_block_balancer_phase(
     for tpl in templates:
         if residual_gas < (len(executed) + 1) * threshold.gas_per_tx:
             break
-        delta = state.deviation(tpl.venue_id, tpl.asset)
-        if abs(delta) <= threshold.epsilon:
-            skipped.append(SkipRecord(tpl.asset, tpl.venue_id, "below_epsilon", "skip"))
-            continue
-        opp = opportunity_from_deviation(state, threshold, tpl.asset, tpl.venue_id, delta)
-        if opp is None:
-            skipped.append(SkipRecord(tpl.asset, tpl.venue_id, "unprofitable", "skip"))
+        opp = decide(state, threshold, tpl.asset, tpl.venue_id)
+        if isinstance(opp, SkipRecord):
+            skipped.append(opp)
             continue
         inject = bool(fault_injector(tpl)) if fault_injector is not None else False
         result = execute_atomic(state, opp, threshold, inject_fault=inject)

@@ -28,7 +28,7 @@ class SwapDirection(str, Enum):
     QUOTE_IN = "quote_in"  # spend the numeraire to buy the base asset
 
 
-@dataclass
+@dataclass(slots=True)
 class Pool:
     """One constant-product pair: the `base` asset priced in the numeraire."""
 
@@ -52,7 +52,7 @@ class Pool:
         return self.reserve_base * self.reserve_quote
 
     def clone(self) -> "Pool":
-        # no checks for a checked pool's copy; field by field, as a copied __dict__ reads slower
+        # no checks for a checked pool's copy: the constructor would run __post_init__ again
         twin = object.__new__(Pool)
         twin.venue_id = self.venue_id
         twin.base = self.base

@@ -12,9 +12,10 @@ run's pool keys. The index plans below are built once per run, since the
 pool set never changes. Discrepancy sums venue pairs i < j ascending and,
 within a pair, shared assets ascending.
 
-Every float sum that reaches a report goes through `ordered_sum`, left to
-right with `+=` from 0.0. `sum()` is avoided because it compensates float
-sums on Python 3.12+ and would change the reported bytes.
+Every float sum that reaches a report adds its terms left to right with
+`+=` from 0.0, in the order given: `ordered_sum` does so, and so do the hot
+loops that inline it. `sum()` is avoided because it compensates float sums
+on Python 3.12+ and would change the reported bytes.
 """
 
 from __future__ import annotations
@@ -74,7 +75,10 @@ def ordered_sum(values: Iterable[float]) -> float:
 
 def cumulative_discrepancy(prices: Sequence[float], pairs: Sequence[tuple[int, int]]) -> float:
     """Sum of |P_i - P_j| over the snapshot index pairs, in their order."""
-    return ordered_sum(abs(prices[i] - prices[j]) for i, j in pairs)
+    total = 0.0
+    for i, j in pairs:
+        total += abs(prices[i] - prices[j])
+    return total
 
 
 def max_relative_deviation(prices: Sequence[float], pairs: Sequence[tuple[int, int]]) -> float:

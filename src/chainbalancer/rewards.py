@@ -30,6 +30,11 @@ class WeightError(ValueError):
     """Reward weights must lie on the unit simplex."""
 
 
+def exact_fraction(value) -> Fraction:
+    """A scenario number as the decimal it prints as: 0.1 is 1/10, not the float's binary value."""
+    return Fraction(str(value))
+
+
 @dataclass
 class RewardWeights:
     searchers: Fraction
@@ -38,11 +43,7 @@ class RewardWeights:
 
     @classmethod
     def from_values(cls, searchers, marketplaces, treasury) -> "RewardWeights":
-        w = cls(
-            Fraction(str(searchers)),
-            Fraction(str(marketplaces)),
-            Fraction(str(treasury)),
-        )
+        w = cls(exact_fraction(searchers), exact_fraction(marketplaces), exact_fraction(treasury))
         w.validate()
         return w
 
@@ -96,12 +97,13 @@ def measure_contribution(
     return rho
 
 
-def pay_producer(fees: int, gamma: float) -> int:
+def pay_producer(fees: int, gamma: Fraction) -> int:
     """Producer's cut of a block's balancer gas fees (nano-units): floor(gamma * fees).
 
-    `gamma` lies in (0, 1); the scenario's `weights.gamma` row enforces it.
+    `gamma` is the scenario's `weights.gamma` as an exact fraction, parsed
+    once per run with `exact_fraction`; that row keeps it in (0, 1).
     """
-    return int(Fraction(str(gamma)) * fees)
+    return int(gamma * fees)
 
 
 def has_order_violation(

@@ -50,6 +50,7 @@ from .rewards import (
     RewardLedger,
     apply_slashing,
     build_ledger,
+    exact_fraction,
     measure_contribution,
     pay_producer,
 )
@@ -219,6 +220,7 @@ class SimulationRun:
         self._discrepancy_pairs = discrepancy_pairs(keys)
         self._deviation_pairs = deviation_pairs(keys, config.reference_venue_id)
         self.credibility = {p.searcher_id: 1.0 for p in config.searcher_profiles}
+        self.gamma = exact_fraction(config.gamma)  # the producer's share of gas fees
         rate, chaos = config.forced_revert_rate, self.rng_chaos
         self.injector = (lambda tpl: chaos.random() < rate) if rate > 0 else None
         self.carry: list[UserTx] = []
@@ -295,11 +297,13 @@ class SimulationRun:
         user = execute_block_user_phase(state, self.carry + arrivals, cfg.capacity)
         self.carry = user.carried
         block = Block(height, cfg.capacity, user_txs=user.applied, user_gas=user.gas_used)
-        for tx, status in user.events:
-            self.digest.update(
+        self.digest.update(
+            "".join(
                 f"{height}|{tx.id}|{tx.venue_id}|{tx.asset}|"
-                f"{tx.direction.value}|{tx.amount_in}|{tx.gas}|{status}\n".encode()
-            )
+                f"{tx.direction.value}|{tx.amount_in}|{tx.gas}|{status}\n"
+                for tx, status in user.events
+            ).encode()
+        )
         residual = cfg.capacity - block.user_gas
 
         if active_set:
@@ -316,7 +320,7 @@ class SimulationRun:
             block.balancer_gas = len(phase.executed) * cfg.threshold.gas_per_tx
             # gamma of the gas fees to the producer, the rest burned
             fees = len(phase.executed) * cfg.threshold.gas_fee_nano
-            block.producer_fee = pay_producer(fees, cfg.gamma)
+            block.producer_fee = pay_producer(fees, self.gamma)
             if fees:
                 state.transfer(FEE_ESCROW, PRODUCER, NUMERAIRE, block.producer_fee)
                 state.transfer(FEE_ESCROW, FEE_BURN, NUMERAIRE, fees - block.producer_fee)

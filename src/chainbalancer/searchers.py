@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from math import exp
 from random import Random
 
-from .arbitrage import Threshold, opportunity_from_deviation
+from .arbitrage import Opportunity, Threshold
 from .arbitrage import execute_atomic  # noqa: F401 - perfbench/tracer.py rebinds it here
-from .chain import execute_block_balancer_phase, standard_normal
+from .arbitrage import opportunity_from_deviation  # noqa: F401 - perfbench/tracer.py rebinds it here
+from .chain import decide, execute_block_balancer_phase, standard_normal
 from .state import ChainState
 
 
@@ -87,9 +88,8 @@ def build_proposal(
         noise = profile.noise * standard_normal(rng.random) if profile.noise > 0 else 0.0
         if not covered:
             continue
-        delta = expected_state.deviation(venue_id, asset)
-        opp = opportunity_from_deviation(expected_state, threshold, asset, venue_id, delta)
-        estimate = 0 if opp is None else opp.expected_profit
+        opp = decide(expected_state, threshold, asset, venue_id)
+        estimate = opp.expected_profit if isinstance(opp, Opportunity) else 0
         if estimate > 0 and noise != 0.0:
             estimate = round(estimate * exp(noise))
         if estimate < conditions.min_net_profit:
@@ -128,19 +128,19 @@ def evaluate_proposals(
     gas) of the last few blocks; the mean replayed net profit, weighted by
     the searcher's credibility score, ranks the proposals. Ties fall to
     the lowest searcher id. Returns (selected or None, per-searcher scores).
+    The replays go state by state, so the proposals replayed on one state
+    reuse its decision slots.
     """
     if not proposals:
         raise ValueError("evaluate_proposals requires at least one proposal")
+    replayed: list[list[int]] = [[] for _ in proposals]
+    for state, residual in recent_blocks:
+        for proposal, profits in zip(proposals, replayed):
+            if proposal.ordered_txs:
+                profits.append(_replay_once(state, proposal.ordered_txs, threshold, residual))
     scores: dict[int, dict] = {}
-    for proposal in proposals:
-        if proposal.ordered_txs and recent_blocks:
-            replayed = [
-                _replay_once(state, proposal.ordered_txs, threshold, residual)
-                for state, residual in recent_blocks
-            ]
-            sim_profit = sum(replayed) / len(replayed)
-        else:
-            sim_profit = 0.0
+    for proposal, profits in zip(proposals, replayed):
+        sim_profit = sum(profits) / len(profits) if profits else 0.0
         cred = credibility[proposal.searcher_id]
         score = cred * sim_profit
         scores[proposal.searcher_id] = {

@@ -1,6 +1,8 @@
 """Chain state: pools, per-asset balances for every tracked holder, the
 reference venue that `deviation` measures every other venue against, and
 the beneficiary that funds the balancer's trades and keeps their profit.
+It also carries `decisions`, the balancer templates' decision slots that
+`chain.decide` fills; a state and all its clones share one slot map.
 
 The simulation is a closed system. Every quantity that leaves a pool or an
 account lands in another tracked holder, so per-asset totals are constant
@@ -51,6 +53,8 @@ class ChainState:
     accounts: dict[str, dict[int, int]] = field(default_factory=dict)
     block_height: int = 0
     beneficiary: str = TREASURY  # funds the balancer's trades and keeps their profit
+    # chain.decide's slots by (venue_id, asset); shared with every clone, not state proper
+    decisions: dict = field(default_factory=dict, compare=False, repr=False)
 
     def deviation(self, venue_id: int, asset: int) -> float:
         """(p_venue - p_ref) / p_ref for `asset`: positive when the venue is dear."""
@@ -85,12 +89,15 @@ class ChainState:
     def asset_totals(self) -> dict[int, int]:
         """Per-asset totals over pools and accounts (nano-units)."""
         totals: dict[int, int] = {}
+        get = totals.get
+        numeraire = 0
         for pool in self.pools.values():
-            totals[pool.base] = totals.get(pool.base, 0) + pool.reserve_base
-            totals[NUMERAIRE] = totals.get(NUMERAIRE, 0) + pool.reserve_quote
+            totals[pool.base] = get(pool.base, 0) + pool.reserve_base
+            numeraire += pool.reserve_quote
+        totals[NUMERAIRE] = numeraire
         for balances in self.accounts.values():
             for asset, amount in balances.items():
-                totals[asset] = totals.get(asset, 0) + amount
+                totals[asset] = get(asset, 0) + amount
         return totals
 
     def clone(self) -> "ChainState":
@@ -100,4 +107,5 @@ class ChainState:
             accounts={holder: dict(bal) for holder, bal in self.accounts.items()},
             block_height=self.block_height,
             beneficiary=self.beneficiary,
+            decisions=self.decisions,
         )

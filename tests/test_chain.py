@@ -4,20 +4,26 @@ import hashlib
 import math
 import random
 import statistics
+from dataclasses import replace
 
 import pytest
 
 from chainbalancer import Funding, SwapDirection, Threshold, spot_price
+from chainbalancer.arbitrage import Opportunity, opportunity_from_deviation
 from chainbalancer.chain import (
     Block,
+    SkipRecord,
     UserFlowParams,
     UserTx,
+    decide,
     execute_block_balancer_phase,
     execute_block_user_phase,
     generate_user_flow,
 )
 from chainbalancer.config import ValidationError, from_dict
+from chainbalancer.market import NUMERAIRE
 from chainbalancer.metrics import utilization
+from chainbalancer.runner import SimulationRun
 from chainbalancer.searchers import BalancerTemplate
 from chainbalancer.state import FEE_ESCROW, TREASURY, user_account
 from chainbalancer.units import to_nano
@@ -284,6 +290,76 @@ class TestBalancerPhase:
         assert len(phase.skipped) == 1
         assert phase.skipped[0].reason in ("below_epsilon", "unprofitable")
         assert state.accounts.get(TREASURY) == treasury_before
+
+
+class TestDecisionSlots:
+    """`decide` reuses a template's decision only while nothing it reads has moved."""
+
+    def test_threshold_is_part_of_the_slot(self):
+        state = _gapped_state(gap=0.02)
+        wide = replace(THRESHOLD, epsilon=0.05)
+        assert isinstance(decide(state, THRESHOLD, 1, 1), Opportunity)
+        skip = decide(state, wide, 1, 1)
+        assert (skip.reason, skip.kind) == ("below_epsilon", "skip")
+        assert isinstance(decide(state, THRESHOLD, 1, 1), Opportunity)
+
+    @pytest.mark.parametrize("venue", [0, 1], ids=["reference_pool", "venue_pool"])
+    def test_either_pool_alone_moving_refreshes_the_decision(self, venue):
+        state = _funded_state()  # no gap: below epsilon
+        assert decide(state, THRESHOLD, 1, 1).reason == "below_epsilon"
+        # a user trades 1% of one pool's reserve, opening a gap of about 2%
+        direction = SwapDirection.QUOTE_IN if venue == 0 else SwapDirection.BASE_IN
+        amount = (500.0, 50.0)[venue]
+        execute_block_user_phase(state, [_tx(0, amount, venue=venue, direction=direction)], 10**6)
+        uncached = opportunity_from_deviation(state, THRESHOLD, 1, 1, state.deviation(1, 1))
+        assert isinstance(uncached, Opportunity)
+        assert decide(state, THRESHOLD, 1, 1) == uncached
+
+    def test_beneficiary_numeraire_alone_flips_the_funding(self):
+        state = _gapped_state(gap=0.02)
+        both = replace(THRESHOLD, allowed_funding=frozenset(Funding))
+        first = decide(state, both, 1, 1)
+        assert first.funding is Funding.NETWORK_LIQUIDITY
+        # leave the treasury one nano short of the size; no reserve moves
+        short = state.balance(TREASURY, NUMERAIRE) - first.optimal_size + 1
+        state.transfer(TREASURY, "sink", NUMERAIRE, short)
+        uncached = opportunity_from_deviation(state, both, 1, 1, state.deviation(1, 1))
+        second = decide(state, both, 1, 1)
+        assert second == uncached
+        assert second.funding is Funding.FLASH_LOAN
+
+    def test_injected_fault_is_attempted_again_next_block(self):
+        state = _gapped_state(gap=0.02)
+        reserves = {key: (p.reserve_base, p.reserve_quote) for key, p in state.pools.items()}
+        consulted = []
+
+        def injector(fault):
+            return lambda tpl: consulted.append(tpl) or fault
+
+        first = execute_block_balancer_phase(state, [_template()], 10**6, THRESHOLD, injector(True))
+        assert [(s.reason, s.kind) for s in first.skipped] == [("injected_fault", "revert")]
+        assert {k: (p.reserve_base, p.reserve_quote) for k, p in state.pools.items()} == reserves
+        second = execute_block_balancer_phase(state, [_template()], 10**6, THRESHOLD, injector(False))
+        assert len(second.executed) == 1 and second.skipped == []
+        assert len(consulted) == 2
+
+    def test_a_reused_skip_is_the_same_record_across_clones(self):
+        state = _gapped_state(gap=0.0)
+        skip = decide(state, THRESHOLD, 1, 1)
+        assert isinstance(skip, SkipRecord)
+        replica = state.clone()
+        assert replica.decisions is state.decisions
+        assert decide(replica, THRESHOLD, 1, 1) is skip
+        assert replica == state  # the slots take no part in equality
+
+    def test_each_run_starts_empty_and_keeps_one_slot_per_template(self, baseline_config):
+        first = SimulationRun(baseline_config, seed=21, mode="autobalancer")
+        second = SimulationRun(baseline_config, seed=21, mode="autobalancer")
+        assert first.state.decisions == {} and first.state.decisions is not second.state.decisions
+        result = first.execute()
+        templates = {k for k in baseline_config.pools if k[0] != baseline_config.reference_venue_id}
+        assert result.final_state.decisions  # the run decided on them
+        assert set(result.final_state.decisions) <= templates
 
 
 class TestRunLevelInvariants:

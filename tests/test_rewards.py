@@ -22,6 +22,7 @@ from chainbalancer.rewards import (
     WeightError,
     apply_slashing,
     build_ledger,
+    exact_fraction,
     measure_contribution,
     pay_producer,
 )
@@ -173,16 +174,28 @@ class TestMeasureContribution:
         assert contribs[1] == 3 * contribs[2]
 
 
+HALF = Fraction(1, 2)
+
+
 class TestPayProducer:
     def test_half_of_fees(self):
-        assert pay_producer(to_nano(0.09), 0.5) == to_nano(0.045)
+        assert pay_producer(to_nano(0.09), HALF) == to_nano(0.045)
 
     def test_no_balancer_txs(self):
-        assert pay_producer(0, 0.5) == 0
+        assert pay_producer(0, HALF) == 0
 
     def test_monotone_in_balancer_gas(self):
-        fees = [pay_producer(f, 0.5) for f in range(0, 10_000, 97)]
+        fees = [pay_producer(f, HALF) for f in range(0, 10_000, 97)]
         assert fees == sorted(fees)
+
+    def test_gamma_parsed_once_floors_as_parsing_it_per_block(self):
+        # reference: gamma's decimal string parsed at every call
+        gammas = (0.1, 0.3, 0.5, 0.7, 0.9, 0.123456789, 1e-9, 0.999999999, 1 / 3, 2 / 3)
+        fees = [*range(0, 1_000), *(9 * 10**k + d for k in range(3, 19) for d in (-1, 0, 1))]
+        for gamma in gammas:
+            share = exact_fraction(gamma)
+            for fee in fees:
+                assert pay_producer(fee, share) == int(Fraction(str(gamma)) * fee), (gamma, fee)
 
 
 def independent_inversion_check(executed, prescribed):

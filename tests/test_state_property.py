@@ -3,7 +3,8 @@
 User swaps and atomic balancer attempts, under both funding kinds and
 with injected faults, in any order: per-asset totals never move by one
 nano-unit, a beneficiary's numeraire never falls, and a revert writes
-nothing.
+nothing. User swaps and balancer phases in any order: a phase on a state
+whose decision slots are warm does what it does on empty slots.
 """
 
 import copy
@@ -20,8 +21,9 @@ from chainbalancer import (
     spot_price,
 )
 from chainbalancer.arbitrage import Opportunity, opportunity_from_deviation
-from chainbalancer.chain import UserTx, execute_block_user_phase
+from chainbalancer.chain import UserTx, execute_block_balancer_phase, execute_block_user_phase
 from chainbalancer.market import NUMERAIRE
+from chainbalancer.searchers import BalancerTemplate
 from chainbalancer.state import EXTERNAL, TREASURY, user_account
 from chainbalancer.units import to_nano
 
@@ -32,6 +34,12 @@ VENUES = (0, 1, 2)
 ASSETS = (1, 2)
 USERS = 3
 THRESHOLD = Threshold(epsilon=0.001, flash_fee=0.0009, gas_price=1e-7)
+# fixed objects, so that phases under one of them can reuse its decisions
+PHASE_THRESHOLDS = (
+    THRESHOLD,
+    replace(THRESHOLD, epsilon=0.02),
+    *(replace(THRESHOLD, allowed_funding=frozenset({funding})) for funding in Funding),
+)
 
 
 @st.composite
@@ -81,11 +89,27 @@ balancer_attempts = st.tuples(
 )
 
 
+balancer_phases = st.tuples(
+    st.just("phase"),
+    # every template, in any order: each phase decides on every pool
+    st.permutations([(venue, asset) for venue in VENUES[1:] for asset in ASSETS]),
+    st.sampled_from(PHASE_THRESHOLDS),
+    st.sampled_from([TREASURY, EXTERNAL]),
+    st.booleans(),  # inject a fault into every sized attempt
+)
+
+
 def _snapshot(state):
     return (
         {key: (p.reserve_base, p.reserve_quote) for key, p in state.pools.items()},
         copy.deepcopy(state.accounts),
     )
+
+
+def _apply_user_swap(state, tx_id, step):
+    _, venue, asset, direction, amount, user = step
+    tx = UserTx(tx_id, venue, asset, direction, amount, 21_000, user_account(user))
+    execute_block_user_phase(state, [tx], capacity=10**9)
 
 
 def _opportunity(state, venue, asset, funding, forced):
@@ -107,9 +131,7 @@ def test_random_operations_conserve_totals_and_never_cost_the_beneficiary(state,
     numeraire = {b: state.balance(b, NUMERAIRE) for b in (TREASURY, EXTERNAL)}
     for tx_id, step in enumerate(steps):
         if step[0] == "user":
-            _, venue, asset, direction, amount, user = step
-            tx = UserTx(tx_id, venue, asset, direction, amount, 21_000, user_account(user))
-            execute_block_user_phase(state, [tx], capacity=10**9)
+            _apply_user_swap(state, tx_id, step)
         else:
             _, venue, asset, funding, beneficiary, fault, forced = step
             state.beneficiary = beneficiary
@@ -128,3 +150,21 @@ def test_random_operations_conserve_totals_and_never_cost_the_beneficiary(state,
         for holder, floor in numeraire.items():
             assert state.balance(holder, NUMERAIRE) >= floor
             numeraire[holder] = state.balance(holder, NUMERAIRE)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(state=states(), steps=st.lists(st.one_of(user_swaps, balancer_phases), min_size=1, max_size=30))
+def test_a_phase_on_warm_decision_slots_equals_one_on_empty_slots(state, steps):
+    for tx_id, step in enumerate(steps):
+        if step[0] == "user":
+            _apply_user_swap(state, tx_id, step)
+            continue
+        _, keys, threshold, beneficiary, fault = step
+        state.beneficiary = beneficiary
+        templates = [BalancerTemplate(asset, venue) for venue, asset in keys]
+        cold = state.clone()
+        cold.decisions = {}
+        warm_phase = execute_block_balancer_phase(state, templates, 10**9, threshold, lambda t: fault)
+        cold_phase = execute_block_balancer_phase(cold, templates, 10**9, threshold, lambda t: fault)
+        assert warm_phase == cold_phase
+        assert state == cold
