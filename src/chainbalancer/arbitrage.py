@@ -52,6 +52,8 @@ class Threshold:
             raise ValueError("flash_fee out of [0, 0.01) range")
         if self.gas_price < 0:
             raise ValueError("gas_price must be non-negative")
+        if self.gas_per_tx < 1:  # a block's balancer room divides by it
+            raise ValueError("gas_per_tx must be at least 1")
         self.flash_fee_ppb = ppb(self.flash_fee)
         self.gas_fee_nano = self.gas_per_tx * to_nano(self.gas_price)  # per balancer tx
         # only then does opportunity_from_deviation read the beneficiary's balance
@@ -147,14 +149,14 @@ def opportunity_from_deviation(
 ) -> Opportunity | None:
     """Size and fund the trade behind a deviation; None when it does not clear the bar.
 
-    `delta_p` is `state.deviation(venue_id, asset)`; its sign names the
-    cheap pool. The bar is threefold: |delta_p| above the trigger, an
-    `optimal_trade_size` of at least one nano-unit (the floor of the real
-    optimum, with the flash fee when a loan funds it), and a positive
-    profit after the flash fee and gas. That profit is
-    quoted with the integer arithmetic `execute_atomic` runs, so on
-    unchanged state the realized profit equals `expected_profit` to the
-    nano-unit.
+    `delta_p` is `state.deviation(venue_id, asset)`, whose trigger the
+    caller (`chain.decide`) has already checked; its sign names the cheap
+    pool. The bar is twofold: an `optimal_trade_size` of at least one
+    nano-unit (the floor of the real optimum, with the flash fee when a
+    loan funds it), and a positive profit after the flash fee and gas.
+    That profit is quoted with the integer arithmetic `execute_atomic`
+    runs, so on unchanged state the realized profit equals
+    `expected_profit` to the nano-unit.
 
     Funding: network liquidity, sized without a loan fee, when it is allowed
     and the numeraire of the state's beneficiary covers the size; else a
@@ -162,8 +164,6 @@ def opportunity_from_deviation(
     liquidity, which `execute_atomic` reverts as `insufficient_treasury`.
     With no kind allowed nothing is sized.
     """
-    if abs(delta_p) <= threshold.epsilon:
-        return None
     venue_key, ref_key = (venue_id, asset), (state.reference_venue_id, asset)
     cheap, dear = (ref_key, venue_key) if delta_p > 0 else (venue_key, ref_key)
     pool_cheap, pool_dear = state.pools[cheap], state.pools[dear]
@@ -197,8 +197,9 @@ def execute_atomic(
     decision made before anything is written, and a revert touches nothing.
     On commit the beneficiary's numeraire balance grows by the realized
     profit (proceeds minus loan repayment minus the gas fee) and every
-    other balance it holds is unchanged. `inject_fault` forces a revert
-    just before repayment, for fault-injection tests.
+    other balance it holds is unchanged; the gas fee goes to `FEE_ESCROW`,
+    which the block step empties. `inject_fault` forces a revert just
+    before repayment, for fault-injection tests.
     """
     cheap, dear = state.pools[opp.cheap], state.pools[opp.dear]
     size, beneficiary = opp.optimal_size, state.beneficiary

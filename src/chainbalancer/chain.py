@@ -3,11 +3,11 @@
 Each block runs two strictly ordered phases. The user phase applies
 submitted swaps in arrival order until the next one would exceed the gas
 capacity; the remainder carries to the next block. The balancer phase then
-walks the epoch's active transaction set in priority order inside the
-residual gas, re-validating every trigger against live state. `decide`
-turns a template into its skip or its sized opportunity for both that phase
-and the searchers' proposals, and keeps one decision per template on the
-chain state, reused while nothing the decision reads has moved.
+walks the epoch's active transaction set in priority order while the block
+has room, re-validating each trigger in `decide`, which turns a template
+into its skip or its sized opportunity for both that phase and the
+searchers' proposals and keeps one decision per template on the chain
+state, reused while nothing the decision reads has moved.
 """
 
 from __future__ import annotations
@@ -241,24 +241,24 @@ class BalancerPhaseResult:
 def execute_block_balancer_phase(
     state: ChainState,
     templates: Sequence,
-    residual_gas: int,
+    room: int,
     threshold: Threshold,
     fault_injector: Callable[[object], bool] | None = None,
 ) -> BalancerPhaseResult:
-    """Walk the active set in priority order inside the residual gas.
+    """Walk the active set in priority order until `room` transactions commit.
 
-    Every candidate is re-validated against live state: user transactions
-    earlier in the block may have closed (or opened) its gap. Failing
-    candidates are skipped with a reason code, never aborting the walk;
-    the walk stops once the residual cannot cover one more transaction.
-    Reverted attempts leave no state change and consume no work; each
-    commit costs `threshold.gas_per_tx` gas and `threshold.gas_fee_nano`,
-    and pays its profit to `state.beneficiary`.
+    `room` is the number of balancer transactions the block's residual gas
+    still holds; with room 0 nothing is attempted. Every candidate is
+    re-validated against live state: user transactions earlier in the
+    block may have closed (or opened) its gap. Failing candidates are
+    skipped with a reason code, never aborting the walk. Reverted attempts
+    leave no state change and take no room; each commit takes one, pays
+    its gas fee into the fee escrow and its profit to `state.beneficiary`.
     """
     executed: list[ExecRecord] = []
     skipped: list[SkipRecord] = []
     for tpl in templates:
-        if residual_gas < (len(executed) + 1) * threshold.gas_per_tx:
+        if len(executed) >= room:
             break
         opp = decide(state, threshold, tpl.asset, tpl.venue_id)
         if isinstance(opp, SkipRecord):

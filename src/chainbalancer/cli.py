@@ -12,7 +12,7 @@ from pathlib import Path
 
 import yaml
 
-from .config import INT64_MAX, MODES, ValidationError, load_scenario
+from .config import FIELDS, MODES, ValidationError, load_scenario
 from .report import (
     write_blocks_csv,
     write_comparison_csv,
@@ -24,28 +24,32 @@ from .runner import run_baseline_comparison, run_scenario
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
+# `--seed` and `--seeds` follow the scenario's own row for `seeds`
+SEEDS_OK, SEEDS_RULE = next(row[2:] for row in FIELDS if row[0] == "seeds")
 
 
 def _mode_list(text: str) -> list[str]:
     modes = [m.strip() for m in text.split(",") if m.strip()]
-    if not modes or not set(modes) <= set(MODES):
+    if not modes or not set(modes) <= set(MODES) or len(set(modes)) < len(modes):
         raise argparse.ArgumentTypeError(
-            f"modes must be one or more of {','.join(MODES)}, got {text!r}"
+            f"modes must be one or more distinct names from {','.join(MODES)}, got {text!r}"
         )
     return modes
 
 
+def _checked_seeds(text: str, seeds: list) -> list[int]:
+    if not SEEDS_OK(seeds):
+        raise argparse.ArgumentTypeError(f"seeds must be {SEEDS_RULE}, got {text!r}")
+    return seeds
+
+
 def _seed(text: str) -> int:
-    """One seed under the scenario's own rule for `seeds`."""
+    """One seed: `--seed N` must pass the `seeds` rule as `[N]`."""
     try:
         seed = int(text)
     except ValueError:
-        seed = -1
-    if not 0 <= seed <= INT64_MAX:
-        raise argparse.ArgumentTypeError(
-            f"seed must be an integer in [0, 2^63 - 1], got {text!r}"
-        )
-    return seed
+        seed = None
+    return _checked_seeds(text, [seed])[0]
 
 
 def _seed_list(text: str) -> list[int]:
@@ -56,11 +60,7 @@ def _seed_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"seeds must be comma-separated integers, got {text!r}"
         ) from None
-    if not seeds or not 0 <= min(seeds) <= max(seeds) <= INT64_MAX:
-        raise argparse.ArgumentTypeError(
-            f"seeds must be a non-empty list of integers in [0, 2^63 - 1], got {text!r}"
-        )
-    return seeds
+    return _checked_seeds(text, seeds)
 
 
 def _build_parser() -> argparse.ArgumentParser:

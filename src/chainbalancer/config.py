@@ -152,7 +152,9 @@ FIELDS = (
     ("balances.lender_numeraire", 1_000_000_000.0, *NON_NEGATIVE),
     ("balances.external_numeraire", 1_000_000.0, *NON_NEGATIVE),
     ("chaos.forced_revert_rate", 0.0, *UNIT_INTERVAL),
-    ("seeds", [42], _nonempty_list(_int(0)), "a non-empty list of integers in [0, 2^63 - 1]"),
+    # a repeated seed would only repeat a run
+    ("seeds", [42], lambda v: _nonempty_list(_int(0))(v) and len(set(v)) == len(v),
+     "a non-empty list of distinct integers in [0, 2^63 - 1]"),
     ("mode", "autobalancer", lambda v: v in MODES, "one of " + ", ".join(MODES)),
 )
 

@@ -226,7 +226,7 @@ class SimulationRun:
         self.carry: list[UserTx] = []
         self.digest = hashlib.sha256()
         self.drift = 0
-        # (closing state, residual gas) of the blocks governance replays
+        # (closing state, balancer room) of the blocks governance replays
         self.recent: deque = deque(maxlen=config.governance_window)
         # where the run is, for an abort's coordinate
         self.epoch, self.step = 0, "open"
@@ -286,7 +286,7 @@ class SimulationRun:
             build_proposal(p, self.state, cfg.governance, cfg.threshold, rngs[p.searcher_id])
             for p in cfg.searcher_profiles
         ]
-        replays = list(self.recent) or [(self.state, cfg.capacity)]
+        replays = list(self.recent) or [(self.state, cfg.capacity // cfg.threshold.gas_per_tx)]
         selected, scores = evaluate_proposals(proposals, replays, self.credibility, cfg.threshold)
         return proposals, scores, selected
 
@@ -304,7 +304,7 @@ class SimulationRun:
                 for tx, status in user.events
             ).encode()
         )
-        residual = cfg.capacity - block.user_gas
+        room = (cfg.capacity - block.user_gas) // cfg.threshold.gas_per_tx
 
         if active_set:
             order = list(range(len(active_set)))
@@ -314,12 +314,12 @@ class SimulationRun:
                     j = int(self.rng_producer.random() * (i + 1))
                     order[i], order[j] = order[j], order[i]
             phase = execute_block_balancer_phase(
-                state, [active_set[i] for i in order], residual, cfg.threshold, self.injector
+                state, [active_set[i] for i in order], room, cfg.threshold, self.injector
             )
             block.balancer_executed, block.balancer_skipped = phase.executed, phase.skipped
             block.balancer_gas = len(phase.executed) * cfg.threshold.gas_per_tx
-            # gamma of the gas fees to the producer, the rest burned
-            fees = len(phase.executed) * cfg.threshold.gas_fee_nano
+            # the escrow holds the phase's gas fees: gamma to the producer, the rest burned
+            fees = state.balance(FEE_ESCROW, NUMERAIRE)
             block.producer_fee = pay_producer(fees, self.gamma)
             if fees:
                 state.transfer(FEE_ESCROW, PRODUCER, NUMERAIRE, block.producer_fee)
@@ -341,7 +341,7 @@ class SimulationRun:
         # each epoch boundary, and none in off mode
         blocks_to_boundary = cfg.epoch_length - 1 - height % cfg.epoch_length
         if self.mode != MODE_OFF and blocks_to_boundary < cfg.governance_window:
-            self.recent.append((state.clone(), residual))
+            self.recent.append((state.clone(), room))
         state.block_height += 1
         return block
 
@@ -443,6 +443,8 @@ def run_baseline_comparison(config: ScenarioConfig, modes: list[str], seeds: lis
     bad = set(modes) - set(MODES)
     if bad:
         raise ValueError(f"unknown modes: {sorted(bad)}")
+    if len(set(modes)) < len(modes) or len(set(seeds)) < len(seeds):
+        raise ValueError(f"comparison repeats a mode or seed: {list(modes)}, {list(seeds)}")
 
     per_mode: dict[str, dict] = {}
     for mode in modes:

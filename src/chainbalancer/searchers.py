@@ -73,8 +73,8 @@ def build_proposal(
     Ordering is by the searcher's own (noise-perturbed) per-template net
     profit estimates, descending, with (asset, venue) tie-breaks. The
     proposal-level profit_estimate is the total from replaying the ordered
-    set once on a copy of the expected state, so intra-set price-impact
-    interactions are priced in rather than double-counted.
+    set once, with room for all of it, on a copy of the expected state, so
+    intra-set price-impact interactions are priced in, not double-counted.
 
     The conditions are applied here, as the filter: the profit floor and
     the size cap.
@@ -98,10 +98,7 @@ def build_proposal(
 
     candidates.sort(key=lambda t: (-t.estimate, t.asset, t.venue_id))
     ordered = candidates[:conditions.max_set_size]
-
-    # a residual of one transaction per template never binds
-    residual_gas = threshold.gas_per_tx * len(ordered)
-    sim_profit = _replay_once(expected_state, ordered, threshold, residual_gas)
+    sim_profit = _replay_once(expected_state, ordered, threshold, len(ordered))
     return SearcherProposal(profile.searcher_id, ordered, sim_profit)
 
 
@@ -109,10 +106,10 @@ def _replay_once(
     base_state: ChainState,
     templates: list[BalancerTemplate],
     threshold: Threshold,
-    residual_gas: int,
+    room: int,
 ) -> int:
     """Net profit of the block's balancer phase run on a throwaway copy."""
-    phase = execute_block_balancer_phase(base_state.clone(), templates, residual_gas, threshold)
+    phase = execute_block_balancer_phase(base_state.clone(), templates, room, threshold)
     return sum(r.profit for r in phase.executed)
 
 
@@ -124,20 +121,20 @@ def evaluate_proposals(
 ) -> tuple[SearcherProposal | None, dict[int, dict]]:
     """Deterministic governance: argmax of credibility x replayed profit.
 
-    Each proposal is replayed against the closing states (and residual
-    gas) of the last few blocks; the mean replayed net profit, weighted by
-    the searcher's credibility score, ranks the proposals. Ties fall to
-    the lowest searcher id. Returns (selected or None, per-searcher scores).
-    The replays go state by state, so the proposals replayed on one state
-    reuse its decision slots.
+    Each proposal is replayed against the closing states of the last few
+    blocks, each with its block's balancer room; the mean replayed net
+    profit, weighted by the searcher's credibility score, ranks the
+    proposals. Ties fall to the lowest searcher id. Returns (selected or
+    None, per-searcher scores). The replays go state by state, so the
+    proposals replayed on one state reuse its decision slots.
     """
     if not proposals:
         raise ValueError("evaluate_proposals requires at least one proposal")
     replayed: list[list[int]] = [[] for _ in proposals]
-    for state, residual in recent_blocks:
+    for state, room in recent_blocks:
         for proposal, profits in zip(proposals, replayed):
             if proposal.ordered_txs:
-                profits.append(_replay_once(state, proposal.ordered_txs, threshold, residual))
+                profits.append(_replay_once(state, proposal.ordered_txs, threshold, room))
     scores: dict[int, dict] = {}
     for proposal, profits in zip(proposals, replayed):
         sim_profit = sum(profits) / len(profits) if profits else 0.0

@@ -365,9 +365,7 @@ class TestCriterion7OrderingAudit:
 
         def plan_profit(state, templates, slots):
             sim = state.clone()
-            phase = execute_block_balancer_phase(
-                sim, templates, slots * threshold.gas_per_tx, threshold
-            )
+            phase = execute_block_balancer_phase(sim, templates, slots, threshold)
             return sum(r.profit for r in phase.executed)
 
         ratios = []

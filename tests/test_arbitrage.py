@@ -102,14 +102,6 @@ class TestDetectOpportunities:
         assert (opp.cheap, opp.dear) == ((0, 1), (1, 1))
         assert opp.expected_profit > 0
 
-    def test_below_threshold_ignored(self):
-        pools = {
-            (0, 1): make_pool(0, reserve_numeraire=1000.0),
-            (1, 1): make_pool(1, reserve_numeraire=1004.0),
-        }
-        thr = Threshold(epsilon=0.005, flash_fee=0.0, gas_price=0.0)
-        assert opportunity(pools, thr, (1.004 - 1.0) / 1.0) is None
-
     def test_fee_band_swallows_gap(self):
         # 3% gap against 2% fees on each side: the oracle confirms no
         # profitable size exists, and the engine emits nothing
@@ -120,6 +112,11 @@ class TestDetectOpportunities:
         pools = {(0, 1): cheap, (1, 1): dear}
         thr = Threshold(epsilon=0.005, flash_fee=0.0, gas_price=0.0)
         assert opportunity(pools, thr, (103.0 - 100.0) / 100.0) is None
+
+
+def test_threshold_rejects_gas_per_tx_below_one():
+    with pytest.raises(ValueError, match="gas_per_tx must be at least 1"):
+        Threshold(gas_per_tx=0)
 
 
 class TestOptimalTradeSize:

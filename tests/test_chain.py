@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from chainbalancer import Funding, SwapDirection, Threshold, spot_price
+from chainbalancer import Funding, SwapDirection, Threshold, optimal_trade_size, spot_price
 from chainbalancer.arbitrage import Opportunity, opportunity_from_deviation
 from chainbalancer.chain import (
     Block,
@@ -24,8 +24,13 @@ from chainbalancer.config import ValidationError, from_dict
 from chainbalancer.market import NUMERAIRE
 from chainbalancer.metrics import utilization
 from chainbalancer.runner import SimulationRun
-from chainbalancer.searchers import BalancerTemplate
-from chainbalancer.state import FEE_ESCROW, TREASURY, user_account
+from chainbalancer.searchers import (
+    BalancerTemplate,
+    GovernanceConditions,
+    SearcherProfile,
+    build_proposal,
+)
+from chainbalancer.state import FEE_BURN, FEE_ESCROW, PRODUCER, TREASURY, user_account
 from chainbalancer.units import to_nano
 
 from conftest import baseline_raw, make_pool, make_state
@@ -210,18 +215,20 @@ def _gapped_state(gap=0.02):
 THRESHOLD = Threshold(
     epsilon=0.003, flash_fee=0.0009, gas_price=1e-7, allowed_funding=frozenset({Funding.FLASH_LOAN})
 )
+ROOM = 1_000_000 // THRESHOLD.gas_per_tx  # the balancer txs 1,000,000 gas holds: 11
 
 
 class TestBalancerPhase:
     def test_zero_residual_no_executions(self):
+        """Room 0: the walk attempts nothing, not even a skip."""
         state = _gapped_state()
         result = execute_block_balancer_phase(state, [_template()], 0, THRESHOLD)
-        assert result.executed == []
+        assert result.executed == [] and result.skipped == []
 
     def test_single_trigger_closes_into_band(self):
         """Recompute the post-trade deviation from raw reserves."""
         state = _gapped_state(gap=0.02)
-        result = execute_block_balancer_phase(state, [_template()], 1_000_000, THRESHOLD)
+        result = execute_block_balancer_phase(state, [_template()], ROOM, THRESHOLD)
         assert len(result.executed) == 1
         p_v = spot_price(state.pools[(1, 1)])
         p_r = spot_price(state.pools[(0, 1)])
@@ -240,7 +247,7 @@ class TestBalancerPhase:
         ]
         state = make_state(pools)
         threshold = Threshold(epsilon=0.003, flash_fee=0.0, gas_price=1e-9)
-        result = execute_block_balancer_phase(state, [_template(), _template()], 1_000_000, threshold)
+        result = execute_block_balancer_phase(state, [_template(), _template()], ROOM, threshold)
         assert len(result.executed) == 1
         assert [s.reason for s in result.skipped] == ["below_epsilon"]
 
@@ -249,15 +256,27 @@ class TestBalancerPhase:
         second_state_pool = make_pool(2, asset=1, reserve_asset=5000, reserve_numeraire=5100, fee=0.003)
         state.pools[(2, 1)] = second_state_pool
         templates = [_template(venue=1), _template(venue=2)]
-        result = execute_block_balancer_phase(state, templates, 100_000, THRESHOLD)
-        # only one 90k tx fits in 100k residual
+        # only one 90k tx fits in 100k residual gas: room 1
+        result = execute_block_balancer_phase(state, templates, 100_000 // 90_000, THRESHOLD)
         assert len(result.executed) == 1
+        assert result.skipped == []  # the second template is never attempted
+
+    def test_skips_take_no_room_and_the_kth_commit_ends_the_walk(self):
+        state = _gapped_state(gap=0.02)
+        state.pools[(2, 1)] = make_pool(2, reserve_asset=5000, reserve_numeraire=5100, fee=0.003)
+        state.pools[(3, 1)] = make_pool(3, reserve_asset=5000, reserve_numeraire=5100, fee=0.003)
+        state.pools[(4, 1)] = make_pool(4, reserve_asset=5000, reserve_numeraire=5000, fee=0.003)
+        templates = [_template(venue=v) for v in (4, 1, 2, 3)]  # venue 4 has no gap
+        result = execute_block_balancer_phase(state, templates, 2, THRESHOLD)
+        assert [(s.venue_id, s.reason) for s in result.skipped] == [(4, "below_epsilon")]
+        assert [r.venue_id for r in result.executed] == [1, 2]
+        assert state.deviation(3, 1) > THRESHOLD.epsilon  # venue 3 was left untried
 
     def test_gas_accounting_exact(self):
         """Each commit escrows the one gas fee per tx; the beneficiary nets the profit."""
         state = _gapped_state(gap=0.02)
         escrow, treasury = state.balance(FEE_ESCROW, 0), state.balance(TREASURY, 0)
-        result = execute_block_balancer_phase(state, [_template()], 1_000_000, THRESHOLD)
+        result = execute_block_balancer_phase(state, [_template()], ROOM, THRESHOLD)
         assert len(result.executed) == 1
         assert state.balance(FEE_ESCROW, 0) - escrow == THRESHOLD.gas_fee_nano
         assert state.balance(TREASURY, 0) - treasury == result.executed[0].profit
@@ -285,7 +304,7 @@ class TestBalancerPhase:
         )
         assert abs(live) <= 0.005  # the gap is gone before the balancer runs
 
-        phase = execute_block_balancer_phase(state, [_template()], 1_000_000, THRESHOLD)
+        phase = execute_block_balancer_phase(state, [_template()], ROOM, THRESHOLD)
         assert phase.executed == []
         assert len(phase.skipped) == 1
         assert phase.skipped[0].reason in ("below_epsilon", "unprofitable")
@@ -336,10 +355,10 @@ class TestDecisionSlots:
         def injector(fault):
             return lambda tpl: consulted.append(tpl) or fault
 
-        first = execute_block_balancer_phase(state, [_template()], 10**6, THRESHOLD, injector(True))
+        first = execute_block_balancer_phase(state, [_template()], ROOM, THRESHOLD, injector(True))
         assert [(s.reason, s.kind) for s in first.skipped] == [("injected_fault", "revert")]
         assert {k: (p.reserve_base, p.reserve_quote) for k, p in state.pools.items()} == reserves
-        second = execute_block_balancer_phase(state, [_template()], 10**6, THRESHOLD, injector(False))
+        second = execute_block_balancer_phase(state, [_template()], ROOM, THRESHOLD, injector(False))
         assert len(second.executed) == 1 and second.skipped == []
         assert len(consulted) == 2
 
@@ -360,6 +379,63 @@ class TestDecisionSlots:
         templates = {k for k in baseline_config.pools if k[0] != baseline_config.reference_venue_id}
         assert result.final_state.decisions  # the run decided on them
         assert set(result.final_state.decisions) <= templates
+
+
+def _distinct_ids_state():
+    """Asset 2 on venue 3 trades 2% below the reference; a decoy, asset 3 on
+    venue 2 (the same ids swapped), 5% above it."""
+    return make_state(
+        [
+            make_pool(0, asset=2, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003),
+            make_pool(0, asset=3, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003),
+            make_pool(3, asset=2, reserve_asset=5000, reserve_numeraire=4900, fee=0.003),
+            make_pool(2, asset=3, reserve_asset=5000, reserve_numeraire=5250, fee=0.003),
+        ]
+    )
+
+
+class TestDecide:
+    def test_below_threshold_ignored(self):
+        pools = [make_pool(0, reserve_numeraire=1000.0), make_pool(1, reserve_numeraire=1004.0)]
+        thr = Threshold(epsilon=0.005, flash_fee=0.0, gas_price=0.0)
+        decision = decide(make_state(pools), thr, 1, 1)
+        assert (decision.reason, decision.kind) == ("below_epsilon", "skip")
+        # the same gap clears a tighter trigger
+        assert isinstance(decide(make_state(pools), replace(thr, epsilon=0.003), 1, 1), Opportunity)
+
+    def test_sizes_the_venue_pool_of_the_asset(self):
+        state = _distinct_ids_state()
+        opp = decide(state, THRESHOLD, 2, 3)
+        assert (opp.cheap, opp.dear) == ((3, 2), (0, 2))
+        assert opp.optimal_size == optimal_trade_size(
+            state.pools[(3, 2)], state.pools[(0, 2)], THRESHOLD.flash_fee_ppb
+        )
+        # the slot is keyed on that pool too: moving it alone refreshes the decision
+        state.pools[(3, 2)].reserve_quote += to_nano(10)
+        assert decide(state, THRESHOLD, 2, 3).optimal_size == optimal_trade_size(
+            state.pools[(3, 2)], state.pools[(0, 2)], THRESHOLD.flash_fee_ppb
+        ) != opp.optimal_size
+
+    def test_the_phase_trades_the_venue_pool_of_the_asset(self):
+        state = _distinct_ids_state()
+        untouched = {k: (p.reserve_base, p.reserve_quote) for k, p in state.pools.items()}
+        phase = execute_block_balancer_phase(state, [_template(asset=2, venue=3)], ROOM, THRESHOLD)
+        [record] = phase.executed
+        assert (record.asset, record.venue_id) == (2, 3)
+        assert record.delta_p_after == state.deviation(3, 2)
+        moved = {k for k, p in state.pools.items() if (p.reserve_base, p.reserve_quote) != untouched[k]}
+        assert moved == {(3, 2), (0, 2)}
+
+    def test_proposals_estimate_the_venue_pool_of_the_asset(self):
+        state = _distinct_ids_state()
+        expected = decide(_distinct_ids_state(), THRESHOLD, 2, 3).expected_profit
+        decoy = decide(_distinct_ids_state(), THRESHOLD, 3, 2).expected_profit
+        assert expected != decoy
+        proposal = build_proposal(
+            SearcherProfile(0), state, GovernanceConditions(), THRESHOLD, rng_for(0)
+        )
+        estimates = {(t.asset, t.venue_id): t.estimate for t in proposal.ordered_txs}
+        assert estimates == {(2, 3): expected, (3, 2): decoy}
 
 
 class TestRunLevelInvariants:
@@ -393,6 +469,39 @@ class TestRunLevelInvariants:
         for kinds in calls.values():
             assert kinds in (["user"], ["user", "balancer"])
         assert any(committed)
+
+    @pytest.mark.parametrize("mode", ["off", "autobalancer", "external"])
+    def test_each_block_empties_the_fee_escrow_into_producer_and_burn(self, mode, monkeypatch):
+        """The escrow holds exactly the block's commits times the gas fee; the
+        block step pays all of it out (slashing then moves some of the
+        producer's share to the treasury)."""
+        config = from_dict(
+            baseline_raw(
+                blocks={"epochs": 3, "epoch_length": 10},
+                producer={"dishonesty_rate": 0.3},
+                chaos={"forced_revert_rate": 0.2},
+            )
+        )
+        original = SimulationRun._step_block
+        paid = []
+
+        def checked(run, arrivals, active_set):
+            state = run.state
+            assert state.balance(FEE_ESCROW, NUMERAIRE) == 0
+            before = state.balance(PRODUCER, NUMERAIRE) + state.balance(FEE_BURN, NUMERAIRE)
+            block = original(run, arrivals, active_set)
+            after = state.balance(PRODUCER, NUMERAIRE) + state.balance(FEE_BURN, NUMERAIRE)
+            assert state.balance(FEE_ESCROW, NUMERAIRE) == 0
+            fees = len(block.balancer_executed) * config.threshold.gas_fee_nano
+            assert after + block.slashed - before == fees
+            paid.append((fees, block.slashed))
+            return block
+
+        monkeypatch.setattr(SimulationRun, "_step_block", checked)
+        SimulationRun(config, seed=5, mode=mode).execute()
+        assert len(paid) == 30
+        if mode != "off":
+            assert all(any(values) for values in zip(*paid))  # fees paid and a slash taken
 
     def test_block_gas_accounting(self, baseline_config):
         from chainbalancer import run_scenario

@@ -20,8 +20,10 @@ from chainbalancer.report import (
 from conftest import baseline_raw
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-MODES_RULE = "modes must be one or more of off,autobalancer,external"
-SEEDS_RULE = "seeds must be a non-empty list of integers in [0, 2^63 - 1]"
+MODES_RULE = "modes must be one or more distinct names from off,autobalancer,external"
+# the `seeds` row's rule, which the scenario file, `--seed` and `--seeds` all follow
+SEEDS_ROW_RULE = "a non-empty list of distinct integers in [0, 2^63 - 1]"
+SEEDS_RULE = f"seeds must be {SEEDS_ROW_RULE}"
 
 
 def minimal_raw():
@@ -255,6 +257,21 @@ class TestCli:
         assert main(["validate", path]) == 1
         assert "mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "run", "compare"])
+    def test_repeated_scenario_seed_exit_1(self, tmp_path, monkeypatch, capsys, command):
+        raw = minimal_raw()
+        raw["seeds"] = [7, 7]
+        path = self._write(tmp_path, raw)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("no simulation may start")
+
+        monkeypatch.setattr("chainbalancer.cli.run_scenario", must_not_run)
+        monkeypatch.setattr("chainbalancer.cli.run_baseline_comparison", must_not_run)
+        out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        assert main([command, path, *out]) == 1
+        assert f"seeds: must be {SEEDS_ROW_RULE}, got [7, 7]" in capsys.readouterr().err
+
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["validate", str(tmp_path / "absent.yaml")]) == 1
 
@@ -311,11 +328,13 @@ class TestCli:
         [
             ("--modes", "off,warp", f"argument --modes: {MODES_RULE}, got 'off,warp'"),
             ("--modes", ",", f"argument --modes: {MODES_RULE}, got ','"),
+            ("--modes", "off,off", f"argument --modes: {MODES_RULE}, got 'off,off'"),
             ("--seeds", "1,x", "argument --seeds: seeds must be comma-separated integers, got '1,x'"),
             ("--seeds", ",", f"argument --seeds: {SEEDS_RULE}, got ','"),
             ("--seeds", "-1", f"argument --seeds: {SEEDS_RULE}, got '-1'"),
             ("--seeds", "1,9223372036854775808",
              f"argument --seeds: {SEEDS_RULE}, got '1,9223372036854775808'"),
+            ("--seeds", "7,7", f"argument --seeds: {SEEDS_RULE}, got '7,7'"),
         ],
     )
     def test_compare_bad_list_is_usage_error(self, tmp_path, monkeypatch, capsys, flag, value, message):
@@ -336,7 +355,7 @@ class TestCli:
 
     @pytest.mark.parametrize("seed", ["-1", str(2**63)])
     def test_run_bad_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, seed):
-        """A seed must be an integer in [0, 2^63 - 1], as the scenario's `seeds` must."""
+        """`--seed N` must pass the scenario's `seeds` rule as `[N]`."""
         path = self._write(tmp_path, minimal_raw())
 
         def must_not_run(*args, **kwargs):
@@ -349,7 +368,7 @@ class TestCli:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: chainbalancer run")
-        assert f"argument --seed: seed must be an integer in [0, 2^63 - 1], got '{seed}'" in err
+        assert f"argument --seed: {SEEDS_RULE}, got '{seed}'" in err
         assert "runtime abort" not in err
 
 

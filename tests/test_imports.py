@@ -1,0 +1,55 @@
+"""Every name a chainbalancer module imports is used in that module.
+
+No linter runs on the package, so this is its one unused-import check. A
+line marked `# noqa: F401` is exempt: it keeps a binding that something
+outside the module replaces. The package root is skipped, as its imports
+are its exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chainbalancer"
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names `source` imports and never reads, in import order."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: list[str] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        imported += [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_the_check_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "from json import dumps, loads  # noqa: F401 - rebound elsewhere\n"
+        "from math import (\n"
+        "    floor,\n"
+        "    isqrt as root,\n"
+        ")\n"
+        "root(4)\n"
+    )
+    assert unused_imports(source) == ["os", "os", "floor"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

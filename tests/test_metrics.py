@@ -251,3 +251,9 @@ class TestModeComparison:
         config, _ = comparison
         with pytest.raises(ValueError):
             run_baseline_comparison(config, ["off", "turbo"], [1])
+
+    @pytest.mark.parametrize("modes, seeds", [(["off", "off"], [1]), (["off"], [7, 7])])
+    def test_repeated_mode_or_seed_rejected(self, comparison, modes, seeds):
+        config, _ = comparison
+        with pytest.raises(ValueError, match="comparison repeats a mode or seed"):
+            run_baseline_comparison(config, modes, seeds)

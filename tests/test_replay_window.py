@@ -28,7 +28,7 @@ def test_replays_read_last_window_closing_states(window, monkeypatch):
     seen = []
 
     def recording(proposals, recent_blocks, *args, **kwargs):
-        seen.append([(state.block_height, residual) for state, residual in recent_blocks])
+        seen.append([(state.block_height, room) for state, room in recent_blocks])
         return original(proposals, recent_blocks, *args, **kwargs)
 
     monkeypatch.setattr(runner_mod, "evaluate_proposals", recording)
@@ -36,12 +36,13 @@ def test_replays_read_last_window_closing_states(window, monkeypatch):
     result = run_scenario(config, seed=3, mode="autobalancer")
 
     assert len(seen) == EPOCHS
+    gas_per_tx = config.threshold.gas_per_tx
     # the first epoch has no closing states yet and replays the genesis state
-    assert seen[0] == [(0, config.capacity)]
+    assert seen[0] == [(0, config.capacity // gas_per_tx)]
     for epoch in range(1, EPOCHS):
         boundary = epoch * EPOCH_LENGTH
         expected = [
-            (height, config.capacity - result.blocks[height].user_gas)
+            (height, (config.capacity - result.blocks[height].user_gas) // gas_per_tx)
             for height in range(max(0, boundary - window), boundary)
         ]
         assert seen[epoch] == expected

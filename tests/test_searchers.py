@@ -34,6 +34,7 @@ def rng_for(seed):
 
 
 THRESHOLD = Threshold(epsilon=0.003, flash_fee=0.0009, gas_price=1e-7)
+ROOM = 1_000_000 // THRESHOLD.gas_per_tx  # the balancer txs 1,000,000 gas holds: 11
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -190,20 +191,20 @@ class TestEvaluateProposals:
         state, p0, p1 = self._proposals()
         cred = {0: 1.0, 1: 1.0}
         selected, scores = evaluate_proposals(
-            [p0, p1], [(state, 1_000_000)], cred, THRESHOLD
+            [p0, p1], [(state, ROOM)], cred, THRESHOLD
         )
         assert selected.searcher_id == 0
         assert scores[0]["score"] > scores[1]["score"]
 
     def test_credibility_weighting_flips_selection(self):
         state, p0, p1 = self._proposals()
-        s0 = evaluate_proposals([p0, p1], [(state, 1_000_000)], {0: 1.0, 1: 1.0}, THRESHOLD)[1]
+        s0 = evaluate_proposals([p0, p1], [(state, ROOM)], {0: 1.0, 1: 1.0}, THRESHOLD)[1]
         # weight searcher 0 down until its score drops below searcher 1's
         ratio = s0[1]["simulated_net_profit"] / s0[0]["simulated_net_profit"]
         low = ratio * 0.5
         cred = {0: low, 1: 1.0}
         selected, scores = evaluate_proposals(
-            [p0, p1], [(state, 1_000_000)], cred, THRESHOLD
+            [p0, p1], [(state, ROOM)], cred, THRESHOLD
         )
         assert selected.searcher_id == 1
         assert scores[0]["score"] < scores[1]["score"]
@@ -212,7 +213,7 @@ class TestEvaluateProposals:
         state, p0, _ = self._proposals()
         cred = {0: 0.0}
         selected, _ = evaluate_proposals(
-            [p0], [(state, 1_000_000)], cred, THRESHOLD
+            [p0], [(state, ROOM)], cred, THRESHOLD
         )
         assert selected is p0
 
@@ -221,7 +222,7 @@ class TestEvaluateProposals:
         cred = {0: 1.0, 1: 1.0}
         selected, _ = evaluate_proposals(
             [proposal_of(0, []), proposal_of(1, [])],
-            [(state, 1_000_000)],
+            [(state, ROOM)],
             cred,
             THRESHOLD,
         )
@@ -243,10 +244,10 @@ class TestEvaluateProposals:
 
         cred = {0: 0.9, 1: 1.0}
         base_sel, base_scores = evaluate_proposals(
-            [p0, p1], [(scaled(1), 10**9)], cred, thr
+            [p0, p1], [(scaled(1), 10**9 // thr.gas_per_tx)], cred, thr
         )
         big_sel, big_scores = evaluate_proposals(
-            [p0, p1], [(scaled(10), 10**9)], cred, thr
+            [p0, p1], [(scaled(10), 10**9 // thr.gas_per_tx)], cred, thr
         )
         assert base_sel.searcher_id == big_sel.searcher_id
         assert big_scores[0]["simulated_net_profit"] == pytest.approx(
@@ -265,7 +266,7 @@ class TestEvaluateProposals:
         )
         cred = {1: 0.7, 3: 0.7}
         selected, _ = evaluate_proposals(
-            [p_a, p_b], [(state, 10**6)], cred, THRESHOLD
+            [p_a, p_b], [(state, ROOM)], cred, THRESHOLD
         )
         assert selected.searcher_id == 1
 

@@ -34,6 +34,7 @@ VENUES = (0, 1, 2)
 ASSETS = (1, 2)
 USERS = 3
 THRESHOLD = Threshold(epsilon=0.001, flash_fee=0.0009, gas_price=1e-7)
+ROOM = 10**9 // THRESHOLD.gas_per_tx  # the balancer txs 10^9 gas holds
 # fixed objects, so that phases under one of them can reuse its decisions
 PHASE_THRESHOLDS = (
     THRESHOLD,
@@ -164,7 +165,7 @@ def test_a_phase_on_warm_decision_slots_equals_one_on_empty_slots(state, steps):
         templates = [BalancerTemplate(asset, venue) for venue, asset in keys]
         cold = state.clone()
         cold.decisions = {}
-        warm_phase = execute_block_balancer_phase(state, templates, 10**9, threshold, lambda t: fault)
-        cold_phase = execute_block_balancer_phase(cold, templates, 10**9, threshold, lambda t: fault)
+        warm_phase = execute_block_balancer_phase(state, templates, ROOM, threshold, lambda t: fault)
+        cold_phase = execute_block_balancer_phase(cold, templates, ROOM, threshold, lambda t: fault)
         assert warm_phase == cold_phase
         assert state == cold
