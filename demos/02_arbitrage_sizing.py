@@ -42,8 +42,10 @@ def round_trip_profit(cheap, dear, flash_fee, x):
 def main():
     ref = pool(0, 50_000, 50_000)
     venue = pool(1, 5_000, 5_150)  # trades 3% above the reference
-    # venue 0 is the reference market every other venue is measured against
-    state = ChainState(pools={(0, 1): ref, (1, 1): venue}, reference_venue_id=0)
+    # venue 0 is the reference market every other venue is measured against;
+    # every balancer tx on this chain runs under one threshold
+    thr = Threshold(epsilon=0.003, flash_fee=0.0009, gas_price=1e-7)
+    state = ChainState(pools={(0, 1): ref, (1, 1): venue}, reference_venue_id=0, threshold=thr)
     print("=== Setup ===")
     print(f"reference spot {spot_price(ref):.4f}, venue spot {spot_price(venue):.4f}")
     delta = state.deviation(1, 1)
@@ -64,9 +66,8 @@ def main():
 
     print("\n=== Execute atomically; the treasury is empty, so a flash loan funds it ===")
     state.credit("lender", 0, to_nano(10**7))
-    thr = Threshold(epsilon=0.003, flash_fee=0.0009, gas_price=1e-7)
-    opp = opportunity_from_deviation(state, thr, 1, 1, delta)
-    result = execute_atomic(state, opp, thr)
+    opp = opportunity_from_deviation(state, 1, 1, delta)
+    result = execute_atomic(state, opp)
     print(f"funding: {opp.funding.value}, committed: {result.committed}, "
           f"net profit {to_units(result.profit):.6f} (after flash fee and {thr.gas_per_tx} gas)")
     after = state.deviation(1, 1)

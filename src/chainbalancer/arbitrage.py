@@ -46,12 +46,16 @@ class Threshold:
     allowed_funding: frozenset = frozenset(Funding)  # the kinds a balancer tx may use
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # NaN fails every comparison, so it would switch the trigger off
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0 <= self.flash_fee < 0.01:
             raise ValueError("flash_fee out of [0, 0.01) range")
-        if self.gas_price < 0:
-            raise ValueError("gas_price must be non-negative")
+        if not 0 <= self.gas_price < math.inf:
+            raise ValueError(f"gas_price must be non-negative and finite, got {self.gas_price}")
+        # an integer gas fee keeps the ledger exact to the nano-unit
+        if isinstance(self.gas_per_tx, bool) or not isinstance(self.gas_per_tx, int):
+            raise TypeError(f"gas_per_tx must be an int, got {self.gas_per_tx!r}")
         if self.gas_per_tx < 1:  # a block's balancer room divides by it
             raise ValueError("gas_per_tx must be at least 1")
         self.flash_fee_ppb = ppb(self.flash_fee)
@@ -141,11 +145,7 @@ def _quote_round_trip(
 
 
 def opportunity_from_deviation(
-    state: ChainState,
-    threshold: Threshold,
-    asset: int,
-    venue_id: int,
-    delta_p: float,
+    state: ChainState, asset: int, venue_id: int, delta_p: float
 ) -> Opportunity | None:
     """Size and fund the trade behind a deviation; None when it does not clear the bar.
 
@@ -158,15 +158,16 @@ def opportunity_from_deviation(
     runs, so on unchanged state the realized profit equals
     `expected_profit` to the nano-unit.
 
-    Funding: network liquidity, sized without a loan fee, when it is allowed
-    and the numeraire of the state's beneficiary covers the size; else a
-    flash loan, sized with the fee, when that is allowed; else network
-    liquidity, which `execute_atomic` reverts as `insufficient_treasury`.
-    With no kind allowed nothing is sized.
+    The fee, the gas cost and the allowed funding kinds are the state's
+    `threshold`. Funding: network liquidity, sized without a loan fee, when
+    it is allowed and the numeraire of the state's beneficiary covers the
+    size; else a flash loan, sized with the fee, when that is allowed; else
+    network liquidity, which `execute_atomic` reverts as
+    `insufficient_treasury`. With no kind allowed nothing is sized.
     """
     venue_key, ref_key = (venue_id, asset), (state.reference_venue_id, asset)
     cheap, dear = (ref_key, venue_key) if delta_p > 0 else (venue_key, ref_key)
-    pool_cheap, pool_dear = state.pools[cheap], state.pools[dear]
+    pool_cheap, pool_dear, threshold = state.pools[cheap], state.pools[dear], state.threshold
     allowed = threshold.allowed_funding
     flash, size = Funding.FLASH_LOAN in allowed, 0
     if Funding.NETWORK_LIQUIDITY in allowed:
@@ -185,10 +186,7 @@ def opportunity_from_deviation(
 
 
 def execute_atomic(
-    state: ChainState,
-    opp: Opportunity,
-    threshold: Threshold,
-    inject_fault: bool = False,
+    state: ChainState, opp: Opportunity, inject_fault: bool = False
 ) -> ExecutionResult:
     """Run both legs atomically; commit only if the state's beneficiary cannot lose.
 
@@ -196,13 +194,14 @@ def execute_atomic(
     the pre-trade reserves: the round trip is quoted and the commit-or-revert
     decision made before anything is written, and a revert touches nothing.
     On commit the beneficiary's numeraire balance grows by the realized
-    profit (proceeds minus loan repayment minus the gas fee) and every
-    other balance it holds is unchanged; the gas fee goes to `FEE_ESCROW`,
-    which the block step empties. `inject_fault` forces a revert just
-    before repayment, for fault-injection tests.
+    profit (proceeds minus loan repayment minus the gas fee, both set by
+    the state's `threshold`) and every other balance it holds is unchanged;
+    the gas fee goes to `FEE_ESCROW`, which the block step empties.
+    `inject_fault` forces a revert just before repayment, for
+    fault-injection tests.
     """
     cheap, dear = state.pools[opp.cheap], state.pools[opp.dear]
-    size, beneficiary = opp.optimal_size, state.beneficiary
+    size, beneficiary, threshold = opp.optimal_size, state.beneficiary, state.threshold
 
     if opp.funding is Funding.FLASH_LOAN:
         if state.balance(LENDER, NUMERAIRE) < size:

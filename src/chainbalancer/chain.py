@@ -19,13 +19,7 @@ from math import cos, exp, log, sqrt, tau
 from random import Random
 from typing import Callable, Sequence
 
-from .arbitrage import (
-    Funding,
-    Opportunity,
-    Threshold,
-    execute_atomic,
-    opportunity_from_deviation,
-)
+from .arbitrage import Funding, Opportunity, execute_atomic, opportunity_from_deviation
 from .market import NUMERAIRE, SwapDirection, execute_swap
 from .state import ChainState, user_account
 
@@ -195,21 +189,20 @@ def execute_block_user_phase(
     return UserPhaseResult(applied=applied, carried=carried, events=events, gas_used=gas_used)
 
 
-def decide(
-    state: ChainState, threshold: Threshold, asset: int, venue_id: int
-) -> SkipRecord | Opportunity:
+def decide(state: ChainState, asset: int, venue_id: int) -> SkipRecord | Opportunity:
     """The template's skip (`below_epsilon` or `unprofitable`) or its sized opportunity.
 
     The decision reads the venue pool's and the reference pool's reserves,
-    the threshold and, only when both funding kinds are allowed, the
-    beneficiary's numeraire (pool fees and the reference venue never change
-    after genesis). `state.decisions` keeps one slot per
+    `state.threshold` and, only when it allows both funding kinds, the
+    beneficiary's numeraire (pool fees, the reference venue and the
+    threshold never change after genesis; a state given another threshold
+    needs its own slot map). `state.decisions` keeps one slot per
     `(venue_id, asset)` and every clone of the state shares it, so a
-    decision is made once and reused while none of those has moved (the
-    threshold compared by identity). A reused skip is the same object; a
-    reused opportunity still goes to `execute_atomic`, which is never cached.
+    decision is made once and reused while none of those has moved. A
+    reused skip is the same object; a reused opportunity still goes to
+    `execute_atomic`, which is never cached.
     """
-    venue_key = (venue_id, asset)
+    venue_key, threshold = (venue_id, asset), state.threshold
     pool, ref = state.pools[venue_key], state.pools[(state.reference_venue_id, asset)]
     key = (
         pool.reserve_base,
@@ -219,16 +212,16 @@ def decide(
         state.balance(state.beneficiary, NUMERAIRE) if threshold.reads_balance else None,
     )
     slot = state.decisions.get(venue_key)
-    if slot is not None and slot[0] is threshold and slot[1] == key:
-        return slot[2]
+    if slot is not None and slot[0] == key:
+        return slot[1]
     delta = state.deviation(venue_id, asset)
     if abs(delta) <= threshold.epsilon:
         decision = SkipRecord(asset, venue_id, "below_epsilon", "skip")
     else:
-        decision = opportunity_from_deviation(state, threshold, asset, venue_id, delta)
+        decision = opportunity_from_deviation(state, asset, venue_id, delta)
         if decision is None:
             decision = SkipRecord(asset, venue_id, "unprofitable", "skip")
-    state.decisions[venue_key] = (threshold, key, decision)
+    state.decisions[venue_key] = (key, decision)
     return decision
 
 
@@ -242,7 +235,6 @@ def execute_block_balancer_phase(
     state: ChainState,
     templates: Sequence,
     room: int,
-    threshold: Threshold,
     fault_injector: Callable[[object], bool] | None = None,
 ) -> BalancerPhaseResult:
     """Walk the active set in priority order until `room` transactions commit.
@@ -253,19 +245,20 @@ def execute_block_balancer_phase(
     block may have closed (or opened) its gap. Failing candidates are
     skipped with a reason code, never aborting the walk. Reverted attempts
     leave no state change and take no room; each commit takes one, pays
-    its gas fee into the fee escrow and its profit to `state.beneficiary`.
+    its gas fee into the fee escrow and its profit to `state.beneficiary`,
+    all under `state.threshold`.
     """
     executed: list[ExecRecord] = []
     skipped: list[SkipRecord] = []
     for tpl in templates:
         if len(executed) >= room:
             break
-        opp = decide(state, threshold, tpl.asset, tpl.venue_id)
+        opp = decide(state, tpl.asset, tpl.venue_id)
         if isinstance(opp, SkipRecord):
             skipped.append(opp)
             continue
         inject = bool(fault_injector(tpl)) if fault_injector is not None else False
-        result = execute_atomic(state, opp, threshold, inject_fault=inject)
+        result = execute_atomic(state, opp, inject_fault=inject)
         if result.committed:
             executed.append(
                 ExecRecord(

@@ -41,6 +41,11 @@ class Pool:
     def __post_init__(self) -> None:
         if self.base == NUMERAIRE:
             raise ValueError(f"pool {self.venue_id}: base must not be the numeraire")
+        # the swap and sizing arithmetic is integer-only
+        for name in ("reserve_base", "reserve_quote", "fee_ppb"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"pool {self.venue_id}: {name} must be an int, got {value!r}")
         if not 0 <= self.fee_ppb < MAX_FEE_PPB:
             raise ValueError(f"pool {self.venue_id}: fee {self.fee_ppb} ppb out of [0, 10%) range")
         # a swap pays out at most reserve_out - 1, so a reserve never reaches 0 later

@@ -161,9 +161,8 @@ class RunResult:
 
 
 def _genesis_state(config: ScenarioConfig) -> ChainState:
-    state = ChainState(
-        {key: pool.clone() for key, pool in config.pools.items()}, config.reference_venue_id
-    )
+    pools = {key: pool.clone() for key, pool in config.pools.items()}
+    state = ChainState(pools, config.reference_venue_id, config.threshold)
     endowment = to_nano(config.endowment)
     for user in range(config.user_flow.num_users):
         for asset in range(config.asset_count):
@@ -283,11 +282,11 @@ class SimulationRun:
         # read it (their replays run on copies)
         rngs = self.rng_searchers
         proposals = [
-            build_proposal(p, self.state, cfg.governance, cfg.threshold, rngs[p.searcher_id])
+            build_proposal(p, self.state, cfg.governance, rngs[p.searcher_id])
             for p in cfg.searcher_profiles
         ]
         replays = list(self.recent) or [(self.state, cfg.capacity // cfg.threshold.gas_per_tx)]
-        selected, scores = evaluate_proposals(proposals, replays, self.credibility, cfg.threshold)
+        selected, scores = evaluate_proposals(proposals, replays, self.credibility)
         return proposals, scores, selected
 
     def _step_block(self, arrivals: list[UserTx], active_set: list) -> Block:
@@ -314,7 +313,7 @@ class SimulationRun:
                     j = int(self.rng_producer.random() * (i + 1))
                     order[i], order[j] = order[j], order[i]
             phase = execute_block_balancer_phase(
-                state, [active_set[i] for i in order], room, cfg.threshold, self.injector
+                state, [active_set[i] for i in order], room, self.injector
             )
             block.balancer_executed, block.balancer_skipped = phase.executed, phase.skipped
             block.balancer_gas = len(phase.executed) * cfg.threshold.gas_per_tx

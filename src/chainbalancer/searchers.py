@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import exp
 from random import Random
 
-from .arbitrage import Opportunity, Threshold
+from .arbitrage import Opportunity
 from .arbitrage import execute_atomic  # noqa: F401 - perfbench/tracer.py rebinds it here
 from .arbitrage import opportunity_from_deviation  # noqa: F401 - perfbench/tracer.py rebinds it here
 from .chain import decide, execute_block_balancer_phase, standard_normal
@@ -30,7 +30,7 @@ class BalancerTemplate:
     producer's ordering audit compares those keys.
 
     Neither the trigger, the size nor the funding is baked in: each is
-    re-checked against live state, under the run's one `Threshold`, at
+    re-checked against live state, under the chain state's threshold, at
     execution time.
     """
 
@@ -65,7 +65,6 @@ def build_proposal(
     profile: SearcherProfile,
     expected_state: ChainState,
     conditions: GovernanceConditions,
-    threshold: Threshold,
     rng: Random,
 ) -> SearcherProposal:
     """Enumerate, estimate, filter, and order one searcher's template set.
@@ -75,6 +74,7 @@ def build_proposal(
     proposal-level profit_estimate is the total from replaying the ordered
     set once, with room for all of it, on a copy of the expected state, so
     intra-set price-impact interactions are priced in, not double-counted.
+    Both the estimates and the replay run under `expected_state.threshold`.
 
     The conditions are applied here, as the filter: the profit floor and
     the size cap.
@@ -88,7 +88,7 @@ def build_proposal(
         noise = profile.noise * standard_normal(rng.random) if profile.noise > 0 else 0.0
         if not covered:
             continue
-        opp = decide(expected_state, threshold, asset, venue_id)
+        opp = decide(expected_state, asset, venue_id)
         estimate = opp.expected_profit if isinstance(opp, Opportunity) else 0
         if estimate > 0 and noise != 0.0:
             estimate = round(estimate * exp(noise))
@@ -98,18 +98,13 @@ def build_proposal(
 
     candidates.sort(key=lambda t: (-t.estimate, t.asset, t.venue_id))
     ordered = candidates[:conditions.max_set_size]
-    sim_profit = _replay_once(expected_state, ordered, threshold, len(ordered))
+    sim_profit = _replay_once(expected_state, ordered, len(ordered))
     return SearcherProposal(profile.searcher_id, ordered, sim_profit)
 
 
-def _replay_once(
-    base_state: ChainState,
-    templates: list[BalancerTemplate],
-    threshold: Threshold,
-    room: int,
-) -> int:
-    """Net profit of the block's balancer phase run on a throwaway copy."""
-    phase = execute_block_balancer_phase(base_state.clone(), templates, room, threshold)
+def _replay_once(base_state: ChainState, templates: list[BalancerTemplate], room: int) -> int:
+    """Net profit of the block's balancer phase run on a throwaway copy, under its threshold."""
+    phase = execute_block_balancer_phase(base_state.clone(), templates, room)
     return sum(r.profit for r in phase.executed)
 
 
@@ -117,16 +112,16 @@ def evaluate_proposals(
     proposals: list[SearcherProposal],
     recent_blocks: list[tuple[ChainState, int]],
     credibility: dict[int, float],
-    threshold: Threshold,
 ) -> tuple[SearcherProposal | None, dict[int, dict]]:
     """Deterministic governance: argmax of credibility x replayed profit.
 
     Each proposal is replayed against the closing states of the last few
-    blocks, each with its block's balancer room; the mean replayed net
-    profit, weighted by the searcher's credibility score, ranks the
-    proposals. Ties fall to the lowest searcher id. Returns (selected or
-    None, per-searcher scores). The replays go state by state, so the
-    proposals replayed on one state reuse its decision slots.
+    blocks, each under its own threshold and with its block's balancer
+    room; the mean replayed net profit, weighted by the searcher's
+    credibility score, ranks the proposals. Ties fall to the lowest
+    searcher id. Returns (selected or None, per-searcher scores). The
+    replays go state by state, so the proposals replayed on one state
+    reuse its decision slots.
     """
     if not proposals:
         raise ValueError("evaluate_proposals requires at least one proposal")
@@ -134,7 +129,7 @@ def evaluate_proposals(
     for state, room in recent_blocks:
         for proposal, profits in zip(proposals, replayed):
             if proposal.ordered_txs:
-                profits.append(_replay_once(state, proposal.ordered_txs, threshold, room))
+                profits.append(_replay_once(state, proposal.ordered_txs, room))
     scores: dict[int, dict] = {}
     for proposal, profits in zip(proposals, replayed):
         sim_profit = sum(profits) / len(profits) if profits else 0.0

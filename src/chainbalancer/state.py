@@ -1,8 +1,10 @@
 """Chain state: pools, per-asset balances for every tracked holder, the
-reference venue that `deviation` measures every other venue against, and
-the beneficiary that funds the balancer's trades and keeps their profit.
-It also carries `decisions`, the balancer templates' decision slots that
-`chain.decide` fills; a state and all its clones share one slot map.
+reference venue that `deviation` measures every other venue against, the
+network-wide `Threshold` (trigger, loan fee, gas cost, allowed funding)
+every balancer transaction runs under, and the beneficiary that funds the
+balancer's trades and keeps their profit. It also carries `decisions`, the
+balancer templates' decision slots that `chain.decide` fills; a state and
+all its clones share one slot map and one threshold.
 
 The simulation is a closed system. Every quantity that leaves a pool or an
 account lands in another tracked holder, so per-asset totals are constant
@@ -19,8 +21,12 @@ to the nano-unit across any sequence of operations. Special holders:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .market import NUMERAIRE, Pool, spot_price
+
+if TYPE_CHECKING:  # arbitrage imports this module
+    from .arbitrage import Threshold
 
 TREASURY = "treasury"
 LENDER = "lender"
@@ -50,6 +56,7 @@ class InsufficientBalanceError(Exception):
 class ChainState:
     pools: dict[tuple[int, int], Pool]          # (venue_id, asset) -> Pool
     reference_venue_id: int
+    threshold: Threshold  # the balancer's rules; shared with every clone
     accounts: dict[str, dict[int, int]] = field(default_factory=dict)
     block_height: int = 0
     beneficiary: str = TREASURY  # funds the balancer's trades and keeps their profit
@@ -104,6 +111,7 @@ class ChainState:
         return ChainState(
             pools={key: pool.clone() for key, pool in self.pools.items()},
             reference_venue_id=self.reference_venue_id,
+            threshold=self.threshold,
             accounts={holder: dict(bal) for holder, bal in self.accounts.items()},
             block_height=self.block_height,
             beneficiary=self.beneficiary,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from chainbalancer import Pool
+from chainbalancer import Pool, Threshold
 from chainbalancer.config import from_dict
 from chainbalancer.market import NUMERAIRE
 from chainbalancer.state import ChainState
@@ -32,8 +32,10 @@ def make_state(
     treasury_numeraire: float = 1e6,
     lender: float = 1e9,
     reference_venue_id: int = 0,
+    threshold: Threshold | None = None,
 ) -> ChainState:
-    state = ChainState({(p.venue_id, p.base): p for p in pools}, reference_venue_id)
+    pools_by_key = {(p.venue_id, p.base): p for p in pools}
+    state = ChainState(pools_by_key, reference_venue_id, threshold or Threshold())
     state.credit("treasury", NUMERAIRE, to_nano(treasury_numeraire))
     state.credit("lender", NUMERAIRE, to_nano(lender))
     state.credit("external", NUMERAIRE, to_nano(treasury_numeraire))

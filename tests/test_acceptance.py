@@ -338,6 +338,11 @@ class TestCriterion6RewardExactness:
         )
 
 
+AUDIT_THRESHOLD = Threshold(
+    epsilon=0.003, flash_fee=0.0009, gas_price=1e-7, allowed_funding=frozenset({Funding.FLASH_LOAN})
+)
+
+
 def _audit_state(rng):
     """One shared asset across n venues, so executions interact through
     the reference pool and ordering genuinely matters."""
@@ -351,21 +356,17 @@ def _audit_state(rng):
         pools.append(
             make_pool(venue, asset=1, reserve_asset=depth, reserve_numeraire=depth * (1 + gap), fee=0.003)
         )
-    return make_state(pools), n
+    return make_state(pools, threshold=AUDIT_THRESHOLD), n
 
 
 class TestCriterion7OrderingAudit:
     def test_greedy_vs_exhaustive(self):
         rng = np.random.default_rng(777)
-        threshold = Threshold(
-            epsilon=0.003, flash_fee=0.0009, gas_price=1e-7,
-            allowed_funding=frozenset({Funding.FLASH_LOAN}),
-        )
         conditions = GovernanceConditions(max_set_size=16)
 
         def plan_profit(state, templates, slots):
             sim = state.clone()
-            phase = execute_block_balancer_phase(sim, templates, slots, threshold)
+            phase = execute_block_balancer_phase(sim, templates, slots)
             return sum(r.profit for r in phase.executed)
 
         ratios = []
@@ -379,7 +380,6 @@ class TestCriterion7OrderingAudit:
                 SearcherProfile(0),
                 state,
                 conditions,
-                threshold,
                 random.Random(0),
             )
             if not proposal.ordered_txs or proposal.ordered_txs[0].estimate <= 0:

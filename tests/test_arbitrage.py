@@ -1,6 +1,7 @@
 """Opportunity detection, trade sizing against a grid-search oracle, funding
 choice, atomicity."""
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -85,8 +86,8 @@ def grid_search_oracle(pool_cheap, pool_dear, flash, points=10_000, rounds=4):
 def opportunity(pools, thr, delta_p, funding=Funding.FLASH_LOAN):
     """The opportunity of asset 1 on venue 1 against reference venue 0, when
     `funding` is the one kind allowed."""
-    thr = replace(thr, allowed_funding=frozenset({funding}))
-    return opportunity_from_deviation(ChainState(pools, 0), thr, 1, 1, delta_p)
+    state = ChainState(pools, 0, replace(thr, allowed_funding=frozenset({funding})))
+    return opportunity_from_deviation(state, 1, 1, delta_p)
 
 
 class TestDetectOpportunities:
@@ -117,6 +118,26 @@ class TestDetectOpportunities:
 def test_threshold_rejects_gas_per_tx_below_one():
     with pytest.raises(ValueError, match="gas_per_tx must be at least 1"):
         Threshold(gas_per_tx=0)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf], ids=["nan", "inf"])
+def test_threshold_rejects_a_non_finite_epsilon(epsilon):
+    # a NaN trigger compares false against every deviation, so nothing is below it
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        Threshold(epsilon=epsilon)
+
+
+@pytest.mark.parametrize("gas_price", [math.nan, math.inf], ids=["nan", "inf"])
+def test_threshold_rejects_a_non_finite_gas_price(gas_price):
+    with pytest.raises(ValueError, match="gas_price must be non-negative and finite"):
+        Threshold(gas_price=gas_price)
+
+
+@pytest.mark.parametrize("gas_per_tx", [2.5, 90_000.0, True], ids=["fraction", "float", "bool"])
+def test_threshold_rejects_a_gas_per_tx_that_is_not_an_int(gas_per_tx):
+    # a float gas fee would make the escrow, and every numeraire total, a float
+    with pytest.raises(TypeError, match="gas_per_tx must be an int"):
+        Threshold(gas_per_tx=gas_per_tx)
 
 
 class TestOptimalTradeSize:
@@ -192,9 +213,9 @@ class TestOptimalTradeSize:
 def _arb_fixture(flash_fee=0.0009, gap=0.03, fee=0.003, gas_price=1e-7):
     ref = make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000, fee=fee)
     venue = make_pool(1, asset=1, reserve_asset=5000, reserve_numeraire=5000 * (1 + gap), fee=fee)
-    state = make_state([ref, venue])
-    p_r, p_v = spot_price(ref), spot_price(venue)
     thr = Threshold(epsilon=0.003, flash_fee=flash_fee, gas_price=gas_price)
+    state = make_state([ref, venue], threshold=thr)
+    p_r, p_v = spot_price(ref), spot_price(venue)
     return state, (p_v - p_r) / p_r, thr
 
 
@@ -205,7 +226,7 @@ class TestExecuteAtomic:
         assert opp is not None
         lender_before = state.balance(LENDER, 0)
         treasury_before = state.balance(TREASURY, 0)
-        result = execute_atomic(state, opp, thr)
+        result = execute_atomic(state, opp)
         assert result.committed
         assert result.profit > 0
         assert state.balance(TREASURY, 0) == treasury_before + result.profit
@@ -223,7 +244,7 @@ class TestExecuteAtomic:
         state, delta, thr = _arb_fixture()
         opp = opportunity(state.pools, thr, delta)
         before = state.clone()
-        result = execute_atomic(state, opp, thr, inject_fault=True)
+        result = execute_atomic(state, opp, inject_fault=True)
         assert not result.committed and result.reason == "injected_fault"
         assert state.pools[(0, 1)].reserve_base == before.pools[(0, 1)].reserve_base
         assert state.pools[(1, 1)].reserve_quote == before.pools[(1, 1)].reserve_quote
@@ -242,7 +263,7 @@ class TestExecuteAtomic:
         assert opp is not None
         state.accounts[TREASURY][0] = opp.optimal_size - 1
         before = state.clone()
-        result = execute_atomic(state, opp, thr)
+        result = execute_atomic(state, opp)
         assert not result.committed and result.reason == "insufficient_treasury"
         assert state.accounts.get(TREASURY) == before.accounts.get(TREASURY)
         assert state.pools[(0, 1)].reserve_base == before.pools[(0, 1)].reserve_base
@@ -253,7 +274,7 @@ class TestExecuteAtomic:
         opp = opportunity(state.pools, thr, delta)
         del state.accounts[LENDER]
         before = state.clone()
-        result = execute_atomic(state, opp, thr)
+        result = execute_atomic(state, opp)
         assert not result.committed and result.reason == "insufficient_lender"
         assert state.accounts == before.accounts
 
@@ -264,7 +285,7 @@ class TestExecuteAtomic:
             if opp is None:
                 continue
             before = {a: state.balance(TREASURY, a) for a in (0, 1)}
-            result = execute_atomic(state, opp, thr)
+            result = execute_atomic(state, opp)
             after = {a: state.balance(TREASURY, a) for a in (0, 1)}
             if result.committed:
                 assert after[0] >= before[0]
@@ -279,7 +300,7 @@ class TestDeviationContraction:
         state, delta, thr = _arb_fixture(gap=gap)
         opp = opportunity(state.pools, thr, delta)
         assert opp is not None
-        result = execute_atomic(state, opp, thr)
+        result = execute_atomic(state, opp)
         assert result.committed
         p_v = spot_price(state.pools[(1, 1)])
         p_r = spot_price(state.pools[(0, 1)])
@@ -320,20 +341,20 @@ class TestFundingChoice:
         """The fixture's opportunity, after setting the treasury's and the
         lender's numeraire; `treasury` is relative to the fee-free size."""
         state, delta, thr = _arb_fixture()
-        thr = replace(thr, allowed_funding=allowed)
+        thr = state.threshold = replace(thr, allowed_funding=allowed)
         free = optimal_trade_size(state.pools[(0, 1)], state.pools[(1, 1)])
         if treasury is not None:
             state.accounts[TREASURY][0] = free + treasury
         if lender is not None:
             state.accounts[LENDER][0] = lender
-        return state, thr, free, opportunity_from_deviation(state, thr, 1, 1, delta)
+        return state, thr, free, opportunity_from_deviation(state, 1, 1, delta)
 
     def test_treasury_covers_the_size(self):
         state, thr, free, opp = self._sized(treasury=0)
         assert opp.funding is Funding.NETWORK_LIQUIDITY
         assert opp.optimal_size == free  # sized without a loan fee
         lender_before = state.balance(LENDER, 0)
-        result = execute_atomic(state, opp, thr)
+        result = execute_atomic(state, opp)
         assert result.committed and result.profit == opp.expected_profit
         assert state.balance(LENDER, 0) == lender_before
 
@@ -344,7 +365,7 @@ class TestFundingChoice:
         flash = optimal_trade_size(*pools, thr.flash_fee_ppb)
         assert opp.optimal_size == flash < free  # sized with the loan fee
         lender_before = state.balance(LENDER, 0)
-        result = execute_atomic(state, opp, thr)
+        result = execute_atomic(state, opp)
         assert result.committed and result.profit == opp.expected_profit
         assert state.balance(LENDER, 0) - lender_before == -(-flash * thr.flash_fee_ppb // SCALE)
 
@@ -352,7 +373,7 @@ class TestFundingChoice:
         state, thr, free, opp = self._sized({Funding.NETWORK_LIQUIDITY}, treasury=-1)
         assert opp.funding is Funding.NETWORK_LIQUIDITY and opp.optimal_size == free
         before = state.clone()
-        result = execute_atomic(state, opp, thr)
+        result = execute_atomic(state, opp)
         assert not result.committed and result.reason == "insufficient_treasury"
         assert state.accounts == before.accounts
 
@@ -360,7 +381,7 @@ class TestFundingChoice:
         state, thr, _, opp = self._sized(treasury=-1, lender=0)
         assert opp.funding is Funding.FLASH_LOAN
         before = state.clone()
-        result = execute_atomic(state, opp, thr)
+        result = execute_atomic(state, opp)
         assert not result.committed and result.reason == "insufficient_lender"
         assert state.accounts == before.accounts
 

@@ -137,7 +137,7 @@ def _funded_state():
         make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003),
         make_pool(1, asset=1, reserve_asset=5000, reserve_numeraire=5000, fee=0.003),
     ]
-    state = make_state(pools)
+    state = make_state(pools, threshold=THRESHOLD)
     for u in range(4):
         state.credit(user_account(u), 0, to_nano(100_000))
         state.credit(user_account(u), 1, to_nano(100_000))
@@ -209,7 +209,7 @@ def _gapped_state(gap=0.02):
         make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003),
         make_pool(1, asset=1, reserve_asset=5000, reserve_numeraire=5000 * (1 + gap), fee=0.003),
     ]
-    return make_state(pools)
+    return make_state(pools, threshold=THRESHOLD)
 
 
 THRESHOLD = Threshold(
@@ -222,13 +222,13 @@ class TestBalancerPhase:
     def test_zero_residual_no_executions(self):
         """Room 0: the walk attempts nothing, not even a skip."""
         state = _gapped_state()
-        result = execute_block_balancer_phase(state, [_template()], 0, THRESHOLD)
+        result = execute_block_balancer_phase(state, [_template()], 0)
         assert result.executed == [] and result.skipped == []
 
     def test_single_trigger_closes_into_band(self):
         """Recompute the post-trade deviation from raw reserves."""
         state = _gapped_state(gap=0.02)
-        result = execute_block_balancer_phase(state, [_template()], ROOM, THRESHOLD)
+        result = execute_block_balancer_phase(state, [_template()], ROOM)
         assert len(result.executed) == 1
         p_v = spot_price(state.pools[(1, 1)])
         p_r = spot_price(state.pools[(0, 1)])
@@ -245,9 +245,8 @@ class TestBalancerPhase:
             make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000),
             make_pool(1, asset=1, reserve_asset=5000, reserve_numeraire=5100),
         ]
-        state = make_state(pools)
-        threshold = Threshold(epsilon=0.003, flash_fee=0.0, gas_price=1e-9)
-        result = execute_block_balancer_phase(state, [_template(), _template()], ROOM, threshold)
+        state = make_state(pools, threshold=Threshold(epsilon=0.003, flash_fee=0.0, gas_price=1e-9))
+        result = execute_block_balancer_phase(state, [_template(), _template()], ROOM)
         assert len(result.executed) == 1
         assert [s.reason for s in result.skipped] == ["below_epsilon"]
 
@@ -257,7 +256,7 @@ class TestBalancerPhase:
         state.pools[(2, 1)] = second_state_pool
         templates = [_template(venue=1), _template(venue=2)]
         # only one 90k tx fits in 100k residual gas: room 1
-        result = execute_block_balancer_phase(state, templates, 100_000 // 90_000, THRESHOLD)
+        result = execute_block_balancer_phase(state, templates, 100_000 // 90_000)
         assert len(result.executed) == 1
         assert result.skipped == []  # the second template is never attempted
 
@@ -267,7 +266,7 @@ class TestBalancerPhase:
         state.pools[(3, 1)] = make_pool(3, reserve_asset=5000, reserve_numeraire=5100, fee=0.003)
         state.pools[(4, 1)] = make_pool(4, reserve_asset=5000, reserve_numeraire=5000, fee=0.003)
         templates = [_template(venue=v) for v in (4, 1, 2, 3)]  # venue 4 has no gap
-        result = execute_block_balancer_phase(state, templates, 2, THRESHOLD)
+        result = execute_block_balancer_phase(state, templates, 2)
         assert [(s.venue_id, s.reason) for s in result.skipped] == [(4, "below_epsilon")]
         assert [r.venue_id for r in result.executed] == [1, 2]
         assert state.deviation(3, 1) > THRESHOLD.epsilon  # venue 3 was left untried
@@ -276,7 +275,7 @@ class TestBalancerPhase:
         """Each commit escrows the one gas fee per tx; the beneficiary nets the profit."""
         state = _gapped_state(gap=0.02)
         escrow, treasury = state.balance(FEE_ESCROW, 0), state.balance(TREASURY, 0)
-        result = execute_block_balancer_phase(state, [_template()], ROOM, THRESHOLD)
+        result = execute_block_balancer_phase(state, [_template()], ROOM)
         assert len(result.executed) == 1
         assert state.balance(FEE_ESCROW, 0) - escrow == THRESHOLD.gas_fee_nano
         assert state.balance(TREASURY, 0) - treasury == result.executed[0].profit
@@ -304,7 +303,7 @@ class TestBalancerPhase:
         )
         assert abs(live) <= 0.005  # the gap is gone before the balancer runs
 
-        phase = execute_block_balancer_phase(state, [_template()], ROOM, THRESHOLD)
+        phase = execute_block_balancer_phase(state, [_template()], ROOM)
         assert phase.executed == []
         assert len(phase.skipped) == 1
         assert phase.skipped[0].reason in ("below_epsilon", "unprofitable")
@@ -314,36 +313,38 @@ class TestBalancerPhase:
 class TestDecisionSlots:
     """`decide` reuses a template's decision only while nothing it reads has moved."""
 
-    def test_threshold_is_part_of_the_slot(self):
+    def test_each_threshold_keeps_its_own_slot_map(self):
         state = _gapped_state(gap=0.02)
-        wide = replace(THRESHOLD, epsilon=0.05)
-        assert isinstance(decide(state, THRESHOLD, 1, 1), Opportunity)
-        skip = decide(state, wide, 1, 1)
+        slots = state.decisions
+        assert isinstance(decide(state, 1, 1), Opportunity)
+        state.threshold, state.decisions = replace(THRESHOLD, epsilon=0.05), {}
+        skip = decide(state, 1, 1)
         assert (skip.reason, skip.kind) == ("below_epsilon", "skip")
-        assert isinstance(decide(state, THRESHOLD, 1, 1), Opportunity)
+        state.threshold, state.decisions = THRESHOLD, slots
+        assert isinstance(decide(state, 1, 1), Opportunity)
 
     @pytest.mark.parametrize("venue", [0, 1], ids=["reference_pool", "venue_pool"])
     def test_either_pool_alone_moving_refreshes_the_decision(self, venue):
         state = _funded_state()  # no gap: below epsilon
-        assert decide(state, THRESHOLD, 1, 1).reason == "below_epsilon"
+        assert decide(state, 1, 1).reason == "below_epsilon"
         # a user trades 1% of one pool's reserve, opening a gap of about 2%
         direction = SwapDirection.QUOTE_IN if venue == 0 else SwapDirection.BASE_IN
         amount = (500.0, 50.0)[venue]
         execute_block_user_phase(state, [_tx(0, amount, venue=venue, direction=direction)], 10**6)
-        uncached = opportunity_from_deviation(state, THRESHOLD, 1, 1, state.deviation(1, 1))
+        uncached = opportunity_from_deviation(state, 1, 1, state.deviation(1, 1))
         assert isinstance(uncached, Opportunity)
-        assert decide(state, THRESHOLD, 1, 1) == uncached
+        assert decide(state, 1, 1) == uncached
 
     def test_beneficiary_numeraire_alone_flips_the_funding(self):
         state = _gapped_state(gap=0.02)
-        both = replace(THRESHOLD, allowed_funding=frozenset(Funding))
-        first = decide(state, both, 1, 1)
+        state.threshold = replace(THRESHOLD, allowed_funding=frozenset(Funding))
+        first = decide(state, 1, 1)
         assert first.funding is Funding.NETWORK_LIQUIDITY
         # leave the treasury one nano short of the size; no reserve moves
         short = state.balance(TREASURY, NUMERAIRE) - first.optimal_size + 1
         state.transfer(TREASURY, "sink", NUMERAIRE, short)
-        uncached = opportunity_from_deviation(state, both, 1, 1, state.deviation(1, 1))
-        second = decide(state, both, 1, 1)
+        uncached = opportunity_from_deviation(state, 1, 1, state.deviation(1, 1))
+        second = decide(state, 1, 1)
         assert second == uncached
         assert second.funding is Funding.FLASH_LOAN
 
@@ -355,20 +356,20 @@ class TestDecisionSlots:
         def injector(fault):
             return lambda tpl: consulted.append(tpl) or fault
 
-        first = execute_block_balancer_phase(state, [_template()], ROOM, THRESHOLD, injector(True))
+        first = execute_block_balancer_phase(state, [_template()], ROOM, injector(True))
         assert [(s.reason, s.kind) for s in first.skipped] == [("injected_fault", "revert")]
         assert {k: (p.reserve_base, p.reserve_quote) for k, p in state.pools.items()} == reserves
-        second = execute_block_balancer_phase(state, [_template()], ROOM, THRESHOLD, injector(False))
+        second = execute_block_balancer_phase(state, [_template()], ROOM, injector(False))
         assert len(second.executed) == 1 and second.skipped == []
         assert len(consulted) == 2
 
     def test_a_reused_skip_is_the_same_record_across_clones(self):
         state = _gapped_state(gap=0.0)
-        skip = decide(state, THRESHOLD, 1, 1)
+        skip = decide(state, 1, 1)
         assert isinstance(skip, SkipRecord)
         replica = state.clone()
         assert replica.decisions is state.decisions
-        assert decide(replica, THRESHOLD, 1, 1) is skip
+        assert decide(replica, 1, 1) is skip
         assert replica == state  # the slots take no part in equality
 
     def test_each_run_starts_empty_and_keeps_one_slot_per_template(self, baseline_config):
@@ -390,7 +391,8 @@ def _distinct_ids_state():
             make_pool(0, asset=3, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003),
             make_pool(3, asset=2, reserve_asset=5000, reserve_numeraire=4900, fee=0.003),
             make_pool(2, asset=3, reserve_asset=5000, reserve_numeraire=5250, fee=0.003),
-        ]
+        ],
+        threshold=THRESHOLD,
     )
 
 
@@ -398,28 +400,29 @@ class TestDecide:
     def test_below_threshold_ignored(self):
         pools = [make_pool(0, reserve_numeraire=1000.0), make_pool(1, reserve_numeraire=1004.0)]
         thr = Threshold(epsilon=0.005, flash_fee=0.0, gas_price=0.0)
-        decision = decide(make_state(pools), thr, 1, 1)
+        decision = decide(make_state(pools, threshold=thr), 1, 1)
         assert (decision.reason, decision.kind) == ("below_epsilon", "skip")
         # the same gap clears a tighter trigger
-        assert isinstance(decide(make_state(pools), replace(thr, epsilon=0.003), 1, 1), Opportunity)
+        tighter = make_state(pools, threshold=replace(thr, epsilon=0.003))
+        assert isinstance(decide(tighter, 1, 1), Opportunity)
 
     def test_sizes_the_venue_pool_of_the_asset(self):
         state = _distinct_ids_state()
-        opp = decide(state, THRESHOLD, 2, 3)
+        opp = decide(state, 2, 3)
         assert (opp.cheap, opp.dear) == ((3, 2), (0, 2))
         assert opp.optimal_size == optimal_trade_size(
             state.pools[(3, 2)], state.pools[(0, 2)], THRESHOLD.flash_fee_ppb
         )
         # the slot is keyed on that pool too: moving it alone refreshes the decision
         state.pools[(3, 2)].reserve_quote += to_nano(10)
-        assert decide(state, THRESHOLD, 2, 3).optimal_size == optimal_trade_size(
+        assert decide(state, 2, 3).optimal_size == optimal_trade_size(
             state.pools[(3, 2)], state.pools[(0, 2)], THRESHOLD.flash_fee_ppb
         ) != opp.optimal_size
 
     def test_the_phase_trades_the_venue_pool_of_the_asset(self):
         state = _distinct_ids_state()
         untouched = {k: (p.reserve_base, p.reserve_quote) for k, p in state.pools.items()}
-        phase = execute_block_balancer_phase(state, [_template(asset=2, venue=3)], ROOM, THRESHOLD)
+        phase = execute_block_balancer_phase(state, [_template(asset=2, venue=3)], ROOM)
         [record] = phase.executed
         assert (record.asset, record.venue_id) == (2, 3)
         assert record.delta_p_after == state.deviation(3, 2)
@@ -428,12 +431,10 @@ class TestDecide:
 
     def test_proposals_estimate_the_venue_pool_of_the_asset(self):
         state = _distinct_ids_state()
-        expected = decide(_distinct_ids_state(), THRESHOLD, 2, 3).expected_profit
-        decoy = decide(_distinct_ids_state(), THRESHOLD, 3, 2).expected_profit
+        expected = decide(_distinct_ids_state(), 2, 3).expected_profit
+        decoy = decide(_distinct_ids_state(), 3, 2).expected_profit
         assert expected != decoy
-        proposal = build_proposal(
-            SearcherProfile(0), state, GovernanceConditions(), THRESHOLD, rng_for(0)
-        )
+        proposal = build_proposal(SearcherProfile(0), state, GovernanceConditions(), rng_for(0))
         estimates = {(t.asset, t.venue_id): t.estimate for t in proposal.ordered_txs}
         assert estimates == {(2, 3): expected, (3, 2): decoy}
 

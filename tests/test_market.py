@@ -22,6 +22,22 @@ class TestPool:
         with pytest.raises(ValueError, match="reserve below 1 nano-unit"):
             Pool(venue_id=1, base=1, reserve_base=1, reserve_quote=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("reserve_base", 1.5e9),
+            ("reserve_quote", 2.0e9),
+            ("fee_ppb", 0.5),
+            ("reserve_base", True),
+            ("fee_ppb", False),
+        ],
+    )
+    def test_rejects_a_reserve_or_fee_that_is_not_an_int(self, field, value):
+        # a float reserve turns quotes into floats and breaks isqrt in the sizing
+        fields = {"reserve_base": 10**9, "reserve_quote": 10**9, "fee_ppb": 0, field: value}
+        with pytest.raises(TypeError, match=f"pool 1: {field} must be an int"):
+            Pool(venue_id=1, base=1, **fields)
+
 
 class TestSpotPrice:
     def test_ratio(self):

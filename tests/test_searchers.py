@@ -38,7 +38,7 @@ ROOM = 1_000_000 // THRESHOLD.gas_per_tx  # the balancer txs 1,000,000 gas holds
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def three_gap_state():
+def three_gap_state(threshold=THRESHOLD):
     """Three venues with distinct profitable gaps against the reference."""
     pools = [
         make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003),
@@ -46,7 +46,7 @@ def three_gap_state():
         make_pool(2, asset=1, reserve_asset=5000, reserve_numeraire=5000 * 1.030, fee=0.003),
         make_pool(3, asset=1, reserve_asset=5000, reserve_numeraire=5000 * 1.018, fee=0.003),
     ]
-    return make_state(pools)
+    return make_state(pools, threshold=threshold)
 
 
 def conditions(max_set=16, min_net_profit=0):
@@ -60,7 +60,6 @@ class TestBuildProposal:
             SearcherProfile(0),
             state,
             conditions(),
-            THRESHOLD,
             rng_for(0),
         )
         estimates = [t.estimate for t in proposal.ordered_txs]
@@ -82,9 +81,8 @@ class TestBuildProposal:
                 )
         proposal = build_proposal(
             SearcherProfile(0),
-            make_state(pools),
+            make_state(pools, threshold=THRESHOLD),
             conditions(),
-            THRESHOLD,
             rng_for(0),
         )
         assert len({t.estimate for t in proposal.ordered_txs}) == 1
@@ -93,7 +91,7 @@ class TestBuildProposal:
 
     def test_zero_noise_is_deterministic(self):
         state = three_gap_state()
-        args = (state, conditions(), THRESHOLD)
+        args = (state, conditions())
         a = build_proposal(SearcherProfile(0), *args, rng_for(7))
         b = build_proposal(SearcherProfile(0), *args, rng_for(7))
         assert a == b
@@ -105,7 +103,6 @@ class TestBuildProposal:
             SearcherProfile(0),
             state,
             conditions(),
-            THRESHOLD,
             rng_for(0),
         )
         sim = state.clone()
@@ -114,10 +111,10 @@ class TestBuildProposal:
             delta = sim.deviation(tpl.venue_id, tpl.asset)
             if abs(delta) <= THRESHOLD.epsilon:
                 continue
-            opp = opportunity_from_deviation(sim, THRESHOLD, tpl.asset, tpl.venue_id, delta)
+            opp = opportunity_from_deviation(sim, tpl.asset, tpl.venue_id, delta)
             if opp is None:
                 continue
-            result = execute_atomic(sim, opp, THRESHOLD)
+            result = execute_atomic(sim, opp)
             if result.committed:
                 total += result.profit
         assert proposal.profit_estimate == total
@@ -129,24 +126,15 @@ class TestBuildProposal:
             make_pool(0, asset=1, reserve_asset=50_000, reserve_numeraire=50_000, fee=0.003),
             make_pool(1, asset=1, reserve_asset=5000, reserve_numeraire=5000, fee=0.003),
         ]
-        state = make_state(pools)
-        proposal = build_proposal(
-            SearcherProfile(0), state, conditions(min_net_profit=1), THRESHOLD,
-            rng_for(0),
-        )
+        state = make_state(pools, threshold=THRESHOLD)
+        proposal = build_proposal(SearcherProfile(0), state, conditions(min_net_profit=1), rng_for(0))
         assert proposal.ordered_txs == []
         assert proposal.profit_estimate == 0
 
     def test_coverage_shrinks_candidates(self):
         state = three_gap_state()
-        full = build_proposal(
-            SearcherProfile(0, coverage=1.0), state, conditions(), THRESHOLD,
-            rng_for(5),
-        )
-        partial = build_proposal(
-            SearcherProfile(1, coverage=0.34), state, conditions(), THRESHOLD,
-            rng_for(5),
-        )
+        full = build_proposal(SearcherProfile(0, coverage=1.0), state, conditions(), rng_for(5))
+        partial = build_proposal(SearcherProfile(1, coverage=0.34), state, conditions(), rng_for(5))
         assert len(partial.ordered_txs) < len(full.ordered_txs)
 
     def test_largest_noise_draw_keeps_estimates_finite(self):
@@ -157,10 +145,10 @@ class TestBuildProposal:
         assert z == pytest.approx(math.sqrt(106 * math.log(2)))  # 8.57
 
         noisy = build_proposal(
-            SearcherProfile(0, noise=10.0), three_gap_state(), conditions(), THRESHOLD,
+            SearcherProfile(0, noise=10.0), three_gap_state(), conditions(),
             SimpleNamespace(random=cycle(extreme).__next__),
         )
-        exact = build_proposal(SearcherProfile(0), three_gap_state(), conditions(), THRESHOLD, rng_for(0))
+        exact = build_proposal(SearcherProfile(0), three_gap_state(), conditions(), rng_for(0))
         assert len(exact.ordered_txs) == 3
         assert [t.estimate for t in noisy.ordered_txs] == [
             round(t.estimate * math.exp(10.0 * z)) for t in exact.ordered_txs
@@ -178,10 +166,7 @@ def proposal_of(searcher_id, templates):
 class TestEvaluateProposals:
     def _proposals(self):
         state = three_gap_state()
-        p0 = build_proposal(
-            SearcherProfile(0), state, conditions(), THRESHOLD,
-            rng_for(0),
-        )
+        p0 = build_proposal(SearcherProfile(0), state, conditions(), rng_for(0))
         # searcher 1 only sees venue 1 (the weakest gap)
         t1 = BalancerTemplate(asset=1, venue_id=1, estimate=1)
         p1 = proposal_of(1, [t1])
@@ -190,31 +175,25 @@ class TestEvaluateProposals:
     def test_higher_replayed_profit_wins_on_equal_credibility(self):
         state, p0, p1 = self._proposals()
         cred = {0: 1.0, 1: 1.0}
-        selected, scores = evaluate_proposals(
-            [p0, p1], [(state, ROOM)], cred, THRESHOLD
-        )
+        selected, scores = evaluate_proposals([p0, p1], [(state, ROOM)], cred)
         assert selected.searcher_id == 0
         assert scores[0]["score"] > scores[1]["score"]
 
     def test_credibility_weighting_flips_selection(self):
         state, p0, p1 = self._proposals()
-        s0 = evaluate_proposals([p0, p1], [(state, ROOM)], {0: 1.0, 1: 1.0}, THRESHOLD)[1]
+        s0 = evaluate_proposals([p0, p1], [(state, ROOM)], {0: 1.0, 1: 1.0})[1]
         # weight searcher 0 down until its score drops below searcher 1's
         ratio = s0[1]["simulated_net_profit"] / s0[0]["simulated_net_profit"]
         low = ratio * 0.5
         cred = {0: low, 1: 1.0}
-        selected, scores = evaluate_proposals(
-            [p0, p1], [(state, ROOM)], cred, THRESHOLD
-        )
+        selected, scores = evaluate_proposals([p0, p1], [(state, ROOM)], cred)
         assert selected.searcher_id == 1
         assert scores[0]["score"] < scores[1]["score"]
 
     def test_single_proposal_selected_regardless(self):
         state, p0, _ = self._proposals()
         cred = {0: 0.0}
-        selected, _ = evaluate_proposals(
-            [p0], [(state, ROOM)], cred, THRESHOLD
-        )
+        selected, _ = evaluate_proposals([p0], [(state, ROOM)], cred)
         assert selected is p0
 
     def test_all_empty_proposals_select_nothing(self):
@@ -224,7 +203,6 @@ class TestEvaluateProposals:
             [proposal_of(0, []), proposal_of(1, [])],
             [(state, ROOM)],
             cred,
-            THRESHOLD,
         )
         assert selected is None
 
@@ -237,6 +215,7 @@ class TestEvaluateProposals:
 
         def scaled(factor):
             s = state.clone()
+            s.threshold, s.decisions = thr, {}  # the shared slots hold THRESHOLD decisions
             for pool in s.pools.values():
                 pool.reserve_base *= factor
                 pool.reserve_quote *= factor
@@ -244,10 +223,10 @@ class TestEvaluateProposals:
 
         cred = {0: 0.9, 1: 1.0}
         base_sel, base_scores = evaluate_proposals(
-            [p0, p1], [(scaled(1), 10**9 // thr.gas_per_tx)], cred, thr
+            [p0, p1], [(scaled(1), 10**9 // thr.gas_per_tx)], cred
         )
         big_sel, big_scores = evaluate_proposals(
-            [p0, p1], [(scaled(10), 10**9 // thr.gas_per_tx)], cred, thr
+            [p0, p1], [(scaled(10), 10**9 // thr.gas_per_tx)], cred
         )
         assert base_sel.searcher_id == big_sel.searcher_id
         assert big_scores[0]["simulated_net_profit"] == pytest.approx(
@@ -256,18 +235,10 @@ class TestEvaluateProposals:
 
     def test_tie_breaks_to_lowest_searcher_id(self):
         state = three_gap_state()
-        p_a = build_proposal(
-            SearcherProfile(3), state, conditions(), THRESHOLD,
-            rng_for(0),
-        )
-        p_b = build_proposal(
-            SearcherProfile(1), state, conditions(), THRESHOLD,
-            rng_for(0),
-        )
+        p_a = build_proposal(SearcherProfile(3), state, conditions(), rng_for(0))
+        p_b = build_proposal(SearcherProfile(1), state, conditions(), rng_for(0))
         cred = {1: 0.7, 3: 0.7}
-        selected, _ = evaluate_proposals(
-            [p_a, p_b], [(state, ROOM)], cred, THRESHOLD
-        )
+        selected, _ = evaluate_proposals([p_a, p_b], [(state, ROOM)], cred)
         assert selected.searcher_id == 1
 
 
@@ -335,13 +306,13 @@ class TestFeasibility:
         not allow is never used, even where it would be preferred."""
         state = three_gap_state()
         delta = state.deviation(1, 1)
-        both = opportunity_from_deviation(state, THRESHOLD, 1, 1, delta)
+        both = opportunity_from_deviation(state, 1, 1, delta)
         assert both.funding is Funding.NETWORK_LIQUIDITY  # the treasury covers it
-        flash_only = replace(THRESHOLD, allowed_funding=frozenset({Funding.FLASH_LOAN}))
-        opp = opportunity_from_deviation(state, flash_only, 1, 1, delta)
+        state.threshold = replace(THRESHOLD, allowed_funding=frozenset({Funding.FLASH_LOAN}))
+        opp = opportunity_from_deviation(state, 1, 1, delta)
         assert opp.funding is Funding.FLASH_LOAN
-        none_allowed = replace(THRESHOLD, allowed_funding=frozenset())
-        assert opportunity_from_deviation(state, none_allowed, 1, 1, delta) is None
+        state.threshold = replace(THRESHOLD, allowed_funding=frozenset())
+        assert opportunity_from_deviation(state, 1, 1, delta) is None
 
     def test_deterministic(self):
         txs = [_template(estimate=5)]
@@ -373,9 +344,8 @@ def test_every_proposal_passes_the_feasibility_oracle(
     """The candidate filter is the only place the conditions are applied;
     `check_feasibility` stays the independent oracle for its output."""
     cond = GovernanceConditions(max_set_size=max_set, min_net_profit=min_net_profit)
-    thr = replace(THRESHOLD, allowed_funding=allowed)
-    state = three_gap_state()
-    proposal = build_proposal(SearcherProfile(0, noise=noise), state, cond, thr, rng_for(11))
+    state = three_gap_state(replace(THRESHOLD, allowed_funding=allowed))
+    proposal = build_proposal(SearcherProfile(0, noise=noise), state, cond, rng_for(11))
     ordered = proposal.ordered_txs
     assert check_feasibility(cond, ordered) == 1
     if min_net_profit == 10**18 or (expected is None and min_net_profit > 0):
@@ -389,7 +359,7 @@ def test_every_proposal_passes_the_feasibility_oracle(
         assert len(ordered) == min(max_set, 3)
         for t in ordered:
             delta = state.deviation(t.venue_id, t.asset)
-            opp = opportunity_from_deviation(state, thr, t.asset, t.venue_id, delta)
+            opp = opportunity_from_deviation(state, t.asset, t.venue_id, delta)
             assert opp.funding is expected
 
 

@@ -2,14 +2,16 @@
 
 import pytest
 
+from chainbalancer.arbitrage import Threshold
 from chainbalancer.market import NUMERAIRE, spot_price
+from chainbalancer.runner import SimulationRun
 from chainbalancer.state import ChainState, InsufficientBalanceError
 
 from conftest import make_pool
 
 
 def fresh_state():
-    state = ChainState(pools={(0, 1): make_pool(0)}, reference_venue_id=0)
+    state = ChainState(pools={(0, 1): make_pool(0)}, reference_venue_id=0, threshold=Threshold())
     state.credit("alice", NUMERAIRE, 5)
     return state
 
@@ -37,7 +39,7 @@ def three_venue_state(reference_venue_id=0):
         (1, 1): make_pool(1, reserve_asset=1000.0, reserve_numeraire=1030.0),
         (2, 1): make_pool(2, reserve_asset=1000.0, reserve_numeraire=970.0),
     }
-    return ChainState(pools, reference_venue_id)
+    return ChainState(pools, reference_venue_id, Threshold())
 
 
 class TestDeviation:
@@ -61,3 +63,17 @@ class TestDeviation:
         copy = state.clone()
         assert copy.reference_venue_id == 2
         assert copy.deviation(1, 1) == state.deviation(1, 1) > 0
+
+
+class TestThreshold:
+    def test_is_required(self):
+        with pytest.raises(TypeError, match="threshold"):
+            ChainState({(0, 1): make_pool(0)}, 0)
+
+    def test_clone_shares_the_threshold_object(self):
+        state = three_venue_state()
+        assert state.clone().threshold is state.threshold
+
+    def test_a_run_state_carries_the_config_threshold(self, baseline_config):
+        run = SimulationRun(baseline_config, seed=42, mode="autobalancer")
+        assert run.state.threshold is baseline_config.threshold

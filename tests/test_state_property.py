@@ -3,8 +3,9 @@
 User swaps and atomic balancer attempts, under both funding kinds and
 with injected faults, in any order: per-asset totals never move by one
 nano-unit, a beneficiary's numeraire never falls, and a revert writes
-nothing. User swaps and balancer phases in any order: a phase on a state
-whose decision slots are warm does what it does on empty slots.
+nothing. User swaps and balancer phases under several thresholds, in any
+order: a phase on a state whose decision slots are warm (one slot map per
+threshold) does what it does on empty slots.
 """
 
 import copy
@@ -35,7 +36,7 @@ ASSETS = (1, 2)
 USERS = 3
 THRESHOLD = Threshold(epsilon=0.001, flash_fee=0.0009, gas_price=1e-7)
 ROOM = 10**9 // THRESHOLD.gas_per_tx  # the balancer txs 10^9 gas holds
-# fixed objects, so that phases under one of them can reuse its decisions
+# each keeps its own slot map, so that phases under one of them reuse its decisions
 PHASE_THRESHOLDS = (
     THRESHOLD,
     replace(THRESHOLD, epsilon=0.02),
@@ -61,6 +62,7 @@ def states(draw):
         treasury_numeraire=draw(st.sampled_from([0.0, 1_000.0, 1e6])),
         lender=draw(st.sampled_from([0.0, 1_000.0, 1e6])),
         reference_venue_id=REFERENCE,
+        threshold=THRESHOLD,
     )
     for user in range(USERS):
         for asset in (NUMERAIRE, *ASSETS):
@@ -117,8 +119,7 @@ def _opportunity(state, venue, asset, funding, forced):
     ref_price = spot_price(state.pools[(REFERENCE, asset)])
     delta_p = (spot_price(state.pools[(venue, asset)]) - ref_price) / ref_price
     if forced is None:
-        thr = replace(THRESHOLD, allowed_funding=frozenset({funding}))
-        return opportunity_from_deviation(state, thr, asset, venue, delta_p)
+        return opportunity_from_deviation(state, asset, venue, delta_p)
     size, cheap_side = forced
     venue_key, ref_key = (venue, asset), (REFERENCE, asset)
     cheap, dear = (venue_key, ref_key) if cheap_side == "venue" else (ref_key, venue_key)
@@ -136,12 +137,14 @@ def test_random_operations_conserve_totals_and_never_cost_the_beneficiary(state,
         else:
             _, venue, asset, funding, beneficiary, fault, forced = step
             state.beneficiary = beneficiary
+            # only the funding kinds differ from THRESHOLD, and execute_atomic reads none
+            state.threshold = replace(THRESHOLD, allowed_funding=frozenset({funding}))
             opp = _opportunity(state, venue, asset, funding, forced)
             if opp is None:
                 continue
             before = _snapshot(state)
             paid_before = state.balance(beneficiary, NUMERAIRE)
-            result = execute_atomic(state, opp, THRESHOLD, inject_fault=fault)
+            result = execute_atomic(state, opp, inject_fault=fault)
             if result.committed:
                 assert not fault
                 assert state.balance(beneficiary, NUMERAIRE) - paid_before == result.profit >= 0
@@ -156,16 +159,19 @@ def test_random_operations_conserve_totals_and_never_cost_the_beneficiary(state,
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(state=states(), steps=st.lists(st.one_of(user_swaps, balancer_phases), min_size=1, max_size=30))
 def test_a_phase_on_warm_decision_slots_equals_one_on_empty_slots(state, steps):
+    slot_maps = [{} for _ in PHASE_THRESHOLDS]
     for tx_id, step in enumerate(steps):
         if step[0] == "user":
             _apply_user_swap(state, tx_id, step)
             continue
         _, keys, threshold, beneficiary, fault = step
         state.beneficiary = beneficiary
+        state.threshold = threshold
+        state.decisions = slot_maps[PHASE_THRESHOLDS.index(threshold)]
         templates = [BalancerTemplate(asset, venue) for venue, asset in keys]
         cold = state.clone()
         cold.decisions = {}
-        warm_phase = execute_block_balancer_phase(state, templates, ROOM, threshold, lambda t: fault)
-        cold_phase = execute_block_balancer_phase(cold, templates, ROOM, threshold, lambda t: fault)
+        warm_phase = execute_block_balancer_phase(state, templates, ROOM, lambda t: fault)
+        cold_phase = execute_block_balancer_phase(cold, templates, ROOM, lambda t: fault)
         assert warm_phase == cold_phase
         assert state == cold
