@@ -35,7 +35,7 @@ class Funding(str, Enum):
     NETWORK_LIQUIDITY = "network_liquidity"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Threshold:
     """Trigger, cost and funding parameters for deviation arbitrage."""
 
@@ -58,13 +58,14 @@ class Threshold:
             raise TypeError(f"gas_per_tx must be an int, got {self.gas_per_tx!r}")
         if self.gas_per_tx < 1:  # a block's balancer room divides by it
             raise ValueError("gas_per_tx must be at least 1")
-        self.flash_fee_ppb = ppb(self.flash_fee)
-        self.gas_fee_nano = self.gas_per_tx * to_nano(self.gas_price)  # per balancer tx
+        # frozen, so these match the fields; dataclasses.replace checks and derives anew
+        object.__setattr__(self, "flash_fee_ppb", ppb(self.flash_fee))
+        object.__setattr__(self, "gas_fee_nano", self.gas_per_tx * to_nano(self.gas_price))
         # only then does opportunity_from_deviation read the beneficiary's balance
-        self.reads_balance = frozenset(Funding) <= self.allowed_funding
+        object.__setattr__(self, "reads_balance", frozenset(Funding) <= self.allowed_funding)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Opportunity:
     cheap: tuple[int, int]  # (venue_id, asset) of the pool the asset is bought on
     dear: tuple[int, int]   # (venue_id, asset) of the pool it is sold back to
@@ -162,8 +163,9 @@ def opportunity_from_deviation(
     `threshold`. Funding: network liquidity, sized without a loan fee, when
     it is allowed and the numeraire of the state's beneficiary covers the
     size; else a flash loan, sized with the fee, when that is allowed; else
-    network liquidity, which `execute_atomic` reverts as
-    `insufficient_treasury`. With no kind allowed nothing is sized.
+    network liquidity, which `execute_atomic` reverts as `insufficient_treasury`
+    (the beneficiary's numeraire, in external mode the external account's,
+    is short). With no kind allowed nothing is sized.
     """
     venue_key, ref_key = (venue_id, asset), (state.reference_venue_id, asset)
     cheap, dear = (ref_key, venue_key) if delta_p > 0 else (venue_key, ref_key)
@@ -197,6 +199,7 @@ def execute_atomic(
     profit (proceeds minus loan repayment minus the gas fee, both set by
     the state's `threshold`) and every other balance it holds is unchanged;
     the gas fee goes to `FEE_ESCROW`, which the block step empties.
+    `insufficient_treasury` means the beneficiary (external mode: the external account) is short.
     `inject_fault` forces a revert just before repayment, for
     fault-injection tests.
     """

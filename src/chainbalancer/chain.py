@@ -48,7 +48,7 @@ class ExecRecord:
     delta_p_after: float  # acceptance criterion 1 reads it: the gap the commit left
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class SkipRecord:
     asset: int
     venue_id: int
@@ -192,19 +192,19 @@ def execute_block_user_phase(
 def decide(state: ChainState, asset: int, venue_id: int) -> SkipRecord | Opportunity:
     """The template's skip (`below_epsilon` or `unprofitable`) or its sized opportunity.
 
-    The decision reads the venue pool's and the reference pool's reserves,
-    `state.threshold` and, only when it allows both funding kinds, the
-    beneficiary's numeraire (pool fees, the reference venue and the
-    threshold never change after genesis; a state given another threshold
-    needs its own slot map). `state.decisions` keeps one slot per
-    `(venue_id, asset)` and every clone of the state shares it, so a
-    decision is made once and reused while none of those has moved. A
-    reused skip is the same object; a reused opportunity still goes to
-    `execute_atomic`, which is never cached.
+    The decision reads `state.threshold`, the venue pool's and the
+    reference pool's reserves and, only when the threshold allows both
+    funding kinds, the beneficiary's numeraire (pool fees and the reference
+    venue never change after genesis). `state.decisions` keeps one slot per
+    `(venue_id, asset)`, keyed by all of those, and every clone of the
+    state shares it, so a decision is made once and reused while none of
+    them has moved. A reused decision is the same frozen object; a reused
+    opportunity still goes to `execute_atomic`, which is never cached.
     """
     venue_key, threshold = (venue_id, asset), state.threshold
     pool, ref = state.pools[venue_key], state.pools[(state.reference_venue_id, asset)]
     key = (
+        threshold,  # one object per run, so the tuple's == settles it by identity
         pool.reserve_base,
         pool.reserve_quote,
         ref.reserve_base,

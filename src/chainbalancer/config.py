@@ -392,7 +392,7 @@ def _items(v: dict, path: str) -> list[dict]:
 
 def from_dict(raw: dict) -> ScenarioConfig:
     """Validate a raw scenario mapping and build the typed config."""
-    raw = raw or {}
+    raw = {} if raw is None else raw  # an empty file
     if not isinstance(raw, dict):
         raise ValidationError([f"top level: must be a mapping, got {_shown(raw)}"])
     merged, v, violations = _check_fields(raw)

@@ -64,16 +64,23 @@ def write_json(report: dict, path: str | Path) -> Path:
     return path
 
 
-def write_blocks_csv(report: dict, path: str | Path) -> Path:
-    """One row per block sample, header included, UTF-8."""
+def _write_csv(path: str | Path, header, rows) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for row in report["blocks"]:
-            writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c] for c in CSV_COLUMNS])
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
+
+
+def write_blocks_csv(report: dict, path: str | Path) -> Path:
+    """One row per block sample, header included, UTF-8."""
+    rows = (
+        [repr(row[c]) if isinstance(row[c], float) else row[c] for c in CSV_COLUMNS]
+        for row in report["blocks"]
+    )
+    return _write_csv(path, CSV_COLUMNS, rows)
 
 
 def write_comparison_json(comparison: dict, path: str | Path) -> Path:
@@ -82,20 +89,9 @@ def write_comparison_json(comparison: dict, path: str | Path) -> Path:
 
 def write_comparison_csv(comparison: dict, path: str | Path) -> Path:
     """Per-mode, per-seed summary table."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("mode", "seed", "time_avg_discrepancy", "captured", "leaked"))
-        for mode in comparison["modes"]:
-            for row in comparison["per_mode"][mode]["per_seed"]:
-                writer.writerow(
-                    (
-                        mode,
-                        row["seed"],
-                        repr(row["time_avg_discrepancy"]),
-                        repr(row["captured"]),
-                        repr(row["leaked"]),
-                    )
-                )
-    return path
+    rows = (
+        (mode, row["seed"], *(repr(row[c]) for c in ("time_avg_discrepancy", "captured", "leaked")))
+        for mode in comparison["modes"]
+        for row in comparison["per_mode"][mode]["per_seed"]
+    )
+    return _write_csv(path, ("mode", "seed", "time_avg_discrepancy", "captured", "leaked"), rows)

@@ -437,8 +437,8 @@ def run_baseline_comparison(config: ScenarioConfig, modes: list[str], seeds: lis
     arbitrageur). User flow is a function of the seed alone, so the
     user-phase event logs match across modes pair by pair.
     """
-    if not seeds:
-        raise ValueError("comparison requires at least one seed")
+    if not modes or not seeds:
+        raise ValueError("comparison requires at least one mode and one seed")
     bad = set(modes) - set(MODES)
     if bad:
         raise ValueError(f"unknown modes: {sorted(bad)}")

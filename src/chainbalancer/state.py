@@ -3,8 +3,8 @@ reference venue that `deviation` measures every other venue against, the
 network-wide `Threshold` (trigger, loan fee, gas cost, allowed funding)
 every balancer transaction runs under, and the beneficiary that funds the
 balancer's trades and keeps their profit. It also carries `decisions`, the
-balancer templates' decision slots that `chain.decide` fills; a state and
-all its clones share one slot map and one threshold.
+balancer templates' decision slots, which `chain.decide` keys by all it reads,
+the threshold included; a state and all its clones share one slot map.
 
 The simulation is a closed system. Every quantity that leaves a pool or an
 account lands in another tracked holder, so per-asset totals are constant
@@ -61,7 +61,7 @@ class ChainState:
     block_height: int = 0
     beneficiary: str = TREASURY  # funds the balancer's trades and keeps their profit
     # chain.decide's slots by (venue_id, asset); shared with every clone, not state proper
-    decisions: dict = field(default_factory=dict, compare=False, repr=False)
+    decisions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def deviation(self, venue_id: int, asset: int) -> float:
         """(p_venue - p_ref) / p_ref for `asset`: positive when the venue is dear."""
@@ -108,12 +108,13 @@ class ChainState:
         return totals
 
     def clone(self) -> "ChainState":
-        return ChainState(
+        copy = ChainState(
             pools={key: pool.clone() for key, pool in self.pools.items()},
             reference_venue_id=self.reference_venue_id,
             threshold=self.threshold,
             accounts={holder: dict(bal) for holder, bal in self.accounts.items()},
             block_height=self.block_height,
             beneficiary=self.beneficiary,
-            decisions=self.decisions,
         )
+        copy.decisions = self.decisions
+        return copy

@@ -2,7 +2,7 @@
 choice, atomicity."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +131,20 @@ def test_threshold_rejects_a_non_finite_epsilon(epsilon):
 def test_threshold_rejects_a_non_finite_gas_price(gas_price):
     with pytest.raises(ValueError, match="gas_price must be non-negative and finite"):
         Threshold(gas_price=gas_price)
+
+
+def test_a_threshold_is_frozen_and_a_replaced_one_is_checked_again():
+    # every clone of a chain state shares one threshold, and decide's slots key on it
+    threshold = Threshold()
+    derived = ("flash_fee_ppb", "gas_fee_nano", "reads_balance")
+    for name in [f.name for f in fields(Threshold)] + list(derived):
+        with pytest.raises(FrozenInstanceError):
+            setattr(threshold, name, getattr(threshold, name))
+    variant = replace(threshold, gas_price=1.0, flash_fee=0.002, allowed_funding=frozenset())
+    assert [getattr(variant, name) for name in derived] == [2_000_000, 90_000 * SCALE, False]
+    assert threshold.gas_fee_nano == 9_000_000  # 90,000 gas at 1e-7
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        replace(threshold, epsilon=math.nan)
 
 
 @pytest.mark.parametrize("gas_per_tx", [2.5, 90_000.0, True], ids=["fraction", "float", "bool"])

@@ -313,15 +313,15 @@ class TestBalancerPhase:
 class TestDecisionSlots:
     """`decide` reuses a template's decision only while nothing it reads has moved."""
 
-    def test_each_threshold_keeps_its_own_slot_map(self):
-        state = _gapped_state(gap=0.02)
-        slots = state.decisions
-        assert isinstance(decide(state, 1, 1), Opportunity)
-        state.threshold, state.decisions = replace(THRESHOLD, epsilon=0.05), {}
+    def test_reassigning_the_threshold_refreshes_the_decision(self):
+        state = _gapped_state(gap=0.03)
+        sized = decide(state, 1, 1)
+        assert isinstance(sized, Opportunity)
+        state.threshold = replace(THRESHOLD, epsilon=0.05)  # the slot is warm
         skip = decide(state, 1, 1)
         assert (skip.reason, skip.kind) == ("below_epsilon", "skip")
-        state.threshold, state.decisions = THRESHOLD, slots
-        assert isinstance(decide(state, 1, 1), Opportunity)
+        state.threshold = THRESHOLD
+        assert decide(state, 1, 1) == sized
 
     @pytest.mark.parametrize("venue", [0, 1], ids=["reference_pool", "venue_pool"])
     def test_either_pool_alone_moving_refreshes_the_decision(self, venue):

@@ -133,6 +133,21 @@ class TestLoadScenario:
             with pytest.raises(ValidationError):
                 from_dict({**minimal_raw(), **raw})
 
+    @pytest.mark.parametrize("text", ["[]", "false", "0", "''", "[1]"])
+    def test_a_top_level_that_is_not_a_mapping_is_named(self, tmp_path, text):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text + "\n")
+        with pytest.raises(ValidationError) as err:
+            load_scenario(path)
+        assert err.value.violations == [f"top level: must be a mapping, got {yaml.safe_load(text)!r}"]
+
+    def test_an_empty_file_is_an_empty_mapping(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text("")
+        with pytest.raises(ValidationError) as err:
+            load_scenario(path)
+        assert err.value.violations[0].startswith("pools: must be a non-empty list")
+
     def test_bad_venue_weight_keys(self):
         raw = minimal_raw()
         raw["user_flow"] = {"venue_weights": {"abc": 1.0, "1": -2.0}}

@@ -257,3 +257,9 @@ class TestModeComparison:
         config, _ = comparison
         with pytest.raises(ValueError, match="comparison repeats a mode or seed"):
             run_baseline_comparison(config, modes, seeds)
+
+    @pytest.mark.parametrize("modes, seeds", [([], [1]), (["off"], [])], ids=["modes", "seeds"])
+    def test_an_empty_mode_or_seed_list_is_rejected(self, comparison, modes, seeds):
+        config, _ = comparison
+        with pytest.raises(ValueError, match="requires at least one mode and one seed"):
+            run_baseline_comparison(config, modes, seeds)

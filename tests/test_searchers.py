@@ -215,7 +215,7 @@ class TestEvaluateProposals:
 
         def scaled(factor):
             s = state.clone()
-            s.threshold, s.decisions = thr, {}  # the shared slots hold THRESHOLD decisions
+            s.threshold = thr
             for pool in s.pools.values():
                 pool.reserve_base *= factor
                 pool.reserve_quote *= factor

@@ -4,8 +4,8 @@ User swaps and atomic balancer attempts, under both funding kinds and
 with injected faults, in any order: per-asset totals never move by one
 nano-unit, a beneficiary's numeraire never falls, and a revert writes
 nothing. User swaps and balancer phases under several thresholds, in any
-order: a phase on a state whose decision slots are warm (one slot map per
-threshold) does what it does on empty slots.
+order: a phase on a state whose decision slots are warm (one slot map for
+every threshold) does what it does on empty slots.
 """
 
 import copy
@@ -36,7 +36,7 @@ ASSETS = (1, 2)
 USERS = 3
 THRESHOLD = Threshold(epsilon=0.001, flash_fee=0.0009, gas_price=1e-7)
 ROOM = 10**9 // THRESHOLD.gas_per_tx  # the balancer txs 10^9 gas holds
-# each keeps its own slot map, so that phases under one of them reuse its decisions
+# phases under each of them share the state's one slot map
 PHASE_THRESHOLDS = (
     THRESHOLD,
     replace(THRESHOLD, epsilon=0.02),
@@ -159,7 +159,6 @@ def test_random_operations_conserve_totals_and_never_cost_the_beneficiary(state,
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(state=states(), steps=st.lists(st.one_of(user_swaps, balancer_phases), min_size=1, max_size=30))
 def test_a_phase_on_warm_decision_slots_equals_one_on_empty_slots(state, steps):
-    slot_maps = [{} for _ in PHASE_THRESHOLDS]
     for tx_id, step in enumerate(steps):
         if step[0] == "user":
             _apply_user_swap(state, tx_id, step)
@@ -167,7 +166,6 @@ def test_a_phase_on_warm_decision_slots_equals_one_on_empty_slots(state, steps):
         _, keys, threshold, beneficiary, fault = step
         state.beneficiary = beneficiary
         state.threshold = threshold
-        state.decisions = slot_maps[PHASE_THRESHOLDS.index(threshold)]
         templates = [BalancerTemplate(asset, venue) for venue, asset in keys]
         cold = state.clone()
         cold.decisions = {}
