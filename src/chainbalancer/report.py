@@ -1,14 +1,17 @@
 """Report serialization: JSON for the full run, CSV for per-block samples.
 
 Serialization is deterministic: sorted keys, fixed separators, repr-exact
-floats. Two runs of the same config and seed produce byte-identical files.
+floats, ``\n`` line ends; the same config and seed give byte-identical
+files. Each streams to a temporary sibling that replaces it once complete.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
+import os
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -23,9 +26,11 @@ def dumps_report(report: dict) -> str:
     ``indent`` forces json's pure-Python encoder. Here each container whose
     values are all scalars goes through the C encoder instead, its
     separators carrying the newline and indent; only the levels above those
-    are joined in Python.
+    run in Python. ``write_json`` streams the same pieces to its file.
     """
-    return _dumps(report, 0)
+    parts: list[str] = []
+    _emit(report, 0, parts.append)
+    return "".join(parts)
 
 
 @functools.cache
@@ -34,40 +39,49 @@ def _encoder(depth: int) -> json.JSONEncoder:
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + _INDENT * (depth + 1), ": "))
 
 
-def _dumps(value, depth: int) -> str:
+def _emit(value, depth: int, write):
     if not isinstance(value, _CONTAINERS) or not value:
-        return _encoder(depth).encode(value)
+        return write(_encoder(depth).encode(value))
     pad = "\n" + _INDENT * (depth + 1)
     close = "\n" + _INDENT * depth
-    children = value.values() if isinstance(value, dict) else value
-    if not any(isinstance(child, _CONTAINERS) for child in children):
+    keyed = isinstance(value, dict)
+    if not any(isinstance(child, _CONTAINERS) for child in (value.values() if keyed else value)):
         flat = _encoder(depth).encode(value)
-        return flat[0] + pad + flat[1:-1] + close + flat[-1]
-    if not isinstance(value, dict):
-        parts = [_dumps(item, depth + 1) for item in value]
-        return "[" + pad + ("," + pad).join(parts) + close + "]"
-    if not all(isinstance(key, str) for key in value):
+        return write(flat[0] + pad + flat[1:-1] + close + flat[-1])
+    if keyed and not all(isinstance(key, str) for key in value):
         # json's own key coercion (ints, floats, bools, None); strings
         # hold no raw newline, so re-indenting its lines is exact
-        return json.dumps(value, sort_keys=True, indent=2).replace("\n", close)
-    parts = [
-        encode_basestring_ascii(key) + ": " + _dumps(item, depth + 1)
-        for key, item in sorted(value.items())
-    ]
-    return "{" + pad + ("," + pad).join(parts) + close + "}"
+        return write(json.dumps(value, sort_keys=True, indent=2).replace("\n", close))
+    sep = ("{" if keyed else "[") + pad
+    for key, item in sorted(value.items()) if keyed else enumerate(value):
+        write(sep + (encode_basestring_ascii(key) + ": " if keyed else ""))
+        _emit(item, depth + 1, write)
+        sep = "," + pad
+    write(close + ("}" if keyed else "]"))
+
+
+@contextlib.contextmanager
+def _replacing(path: Path, newline: str):
+    """A UTF-8 text handle on a sibling file that replaces ``path`` once the block succeeds."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(f".{path.name}.{os.urandom(4).hex()}.partial")
+    try:
+        with open(partial, "x", encoding="utf-8", newline=newline) as handle:
+            yield handle
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def write_json(report: dict, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_report(report) + "\n", encoding="utf-8")
+    with _replacing(path := Path(path), "\n") as handle:
+        _emit(report, 0, handle.write)
+        handle.write("\n")
     return path
 
 
 def _write_csv(path: str | Path, header, rows) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with _replacing(path := Path(path), "") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)

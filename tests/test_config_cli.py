@@ -1,6 +1,8 @@
 """Scenario loading, validation reporting, report files, CLI exit codes."""
 
 import json
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -231,6 +233,8 @@ JSON_DATA = st.recursive(
     max_leaves=40,
 )
 
+BLOCK_ROW = {"block": 0, "discrepancy": 0.5, "utilization": 0.25, "psi": 1.0, "captured_profit": 0.0}
+
 
 class TestReportFiles:
     def test_json_round_trip(self, tmp_path, baseline_config):
@@ -244,6 +248,54 @@ class TestReportFiles:
     @example({"a": {}, "b": [], "c": [{}, []], "d": {"e": [1.5, float("inf"), float("nan"), None, True, "é"]}})
     def test_dumps_report_matches_json_dumps(self, data):
         assert dumps_report(data) == json.dumps(data, sort_keys=True, indent=2)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(JSON_DATA)
+    @example({"a": {}, "b": [], "c": [{}, []], "d": {"e": [1.5, float("inf"), float("nan"), None, True, "é"]}})
+    def test_write_json_bytes_match_json_dumps(self, data):
+        # the file, not only the string: UTF-8, "\n" line ends, one final newline
+        with tempfile.TemporaryDirectory() as directory:
+            path = write_json(data, Path(directory) / "report.json")
+            assert path.read_bytes() == (json.dumps(data, sort_keys=True, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "writer,name,good,bad,error",
+        [
+            (write_json, "report.json", {"a": [1]}, {"a": [{"b": 1}, {"c": [object()]}]}, TypeError),
+            (write_blocks_csv, "blocks.csv", {"blocks": [BLOCK_ROW]}, {"blocks": [BLOCK_ROW, {"block": 1}]}, KeyError),
+        ],
+    )
+    def test_a_failed_write_leaves_the_earlier_file(self, tmp_path, writer, name, good, bad, error):
+        path = tmp_path / name
+        with pytest.raises(error):
+            writer(bad, path)
+        assert list(tmp_path.iterdir()) == []
+        writer(good, path)
+        before = path.read_bytes()
+        with pytest.raises(error):
+            writer(bad, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+        # the file is made under the umask like any other, not 0600 like mkstemp's
+        plain = tmp_path / "plain"
+        plain.touch()
+        assert path.stat().st_mode == plain.stat().st_mode
+
+    def test_a_warm_write_json_holds_a_small_share_of_the_file(self, tmp_path):
+        """The writer streams: its peak allocation is far below the bytes it writes."""
+        data = yaml.safe_load((SCENARIOS / "scale.yaml").read_text(encoding="utf-8"))
+        data["blocks"]["epochs"] = 20
+        config = from_dict(data)
+        report = run_scenario(config, seed=config.seeds[0], mode="off").report()
+        assert len(report["blocks"]) >= 1000
+        path = write_json(report, tmp_path / "report.json")  # fills the encoder cache
+        tracemalloc.start()
+        try:
+            write_json(report, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
 
     def test_csv_shape(self, tmp_path, baseline_config):
         result = run_scenario(baseline_config, seed=4)
