@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from .arbitrage import Funding, Opportunity, execute_atomic, opportunity_from_deviation
 from .market import NUMERAIRE, SwapDirection, execute_swap
-from .state import ChainState, user_account
+from .state import ChainState, InsufficientBalanceError, user_account
 
 DEFAULT_USER_GAS = 21_000
 
@@ -175,11 +175,12 @@ def execute_block_user_phase(
         pool = state.pools[(tx.venue_id, tx.asset)]
         pay_asset = tx.asset if tx.direction is SwapDirection.BASE_IN else NUMERAIRE
         get_asset = NUMERAIRE if tx.direction is SwapDirection.BASE_IN else tx.asset
-        if state.balance(tx.submitter, pay_asset) < tx.amount_in:
+        try:  # a short debit raises before it writes anything
+            state.debit(tx.submitter, pay_asset, tx.amount_in)
+        except InsufficientBalanceError:
             balance_deferred.append(tx)
             events.append((tx, "balance_deferred"))
             continue
-        state.debit(tx.submitter, pay_asset, tx.amount_in)
         amount_out = execute_swap(pool, tx.direction, tx.amount_in)
         state.credit(tx.submitter, get_asset, amount_out)
         gas_used += tx.gas

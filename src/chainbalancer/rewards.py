@@ -101,9 +101,10 @@ def pay_producer(fees: int, gamma: Fraction) -> int:
     """Producer's cut of a block's balancer gas fees (nano-units): floor(gamma * fees).
 
     `gamma` is the scenario's `weights.gamma` as an exact fraction, parsed
-    once per run with `exact_fraction`; that row keeps it in (0, 1).
+    once per run with `exact_fraction`; that row keeps it in (0, 1). Both
+    are non-negative, so the integer floor division is that floor.
     """
-    return int(gamma * fees)
+    return fees * gamma.numerator // gamma.denominator
 
 
 def has_order_violation(

@@ -4,8 +4,8 @@ One run is a pure function of (scenario config, seed, mode). Independent
 RNG streams drive user flow, searcher noise, producer honesty, and fault
 injection, so the user flow is identical across modes for the same seed.
 
-`SimulationRun.execute` draws the user flow, then drives three steps, whose
-shared values live on the run so that each can be called alone:
+`SimulationRun.execute` takes the user flow (or draws it), then drives three
+steps, whose shared values live on the run so that each can be called alone:
     _open_epoch   builds and scores the proposals (none in off mode)
     _step_block   runs one block: both phases, the producer's order, fees and
                   slashing, then the sample, conservation check and replay capture
@@ -33,7 +33,7 @@ from .chain import (
     generate_user_flow,
 )
 from .config import MODES, ScenarioConfig
-from .market import NUMERAIRE, snapshot_prices
+from .market import NUMERAIRE, SwapDirection, snapshot_prices
 from .metrics import (
     cumulative_discrepancy,
     deviation_pairs,
@@ -75,18 +75,21 @@ from .state import (
 from .units import to_nano, to_units
 
 MODE_OFF, MODE_AUTO, MODE_EXTERNAL = MODES
+# the digest's text of each direction; a dict lookup, not the enum's `.value` property
+_DIRECTION_TEXT = {direction: direction.value for direction in SwapDirection}
 
 
 class SimulationAbort(RuntimeError):
-    """A module error surfaced mid-run, tagged with its coordinate: the epoch,
-    the step ("open", "block" or "close") and, in a block step, the block."""
+    """A module error surfaced mid-run, tagged with its run (mode and seed) and
+    its coordinate: the epoch, the step ("open", "block" or "close") and, in a
+    block step, the block."""
 
-    def __init__(self, epoch: int, step: str, block: int | None, cause: Exception):
+    def __init__(
+        self, mode: str, seed: int, epoch: int, step: str, block: int | None, cause: Exception
+    ):
         at = f", block {block}" if step == "block" else f" ({step})"
-        super().__init__(f"aborted at epoch {epoch}{at}: {cause}")
-        self.epoch = epoch
-        self.step = step
-        self.block = block
+        super().__init__(f"aborted in {mode} mode, seed {seed}, at epoch {epoch}{at}: {cause}")
+        self.mode, self.seed, self.epoch, self.step, self.block = mode, seed, epoch, step, block
 
 
 @dataclass
@@ -160,6 +163,12 @@ class RunResult:
         }
 
 
+def draw_user_flow(config: ScenarioConfig, seed: int) -> list[list[UserTx]]:
+    """The run's user txs per block: a function of the seed alone, shared by every mode."""
+    n_blocks = config.epochs * config.epoch_length
+    return generate_user_flow(Random(f"{seed}:user"), config.user_flow, n_blocks, config.venue_assets)
+
+
 def _genesis_state(config: ScenarioConfig) -> ChainState:
     pools = {key: pool.clone() for key, pool in config.pools.items()}
     state = ChainState(pools, config.reference_venue_id, config.threshold)
@@ -204,7 +213,6 @@ class SimulationRun:
         self.mode = mode
         # one stream per source, seeded by a label (hashed with sha512); every
         # draw is built from random(), the one stream Python keeps across versions
-        self.rng_user = Random(f"{seed}:user")
         self.rng_searchers = {
             p.searcher_id: Random(f"{seed}:searcher:{p.searcher_id}")
             for p in config.searcher_profiles
@@ -230,12 +238,12 @@ class SimulationRun:
         # where the run is, for an abort's coordinate
         self.epoch, self.step = 0, "open"
 
-    def execute(self) -> RunResult:
+    def execute(self, flow: list[list[UserTx]] | None = None) -> RunResult:
+        """Run every epoch on `flow`, the seed's user flow, drawn here when not given."""
         cfg = self.config
         result = RunResult(config=cfg, seed=self.seed, mode=self.mode)
-        flow = generate_user_flow(
-            self.rng_user, cfg.user_flow, cfg.epochs * cfg.epoch_length, cfg.venue_assets
-        )
+        if flow is None:
+            flow = draw_user_flow(cfg, self.seed)
         result.generated_txs = sum(len(txs) for txs in flow)
         for epoch_index in range(cfg.epochs):
             self.epoch, self.step = epoch_index, "open"
@@ -299,7 +307,7 @@ class SimulationRun:
         self.digest.update(
             "".join(
                 f"{height}|{tx.id}|{tx.venue_id}|{tx.asset}|"
-                f"{tx.direction.value}|{tx.amount_in}|{tx.gas}|{status}\n"
+                f"{_DIRECTION_TEXT[tx.direction]}|{tx.amount_in}|{tx.gas}|{status}\n"
                 for tx, status in user.events
             ).encode()
         )
@@ -410,12 +418,17 @@ class SimulationRun:
 
 
 def run_scenario(
-    config: ScenarioConfig, seed: int | None = None, mode: str | None = None
+    config: ScenarioConfig,
+    seed: int | None = None,
+    mode: str | None = None,
+    flow: list[list[UserTx]] | None = None,
 ) -> RunResult:
     """Convenience wrapper: one deterministic run of a scenario.
 
-    Module errors abort as SimulationAbort carrying the epoch/step/block
-    coordinate; the original exception rides along as __cause__.
+    `flow` is the seed's `draw_user_flow`, drawn by the run when not given;
+    the run only reads it. Module errors abort as SimulationAbort carrying
+    the mode, the seed and the epoch/step/block coordinate; the original
+    exception rides along as __cause__.
     """
     run = SimulationRun(
         config,
@@ -423,10 +436,10 @@ def run_scenario(
         mode=config.mode if mode is None else mode,
     )
     try:
-        return run.execute()
+        return run.execute(flow)
     except Exception as exc:
         block = run.state.block_height if run.step == "block" else None
-        raise SimulationAbort(run.epoch, run.step, block, exc) from exc
+        raise SimulationAbort(run.mode, run.seed, run.epoch, run.step, block, exc) from exc
 
 
 def run_baseline_comparison(config: ScenarioConfig, modes: list[str], seeds: list[int]) -> dict:
@@ -434,8 +447,9 @@ def run_baseline_comparison(config: ScenarioConfig, modes: list[str], seeds: lis
 
     Per mode: time-averaged discrepancy, captured value (profit retained
     by the network), and leaked value (profit taken by the external
-    arbitrageur). User flow is a function of the seed alone, so the
-    user-phase event logs match across modes pair by pair.
+    arbitrageur). User flow is a function of the seed alone, so each seed's
+    is drawn once and shared by its modes' runs, and the user-phase event
+    logs match across modes pair by pair.
     """
     if not modes or not seeds:
         raise ValueError("comparison requires at least one mode and one seed")
@@ -445,12 +459,12 @@ def run_baseline_comparison(config: ScenarioConfig, modes: list[str], seeds: lis
     if len(set(modes)) < len(modes) or len(set(seeds)) < len(seeds):
         raise ValueError(f"comparison repeats a mode or seed: {list(modes)}, {list(seeds)}")
 
-    per_mode: dict[str, dict] = {}
-    for mode in modes:
-        rows = []
-        for seed in seeds:
-            result = run_scenario(config, seed=seed, mode=mode)
-            rows.append(
+    rows_by_mode: dict[str, list[dict]] = {mode: [] for mode in modes}
+    for seed in seeds:
+        flow = draw_user_flow(config, seed)
+        for mode in modes:
+            result = run_scenario(config, seed=seed, mode=mode, flow=flow)
+            rows_by_mode[mode].append(
                 {
                     "seed": seed,
                     "time_avg_discrepancy": result.totals["mean_discrepancy"],
@@ -460,6 +474,9 @@ def run_baseline_comparison(config: ScenarioConfig, modes: list[str], seeds: lis
                     "user_flow_digest": result.user_flow_digest,
                 }
             )
+        del flow  # one seed's flow at a time
+    per_mode: dict[str, dict] = {}
+    for mode, rows in rows_by_mode.items():
         n = len(rows)
         per_mode[mode] = {
             "per_seed": rows,

@@ -121,15 +121,20 @@ def evaluate_proposals(
     credibility score, ranks the proposals. Ties fall to the lowest
     searcher id. Returns (selected or None, per-searcher scores). The
     replays go state by state, so the proposals replayed on one state
-    reuse its decision slots.
+    reuse its decision slots, and proposals with the same order of
+    `(asset, venue_id)` share one replay there (the estimates do not enter it).
     """
     if not proposals:
         raise ValueError("evaluate_proposals requires at least one proposal")
+    orders = [tuple((t.asset, t.venue_id) for t in p.ordered_txs) for p in proposals]
     replayed: list[list[int]] = [[] for _ in proposals]
     for state, room in recent_blocks:
-        for proposal, profits in zip(proposals, replayed):
-            if proposal.ordered_txs:
-                profits.append(_replay_once(state, proposal.ordered_txs, room))
+        by_order: dict[tuple, int] = {}
+        for proposal, order, profits in zip(proposals, orders, replayed):
+            if order:
+                if order not in by_order:
+                    by_order[order] = _replay_once(state, proposal.ordered_txs, room)
+                profits.append(by_order[order])
     scores: dict[int, dict] = {}
     for proposal, profits in zip(proposals, replayed):
         sim_profit = sum(profits) / len(profits) if profits else 0.0

@@ -193,6 +193,16 @@ class TestUserPhase:
             (2, "applied"),
         ]
 
+    @pytest.mark.parametrize("direction", list(SwapDirection))
+    def test_a_deferred_tx_writes_nothing(self, direction):
+        state = _funded_state()
+        pay_asset = 1 if direction is SwapDirection.BASE_IN else 0
+        state.accounts[user_account(1)][pay_asset] = to_nano(10.0) - 1  # one nano short
+        before = state.clone()
+        result = execute_block_user_phase(state, [_tx(1, direction=direction)], 1_000_000)
+        assert [(tx.id, status) for tx, status in result.events] == [(1, "balance_deferred")]
+        assert state == before
+
     def test_conservation_across_phase(self):
         state = _funded_state()
         before = state.asset_totals()

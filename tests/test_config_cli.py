@@ -216,8 +216,10 @@ class TestRunShapes:
         monkeypatch.setattr(runner_mod, "build_ledger", sabotage)
         with pytest.raises(SimulationAbort) as err:
             run_scenario(baseline_config, seed=1, mode="autobalancer")
-        assert (err.value.epoch, err.value.step, err.value.block) == (0, "close", None)
-        assert str(err.value).startswith("aborted at epoch 0 (close): ")
+        abort = err.value
+        coordinate = (abort.mode, abort.seed, abort.epoch, abort.step, abort.block)
+        assert coordinate == ("autobalancer", 1, 0, "close", None)
+        assert str(abort).startswith("aborted in autobalancer mode, seed 1, at epoch 0 (close): ")
 
 
 # nested JSON data: empty containers, non-ASCII text, big ints, inf and nan,
@@ -373,6 +375,27 @@ class TestCli:
         monkeypatch.setattr("chainbalancer.cli.run_scenario", boom)
         assert main(["run", path]) == 2
         assert "synthetic failure" in capsys.readouterr().err
+
+    def test_compare_abort_names_the_failing_run(self, tmp_path, monkeypatch, capsys):
+        import chainbalancer.runner as runner_mod
+
+        raw = baseline_raw(blocks={"epochs": 2, "epoch_length": 5})
+        path = self._write(tmp_path, raw)
+        original = runner_mod.SimulationRun._open_epoch
+
+        def sabotage(run):
+            if (run.mode, run.seed, run.epoch) == ("autobalancer", 2, 1):
+                raise KeyError("synthetic proposal failure")
+            return original(run)
+
+        monkeypatch.setattr(runner_mod.SimulationRun, "_open_epoch", sabotage)
+        modes, seeds = "off,autobalancer,external", "1,2"
+        out = str(tmp_path / "cmp")
+        assert main(["compare", path, "--modes", modes, "--seeds", seeds, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "runtime abort: aborted in autobalancer mode, seed 2, at epoch 1 (open): "
+            "'synthetic proposal failure'\n"
+        )
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_unusable_out_fails_before_simulating(self, tmp_path, monkeypatch, capsys, command):

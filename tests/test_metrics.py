@@ -2,10 +2,12 @@
 
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from chainbalancer import run_baseline_comparison, run_scenario
+import chainbalancer.runner as runner_mod
+from chainbalancer import load_scenario, run_baseline_comparison, run_scenario
 from chainbalancer.chain import Block
 from chainbalancer.config import ValidationError, from_dict
 from chainbalancer.market import snapshot_prices
@@ -25,6 +27,8 @@ from chainbalancer.state import TREASURY
 from chainbalancer.units import to_nano
 
 from conftest import baseline_raw, make_pool
+
+CHAOS = Path(__file__).resolve().parent.parent / "scenarios" / "chaos.yaml"
 
 
 def discrepancy(venues):
@@ -246,6 +250,33 @@ class TestModeComparison:
         run = run_scenario(config, seed=11, mode="autobalancer")
         committed = sum(r.profit for b in run.blocks for r in b.balancer_executed)
         assert run.totals["captured_nano"] == committed
+
+    def test_each_row_matches_a_fresh_run_on_one_flow_per_seed(self, monkeypatch):
+        """The modes of a seed share one drawn flow, and no run changes what the next reads."""
+        config, modes, seeds = load_scenario(CHAOS), ["off", "autobalancer", "external"], [3, 4]
+        draws = []
+        original = runner_mod.generate_user_flow
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "generate_user_flow", counted)
+        result = run_baseline_comparison(config, modes, seeds)
+        assert len(draws) == len(seeds)
+        monkeypatch.undo()
+        for mode in modes:
+            for seed, row in zip(seeds, result["per_mode"][mode]["per_seed"]):
+                fresh = run_scenario(config, seed=seed, mode=mode)
+                expected = {
+                    "seed": seed,
+                    "time_avg_discrepancy": fresh.totals["mean_discrepancy"],
+                    "captured": fresh.totals["captured"],
+                    "leaked": fresh.totals["leaked"],
+                    "max_abs_deviation": fresh.totals["max_abs_deviation"],
+                    "user_flow_digest": fresh.user_flow_digest,
+                }
+                assert row == expected, (mode, seed)
 
     def test_unknown_mode_rejected(self, comparison):
         config, _ = comparison

@@ -197,6 +197,14 @@ class TestPayProducer:
             for fee in fees:
                 assert pay_producer(fee, share) == int(Fraction(str(gamma)) * fee), (gamma, fee)
 
+    @given(
+        fees=st.integers(0, 10**18),
+        x=st.floats(0, 1, exclude_min=True, exclude_max=True),
+    )
+    def test_integer_floor_matches_the_fraction_product(self, fees, x):
+        gamma = exact_fraction(x)
+        assert pay_producer(fees, gamma) == int(gamma * fees)
+
 
 def independent_inversion_check(executed, prescribed):
     """O(n^2) pairwise check written from scratch."""

@@ -3,8 +3,7 @@
 from pathlib import Path
 
 from chainbalancer import load_scenario
-from chainbalancer.chain import generate_user_flow
-from chainbalancer.runner import SimulationRun
+from chainbalancer.runner import SimulationRun, draw_user_flow
 
 BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.yaml"
 
@@ -24,11 +23,7 @@ def test_one_epoch_driven_by_hand_matches_execute():
     full = SimulationRun(config, seed, "autobalancer").execute()
 
     run = SimulationRun(config, seed, "autobalancer")
-    # the flow's draws run block by block, so the first epoch's arrivals
-    # are a prefix of the whole run's
-    flow = generate_user_flow(
-        run.rng_user, config.user_flow, config.epoch_length, config.venue_assets
-    )
+    flow = draw_user_flow(config, seed)[: config.epoch_length]
     proposals, scores, selected = run._open_epoch()
     active_set = selected.ordered_txs if selected else []
     blocks = [run._step_block(arrivals, active_set) for arrivals in flow]

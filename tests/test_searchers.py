@@ -12,6 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainbalancer.searchers as searchers_mod
 from chainbalancer import Funding, Threshold, execute_atomic, run_scenario
 from chainbalancer.arbitrage import opportunity_from_deviation
 from chainbalancer.chain import standard_normal
@@ -232,6 +233,27 @@ class TestEvaluateProposals:
         assert big_scores[0]["simulated_net_profit"] == pytest.approx(
             10 * base_scores[0]["simulated_net_profit"], rel=1e-6
         )
+
+    def test_proposals_with_one_order_share_its_replay(self, monkeypatch):
+        """The estimates do not enter the replay, so one order replays once per state."""
+        state = three_gap_state()
+        order = [(1, 2), (1, 3)]
+        p0 = proposal_of(0, [BalancerTemplate(a, v, estimate=5) for a, v in order])
+        p1 = proposal_of(1, [BalancerTemplate(a, v, estimate=900) for a, v in order])
+        replays = [(state, ROOM), (state.clone(), 1)]
+        calls = []
+        original = searchers_mod._replay_once
+
+        def counted(base_state, templates, room):
+            calls.append(base_state)
+            return original(base_state, templates, room)
+
+        monkeypatch.setattr(searchers_mod, "_replay_once", counted)
+        _, scores = evaluate_proposals([p0, p1], replays, {0: 1.0, 1: 1.0})
+        assert len(calls) == len(replays)
+        assert all(called is s for called, (s, _) in zip(calls, replays))
+        assert scores[0] == scores[1]
+        assert scores[0]["simulated_net_profit"] > 0
 
     def test_tie_breaks_to_lowest_searcher_id(self):
         state = three_gap_state()
