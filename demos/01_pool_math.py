@@ -33,11 +33,12 @@ def main():
     print(f"\nSelling 100 asset units quotes {to_units(quoted):.9f} numeraire")
     print("(1000 - 10^6/(1000 + 99.7) = 90.661089388..., the fee shaves the input)")
 
-    k_before = pool.product
+    k_before = pool.reserve_base * pool.reserve_quote
     out = execute_swap(pool, SwapDirection.BASE_IN, amount)
     show(pool, "after")
     print(f"executed output matches the quote exactly: {out == quoted}")
-    print(f"reserve product grew (fee retention): {pool.product > k_before}")
+    k_after = pool.reserve_base * pool.reserve_quote
+    print(f"reserve product grew (fee retention): {k_after > k_before}")
 
     print("\n=== Conservation in nano-units ===")
     trader_asset = to_nano(500) - amount

@@ -52,10 +52,6 @@ class Pool:
         if self.reserve_base < 1 or self.reserve_quote < 1:
             raise ValueError(f"pool {self.venue_id}: reserve below 1 nano-unit")
 
-    @property
-    def product(self) -> int:
-        return self.reserve_base * self.reserve_quote
-
     def clone(self) -> "Pool":
         # no checks for a checked pool's copy: the constructor would run __post_init__ again
         twin = object.__new__(Pool)

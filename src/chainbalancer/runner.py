@@ -85,11 +85,15 @@ class SimulationAbort(RuntimeError):
     block step, the block."""
 
     def __init__(
-        self, mode: str, seed: int, epoch: int, step: str, block: int | None, cause: Exception
+        self, mode: str, seed: int, epoch: int, step: str, block: int | None, cause: Exception | str
     ):
         at = f", block {block}" if step == "block" else f" ({step})"
         super().__init__(f"aborted in {mode} mode, seed {seed}, at epoch {epoch}{at}: {cause}")
         self.mode, self.seed, self.epoch, self.step, self.block = mode, seed, epoch, step, block
+        self.cause = str(cause)
+
+    def __reduce__(self):  # copy and pickle rebuild the abort from its fields and cause text
+        return type(self), (self.mode, self.seed, self.epoch, self.step, self.block, self.cause)
 
 
 @dataclass

@@ -10,7 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from chainbalancer import (
@@ -111,15 +110,15 @@ class TestCriterion1DeviationClosure:
 
 class TestCriterion2SizingOracle:
     def test_thousand_randomized_pool_pairs(self):
-        rng = np.random.default_rng(2024)
+        rng = random.Random(2024)
         t0 = time.perf_counter()
         worst_rel = 0.0
         zero_agreements = 0
         checked = 0
         for _ in range(1000):
-            r = 10 ** rng.uniform(3, 7, size=4)
-            f_c, f_d = (float(x) for x in rng.choice([0.0, 0.003, 0.01], size=2))
-            flash = float(rng.choice([0.0, 0.0009]))
+            r = [10 ** rng.uniform(3, 7) for _ in range(4)]
+            f_c, f_d = (rng.choice([0.0, 0.003, 0.01]) for _ in range(2))
+            flash = rng.choice([0.0, 0.0009])
             a = make_pool(0, reserve_asset=r[0], reserve_numeraire=r[1], fee=f_c)
             b = make_pool(1, reserve_asset=r[2], reserve_numeraire=r[3], fee=f_d)
             cheap, dear = (a, b) if spot_price(a) < spot_price(b) else (b, a)
@@ -346,13 +345,13 @@ AUDIT_THRESHOLD = Threshold(
 def _audit_state(rng):
     """One shared asset across n venues, so executions interact through
     the reference pool and ordering genuinely matters."""
-    n = int(rng.integers(4, 11))
+    n = rng.randint(4, 10)
     pools = [
         make_pool(0, asset=1, reserve_asset=8000.0, reserve_numeraire=8000.0, fee=0.003)
     ]
     for venue in range(1, n + 1):
-        gap = float(rng.uniform(-0.04, 0.04))
-        depth = float(rng.uniform(1000.0, 4000.0))
+        gap = rng.uniform(-0.04, 0.04)
+        depth = rng.uniform(1000.0, 4000.0)
         pools.append(
             make_pool(venue, asset=1, reserve_asset=depth, reserve_numeraire=depth * (1 + gap), fee=0.003)
         )
@@ -361,7 +360,7 @@ def _audit_state(rng):
 
 class TestCriterion7OrderingAudit:
     def test_greedy_vs_exhaustive(self):
-        rng = np.random.default_rng(777)
+        rng = random.Random(777)
         conditions = GovernanceConditions(max_set_size=16)
 
         def plan_profit(state, templates, slots):
@@ -405,8 +404,8 @@ class TestCriterion7OrderingAudit:
             "criterion 7 ordering audit",
             ok,
             f"200 instances (n<=10, exhaustive ordered subsets): greedy >= best single in "
-            f"{200 - single_failures}/200; greedy/optimal mean {np.mean(ratios):.4f}, "
-            f"min {np.min(ratios):.4f}; {elapsed:.1f}s",
+            f"{200 - single_failures}/200; greedy/optimal mean {sum(ratios) / len(ratios):.4f}, "
+            f"min {min(ratios):.4f}; {elapsed:.1f}s",
         )
 
 

@@ -2,10 +2,10 @@
 choice, atomicity."""
 
 import math
+import random
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 
@@ -30,8 +30,10 @@ from conftest import make_pool, make_state
 # --- independent sizing oracle -------------------------------------------
 #
 # Re-implements the round trip from scratch (no engine imports) and finds
-# the optimum by pure grid scanning with local grid refinement. Step size
-# starts at 1e-4 of the scanned scale.
+# the optimum by pure grid scanning with local grid refinement. The first
+# scan steps by 1e-4 of the scanned scale; each refinement scans 101 points
+# across the two steps around the best point so far, so the step shrinks by
+# 2/100 a round, and after 7 rounds it is upper/9999 * 0.02**7.
 
 def oracle_profit(x, rq_c, rb_c, f_c, rb_d, rq_d, f_d, flash):
     a1 = x * (1.0 - f_c)
@@ -58,26 +60,25 @@ def oracle_profit_at(pool_cheap, pool_dear, flash, size):
     return oracle_profit(size / SCALE, *_float_terms(pool_cheap, pool_dear), flash)
 
 
-def grid_search_oracle(pool_cheap, pool_dear, flash, points=10_000, rounds=4):
-    rq_c, rb_c, f_c, rb_d, rq_d, f_d = _float_terms(pool_cheap, pool_dear)
+def grid_search_oracle(pool_cheap, pool_dear, flash, points=10_000, refine_points=101, rounds=7):
+    terms = _float_terms(pool_cheap, pool_dear)
 
-    upper = max(rq_c, rq_d)
+    upper = max(terms[0], terms[4])  # the larger numeraire reserve
     for _ in range(80):
-        tail = oracle_profit(upper, rq_c, rb_c, f_c, rb_d, rq_d, f_d, flash)
-        near = oracle_profit(0.999 * upper, rq_c, rb_c, f_c, rb_d, rq_d, f_d, flash)
+        tail = oracle_profit(upper, *terms, flash)
+        near = oracle_profit(0.999 * upper, *terms, flash)
         if tail <= near:
             break
         upper *= 2.0
 
-    lo, hi = 0.0, upper
-    best_x, best_p = 0.0, 0.0
-    for _ in range(rounds):
-        xs = np.linspace(lo, hi, points)
-        ps = oracle_profit(xs, rq_c, rb_c, f_c, rb_d, rq_d, f_d, flash)
-        i = int(np.argmax(ps))
-        best_x, best_p = float(xs[i]), float(ps[i])
-        step = (hi - lo) / (points - 1)
-        lo, hi = max(0.0, best_x - step), best_x + step
+    lo, hi, n = 0.0, upper, points
+    for _ in range(1 + rounds):
+        step = (hi - lo) / (n - 1)
+        xs = [lo + i * step for i in range(n - 1)] + [hi]
+        ps = [oracle_profit(x, *terms, flash) for x in xs]
+        i = ps.index(max(ps))  # the first of equal maxima
+        best_x, best_p = xs[i], ps[i]
+        lo, hi, n = max(0.0, best_x - step), best_x + step, refine_points
     return best_x, best_p
 
 
@@ -204,12 +205,12 @@ class TestOptimalTradeSize:
         assert abs(opp_a.optimal_size - opp_b.optimal_size) <= 1
 
     def test_randomized_oracle_sweep(self):
-        rng = np.random.default_rng(1234)
+        rng = random.Random(1234)
         checked = 0
         for _ in range(60):
-            r = 10 ** rng.uniform(3, 7, size=4)
-            f_c, f_d = rng.choice([0.0, 0.003, 0.01], size=2)
-            flash = float(rng.choice([0.0, 0.0009]))
+            r = [10 ** rng.uniform(3, 7) for _ in range(4)]
+            f_c, f_d = (rng.choice([0.0, 0.003, 0.01]) for _ in range(2))
+            flash = rng.choice([0.0, 0.0009])
             a = make_pool(0, reserve_asset=r[0], reserve_numeraire=r[1], fee=f_c)
             b = make_pool(1, reserve_asset=r[2], reserve_numeraire=r[3], fee=f_d)
             cheap, dear = (a, b) if spot_price(a) < spot_price(b) else (b, a)

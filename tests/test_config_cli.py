@@ -1,6 +1,8 @@
 """Scenario loading, validation reporting, report files, CLI exit codes."""
 
+import copy
 import json
+import pickle
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -220,6 +222,20 @@ class TestRunShapes:
         coordinate = (abort.mode, abort.seed, abort.epoch, abort.step, abort.block)
         assert coordinate == ("autobalancer", 1, 0, "close", None)
         assert str(abort).startswith("aborted in autobalancer mode, seed 1, at epoch 0 (close): ")
+
+    @pytest.mark.parametrize("twin", [copy.copy, lambda e: pickle.loads(pickle.dumps(e))],
+                             ids=["copy", "pickle"])
+    def test_an_abort_copies_and_pickles_with_its_coordinate(self, twin):
+        from chainbalancer import SimulationAbort
+
+        for abort in (SimulationAbort("off", 1, 0, "block", 6, ValueError("x")),
+                      SimulationAbort("external", 2, 3, "close", None, KeyError("gone"))):
+            fields = (abort.mode, abort.seed, abort.epoch, abort.step, abort.block)
+            again = twin(abort)
+            assert type(again) is SimulationAbort
+            assert str(again) == str(abort)
+            assert (again.mode, again.seed, again.epoch, again.step, again.block) == fields
+            assert str(twin(again)) == str(abort)
 
 
 # nested JSON data: empty containers, non-ASCII text, big ints, inf and nan,

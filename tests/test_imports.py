@@ -1,17 +1,25 @@
-"""Every name a chainbalancer module imports is used in that module.
+"""Import hygiene.
 
-No linter runs on the package, so this is its one unused-import check. A
-line marked `# noqa: F401` is exempt: it keeps a binding that something
-outside the module replaces. The package root is skipped, as its imports
-are its exports.
+Every name a chainbalancer module imports is used in that module. No linter
+runs on the package, so this is its one unused-import check. A line marked
+`# noqa: F401` is exempt: it keeps a binding that something outside the
+module replaces. The package root is skipped, as its imports are its
+exports.
+
+Every test and demo imports only the declared stack: the standard library,
+the package, a sibling test module, and the `test` extra's PyYAML, pytest
+and Hypothesis.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chainbalancer"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "chainbalancer"
+DECLARED = {"chainbalancer", "yaml", "pytest", "hypothesis"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,3 +61,37 @@ def test_the_check_finds_an_unused_import():
 )
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def undeclared_imports(source: str, siblings: set[str]) -> list[str]:
+    """The top-level modules `source` imports from outside the declared
+    stack, the standard library and `siblings`, in import order."""
+    modules: list[str] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    allowed = DECLARED | siblings | set(sys.stdlib_module_names)
+    return [top for top in (m.partition(".")[0] for m in modules) if top not in allowed]
+
+
+def test_the_check_finds_an_undeclared_import():
+    source = (
+        "import os, numpy as np\n"
+        "from chainbalancer.units import SCALE\n"
+        "from conftest import make_pool\n"
+        "def f():\n"
+        "    import scipy.stats\n"
+    )
+    assert undeclared_imports(source, {"conftest"}) == ["numpy", "scipy"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")]),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_imports_only_the_declared_stack(path):
+    siblings = {p.stem for p in path.parent.glob("*.py")}
+    assert undeclared_imports(path.read_text(encoding="utf-8"), siblings) == []

@@ -14,6 +14,11 @@ from chainbalancer.units import SCALE, to_nano, to_units
 from conftest import make_pool
 
 
+def product(pool):
+    """The reserve product k, which no swap decreases."""
+    return pool.reserve_base * pool.reserve_quote
+
+
 class TestPool:
     def test_rejects_an_empty_reserve(self):
         Pool(venue_id=1, base=1, reserve_base=1, reserve_quote=1)
@@ -102,9 +107,9 @@ class TestExecuteSwap:
 
     def test_product_grows_with_fee(self):
         pool = make_pool(1, fee=0.003)
-        before = pool.product
+        before = product(pool)
         execute_swap(pool, SwapDirection.QUOTE_IN, to_nano(25))
-        assert pool.product > before
+        assert product(pool) > before
 
     def test_matches_quote_exactly(self):
         pool = make_pool(1, fee=0.01)
@@ -126,9 +131,9 @@ class TestSwapProperties:
         """k never decreases; with no fee it is equal to 1e-12 relative."""
         pool = make_pool(1)
         pool.reserve_base, pool.reserve_quote, pool.fee_ppb = rb, rq, fee
-        k_pre = pool.product
+        k_pre = product(pool)
         execute_swap(pool, direction, amount)
-        k_post = pool.product
+        k_post = product(pool)
         assert k_post >= k_pre
         if fee == 0:
             assert (k_post - k_pre) / k_pre <= 1e-12

@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -134,15 +133,13 @@ class TestSplitMarketplaces:
 
     def test_exact_proportionality_identity(self):
         """Random simplex weights and contributions: F_v == omega_m * rho_v, exactly."""
-        rng = np.random.default_rng(5)
+        rng = random.Random(5)
         for _ in range(200):
-            a, b = sorted(int(x) for x in rng.integers(0, 10**6 + 1, size=2))
+            a, b = sorted(rng.randint(0, 10**6) for _ in range(2))
             w = RewardWeights(
                 Fraction(a, 10**6), Fraction(b - a, 10**6), Fraction(10**6 - b, 10**6)
             )
-            rho = {
-                i: int(x) for i, x in enumerate(rng.integers(0, 10**12, size=rng.integers(1, 6)))
-            }
+            rho = {i: rng.randrange(10**12) for i in range(rng.randint(1, 5))}
             assert_exact(build_ledger(w, rho), w, rho)
 
 

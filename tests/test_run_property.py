@@ -2,14 +2,14 @@
 
 Each drawn scenario is valid and runs in all three modes: conservation
 holds to the nano-unit after every block, every generated user tx is
-applied or still queued (and some are queued when the drawn capacity
-binds), each epoch's ledger pays out exactly its pool,
-the beneficiary is never debited inside an epoch (it gains exactly the
-block's profit, and the slash when it is the treasury), every committed
-balancer tx costs the run's one gas per tx and uses an allowed funding
-kind, the fee burn ends with exactly the run's fees less the producer's
-cuts and the producer with its cuts less its slashes, a rerun writes the
-same bytes, and no run aborts.
+applied or still queued (some are queued when the drawn capacity binds,
+and all of them when users hold no endowment), each epoch's ledger pays
+out exactly its pool, the beneficiary is never debited inside an epoch
+(it gains exactly the block's profit, and the slash when it is the
+treasury), every committed balancer tx costs the run's one gas per tx
+and uses an allowed funding kind, the fee burn ends with exactly the
+run's fees less the producer's cuts and the producer with its cuts less
+its slashes, a rerun writes the same bytes, and no run aborts.
 """
 
 import math
@@ -68,7 +68,9 @@ def scenarios(draw) -> dict:
             "capacity": capacity,
             "gas_per_balancer_tx": draw(st.integers(1, capacity)),
         },
-        "user_flow": {"rate": rate},
+        # the default endowment, none (every debit fails, so every user tx is
+        # deferred) or a few units (some debits fail)
+        "user_flow": {"rate": rate, "endowment": draw(st.sampled_from([1_000_000.0, 0.0, 5.0]))},
         "threshold": {
             "epsilon": 10 ** draw(st.floats(-9.0, math.log10(0.5))),
             "gas_price": draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-5))),
@@ -129,6 +131,9 @@ def test_random_scenarios_keep_run_invariants(raw):
         assert reconciliation["generated"] == reconciliation["applied"] + reconciliation["queued"]
         if config.capacity < 4 * USER_GAS:
             assert reconciliation["queued"] > 0
+        if config.endowment == 0:
+            assert reconciliation["applied"] == 0
+            assert reconciliation["queued"] == reconciliation["generated"]
         for block in result.blocks:
             commits = len(block.balancer_executed)
             assert block.balancer_gas == commits * gas_per_tx

@@ -1,10 +1,10 @@
 """Closed-form sizing: exact expected profit, the exact integer floor of the
 optimum, integer optimality, no-trade region."""
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,12 +49,12 @@ def _quoted_net(cheap, dear, size, flash_ppb):
 
 
 def test_floored_optimum_beats_nearby_integer_sizes():
-    rng = np.random.default_rng(6)
+    rng = random.Random(6)
     cases = 0
     for _ in range(1500):
-        r = 10 ** rng.uniform(3, 7, size=4)
-        f_a, f_b = (float(x) for x in rng.choice([0.0, 0.003, 0.01], size=2))
-        flash = float(rng.choice([0.0, 0.0009]))
+        r = [10 ** rng.uniform(3, 7) for _ in range(4)]
+        f_a, f_b = (rng.choice([0.0, 0.003, 0.01]) for _ in range(2))
+        flash = rng.choice([0.0, 0.0009])
         a = make_pool(0, reserve_asset=r[0], reserve_numeraire=r[1], fee=f_a)
         b = make_pool(1, reserve_asset=r[2], reserve_numeraire=r[3], fee=f_b)
         cheap, dear = (a, b) if spot_price(a) < spot_price(b) else (b, a)
@@ -82,13 +82,13 @@ def test_no_trade_region_returns_zero():
     # equal pools sit exactly on the boundary A == k B
     assert optimal_trade_size(make_pool(0), make_pool(1)) == 0
 
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     inside = 0
     for _ in range(2000):
-        r = 10 ** rng.uniform(3, 7, size=2)
-        gap = float(rng.uniform(0.0, 0.03))
-        fee = float(rng.choice([0.0, 0.003, 0.01]))
-        flash = float(rng.choice([0.0, 0.0009]))
+        r = [10 ** rng.uniform(3, 7) for _ in range(2)]
+        gap = rng.uniform(0.0, 0.03)
+        fee = rng.choice([0.0, 0.003, 0.01])
+        flash = rng.choice([0.0, 0.0009])
         cheap = make_pool(0, reserve_asset=r[0], reserve_numeraire=r[1], fee=fee)
         dear = make_pool(1, reserve_asset=r[0], reserve_numeraire=r[1] * (1 + gap), fee=fee)
         a, b = _composed_coefficients(cheap, dear)
