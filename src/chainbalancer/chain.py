@@ -1,13 +1,14 @@
-"""Block production: user flow, gas-bounded execution, balancer phase.
+"""Block production: user flow, the user phase, the balancer phase.
 
-Each block runs two strictly ordered phases. The user phase applies
-submitted swaps in arrival order until the next one would exceed the gas
-capacity; the remainder carries to the next block. The balancer phase then
-walks the epoch's active transaction set in priority order while the block
-has room, re-validating each trigger in `decide`, which turns a template
-into its skip or its sized opportunity for both that phase and the
-searchers' proposals and keeps one decision per template on the chain
-state, reused while nothing the decision reads has moved.
+Each block runs two strictly ordered phases, each given its room as a
+count of transactions. The user phase applies submitted swaps in arrival
+order until the block's user room is full; the remainder carries to the
+next block. The balancer phase then walks the epoch's active transaction
+set in priority order while the block has room, re-validating each
+trigger in `decide`, which turns a template into its skip or its sized
+opportunity for both that phase and the searchers' proposals and keeps
+one decision per template on the chain state, reused while nothing the
+decision reads has moved.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .arbitrage import Funding, Opportunity, execute_atomic, opportunity_from_de
 from .market import NUMERAIRE, SwapDirection, execute_swap
 from .state import ChainState, InsufficientBalanceError, user_account
 
-DEFAULT_USER_GAS = 21_000
-
 
 @dataclass(slots=True)
 class UserTx:
@@ -33,7 +32,6 @@ class UserTx:
     asset: int
     direction: SwapDirection
     amount_in: int  # nano-units of the input asset
-    gas: int
     submitter: str
 
 
@@ -88,7 +86,6 @@ class UserFlowParams:
     size_sigma: float = 0.5
     venue_weights: dict[int, float] = field(default_factory=dict)
     num_users: int = 8
-    gas_per_swap: int = DEFAULT_USER_GAS
 
 
 def standard_normal(random: Callable[[], float]) -> float:
@@ -119,7 +116,7 @@ def generate_user_flow(
     # the draws, in this order per tx, are the stream: venue, asset,
     # direction, size, submitter
     random = rng.random
-    rate, mu, sigma, gas = params.rate, params.size_mu, params.size_sigma, params.gas_per_swap
+    rate, mu, sigma = params.rate, params.size_mu, params.size_sigma
     num_users = params.num_users
     users = [user_account(i) for i in range(num_users)]
     base_in, quote_in = SwapDirection.BASE_IN, SwapDirection.QUOTE_IN
@@ -139,7 +136,7 @@ def generate_user_flow(
             direction = base_in if random() < 0.5 else quote_in
             amount_in = max(1, int(exp(mu + sigma * standard_normal(random)) * 1e9))
             submitter = users[int(random() * num_users)]
-            txs.append(UserTx(next_id, venue, asset, direction, amount_in, gas, submitter))
+            txs.append(UserTx(next_id, venue, asset, direction, amount_in, submitter))
             next_id += 1
         flow.append(txs)
     return flow
@@ -150,26 +147,25 @@ class UserPhaseResult:
     applied: list[UserTx]
     carried: list[UserTx]
     events: list[tuple[UserTx, str]]  # (tx, "applied" | "balance_deferred") in scan order
-    gas_used: int
 
 
 def execute_block_user_phase(
-    state: ChainState, pending: Sequence[UserTx], capacity: int
+    state: ChainState, pending: Sequence[UserTx], room: int
 ) -> UserPhaseResult:
-    """Apply user swaps in order until the next would exceed capacity.
+    """Apply user swaps in order until the block's user room is full.
 
-    The first tx that would overflow the gas budget stops the scan; it and
-    everything behind it carry to the next block unchanged. A tx whose
-    submitter cannot fund the input is individually deferred (to the back
-    of the carry queue) without stopping the scan, so it is never dropped.
+    `room` is the number of user swaps the block holds. Once `room` txs
+    have applied the scan stops; every tx behind them carries to the next
+    block unchanged. A tx whose submitter cannot fund the input is
+    individually deferred (to the back of the carry queue) without taking
+    room or stopping the scan, so it is never dropped.
     """
     applied: list[UserTx] = []
     balance_deferred: list[UserTx] = []
     events: list[tuple[UserTx, str]] = []
-    gas_used = 0
     stop_index = len(pending)
     for i, tx in enumerate(pending):
-        if gas_used + tx.gas > capacity:
+        if len(applied) >= room:
             stop_index = i
             break
         pool = state.pools[(tx.venue_id, tx.asset)]
@@ -183,11 +179,10 @@ def execute_block_user_phase(
             continue
         amount_out = execute_swap(pool, tx.direction, tx.amount_in)
         state.credit(tx.submitter, get_asset, amount_out)
-        gas_used += tx.gas
         applied.append(tx)
         events.append((tx, "applied"))
     carried = list(pending[stop_index:]) + balance_deferred
-    return UserPhaseResult(applied=applied, carried=carried, events=events, gas_used=gas_used)
+    return UserPhaseResult(applied=applied, carried=carried, events=events)
 
 
 def decide(state: ChainState, asset: int, venue_id: int) -> SkipRecord | Opportunity:

@@ -189,6 +189,7 @@ class ScenarioConfig:
     asset_count: int
     pools: dict[tuple[int, int], Pool]  # genesis pools by (venue, asset); runs clone them
     capacity: int
+    gas_per_user_swap: int
     epoch_length: int
     epochs: int
     user_flow: UserFlowParams
@@ -418,6 +419,7 @@ def from_dict(raw: dict) -> ScenarioConfig:
         asset_count=v["assets.count"],
         pools=pools,
         capacity=v["blocks.capacity"],
+        gas_per_user_swap=v["blocks.gas_per_user_swap"],
         epoch_length=v["blocks.epoch_length"],
         epochs=v["blocks.epochs"],
         user_flow=UserFlowParams(
@@ -426,7 +428,6 @@ def from_dict(raw: dict) -> ScenarioConfig:
             size_sigma=v["user_flow.size_sigma"],
             venue_weights=venue_weights,
             num_users=v["user_flow.num_users"],
-            gas_per_swap=v["blocks.gas_per_user_swap"],
         ),
         endowment=v["user_flow.endowment"],
         threshold=Threshold(

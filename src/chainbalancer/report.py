@@ -90,10 +90,7 @@ def _write_csv(path: str | Path, header, rows) -> Path:
 
 def write_blocks_csv(report: dict, path: str | Path) -> Path:
     """One row per block sample, header included, UTF-8."""
-    rows = (
-        [repr(row[c]) if isinstance(row[c], float) else row[c] for c in CSV_COLUMNS]
-        for row in report["blocks"]
-    )
+    rows = ([row[c] for c in CSV_COLUMNS] for row in report["blocks"])
     return _write_csv(path, CSV_COLUMNS, rows)
 
 
@@ -104,7 +101,7 @@ def write_comparison_json(comparison: dict, path: str | Path) -> Path:
 def write_comparison_csv(comparison: dict, path: str | Path) -> Path:
     """Per-mode, per-seed summary table."""
     rows = (
-        (mode, row["seed"], *(repr(row[c]) for c in ("time_avg_discrepancy", "captured", "leaked")))
+        (mode, row["seed"], *(row[c] for c in ("time_avg_discrepancy", "captured", "leaked")))
         for mode in comparison["modes"]
         for row in comparison["per_mode"][mode]["per_seed"]
     )

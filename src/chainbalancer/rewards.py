@@ -107,37 +107,26 @@ def pay_producer(fees: int, gamma: Fraction) -> int:
     return fees * gamma.numerator // gamma.denominator
 
 
-def has_order_violation(
-    executed: list[tuple[int, int]], prescribed: list[tuple[int, int]]
-) -> bool:
-    """True iff the executed sequence is not a subsequence of the prescribed one.
-
-    Items are templates' `(asset, venue_id)` keys, unique within a proposal.
-    Skipped templates are simply absent; what matters is that the executed
-    templates appear in prescribed relative order.
-    """
-    position = {key: i for i, key in enumerate(prescribed)}
-    last = -1
-    for key in executed:
-        pos = position.get(key)
-        if pos is None:  # executing an unprescribed tx is itself a violation
-            return True
-        if pos < last:
-            return True
-        last = pos
-    return False
-
-
 def apply_slashing(
     executed: list[tuple[int, int]],
     prescribed: list[tuple[int, int]],
     penalty: int,
     producer_balance: int,
 ) -> int:
-    """Slash amount for an out-of-order execution, floored at the balance."""
-    if not has_order_violation(executed, prescribed):
-        return 0
-    return min(penalty, max(0, producer_balance))
+    """Slash amount for an out-of-order execution, floored at the balance.
+
+    Items are templates' `(asset, venue_id)` keys, unique within a proposal.
+    The order is violated iff the executed keys are not a subsequence of the
+    prescribed ones; skipped templates are simply absent.
+    """
+    position = {key: i for i, key in enumerate(prescribed)}
+    last = -1
+    for key in executed:
+        pos = position.get(key)
+        if pos is None or pos < last:  # executing an unprescribed tx is itself a violation
+            return min(penalty, max(0, producer_balance))
+        last = pos
+    return 0
 
 
 def build_ledger(weights: RewardWeights, rho: dict[int, int]) -> RewardLedger:

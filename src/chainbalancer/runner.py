@@ -305,13 +305,14 @@ class SimulationRun:
         """Run the next block on the carried txs plus `arrivals` and return it."""
         cfg, state = self.config, self.state
         height = state.block_height
-        user = execute_block_user_phase(state, self.carry + arrivals, cfg.capacity)
+        gas = cfg.gas_per_user_swap
+        user = execute_block_user_phase(state, self.carry + arrivals, cfg.capacity // gas)
         self.carry = user.carried
-        block = Block(height, cfg.capacity, user_txs=user.applied, user_gas=user.gas_used)
+        block = Block(height, cfg.capacity, user_txs=user.applied, user_gas=len(user.applied) * gas)
         self.digest.update(
             "".join(
                 f"{height}|{tx.id}|{tx.venue_id}|{tx.asset}|"
-                f"{_DIRECTION_TEXT[tx.direction]}|{tx.amount_in}|{tx.gas}|{status}\n"
+                f"{_DIRECTION_TEXT[tx.direction]}|{tx.amount_in}|{gas}|{status}\n"
                 for tx, status in user.events
             ).encode()
         )

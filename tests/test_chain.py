@@ -42,8 +42,11 @@ def rng_for(seed):
 
 FLOW_PARAMS = UserFlowParams(rate=5.0, size_mu=2.0, size_sigma=0.5, venue_weights={1: 1.0, 2: 3.0})
 VENUE_ASSETS = {1: [1, 2], 2: [1]}
-# sha256 of the 51 txs that rng_for(42) draws in 10 blocks of FLOW_PARAMS
+# sha256 of the 51 txs that rng_for(42) draws in 10 blocks of FLOW_PARAMS,
+# each line also holding the 21,000 gas of one user swap
 FLOW_DIGEST = "97d066b4f41f9b214411a93e1c5a304f7dbbe0b5e555905197dc42d3efab409f"
+USER_GAS = 21_000
+USER_ROOM = 1_000_000 // USER_GAS  # the user swaps 1,000,000 gas holds: 47
 
 
 class TestGenerateUserFlow:
@@ -125,7 +128,7 @@ class TestGenerateUserFlow:
         """The draw order and arithmetic, pinned apart from the run goldens."""
         flow = generate_user_flow(rng_for(42), FLOW_PARAMS, 10, VENUE_ASSETS)
         lines = "".join(
-            f"{tx.id}|{tx.venue_id}|{tx.asset}|{tx.direction.value}|{tx.amount_in}|{tx.gas}|{tx.submitter}\n"
+            f"{tx.id}|{tx.venue_id}|{tx.asset}|{tx.direction.value}|{tx.amount_in}|{USER_GAS}|{tx.submitter}\n"
             for txs in flow
             for tx in txs
         )
@@ -144,14 +147,13 @@ def _funded_state():
     return state
 
 
-def _tx(tx_id, amount=10.0, gas=21_000, venue=1, direction=SwapDirection.BASE_IN):
+def _tx(tx_id, amount=10.0, venue=1, direction=SwapDirection.BASE_IN):
     return UserTx(
         id=tx_id,
         venue_id=venue,
         asset=1,
         direction=direction,
         amount_in=to_nano(amount),
-        gas=gas,
         submitter=user_account(tx_id % 4),
     )
 
@@ -160,23 +162,24 @@ class TestUserPhase:
     def test_empty_list_is_identity(self):
         state = _funded_state()
         before = state.clone()
-        result = execute_block_user_phase(state, [], 1_000_000)
-        assert result.gas_used == 0
+        result = execute_block_user_phase(state, [], USER_ROOM)
+        assert (result.applied, result.carried, result.events) == ([], [], [])
         assert state.pools[(1, 1)].reserve_base == before.pools[(1, 1)].reserve_base
         assert state.accounts == before.accounts
 
     def test_full_capacity_utilization(self):
         state = _funded_state()
-        txs = [_tx(i, gas=250_000) for i in range(4)]
-        result = execute_block_user_phase(state, txs, 1_000_000)
-        assert result.gas_used == 1_000_000
-        block = Block(index=0, capacity=1_000_000, user_gas=result.gas_used)
+        txs = [_tx(i) for i in range(4)]
+        result = execute_block_user_phase(state, txs, 1_000_000 // 250_000)
+        assert [t.id for t in result.applied] == [0, 1, 2, 3]
+        assert result.carried == []
+        block = Block(index=0, capacity=1_000_000, user_gas=len(result.applied) * 250_000)
         assert utilization(block) == 1.0
 
     def test_third_tx_exceeding_stops_the_scan(self):
         state = _funded_state()
-        txs = [_tx(0, gas=400_000), _tx(1, gas=400_000), _tx(2, gas=400_000)]
-        result = execute_block_user_phase(state, txs, 1_000_000)
+        txs = [_tx(0), _tx(1), _tx(2)]
+        result = execute_block_user_phase(state, txs, 1_000_000 // 400_000)
         assert [t.id for t in result.applied] == [0, 1]
         assert [t.id for t in result.carried] == [2]
 
@@ -184,7 +187,7 @@ class TestUserPhase:
         state = _funded_state()
         state.accounts[user_account(1)][1] = 0  # tx 1 cannot pay
         txs = [_tx(0), _tx(1), _tx(2)]
-        result = execute_block_user_phase(state, txs, 1_000_000)
+        result = execute_block_user_phase(state, txs, USER_ROOM)
         assert [t.id for t in result.applied] == [0, 2]
         assert [t.id for t in result.carried] == [1]
         assert [(tx.id, status) for tx, status in result.events] == [
@@ -199,14 +202,14 @@ class TestUserPhase:
         pay_asset = 1 if direction is SwapDirection.BASE_IN else 0
         state.accounts[user_account(1)][pay_asset] = to_nano(10.0) - 1  # one nano short
         before = state.clone()
-        result = execute_block_user_phase(state, [_tx(1, direction=direction)], 1_000_000)
+        result = execute_block_user_phase(state, [_tx(1, direction=direction)], USER_ROOM)
         assert [(tx.id, status) for tx, status in result.events] == [(1, "balance_deferred")]
         assert state == before
 
     def test_conservation_across_phase(self):
         state = _funded_state()
         before = state.asset_totals()
-        execute_block_user_phase(state, [_tx(i) for i in range(8)], 1_000_000)
+        execute_block_user_phase(state, [_tx(i) for i in range(8)], USER_ROOM)
         assert state.asset_totals() == before
 
 
@@ -302,11 +305,10 @@ class TestBalancerPhase:
             asset=1,
             direction=SwapDirection.BASE_IN,  # selling pushes the venue price down
             amount_in=to_nano(51),
-            gas=21_000,
             submitter=user_account(0),
         )
         state.credit(user_account(0), 1, to_nano(1000))
-        user_result = execute_block_user_phase(state, [closer], 1_000_000)
+        user_result = execute_block_user_phase(state, [closer], USER_ROOM)
         assert [(tx.id, status) for tx, status in user_result.events] == [(0, "applied")]
         live = (spot_price(state.pools[(1, 1)]) - spot_price(state.pools[(0, 1)])) / spot_price(
             state.pools[(0, 1)]
@@ -340,7 +342,7 @@ class TestDecisionSlots:
         # a user trades 1% of one pool's reserve, opening a gap of about 2%
         direction = SwapDirection.QUOTE_IN if venue == 0 else SwapDirection.BASE_IN
         amount = (500.0, 50.0)[venue]
-        execute_block_user_phase(state, [_tx(0, amount, venue=venue, direction=direction)], 10**6)
+        execute_block_user_phase(state, [_tx(0, amount, venue=venue, direction=direction)], 1)
         uncached = opportunity_from_deviation(state, 1, 1, state.deviation(1, 1))
         assert isinstance(uncached, Opportunity)
         assert decide(state, 1, 1) == uncached
@@ -519,7 +521,7 @@ class TestRunLevelInvariants:
 
         result = run_scenario(baseline_config, seed=21, mode="autobalancer")
         for block in result.blocks:
-            recorded = sum(tx.gas for tx in block.user_txs) + len(
+            recorded = len(block.user_txs) * baseline_config.gas_per_user_swap + len(
                 block.balancer_executed
             ) * baseline_config.threshold.gas_per_tx
             assert block.work == recorded

@@ -6,7 +6,9 @@ changes results; re-pin it only with the reason recorded in CHANGES.md.
 
 The scale cases run `scale.yaml` cut to its first 4 epochs: 48 pools,
 flash-loan-only funding and a 24-template cap, a shape neither baseline
-nor chaos has.
+nor chaos has. The congested cases run `baseline.yaml` with blocks that
+hold 8 user swaps and users who hold 200 units each, so the user phase
+fills blocks and defers txs it cannot fund, which no shipped scenario does.
 """
 
 import hashlib
@@ -31,6 +33,9 @@ GOLDEN = {
     ("scale", "off"): "f233ef3b9fa533357356999dbd6ad3edf894daec66be6969cec08afc1ff5fb2a",
     ("scale", "autobalancer"): "df14807af10bce977961bb5cc3bedb6ad9c9c7e5e9485c01390fb2dc941cd68e",
     ("scale", "external"): "2c940ef985ebb9721c07296dcf00614d87be788c543e7189bef68ea24aa8a4bc",
+    ("congested", "off"): "f6d57ac6c4a8dbaedfd759715721f2695dc5ea00116438edd8cace085bd03e86",
+    ("congested", "autobalancer"): "953870f1ee12b4c1c4394cf454bfeb828fa599d91a6ec08f434f1fb78773f727",
+    ("congested", "external"): "c137f1251245cdf4b5daf3a4423547c390fa67931e0e4a8d2099db5f151e82b7",
 }
 # Autobalancer digests with `reward_ledger`'s former constant
 # `"diverted_to_treasury": false` key put back: the bytes the code from
@@ -41,14 +46,20 @@ WITH_DIVERTED_KEY = {
     "scale": "5151966e8df2a500e4303f71d2d2699cabe98d5eb76224520528e03496af9747",
 }
 SCALE_EPOCHS = 4
+CONGESTED_CAPACITY = 174_000  # 8 user swaps of 21,000 gas
+CONGESTED_ENDOWMENT = 200.0
 
 
 def golden_config(scenario):
-    path = SCENARIOS / f"{scenario}.yaml"
-    if scenario != "scale":
-        return load_scenario(path)
-    data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    data["blocks"]["epochs"] = SCALE_EPOCHS
+    if scenario in ("baseline", "chaos"):
+        return load_scenario(SCENARIOS / f"{scenario}.yaml")
+    source = "scale" if scenario == "scale" else "baseline"
+    data = yaml.safe_load((SCENARIOS / f"{source}.yaml").read_text(encoding="utf-8"))
+    if scenario == "scale":
+        data["blocks"]["epochs"] = SCALE_EPOCHS
+    else:
+        data["blocks"]["capacity"] = CONGESTED_CAPACITY
+        data["user_flow"]["endowment"] = CONGESTED_ENDOWMENT
     return from_dict(data)
 
 

@@ -1,10 +1,10 @@
 """Import hygiene.
 
-Every name a chainbalancer module imports is used in that module. No linter
-runs on the package, so this is its one unused-import check. A line marked
-`# noqa: F401` is exempt: it keeps a binding that something outside the
-module replaces. The package root is skipped, as its imports are its
-exports.
+Every name a chainbalancer module, a test or a demo imports is used in that
+file. No linter runs on the repo, so this is its one unused-import check. A
+line marked `# noqa: F401` is exempt: it keeps a binding that something
+outside the module replaces. The package root is skipped, as its imports
+are its exports.
 
 Every test and demo imports only the declared stack: the standard library,
 the package, a sibling test module, and the `test` extra's PyYAML, pytest
@@ -20,6 +20,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "chainbalancer"
 DECLARED = {"chainbalancer", "yaml", "pytest", "hypothesis"}
+TESTS_AND_DEMOS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
+
+
+def _shown(path: Path) -> str:
+    """A package module by its name, a test or demo with its folder."""
+    return path.name if path.parent == PACKAGE else f"{path.parent.name}/{path.name}"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,8 +62,8 @@ def test_the_check_finds_an_unused_import():
 
 @pytest.mark.parametrize(
     "path",
-    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: p.name,
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + TESTS_AND_DEMOS,
+    ids=_shown,
 )
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -87,11 +93,7 @@ def test_the_check_finds_an_undeclared_import():
     assert undeclared_imports(source, {"conftest"}) == ["numpy", "scipy"]
 
 
-@pytest.mark.parametrize(
-    "path",
-    sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")]),
-    ids=lambda p: f"{p.parent.name}/{p.name}",
-)
+@pytest.mark.parametrize("path", TESTS_AND_DEMOS, ids=_shown)
 def test_imports_only_the_declared_stack(path):
     siblings = {p.stem for p in path.parent.glob("*.py")}
     assert undeclared_imports(path.read_text(encoding="utf-8"), siblings) == []

@@ -5,7 +5,9 @@ with injected faults, in any order: per-asset totals never move by one
 nano-unit, a beneficiary's numeraire never falls, and a revert writes
 nothing. User swaps and balancer phases under several thresholds, in any
 order: a phase on a state whose decision slots are warm (one slot map for
-every threshold) does what it does on empty slots.
+every threshold) does what it does on empty slots. A user phase given the
+room `capacity // gas` applies, carries and logs what a scan summing each
+applied swap's gas against the capacity does.
 """
 
 import copy
@@ -23,7 +25,7 @@ from chainbalancer import (
 )
 from chainbalancer.arbitrage import Opportunity, opportunity_from_deviation
 from chainbalancer.chain import UserTx, execute_block_balancer_phase, execute_block_user_phase
-from chainbalancer.market import NUMERAIRE
+from chainbalancer.market import NUMERAIRE, execute_swap
 from chainbalancer.searchers import BalancerTemplate
 from chainbalancer.state import EXTERNAL, TREASURY, user_account
 from chainbalancer.units import to_nano
@@ -111,8 +113,8 @@ def _snapshot(state):
 
 def _apply_user_swap(state, tx_id, step):
     _, venue, asset, direction, amount, user = step
-    tx = UserTx(tx_id, venue, asset, direction, amount, 21_000, user_account(user))
-    execute_block_user_phase(state, [tx], capacity=10**9)
+    tx = UserTx(tx_id, venue, asset, direction, amount, user_account(user))
+    execute_block_user_phase(state, [tx], room=1)
 
 
 def _opportunity(state, venue, asset, funding, forced):
@@ -173,3 +175,52 @@ def test_a_phase_on_warm_decision_slots_equals_one_on_empty_slots(state, steps):
         cold_phase = execute_block_balancer_phase(cold, templates, ROOM, lambda t: fault)
         assert warm_phase == cold_phase
         assert state == cold
+
+
+def _user_phase_by_gas(state, pending, capacity, gas):
+    """The user phase as a gas sum: stop once the next swap would overflow."""
+    applied, deferred, events, used = [], [], [], 0
+    for i, tx in enumerate(pending):
+        if used + gas > capacity:
+            return applied, list(pending[i:]) + deferred, events
+        base_in = tx.direction is SwapDirection.BASE_IN
+        pay, get = (tx.asset, NUMERAIRE) if base_in else (NUMERAIRE, tx.asset)
+        if state.balance(tx.submitter, pay) < tx.amount_in:
+            deferred.append(tx)
+            events.append((tx, "balance_deferred"))
+            continue
+        state.debit(tx.submitter, pay, tx.amount_in)
+        pool = state.pools[(tx.venue_id, tx.asset)]
+        state.credit(tx.submitter, get, execute_swap(pool, tx.direction, tx.amount_in))
+        used += gas
+        applied.append(tx)
+        events.append((tx, "applied"))
+    return applied, deferred, events
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    state=states(),
+    capacity=st.integers(1, 500_000),
+    gas=st.integers(1, 100_000),
+    pending=st.lists(
+        st.tuples(
+            st.sampled_from(VENUES),
+            st.sampled_from(ASSETS),
+            st.sampled_from(list(SwapDirection)),
+            st.integers(1, 10**13),
+            st.integers(0, USERS),  # user USERS holds nothing: each of its swaps is deferred
+        ),
+        max_size=25,
+    ),
+)
+def test_a_user_room_applies_what_summing_gas_against_capacity_does(state, capacity, gas, pending):
+    txs = [
+        UserTx(tx_id, venue, asset, direction, amount, user_account(user))
+        for tx_id, (venue, asset, direction, amount, user) in enumerate(pending)
+    ]
+    by_gas = state.clone()
+    expected = _user_phase_by_gas(by_gas, txs, capacity, gas)
+    result = execute_block_user_phase(state, txs, capacity // gas)
+    assert (result.applied, result.carried, result.events) == expected
+    assert state == by_gas
