@@ -9,6 +9,10 @@ trigger in `decide`, which turns a template into its skip or its sized
 opportunity for both that phase and the searchers' proposals and keeps
 one decision per template on the chain state, reused while nothing the
 decision reads has moved.
+
+A `Block` records only what differs from block to block: its txs, its
+producer fee and slash, and the values sampled at its close. The block
+capacity and the gas per tx are the run's constants, held by the runner.
 """
 
 from __future__ import annotations
@@ -57,21 +61,16 @@ class SkipRecord:
 @dataclass(slots=True)
 class Block:
     index: int
-    capacity: int
     user_txs: list[UserTx] = field(default_factory=list)
     balancer_executed: list[ExecRecord] = field(default_factory=list)
     balancer_skipped: list[SkipRecord] = field(default_factory=list)
-    user_gas: int = 0
-    balancer_gas: int = 0
     producer_fee: int = 0
     slashed: int = 0
-    # sampled from the closing prices, after both phases and settlement
+    # sampled after both phases and settlement: the share of the run's block
+    # capacity the block's txs used, then two values of the closing prices
+    utilization: float = 0.0
     discrepancy: float = 0.0
     max_abs_deviation: float = 0.0
-
-    @property
-    def work(self) -> int:
-        return self.user_gas + self.balancer_gas
 
     @property
     def profit(self) -> int:

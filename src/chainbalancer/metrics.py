@@ -4,8 +4,10 @@ The mechanism is scored, not solved in closed form: each run realizes a
 feasible transaction sequence, and these metrics report the objective it
 achieves. Each block scores lambda1 * discrepancy - lambda2 * utilization;
 each epoch checks its mean performance cost psi (a ramp above the knee
-u_star) against the cap delta. Discrepancy sums unordered venue pairs
-once; doubling recovers the ordered-pair convention.
+u_star) against the cap delta. Utilization comes in as a float, the share
+of the block's capacity its txs used, which the runner works out once per
+block. Discrepancy sums unordered venue pairs once; doubling recovers the
+ordered-pair convention.
 
 Prices come as one flat snapshot (market.snapshot_prices) indexed like the
 run's pool keys. The index plans below are built once per run, since the
@@ -23,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
-
-from .chain import Block
 
 
 @dataclass
@@ -90,11 +90,6 @@ def max_relative_deviation(prices: Sequence[float], pairs: Sequence[tuple[int, i
         if deviation > largest:
             largest = deviation
     return largest
-
-
-def utilization(block: Block) -> float:
-    """U = work/capacity, in [0, 1]."""
-    return block.work / block.capacity
 
 
 def performance_cost_psi(u: float, u_star: float) -> float:

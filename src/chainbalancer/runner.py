@@ -43,7 +43,6 @@ from .metrics import (
     ordered_sum,
     performance_cost_psi,
     scalarized_objective,
-    utilization,
 )
 from .rewards import (
     GROUP_SEARCHERS,
@@ -112,11 +111,12 @@ class RunResult:
 
     def report(self) -> dict:
         """JSON-ready nested report; deterministic for a fixed config+seed."""
-        weights = self.config.objective_weights
+        cfg, weights = self.config, self.config.objective_weights
         block_rows = []
         for block in self.blocks:
-            util = utilization(block)
-            profit = to_units(block.profit)
+            util, profit = block.utilization, to_units(block.profit)
+            user_gas = len(block.user_txs) * cfg.gas_per_user_swap
+            balancer_gas = len(block.balancer_executed) * cfg.threshold.gas_per_tx
             block_rows.append(
                 {
                     "block": block.index,
@@ -127,9 +127,9 @@ class RunResult:
                     "captured_profit": profit if self.mode == MODE_AUTO else 0.0,
                     "leaked_profit": profit if self.mode == MODE_EXTERNAL else 0.0,
                     "max_abs_deviation": block.max_abs_deviation,
-                    "work": block.work,
-                    "user_gas": block.user_gas,
-                    "balancer_gas": block.balancer_gas,
+                    "work": user_gas + balancer_gas,
+                    "user_gas": user_gas,
+                    "balancer_gas": balancer_gas,
                     "user_applied": len(block.user_txs),
                     "balancer_committed": len(block.balancer_executed),
                     "balancer_skipped": len(block.balancer_skipped),
@@ -277,7 +277,7 @@ class SimulationRun:
             "leaked": to_units(leaked_total),
             "leaked_nano": leaked_total,
             "mean_discrepancy": ordered_sum(b.discrepancy for b in blocks) / n,
-            "mean_utilization": ordered_sum(utilization(b) for b in blocks) / n,
+            "mean_utilization": ordered_sum(b.utilization for b in blocks) / n,
             "max_abs_deviation": max((b.max_abs_deviation for b in blocks), default=0.0),
             "producer_fees_nano": sum(b.producer_fee for b in blocks),
             "slashed_nano": sum(b.slashed for b in blocks),
@@ -308,7 +308,7 @@ class SimulationRun:
         gas = cfg.gas_per_user_swap
         user = execute_block_user_phase(state, self.carry + arrivals, cfg.capacity // gas)
         self.carry = user.carried
-        block = Block(height, cfg.capacity, user_txs=user.applied, user_gas=len(user.applied) * gas)
+        block = Block(height, user_txs=user.applied)
         self.digest.update(
             "".join(
                 f"{height}|{tx.id}|{tx.venue_id}|{tx.asset}|"
@@ -316,7 +316,8 @@ class SimulationRun:
                 for tx, status in user.events
             ).encode()
         )
-        room = (cfg.capacity - block.user_gas) // cfg.threshold.gas_per_tx
+        user_gas = len(user.applied) * gas
+        room = (cfg.capacity - user_gas) // cfg.threshold.gas_per_tx
 
         if active_set:
             order = list(range(len(active_set)))
@@ -329,7 +330,6 @@ class SimulationRun:
                 state, [active_set[i] for i in order], room, self.injector
             )
             block.balancer_executed, block.balancer_skipped = phase.executed, phase.skipped
-            block.balancer_gas = len(phase.executed) * cfg.threshold.gas_per_tx
             # the escrow holds the phase's gas fees: gamma to the producer, the rest burned
             fees = state.balance(FEE_ESCROW, NUMERAIRE)
             block.producer_fee = pay_producer(fees, self.gamma)
@@ -345,6 +345,8 @@ class SimulationRun:
             if block.slashed:
                 state.transfer(PRODUCER, TREASURY, NUMERAIRE, block.slashed)
 
+        balancer_gas = len(block.balancer_executed) * cfg.threshold.gas_per_tx
+        block.utilization = (user_gas + balancer_gas) / cfg.capacity
         self._sample_block(block)
         # conservation is checked after every block, not only at the end
         for asset, total in state.asset_totals().items():
@@ -365,7 +367,7 @@ class SimulationRun:
         cfg, weights = self.config, self.config.objective_weights
         epoch_profit = sum(b.profit for b in epoch)
         ledger = self._settle_epoch(epoch, selected)
-        psis = [performance_cost_psi(utilization(b), weights.u_star) for b in epoch]
+        psis = [performance_cost_psi(b.utilization, weights.u_star) for b in epoch]
         if selected is not None:
             sid = selected.searcher_id
             self.credibility[sid] = update_credibility(

@@ -11,7 +11,6 @@ import pytest
 from chainbalancer import Funding, SwapDirection, Threshold, optimal_trade_size, spot_price
 from chainbalancer.arbitrage import Opportunity, opportunity_from_deviation
 from chainbalancer.chain import (
-    Block,
     SkipRecord,
     UserFlowParams,
     UserTx,
@@ -22,7 +21,6 @@ from chainbalancer.chain import (
 )
 from chainbalancer.config import ValidationError, from_dict
 from chainbalancer.market import NUMERAIRE
-from chainbalancer.metrics import utilization
 from chainbalancer.runner import SimulationRun
 from chainbalancer.searchers import (
     BalancerTemplate,
@@ -170,11 +168,11 @@ class TestUserPhase:
     def test_full_capacity_utilization(self):
         state = _funded_state()
         txs = [_tx(i) for i in range(4)]
-        result = execute_block_user_phase(state, txs, 1_000_000 // 250_000)
+        room = 1_000_000 // 250_000  # four swaps of 250,000 gas fill the block exactly
+        result = execute_block_user_phase(state, txs, room)
         assert [t.id for t in result.applied] == [0, 1, 2, 3]
         assert result.carried == []
-        block = Block(index=0, capacity=1_000_000, user_gas=len(result.applied) * 250_000)
-        assert utilization(block) == 1.0
+        assert len(result.applied) == room
 
     def test_third_tx_exceeding_stops_the_scan(self):
         state = _funded_state()
@@ -515,17 +513,6 @@ class TestRunLevelInvariants:
         assert len(paid) == 30
         if mode != "off":
             assert all(any(values) for values in zip(*paid))  # fees paid and a slash taken
-
-    def test_block_gas_accounting(self, baseline_config):
-        from chainbalancer import run_scenario
-
-        result = run_scenario(baseline_config, seed=21, mode="autobalancer")
-        for block in result.blocks:
-            recorded = len(block.user_txs) * baseline_config.gas_per_user_swap + len(
-                block.balancer_executed
-            ) * baseline_config.threshold.gas_per_tx
-            assert block.work == recorded
-            assert block.work <= block.capacity
 
     def test_final_state_determinism(self, baseline_config):
         from chainbalancer import run_scenario

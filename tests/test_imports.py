@@ -3,8 +3,9 @@
 Every name a chainbalancer module, a test or a demo imports is used in that
 file. No linter runs on the repo, so this is its one unused-import check. A
 line marked `# noqa: F401` is exempt: it keeps a binding that something
-outside the module replaces. The package root is skipped, as its imports
-are its exports.
+outside the module replaces, and in the package that is only a binding
+`perfbench/tracer.py`'s `TARGETS` rebinds in that module. The package root
+is skipped, as its imports are its exports.
 
 Every test and demo imports only the declared stack: the standard library,
 the package, a sibling test module, and the `test` extra's PyYAML, pytest
@@ -19,6 +20,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "chainbalancer"
+TRACER = ROOT / "perfbench" / "tracer.py"
 DECLARED = {"chainbalancer", "yaml", "pytest", "hypothesis"}
 TESTS_AND_DEMOS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
 
@@ -67,6 +69,57 @@ def test_the_check_finds_an_unused_import():
 )
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def exempt_imports(source: str) -> list[str]:
+    """The names `source` imports on a line marked `# noqa: F401`, in import order."""
+    lines = source.splitlines()
+    return [
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+        for alias in node.names
+    ]
+
+
+def tracer_rebinds(source: str) -> set[tuple[str, str]]:
+    """(module, name) of every module-level binding a tracer's `TARGETS` rebinds;
+    bindings on a class ("module.Class") are left out."""
+    targets = next(
+        node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    rebinds = set()
+    for entry in targets.elts:
+        owners, attr = ast.literal_eval(entry.elts[1]), ast.literal_eval(entry.elts[2])
+        rebinds |= {(owner, attr) for owner in owners if "." not in owner}
+    return rebinds
+
+
+def test_the_check_reads_the_tracer_targets():
+    source = (
+        "def _count(counts, result): pass\n"
+        "TARGETS = (\n"
+        '    ("a.f", ("a", "b"), "f", _count),\n'
+        '    ("s.clone", ("state.ChainState",), "clone", None),\n'
+        ")\n"
+    )
+    assert tracer_rebinds(source) == {("a", "f"), ("b", "f")}
+    assert exempt_imports("from .a import f  # noqa: F401 - rebound\nfrom .a import g\n") == ["f"]
+
+
+def test_each_exemption_is_a_binding_the_tracer_rebinds():
+    """A `# noqa: F401` in the package stands only while the tracer still
+    rebinds that name in that module; once it stops, the import is unused."""
+    rebinds = tracer_rebinds(TRACER.read_text(encoding="utf-8"))
+    exempt = [
+        (path.stem, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in exempt_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert [binding for binding in exempt if binding not in rebinds] == []
 
 
 def undeclared_imports(source: str, siblings: set[str]) -> list[str]:

@@ -8,7 +8,6 @@ import pytest
 
 import chainbalancer.runner as runner_mod
 from chainbalancer import load_scenario, run_baseline_comparison, run_scenario
-from chainbalancer.chain import Block
 from chainbalancer.config import ValidationError, from_dict
 from chainbalancer.market import snapshot_prices
 from chainbalancer.metrics import (
@@ -21,7 +20,6 @@ from chainbalancer.metrics import (
     ordered_sum,
     performance_cost_psi,
     scalarized_objective,
-    utilization,
 )
 from chainbalancer.state import TREASURY
 from chainbalancer.units import to_nano
@@ -165,18 +163,12 @@ class TestScalarized:
 
 
 class TestUtilizationAndPsi:
-    def test_utilization_values(self):
-        assert utilization(Block(index=0, capacity=1_000_000, user_gas=750_000)) == 0.75
-        assert utilization(Block(index=0, capacity=1_000_000)) == 0.0
-        assert utilization(Block(index=0, capacity=1_000_000, user_gas=1_000_000)) == 1.0
-
     def test_psi_ramp(self):
-        below = Block(index=0, capacity=100, user_gas=50)
-        saturated = Block(index=0, capacity=100, user_gas=100)
-        ramp = Block(index=0, capacity=100, user_gas=95)
-        assert performance_cost_psi(utilization(below), 0.9) == 0.0
-        assert performance_cost_psi(utilization(saturated), 0.9) == 1.0
-        assert performance_cost_psi(utilization(ramp), 0.9) == pytest.approx(0.5)
+        assert performance_cost_psi(0.0, 0.9) == 0.0
+        assert performance_cost_psi(0.5, 0.9) == 0.0
+        assert performance_cost_psi(0.9, 0.9) == 0.0  # the knee itself costs nothing
+        assert performance_cost_psi(0.95, 0.9) == pytest.approx(0.5)
+        assert performance_cost_psi(1.0, 0.9) == 1.0
 
 
 class TestConstraintCheck:

@@ -33,7 +33,7 @@ def test_replays_read_last_window_closing_states(window, monkeypatch):
 
     monkeypatch.setattr(runner_mod, "evaluate_proposals", recording)
     config = _config(window)
-    result = run_scenario(config, seed=3, mode="autobalancer")
+    rows = run_scenario(config, seed=3, mode="autobalancer").report()["blocks"]
 
     assert len(seen) == EPOCHS
     gas_per_tx = config.threshold.gas_per_tx
@@ -42,7 +42,7 @@ def test_replays_read_last_window_closing_states(window, monkeypatch):
     for epoch in range(1, EPOCHS):
         boundary = epoch * EPOCH_LENGTH
         expected = [
-            (height, (config.capacity - result.blocks[height].user_gas) // gas_per_tx)
+            (height, (config.capacity - rows[height]["user_gas"]) // gas_per_tx)
             for height in range(max(0, boundary - window), boundary)
         ]
         assert seen[epoch] == expected

@@ -6,27 +6,36 @@ applied or still queued (some are queued when the drawn capacity binds,
 and all of them when users hold no endowment), each epoch's ledger pays
 out exactly its pool, the beneficiary is never debited inside an epoch
 (it gains exactly the block's profit, and the slash when it is the
-treasury), every committed balancer tx costs the run's one gas per tx
-and uses an allowed funding kind, the fee burn ends with exactly the
-run's fees less the producer's cuts and the producer with its cuts less
-its slashes, a rerun writes the same bytes, and no run aborts.
+treasury), every report row's gas and utilization follow from its counts
+and the scenario's gas and capacity, every commit uses an allowed funding
+kind, the fee burn ends with exactly the run's fees less the producer's
+cuts and the producer with its cuts less its slashes, a rerun writes the
+same bytes, and no run aborts.
+
+A cold run reuses nothing: its decision slots never hit, each proposal
+is replayed on its own, and it draws its own user flow. It writes the
+same bytes and ends in the same state as a warm run on a shared flow, so
+no reuse the runs make (decision slots, shared replays, one flow per seed)
+changes a result.
 """
 
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import chainbalancer.runner as runner_mod
 from chainbalancer.config import MODES, from_dict
 from chainbalancer.report import dumps_report
 from chainbalancer.rewards import GROUP_MARKETPLACES
-from chainbalancer.runner import SimulationRun, run_scenario
+from chainbalancer.runner import SimulationRun, draw_user_flow, run_scenario
 from chainbalancer.market import NUMERAIRE
+from chainbalancer.searchers import evaluate_proposals
 from chainbalancer.state import EXTERNAL, FEE_BURN, PRODUCER, TREASURY
 from chainbalancer.units import to_nano
 
 EPOCHS, EPOCH_LENGTH = 2, 4
-USER_GAS = 21_000  # the default gas per user swap
 
 # 1 nano-unit to 10^8 units, spread over every order of magnitude
 RESERVES = st.builds(
@@ -34,18 +43,20 @@ RESERVES = st.builds(
     st.integers(1, 9),
     st.integers(0, 17),
 )
+BENEFICIARY_NUMERAIRE = st.sampled_from([0.0, 0.001, 0.05, 1.0, 1_000_000.0])
 
 
 @st.composite
 def scenarios(draw) -> dict:
     venues = draw(st.integers(2, 4))  # venue 0 is the reference
-    # the default capacity, or one of 1-3 user swaps (plus spare gas) against
-    # well over 3 arrivals a block, so the carry queue fills
+    # blocks of 1-3 user swaps (plus spare gas) against well over 3 arrivals
+    # a block, so the carry queue fills, or of 4-60 swaps against 5 arrivals
+    user_gas = draw(st.integers(1, 100_000))
     if draw(st.booleans()):
-        capacity = draw(st.integers(1, 3)) * USER_GAS + draw(st.integers(0, USER_GAS - 1))
-        rate = draw(st.floats(12.0, 40.0))
+        swaps, rate = draw(st.integers(1, 3)), draw(st.floats(12.0, 40.0))
     else:
-        capacity, rate = 1_000_000, 5.0
+        swaps, rate = draw(st.integers(4, 60)), 5.0
+    capacity = swaps * user_gas + draw(st.integers(0, user_gas - 1))
     assets = draw(st.integers(1, 3))  # the numeraire not counted
     pools = [
         {
@@ -66,6 +77,7 @@ def scenarios(draw) -> dict:
             "epochs": EPOCHS,
             "epoch_length": EPOCH_LENGTH,
             "capacity": capacity,
+            "gas_per_user_swap": user_gas,
             "gas_per_balancer_tx": draw(st.integers(1, capacity)),
         },
         # the default endowment, none (every debit fails, so every user tx is
@@ -83,9 +95,12 @@ def scenarios(draw) -> dict:
             "max_set_size": draw(st.integers(1, 4)),
             "min_net_profit": draw(st.one_of(st.just(0.0), st.floats(1e-9, 1.0))),
         },
+        # the beneficiary's numeraire from none to plenty, so that network
+        # liquidity is sometimes just short of a trade and the funding flips
         "balances": {
-            "treasury_numeraire": draw(st.sampled_from([0.0, 1_000_000.0])),
+            "treasury_numeraire": draw(BENEFICIARY_NUMERAIRE),
             "lender_numeraire": draw(st.sampled_from([0.0, 1_000_000_000.0])),
+            "external_numeraire": draw(BENEFICIARY_NUMERAIRE),
         },
         # corners rather than a spread: slashing needs a permuted block with
         # two commits in it, which a rare permutation or frequent reverts hide
@@ -118,7 +133,8 @@ class BeneficiaryTap(SimulationRun):
 def test_random_scenarios_keep_run_invariants(raw):
     config = from_dict(raw)
     seed = config.seeds[0]
-    gas_per_tx = raw["blocks"]["gas_per_balancer_tx"]
+    capacity = raw["blocks"]["capacity"]
+    user_gas, gas_per_tx = raw["blocks"]["gas_per_user_swap"], raw["blocks"]["gas_per_balancer_tx"]
     fee_per_tx = gas_per_tx * to_nano(raw["threshold"]["gas_price"])
     assert config.threshold.gas_fee_nano == fee_per_tx
     for mode in MODES:
@@ -129,17 +145,19 @@ def test_random_scenarios_keep_run_invariants(raw):
         report = result.report()
         reconciliation = report["final"]["reconciliation"]
         assert reconciliation["generated"] == reconciliation["applied"] + reconciliation["queued"]
-        if config.capacity < 4 * USER_GAS:
+        if capacity // user_gas < 4:
             assert reconciliation["queued"] > 0
         if config.endowment == 0:
             assert reconciliation["applied"] == 0
             assert reconciliation["queued"] == reconciliation["generated"]
+        for row in report["blocks"]:
+            assert row["user_gas"] == row["user_applied"] * user_gas
+            assert row["balancer_gas"] == row["balancer_committed"] * gas_per_tx
+            assert row["work"] == row["user_gas"] + row["balancer_gas"] <= capacity
+            assert row["utilization"] == row["work"] / capacity
         for block in result.blocks:
-            commits = len(block.balancer_executed)
-            assert block.balancer_gas == commits * gas_per_tx
             for record in block.balancer_executed:
                 assert record.funding.value in raw["governance"]["allowed_funding"]
-            assert block.user_gas + block.balancer_gas <= config.capacity
         # each commit's fee is split: the producer's cut, less its slashes,
         # stays with the producer and the rest is burned
         final = result.final_state
@@ -170,3 +188,43 @@ def test_random_scenarios_keep_run_invariants(raw):
 
         rerun = run_scenario(config, seed=seed, mode=mode)
         assert dumps_report(rerun.report()) == dumps_report(report)
+
+
+class ColdSlots(dict):
+    """Decision slots that never hit: every `chain.decide` decides afresh."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def evaluate_each_alone(proposals, recent_blocks, credibility):
+    """`evaluate_proposals` with every proposal replayed on its own, so no
+    two proposals share a replay; the highest score wins, ties to the
+    lowest searcher id."""
+    scores = {}
+    for proposal in proposals:
+        scores |= evaluate_proposals([proposal], recent_blocks, credibility)[1]
+    selected = min(
+        (p for p in proposals if p.ordered_txs),
+        key=lambda p: (-scores[p.searcher_id]["score"], p.searcher_id),
+        default=None,
+    )
+    return selected, scores
+
+
+@settings(derandomize=True, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw=scenarios())
+def test_cold_runs_match_warm_runs(raw):
+    config = from_dict(raw)
+    seed = config.seeds[0]
+    flow = draw_user_flow(config, seed)
+    for mode in MODES:
+        warm = run_scenario(config, seed=seed, mode=mode, flow=flow)
+        run = SimulationRun(config, seed, mode)
+        run.state.decisions = ColdSlots()  # every clone shares it
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runner_mod, "evaluate_proposals", evaluate_each_alone)
+            cold = run.execute()  # draws its own flow
+        assert dumps_report(cold.report()) == dumps_report(warm.report())
+        assert cold.final_state == warm.final_state
