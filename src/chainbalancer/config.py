@@ -23,13 +23,12 @@ from .arbitrage import Funding, Threshold
 from .chain import UserFlowParams
 from .market import MAX_FEE_PPB, Pool
 from .metrics import ObjectiveWeights
-from .rewards import RewardWeights, WeightError
+from .rewards import GROUPS, RewardWeights, WeightError
 from .searchers import GovernanceConditions, SearcherProfile
 from .units import ppb, to_nano
 
 MODES = ("off", "autobalancer", "external")
 _FUNDING = tuple(f.value for f in Funding)
-_OMEGA_KEYS = ("searchers", "marketplaces", "treasury")
 # every integer field is a signed 64-bit integer, so every accepted
 # config can be hashed (Python will not write an int of 4,300+ digits)
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -120,8 +119,7 @@ FIELDS = (
     ("threshold.flash_fee", 0.0009, _num(lambda x: 0 <= x < 0.01), "a number in [0, 0.01)"),
     ("threshold.gas_price", 1e-7, *NON_NEGATIVE),
     ("weights.omega", {"searchers": 0.4, "marketplaces": 0.4, "treasury": 0.2},
-     lambda v: isinstance(v, dict) and set(v) == set(_OMEGA_KEYS)
-     and all(map(_is_number, v.values())),
+     lambda v: isinstance(v, dict) and set(v) == set(GROUPS) and all(map(_is_number, v.values())),
      "a mapping of searchers, marketplaces and treasury to numbers"),
     ("weights.lambda1", 1.0, *NON_NEGATIVE),
     ("weights.lambda2", 0.1, *NON_NEGATIVE),
@@ -370,7 +368,7 @@ def _cross_violations(v: dict) -> list[str]:
     omega = v.get("weights.omega")
     if omega is not None:
         try:
-            RewardWeights.from_values(*(omega[k] for k in _OMEGA_KEYS))
+            RewardWeights.from_values(**omega)
         except WeightError as exc:
             out.append(f"weights.omega: {exc}")
     if v.get("weights.lambda1") == 0 and v.get("weights.lambda2") == 0:
@@ -437,7 +435,7 @@ def from_dict(raw: dict) -> ScenarioConfig:
             gas_per_tx=v["blocks.gas_per_balancer_tx"],
             allowed_funding=frozenset(Funding(f) for f in v["governance.allowed_funding"]),
         ),
-        reward_weights=RewardWeights.from_values(*(v["weights.omega"][k] for k in _OMEGA_KEYS)),
+        reward_weights=RewardWeights.from_values(**v["weights.omega"]),
         objective_weights=ObjectiveWeights(
             lambda1=v["weights.lambda1"],
             lambda2=v["weights.lambda2"],

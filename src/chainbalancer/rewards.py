@@ -2,28 +2,27 @@
 
 A venue's contribution rho_v is the profit of the epoch's commits whose
 non-reference leg ran there, so the epoch profit pool is exactly the sum
-of the contributions. The pool splits across searchers, marketplaces and
-the treasury by configured weights omega, the treasury taking the
-remainder, and each venue is allocated omega_marketplaces * rho_v: the
-marketplace share is always fully attributed, with nothing diverted.
-Allocation arithmetic is exact (stdlib fractions); physical payouts floor
-to nano-units with one share absorbing the rounding remainder, so the
-quantized payouts also sum to the pool exactly.
+of the contributions. Weights omega summing to exactly 1 split it: each
+group is allocated its weight times the pool, and each venue
+omega_marketplaces * rho_v, so nothing is diverted. Allocations are exact
+fractions; payouts floor to nano-units, the treasury and one venue taking
+only the flooring dust, so they too sum to the pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Context
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .chain import ExecRecord
+if TYPE_CHECKING:  # an annotation only: rewards imports no package module
+    from .chain import ExecRecord
 
 GROUP_SEARCHERS = "searchers"
 GROUP_MARKETPLACES = "marketplaces"
 GROUP_TREASURY = "treasury"
 GROUPS = (GROUP_SEARCHERS, GROUP_MARKETPLACES, GROUP_TREASURY)
-
-SIMPLEX_TOLERANCE = Fraction(1, 10**12)
 
 
 class WeightError(ValueError):
@@ -35,25 +34,31 @@ def exact_fraction(value) -> Fraction:
     return Fraction(str(value))
 
 
-@dataclass
+def _written(value: Fraction) -> str:
+    """`value` exactly, as a decimal or else p/q; a float shows 1.00000000000000004 as 1.0."""
+    n, d = value.numerator, value.denominator
+    if 10 ** d.bit_length() % d:  # d is not 2^a 5^b, so no finite decimal
+        return str(value)
+    return str(Context(prec=n.bit_length() + d.bit_length() + 1).divide(n, d))
+
+
+@dataclass(frozen=True)
 class RewardWeights:
     searchers: Fraction
     marketplaces: Fraction
     treasury: Fraction
 
-    @classmethod
-    def from_values(cls, searchers, marketplaces, treasury) -> "RewardWeights":
-        w = cls(exact_fraction(searchers), exact_fraction(marketplaces), exact_fraction(treasury))
-        w.validate()
-        return w
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, value in zip(GROUPS, (self.searchers, self.marketplaces, self.treasury)):
             if not 0 <= value <= 1:
-                raise WeightError(f"weight {name}={float(value)} outside [0, 1]")
+                raise WeightError(f"weight {name}={_written(value)} outside [0, 1]")
         total = self.searchers + self.marketplaces + self.treasury
-        if abs(total - 1) > SIMPLEX_TOLERANCE:
-            raise WeightError(f"weights sum to {float(total)}, not 1")
+        if total != 1:
+            raise WeightError(f"weights sum to {_written(total)}, not 1")
+
+    @classmethod
+    def from_values(cls, searchers, marketplaces, treasury) -> "RewardWeights":
+        return cls(*map(exact_fraction, (searchers, marketplaces, treasury)))
 
 
 @dataclass
@@ -132,18 +137,13 @@ def apply_slashing(
 def build_ledger(weights: RewardWeights, rho: dict[int, int]) -> RewardLedger:
     """Split the epoch pool, the contributions' sum, exactly; then quantize.
 
-    `weights` lie on the unit simplex: `RewardWeights.from_values` checks them.
+    Each group is allocated its weight times the pool, so the allocations
+    sum to the pool; the treasury's payout absorbs only the floors' dust.
     """
     if any(value < 0 for value in rho.values()):
         raise ValueError("contributions must be non-negative")
     pool = sum(rho.values())
-    searchers = weights.searchers * pool
-    marketplaces = weights.marketplaces * pool
-    allocations = {
-        GROUP_SEARCHERS: searchers,
-        GROUP_MARKETPLACES: marketplaces,
-        GROUP_TREASURY: pool - searchers - marketplaces,
-    }
+    allocations = {group: getattr(weights, group) * pool for group in GROUPS}
     venue_allocations = {venue: weights.marketplaces * value for venue, value in rho.items()}
     payouts = quantize_allocations(allocations, pool, GROUP_TREASURY)
     venue_payouts = (

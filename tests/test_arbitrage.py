@@ -128,6 +128,12 @@ def test_threshold_rejects_a_non_finite_epsilon(epsilon):
         Threshold(epsilon=epsilon)
 
 
+@pytest.mark.parametrize("flash_fee", [-0.001, 0.01, math.nan], ids=["negative", "one-percent", "nan"])
+def test_threshold_rejects_a_flash_fee_out_of_range(flash_fee):
+    with pytest.raises(ValueError, match=r"^flash_fee out of \[0, 0.01\) range$"):
+        Threshold(flash_fee=flash_fee)
+
+
 @pytest.mark.parametrize("gas_price", [math.nan, math.inf], ids=["nan", "inf"])
 def test_threshold_rejects_a_non_finite_gas_price(gas_price):
     with pytest.raises(ValueError, match="gas_price must be non-negative and finite"):

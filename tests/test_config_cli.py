@@ -168,6 +168,10 @@ class TestRunShapes:
         report = result.report()
         assert report["blocks"] == [] and report["epochs"] == []
 
+    def test_unknown_mode_is_rejected_before_the_run(self, baseline_config):
+        with pytest.raises(ValueError, match="^unknown mode 'warp'$"):
+            run_scenario(baseline_config, mode="warp")
+
     def test_block_count_matches_config(self, baseline_config):
         result = run_scenario(baseline_config, seed=1, mode="off")
         assert len(result.report()["blocks"]) == 100
@@ -459,7 +463,7 @@ class TestCli:
         assert message in err
         assert "runtime abort" not in err
 
-    @pytest.mark.parametrize("seed", ["-1", str(2**63)])
+    @pytest.mark.parametrize("seed", ["-1", str(2**63), "abc"])
     def test_run_bad_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, seed):
         """`--seed N` must pass the scenario's `seeds` rule as `[N]`."""
         path = self._write(tmp_path, minimal_raw())

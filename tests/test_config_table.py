@@ -7,6 +7,7 @@ pinned; README's defaults table is checked against `config.FIELDS`.
 
 import copy
 import dataclasses
+import inspect
 import json
 import math
 import re
@@ -17,9 +18,13 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chainbalancer import ScenarioConfig, ValidationError, load_scenario, run_scenario
+from chainbalancer import ScenarioConfig, Threshold, ValidationError, load_scenario, run_scenario
+from chainbalancer.chain import UserFlowParams
 from chainbalancer.cli import main
 from chainbalancer.config import FIELDS, from_dict
+from chainbalancer.metrics import ObjectiveWeights
+from chainbalancer.searchers import GovernanceConditions, SearcherProfile, update_credibility
+from chainbalancer.units import to_nano
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "scenarios").glob("*.yaml"))
@@ -163,6 +168,73 @@ def test_two_venue_weight_keys_for_one_venue_are_a_violation(weights):
 
 
 @pytest.mark.parametrize(
+    "path,value,violation",
+    [
+        ("user_flow.venue_weights", {1: 1.0, "2": 1.0},
+         "user_flow.venue_weights: keys must be all integers or all strings"),
+        ("user_flow.venue_weights", {1: 1.0, 9: 1.0}, "user_flow.venue_weights: venue 9 has no pools"),
+        ("searchers.profiles", [{"id": 0}, {"id": 1}, {"id": 0}],
+         "searchers.profiles[2]: duplicate id 0"),
+    ],
+)
+def test_a_rule_across_fields_names_its_path(path, value, violation):
+    with pytest.raises(ValidationError) as err:
+        from_dict(_set(_raw("baseline.yaml"), path, value))
+    assert err.value.violations == [violation]
+
+
+def _baseline_with_omega(omega: dict, scaled: bool) -> dict:
+    """baseline.yaml with `omega`; `scaled` multiplies every reserve by 10^6,
+    with user swaps, endowments and balances to match, over one epoch."""
+    raw = _set(_raw("baseline.yaml"), "weights.omega", omega)
+    if scaled:
+        for pool in raw["pools"]:
+            pool["reserve_asset"] *= 10**6
+            pool["reserve_numeraire"] *= 10**6
+        raw["user_flow"].update(size_mu=16.6, endowment=1e12)
+        raw["balances"] = {"treasury_numeraire": 1e12, "lender_numeraire": 1e15,
+                           "external_numeraire": 1e12}
+        raw["blocks"]["epochs"] = 1
+    return raw
+
+
+@pytest.mark.parametrize(
+    "omega,scaled,total",
+    [
+        pytest.param({"searchers": 0.4000000000005, "marketplaces": 0.6, "treasury": 0.0}, False,
+                     "1.0000000000005", id="negative-treasury-allocation"),
+        pytest.param({"searchers": 0.4000000000005, "marketplaces": 0.6, "treasury": 0.0}, True,
+                     "1.0000000000005", id="abort-at-settlement"),
+        pytest.param({"searchers": 0.1 + 0.2, "marketplaces": 0.3, "treasury": 0.4}, False,
+                     "1.00000000000000004", id="float-sum-prints-as-one"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_omega_off_the_simplex_exits_1(omega, scaled, total, command, tmp_path, capsys):
+    """Each sum is within 1e-12 of 1, which was once accepted. The first
+    scenario then allocated the treasury -0.014796054103 in epoch 0 although
+    its weight is 0; the scaled one aborted its first settlement (exit 2,
+    "allocations exceed the pool"). A float sum shows the third as 1.0."""
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(yaml.safe_dump(_baseline_with_omega(omega, scaled)), encoding="utf-8")
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, str(scenario), *out]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"\n  weights.omega: weights sum to {total}, not 1\n"), err
+    assert "sum to 1.0," not in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_scaled_scenario_settles_on_an_exact_split():
+    """The scenario that aborted at settlement, on the split it meant."""
+    omega = {"searchers": 0.4, "marketplaces": 0.6, "treasury": 0.0}
+    result = run_scenario(from_dict(_baseline_with_omega(omega, scaled=True)), mode="autobalancer")
+    [ledger] = result.ledgers
+    assert ledger.profit_pool > 0
+    assert ledger.allocations["treasury"] == 0 <= ledger.payouts["treasury"] <= 1
+
+
+@pytest.mark.parametrize(
     "old,new,path",
     [
         ("gas_price: 1.0e-7", "gas_price: 1e-7", "threshold.gas_price"),  # a string to PyYAML
@@ -173,6 +245,8 @@ def test_two_venue_weight_keys_for_one_venue_are_a_violation(weights):
         ("count: 3", "count: 1" + "0" * 400, "assets.count"),
         ("num_users: 8", "num_users: 1" + "0" * 400, "user_flow.num_users"),
         ("epochs: 10", "epochs: 1" + "0" * 400, "blocks.epochs"),
+        # an integer beyond the float range in a float field
+        ("gas_price: 1.0e-7", "gas_price: 1" + "0" * 400, "threshold.gas_price"),
     ],
 )
 def test_validate_names_the_field_and_exits_1(old, new, path, tmp_path, capsys):
@@ -384,3 +458,36 @@ def test_readme_defaults_match_field_table():
     assert len(readme) == len(rows), "one row per key"
     table_defaults = {path: default for path, default, _, _ in FIELDS if default is not None}
     assert json.dumps(readme, sort_keys=True) == json.dumps(table_defaults, sort_keys=True)
+
+
+# each default of a typed object and the scenario row it mirrors
+TYPED_DEFAULTS = [
+    (Threshold().epsilon, "threshold.epsilon"),
+    (Threshold().flash_fee, "threshold.flash_fee"),
+    (Threshold().gas_price, "threshold.gas_price"),
+    (Threshold().gas_per_tx, "blocks.gas_per_balancer_tx"),
+    ({f.value for f in Threshold().allowed_funding}, "governance.allowed_funding"),
+    (UserFlowParams().rate, "user_flow.rate"),
+    (UserFlowParams().size_mu, "user_flow.size_mu"),
+    (UserFlowParams().size_sigma, "user_flow.size_sigma"),
+    (UserFlowParams().num_users, "user_flow.num_users"),
+    (ObjectiveWeights().lambda1, "weights.lambda1"),
+    (ObjectiveWeights().lambda2, "weights.lambda2"),
+    (ObjectiveWeights().delta_cap, "weights.delta"),
+    (ObjectiveWeights().u_star, "weights.u_star"),
+    (GovernanceConditions().max_set_size, "governance.max_set_size"),
+    (GovernanceConditions().min_net_profit, "governance.min_net_profit"),
+    (SearcherProfile(0).noise, "searchers.profiles[].noise"),
+    (SearcherProfile(0).coverage, "searchers.profiles[].coverage"),
+    (inspect.signature(update_credibility).parameters["beta"].default, "weights.beta"),
+]
+# a row default in the typed object's terms: a funding set, a profit floor in nano-units
+IN_TYPED_TERMS = {"governance.allowed_funding": set, "governance.min_net_profit": to_nano}
+
+
+@pytest.mark.parametrize("typed,path", TYPED_DEFAULTS, ids=[path for _, path in TYPED_DEFAULTS])
+def test_typed_defaults_equal_the_scenario_defaults(typed, path):
+    """A typed object built without a scenario (by a test, a demo or a
+    library user) gets the value an omitted scenario key gets."""
+    default = next(row[1] for row in FIELDS if row[0] == path)
+    assert typed == IN_TYPED_TERMS.get(path, lambda value: value)(default)

@@ -10,6 +10,10 @@ is skipped, as its imports are its exports.
 Every test and demo imports only the declared stack: the standard library,
 the package, a sibling test module, and the `test` extra's PyYAML, pytest
 and Hypothesis.
+
+The leaf modules import no package module at run time (an import under
+`if TYPE_CHECKING:` serves annotations only), so each is read and tested
+on its own.
 """
 
 import ast
@@ -23,6 +27,7 @@ PACKAGE = ROOT / "src" / "chainbalancer"
 TRACER = ROOT / "perfbench" / "tracer.py"
 DECLARED = {"chainbalancer", "yaml", "pytest", "hypothesis"}
 TESTS_AND_DEMOS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
+LEAVES = ("units", "metrics", "report", "rewards")
 
 
 def _shown(path: Path) -> str:
@@ -150,3 +155,51 @@ def test_the_check_finds_an_undeclared_import():
 def test_imports_only_the_declared_stack(path):
     siblings = {p.stem for p in path.parent.glob("*.py")}
     assert undeclared_imports(path.read_text(encoding="utf-8"), siblings) == []
+
+
+def runtime_package_imports(source: str) -> list[str]:
+    """The package modules `source` imports outside `if TYPE_CHECKING:`, in
+    import order: relative ones as written (".chain"), absolute ones by name."""
+    tree = ast.parse(source)
+    annotation_only = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING")
+        for stmt in node.body
+        for inner in ast.walk(stmt)
+    }
+    modules: list[str] = []
+    for node in ast.walk(tree):
+        if id(node) in annotation_only:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "chainbalancer":
+            modules.append(node.module)
+        elif isinstance(node, ast.Import):
+            modules += [a.name for a in node.names if a.name.partition(".")[0] == "chainbalancer"]
+    return modules
+
+
+def test_the_check_finds_a_runtime_package_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, chainbalancer.units\n"
+        "from typing import TYPE_CHECKING\n"
+        "from . import market\n"
+        "from .chain import Block\n"
+        "if TYPE_CHECKING:\n"
+        "    from .state import ChainState\n"
+        "def f():\n"
+        "    from chainbalancer.config import FIELDS\n"
+    )
+    assert runtime_package_imports(source) == [
+        "chainbalancer.units", ".", ".chain", "chainbalancer.config"
+    ]
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_a_leaf_module_imports_no_package_module(leaf):
+    source = (PACKAGE / f"{leaf}.py").read_text(encoding="utf-8")
+    assert runtime_package_imports(source) == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainbalancer import Pool, SwapDirection, execute_swap, quote_swap, spot_price
-from chainbalancer.market import snapshot_prices
+from chainbalancer.market import MAX_FEE_PPB, NUMERAIRE, snapshot_prices
 from chainbalancer.metrics import deviation_pairs
 from chainbalancer.units import SCALE, to_nano, to_units
 
@@ -42,6 +42,21 @@ class TestPool:
         fields = {"reserve_base": 10**9, "reserve_quote": 10**9, "fee_ppb": 0, field: value}
         with pytest.raises(TypeError, match=f"pool 1: {field} must be an int"):
             Pool(venue_id=1, base=1, **fields)
+
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"base": NUMERAIRE}, "pool 1: base must not be the numeraire"),
+            ({"fee_ppb": MAX_FEE_PPB}, f"pool 1: fee {MAX_FEE_PPB} ppb out of [0, 10%) range"),
+            ({"fee_ppb": -1}, "pool 1: fee -1 ppb out of [0, 10%) range"),
+        ],
+    )
+    def test_rejects_a_numeraire_base_or_a_fee_out_of_range(self, fields, message):
+        pool = {"base": 1, "reserve_base": 10**9, "reserve_quote": 10**9, **fields}
+        with pytest.raises(ValueError) as err:
+            Pool(venue_id=1, **pool)
+        assert str(err.value) == message
 
 
 class TestSpotPrice:

@@ -1,6 +1,8 @@
 """Reward splits, marketplace attribution, producer fees, slashing."""
 
 import random
+import re
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from chainbalancer.rewards import (
     GROUP_MARKETPLACES,
     GROUP_SEARCHERS,
     GROUP_TREASURY,
+    GROUPS,
     RewardWeights,
     WeightError,
     apply_slashing,
@@ -31,11 +34,18 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 W442 = RewardWeights.from_values(0.4, 0.4, 0.2)
 
+# decimal weights as a scenario writes them, up to 18 places: in [0, 1], and
+# anywhere in [-0.5, 1.5] (1 - a - b of two 18-place decimals is exact)
+UNIT_DECIMALS = st.decimals(min_value=0, max_value=1, places=18)
+DECIMALS = st.decimals(min_value="-0.5", max_value="1.5", places=18)
+
 
 def assert_exact(ledger, weights, rho):
-    """The ledger splits the contributions' sum exactly, to the nano."""
+    """The ledger splits the contributions' sum exactly, to the nano: each
+    group is allocated its weight times the pool, and no share is negative."""
     pool = sum(rho.values())
     assert ledger.profit_pool == pool
+    assert ledger.allocations == {group: getattr(weights, group) * pool for group in GROUPS}
     assert sum(ledger.allocations.values()) == pool
     assert sum(ledger.payouts.values()) == pool
     assert all(v >= 0 for v in ledger.payouts.values())
@@ -47,7 +57,7 @@ def assert_exact(ledger, weights, rho):
 
 
 class TestSplitPool:
-    """Group allocations: omega * pool, the treasury taking the remainder."""
+    """Group allocations: omega * pool for each group, on an exact simplex."""
 
     def test_basic_split(self):
         ledger = build_ledger(W442, {1: 600, 2: 400})
@@ -78,17 +88,45 @@ class TestSplitPool:
         with pytest.raises(WeightError):
             RewardWeights.from_values(0.4, 0.4, 0.1)
 
-    def test_near_simplex_accepted(self):
-        # within the 1e-12 tolerance, the treasury absorbs the residue
-        w = RewardWeights(
-            Fraction("0.333333333333"),
-            Fraction("0.333333333333"),
-            Fraction("0.333333333333"),
-        )
-        pool = 10**12
-        ledger = build_ledger(w, {1: pool})
-        assert ledger.allocations[GROUP_TREASURY] == w.treasury * pool + 1
-        assert_exact(ledger, w, {1: pool})
+    @pytest.mark.parametrize(
+        "weights,total",
+        [
+            (("0.4000000000005", "0.6", "0"), "1.0000000000005"),
+            (("0.3999999999995", "0.6", "0"), "0.9999999999995"),
+            (("0.333333333333",) * 3, "0.999999999999"),
+            # 0.1 + 0.2 as a float writes 0.30000000000000004, which a float sum shows as 1.0
+            ((str(0.1 + 0.2), "0.3", "0.4"), "1.00000000000000004"),
+            (("1/3", "1/3", "1/4"), "11/12"),
+        ],
+    )
+    def test_near_simplex_rejected(self, weights, total):
+        """A sum off 1 by any amount is rejected, parsed or built directly.
+        Within 1e-12 of 1 the first three were accepted: the treasury was
+        allocated the remainder, negative above 1 (and settlement aborted
+        when the other groups' floors overran the pool), and more than its
+        weight below 1."""
+        message = f"weights sum to {total}, not 1"
+        with pytest.raises(WeightError, match=f"^{re.escape(message)}$"):
+            RewardWeights(*map(Fraction, weights))
+        if "/" not in total:
+            with pytest.raises(WeightError, match=f"^{re.escape(message)}$"):
+                RewardWeights.from_values(*map(float, weights))
+
+    @pytest.mark.parametrize(
+        "weights,message",
+        [
+            (("-0.1", "0.5", "0.6"), "weight searchers=-0.1 outside [0, 1]"),
+            (("0", "1.00000000000000001", "0"), "weight marketplaces=1.00000000000000001 outside [0, 1]"),
+        ],
+    )
+    def test_weight_outside_the_unit_interval_rejected(self, weights, message):
+        with pytest.raises(WeightError, match=f"^{re.escape(message)}$"):
+            RewardWeights(*map(Fraction, weights))
+
+    def test_checked_weights_cannot_be_changed(self):
+        weights = RewardWeights.from_values(0.4, 0.4, 0.2)
+        with pytest.raises(FrozenInstanceError):
+            weights.treasury = Fraction(1)
 
     def test_negative_contribution_rejected(self):
         # venue 1 is not the remainder venue, so no overdraw would catch it
@@ -98,18 +136,27 @@ class TestSplitPool:
     @given(
         rho=st.dictionaries(
             st.integers(min_value=0, max_value=10**4),
-            st.integers(min_value=0, max_value=10**15),
+            st.integers(min_value=0, max_value=10**18),
             min_size=1,
             max_size=6,
         ),
-        a=st.integers(min_value=0, max_value=1000),
-        b=st.integers(min_value=0, max_value=1000),
+        weights=st.one_of(
+            # two decimals and the third that completes them to 1, exactly
+            st.tuples(UNIT_DECIMALS, UNIT_DECIMALS).map(lambda ab: (*ab, 1 - ab[0] - ab[1])),
+            st.tuples(DECIMALS, DECIMALS, DECIMALS),
+        ),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_exact_sum_property(self, rho, a, b):
-        if a + b > 1000:
-            a, b = a % 500, b % 500
-        w = RewardWeights(Fraction(a, 1000), Fraction(b, 1000), Fraction(1000 - a - b, 1000))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_sum_property(self, rho, weights):
+        """Decimal weights either fail at construction or split every pool exactly."""
+        exact = [Fraction(str(w)) for w in weights]
+        on_simplex = all(0 <= w <= 1 for w in exact) and sum(exact) == 1
+        try:
+            w = RewardWeights.from_values(*weights)
+        except WeightError:
+            assert not on_simplex
+            return
+        assert on_simplex
         assert_exact(build_ledger(w, rho), w, rho)
 
 

@@ -4,7 +4,9 @@ Each drawn scenario is valid and runs in all three modes: conservation
 holds to the nano-unit after every block, every generated user tx is
 applied or still queued (some are queued when the drawn capacity binds,
 and all of them when users hold no endowment), each epoch's ledger pays
-out exactly its pool, the beneficiary is never debited inside an epoch
+out exactly its pool under a drawn split (each group allocated its weight
+times the pool, every searcher and marketplace account holding exactly
+the payouts settled to it), the beneficiary is never debited inside an epoch
 (it gains exactly the block's profit, and the slash when it is the
 treasury), every report row's gas and utilization follow from its counts
 and the scenario's gas and capacity, every commit uses an allowed funding
@@ -28,11 +30,18 @@ from hypothesis import strategies as st
 import chainbalancer.runner as runner_mod
 from chainbalancer.config import MODES, from_dict
 from chainbalancer.report import dumps_report
-from chainbalancer.rewards import GROUP_MARKETPLACES
+from chainbalancer.rewards import GROUP_MARKETPLACES, GROUP_SEARCHERS, GROUPS
 from chainbalancer.runner import SimulationRun, draw_user_flow, run_scenario
 from chainbalancer.market import NUMERAIRE
 from chainbalancer.searchers import evaluate_proposals
-from chainbalancer.state import EXTERNAL, FEE_BURN, PRODUCER, TREASURY
+from chainbalancer.state import (
+    EXTERNAL,
+    FEE_BURN,
+    PRODUCER,
+    TREASURY,
+    marketplace_account,
+    searcher_account,
+)
 from chainbalancer.units import to_nano
 
 EPOCHS, EPOCH_LENGTH = 2, 4
@@ -70,7 +79,7 @@ def scenarios(draw) -> dict:
         for venue in range(venues)
         for asset in range(1, assets + 1)
     ]
-    return {
+    raw = {
         "assets": {"count": assets + 1},
         "pools": pools,
         "blocks": {
@@ -108,6 +117,13 @@ def scenarios(draw) -> dict:
         "chaos": {"forced_revert_rate": draw(st.sampled_from([0.0, 0.2, 1.0]))},
         "seeds": [draw(st.integers(0, 2**32))],
     }
+    # omega in exact thousandths: two cuts of [0, 1000], each a corner (a
+    # group weighted 0 or 1) a third of the time
+    cut = st.sampled_from([0, 1000]) | st.integers(0, 1000) | st.integers(1, 999)
+    low, high = sorted((draw(cut), draw(cut)))
+    omega = {"searchers": low, "marketplaces": high - low, "treasury": 1000 - high}
+    raw["weights"] = {"omega": {group: share / 1000 for group, share in omega.items()}}
+    return raw
 
 
 class BeneficiaryTap(SimulationRun):
@@ -177,14 +193,30 @@ def test_random_scenarios_keep_run_invariants(raw):
             gain = block.profit + (block.slashed if slash_to_beneficiary else 0)
             assert [b - a for a, b in zip(before, after)] == [gain] + [0] * (len(before) - 1)
 
+        settled = [ledger for ledger in result.ledgers if ledger is not None]
         for epoch, ledger in enumerate(result.ledgers):
             if mode != "autobalancer":
                 assert ledger is None
                 continue
             blocks = result.blocks[epoch * EPOCH_LENGTH:(epoch + 1) * EPOCH_LENGTH]
-            assert ledger.profit_pool == sum(b.profit for b in blocks)
-            assert sum(ledger.payouts.values()) == ledger.profit_pool
+            pool = ledger.profit_pool
+            assert pool == sum(b.profit for b in blocks)
+            assert ledger.allocations == {
+                group: getattr(config.reward_weights, group) * pool for group in GROUPS
+            }
+            assert sum(ledger.payouts.values()) == pool
             assert sum(ledger.marketplace_payouts.values()) == ledger.payouts[GROUP_MARKETPLACES]
+            assert min(*ledger.payouts.values(), *ledger.marketplace_payouts.values()) >= 0
+        # settlement is the only transfer to a searcher or marketplace account
+        # (a positive pool has commits, so a selected proposal)
+        assert sum(
+            final.balance(searcher_account(p.searcher_id), NUMERAIRE)
+            for p in config.searcher_profiles
+        ) == sum(ledger.payouts[GROUP_SEARCHERS] for ledger in settled)
+        for venue in config.venue_ids:
+            assert final.balance(marketplace_account(venue), NUMERAIRE) == sum(
+                ledger.marketplace_payouts[venue] for ledger in settled
+            )
 
         rerun = run_scenario(config, seed=seed, mode=mode)
         assert dumps_report(rerun.report()) == dumps_report(report)

@@ -191,6 +191,11 @@ class TestEvaluateProposals:
         assert selected.searcher_id == 1
         assert scores[0]["score"] < scores[1]["score"]
 
+    def test_no_proposals_is_an_error(self):
+        state = three_gap_state()
+        with pytest.raises(ValueError, match="requires at least one proposal"):
+            evaluate_proposals([], [(state, ROOM)], {})
+
     def test_single_proposal_selected_regardless(self):
         state, p0, _ = self._proposals()
         cred = {0: 0.0}

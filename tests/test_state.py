@@ -31,6 +31,13 @@ class TestReadsDoNotWrite:
             state.transfer("nobody", "alice", NUMERAIRE, 1)
         assert state.accounts == {"alice": {NUMERAIRE: 5}}
 
+    @pytest.mark.parametrize("operation", ["credit", "debit"])
+    def test_a_negative_amount_is_rejected_and_writes_nothing(self, operation):
+        state = fresh_state()
+        with pytest.raises(ValueError, match=f"^{operation} amount must be non-negative$"):
+            getattr(state, operation)("alice", NUMERAIRE, -1)
+        assert state.accounts == {"alice": {NUMERAIRE: 5}}
+
 
 def three_venue_state(reference_venue_id=0):
     """Asset 1 at 1.0 on venue 0, 3% dearer on venue 1, 3% cheaper on venue 2."""
