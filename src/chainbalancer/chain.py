@@ -66,9 +66,10 @@ class Block:
     balancer_skipped: list[SkipRecord] = field(default_factory=list)
     producer_fee: int = 0
     slashed: int = 0
-    # sampled after both phases and settlement: the share of the run's block
-    # capacity the block's txs used, then two values of the closing prices
+    # sampled after both phases and settlement: the block's share of the run's
+    # capacity and its congestion cost psi, then two values of the closing prices
     utilization: float = 0.0
+    psi: float = 0.0
     discrepancy: float = 0.0
     max_abs_deviation: float = 0.0
 

@@ -466,11 +466,57 @@ def from_dict(raw: dict) -> ScenarioConfig:
     )
 
 
+_MERGE = "tag:yaml.org,2002:merge"
+
+
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, noting each key a mapping repeats: a dict keeps only the last."""
+
+    def construct_mapping(self, node, deep=False):
+        pairs = list(node.value)  # its own pairs: a merge adds pairs they may override
+        mapping = super().construct_mapping(node, deep=deep)
+        lines: dict = {}
+        for key_node, _ in pairs:
+            if key_node.tag != _MERGE:
+                key = self.constructed_objects[key_node]  # built by the line above
+                if key in lines:
+                    self.repeats.append((node, key_node, lines[key]))
+                lines.setdefault(key, key_node.start_mark.line + 1)
+        return mapping
+
+
+def _node_paths(root) -> dict:
+    """The field path ("pools[2].") of each mapping and list in the document, by node id."""
+    paths, stack = {}, [(root, "")]
+    while stack:  # a stack, not recursion, and each node once: an alias may close a cycle
+        node, at = stack.pop()
+        if isinstance(node, (yaml.MappingNode, yaml.SequenceNode)) and id(node) not in paths:
+            paths[id(node)] = at
+            if isinstance(node, yaml.SequenceNode):
+                stack += ((item, f"{at[:-1]}[{i}].") for i, item in enumerate(node.value))
+            else:
+                stack += ((value, f"{at}{key.value}.") for key, value in node.value)
+    return paths
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Read and validate a scenario file (YAML; JSON is a YAML subset)."""
+    """Read and validate a scenario file (YAML; JSON is a YAML subset).
+
+    A mapping that repeats a key is a violation at the key's path, with its
+    lines: YAML keeps only the last value, so a whole section could vanish.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        loader = _Loader(Path(path).read_text(encoding="utf-8"))
+        loader.repeats = []
+        root = loader.get_single_node()  # parsed once; kept to name a repeat's path
+        raw = None if root is None else loader.construct_document(root)
     except ValueError as exc:  # not UTF-8, or an integer too long to convert
         raise ValidationError([f"{path}: {exc}"]) from exc
+    if loader.repeats:
+        paths = _node_paths(root)
+        raise ValidationError([
+            f"{paths[id(node)]}{key.value}: key repeated at line {key.start_mark.line + 1} "
+            f"(first at line {first})"
+            for node, key, first in sorted(loader.repeats, key=lambda r: r[1].start_mark.index)
+        ])
     return from_dict(raw)

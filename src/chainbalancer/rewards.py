@@ -5,8 +5,9 @@ non-reference leg ran there, so the epoch profit pool is exactly the sum
 of the contributions. Weights omega summing to exactly 1 split it: each
 group is allocated its weight times the pool, and each venue
 omega_marketplaces * rho_v, so nothing is diverted. Allocations are exact
-fractions; payouts floor to nano-units, the treasury and one venue taking
-only the flooring dust, so they too sum to the pool.
+fractions; payouts floor to nano-units by one rule, `floor_payouts`: the
+treasury takes the groups' flooring dust and the highest venue id the
+marketplaces', so the payouts too sum to the pool.
 """
 
 from __future__ import annotations
@@ -70,24 +71,11 @@ class RewardLedger:
     marketplace_payouts: dict[int, int]
 
 
-def quantize_allocations(
-    allocations: dict, total: int, remainder_key
-) -> dict:
-    """Floor each share to nano-units; the remainder key absorbs the dust.
-
-    Guarantees the quantized values sum to `total` exactly.
-    """
-    payouts = {}
-    assigned = 0
-    for key, value in allocations.items():
-        if key == remainder_key:
-            continue
-        nano = int(value)  # Fraction floors toward zero; shares are >= 0
-        payouts[key] = nano
-        assigned += nano
-    payouts[remainder_key] = total - assigned
-    if payouts[remainder_key] < 0:
-        raise ValueError("allocations exceed the pool")
+def floor_payouts(shares: dict, total: int, holder) -> dict:
+    """Each share but `holder`'s floored to nano-units (`int` floors a share >= 0);
+    `holder` takes the rest of `total`."""
+    payouts = {key: int(value) for key, value in shares.items() if key != holder}
+    payouts[holder] = total - sum(payouts.values())
     return payouts
 
 
@@ -135,20 +123,19 @@ def apply_slashing(
 
 
 def build_ledger(weights: RewardWeights, rho: dict[int, int]) -> RewardLedger:
-    """Split the epoch pool, the contributions' sum, exactly; then quantize.
+    """Split the epoch pool, the contributions' sum, exactly; then floor the payouts.
 
     Each group is allocated its weight times the pool, so the allocations
-    sum to the pool; the treasury's payout absorbs only the floors' dust.
+    sum to the pool; the treasury's payout takes the groups' flooring dust,
+    the highest venue id's the marketplaces' (neither can go negative).
     """
     if any(value < 0 for value in rho.values()):
         raise ValueError("contributions must be non-negative")
     pool = sum(rho.values())
     allocations = {group: getattr(weights, group) * pool for group in GROUPS}
     venue_allocations = {venue: weights.marketplaces * value for venue, value in rho.items()}
-    payouts = quantize_allocations(allocations, pool, GROUP_TREASURY)
+    payouts = floor_payouts(allocations, pool, GROUP_TREASURY)
     venue_payouts = (
-        quantize_allocations(venue_allocations, payouts[GROUP_MARKETPLACES], max(rho))
-        if rho
-        else {}
+        floor_payouts(venue_allocations, payouts[GROUP_MARKETPLACES], max(rho)) if rho else {}
     )
     return RewardLedger(pool, allocations, venue_allocations, payouts, venue_payouts)

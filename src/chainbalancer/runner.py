@@ -122,7 +122,7 @@ class RunResult:
                     "block": block.index,
                     "discrepancy": block.discrepancy,
                     "utilization": util,
-                    "psi": performance_cost_psi(util, weights.u_star),
+                    "psi": block.psi,
                     "scalarized": scalarized_objective(block.discrepancy, util, weights),
                     "captured_profit": profit if self.mode == MODE_AUTO else 0.0,
                     "leaked_profit": profit if self.mode == MODE_EXTERNAL else 0.0,
@@ -347,6 +347,7 @@ class SimulationRun:
 
         balancer_gas = len(block.balancer_executed) * cfg.threshold.gas_per_tx
         block.utilization = (user_gas + balancer_gas) / cfg.capacity
+        block.psi = performance_cost_psi(block.utilization, cfg.objective_weights.u_star)
         self._sample_block(block)
         # conservation is checked after every block, not only at the end
         for asset, total in state.asset_totals().items():
@@ -367,7 +368,6 @@ class SimulationRun:
         cfg, weights = self.config, self.config.objective_weights
         epoch_profit = sum(b.profit for b in epoch)
         ledger = self._settle_epoch(epoch, selected)
-        psis = [performance_cost_psi(b.utilization, weights.u_star) for b in epoch]
         if selected is not None:
             sid = selected.searcher_id
             self.credibility[sid] = update_credibility(
@@ -388,7 +388,7 @@ class SimulationRun:
             ],
             "profit_pool": to_units(epoch_profit),
             "reward_ledger": _ledger_row(ledger, epoch),
-            "constraint": epoch_constraint_check(psis, weights.delta_cap),
+            "constraint": epoch_constraint_check([b.psi for b in epoch], weights.delta_cap),
             "credibility": {str(sid): score for sid, score in sorted(self.credibility.items())},
         }
         return row, ledger

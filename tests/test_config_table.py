@@ -377,6 +377,61 @@ def test_integer_delta_reports_as_a_float():
     assert repr(report["epochs"][0]["constraint"]["delta"]) == "0.0"
 
 
+def _with_repeated_keys() -> str:
+    """baseline.yaml with `blocks: {epochs: 5, epochs: 2}`, then a second
+    `blocks` mapping holding only `epoch_length: 3`, and one pool row that
+    repeats `reserve_asset`. A YAML parser keeps the last of each, so this
+    once loaded with the default `epochs` (10), which the file never states."""
+    text = (ROOT / "scenarios" / "baseline.yaml").read_text(encoding="utf-8")
+    start, end = text.index("blocks:\n"), text.index("user_flow:\n")
+    blocks = "blocks: {epochs: 5, epochs: 2}\nblocks:\n  epoch_length: 3\n\n"
+    text = text[:start] + blocks + text[end:]
+    old = "reserve_asset: 3000.0, reserve_numeraire: 3030.0,"
+    assert old in text
+    repeated = "reserve_asset: 3000.0, reserve_asset: 3100.0, reserve_numeraire: 3030.0,"
+    return text.replace(old, repeated)
+
+
+REPEATED_KEYS = [
+    "pools[2].reserve_asset: key repeated at line 10 (first at line 10)",
+    "blocks.epochs: key repeated at line 17 (first at line 17)",
+    "blocks: key repeated at line 18 (first at line 17)",
+]
+
+
+def test_a_repeated_key_is_a_violation_at_its_path_and_line(tmp_path):
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(_with_repeated_keys(), encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        load_scenario(scenario)
+    assert err.value.violations == REPEATED_KEYS
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "compare"])
+def test_a_repeated_key_exits_1(command, tmp_path, capsys):
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(_with_repeated_keys(), encoding="utf-8")
+    out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+    assert main([command, str(scenario), *out]) == 1
+    err = capsys.readouterr().err
+    assert err == "invalid scenario:\n" + "".join(f"  {v}\n" for v in REPEATED_KEYS)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_merged_key_may_be_overridden(tmp_path):
+    """A YAML merge (`<<`) lends a mapping defaults; a key stated beside it
+    overrides the merged one and is not a repeat."""
+    text = (ROOT / "scenarios" / "baseline.yaml").read_text(encoding="utf-8")
+    old = "  epsilon: 0.003\n"
+    assert old in text
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(
+        text.replace(old, "  <<: {epsilon: 0.003, flash_fee: 0.0009}\n  epsilon: 0.004\n"),
+        encoding="utf-8",
+    )
+    assert load_scenario(scenario).threshold.epsilon == 0.004
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
 def test_config_hash_pinned(name):
     assert load_scenario(ROOT / "scenarios" / name).config_hash() == PINNED_HASHES[name]

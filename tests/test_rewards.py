@@ -42,8 +42,22 @@ DECIMALS = st.decimals(min_value="-0.5", max_value="1.5", places=18)
 
 def assert_exact(ledger, weights, rho):
     """The ledger splits the contributions' sum exactly, to the nano: each
-    group is allocated its weight times the pool, and no share is negative."""
+    group is allocated its weight times the pool, and no share is negative.
+    Every payout floors by one rule: each share is floored but one, and that
+    one, the treasury's among the groups and the highest venue id's among the
+    venues, takes the rest, which exceeds its own floor by less than the
+    number of shares in its split."""
     pool = sum(rho.values())
+    for payouts, allocations, holder in (
+        (ledger.payouts, ledger.allocations, GROUP_TREASURY),
+        (ledger.marketplace_payouts, ledger.marketplace_allocations, max(rho, default=None)),
+    ):
+        assert payouts.keys() == allocations.keys()
+        for key, payout in payouts.items():
+            if key != holder:
+                assert payout == int(allocations[key])
+            else:
+                assert 0 <= payout - int(allocations[key]) < len(allocations)
     assert ledger.profit_pool == pool
     assert ledger.allocations == {group: getattr(weights, group) * pool for group in GROUPS}
     assert sum(ledger.allocations.values()) == pool

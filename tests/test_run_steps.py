@@ -2,7 +2,11 @@
 
 from pathlib import Path
 
-from chainbalancer import load_scenario
+import pytest
+
+from chainbalancer import load_scenario, run_scenario, runner
+from chainbalancer.config import MODES
+from chainbalancer.metrics import performance_cost_psi
 from chainbalancer.runner import SimulationRun, draw_user_flow
 
 BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.yaml"
@@ -34,3 +38,22 @@ def test_one_epoch_driven_by_hand_matches_execute():
     assert row == full.epoch_rows[0]
     assert ledger == full.ledgers[0]
     assert run.state.block_height == config.epoch_length
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_psi_is_scored_once_per_block(mode, monkeypatch):
+    """The block step scores psi at the block's close; the report row and the
+    epoch's constraint check read the block's value instead of scoring again."""
+    scored = []
+
+    def counted(u: float, u_star: float) -> float:
+        scored.append(u)
+        return performance_cost_psi(u, u_star)
+
+    monkeypatch.setattr(runner, "performance_cost_psi", counted)
+    config = load_scenario(BASELINE)
+    result = run_scenario(config, seed=config.seeds[0], mode=mode)
+    report = result.report()
+    assert len(scored) == len(result.blocks) == config.epochs * config.epoch_length
+    assert scored == [b.utilization for b in result.blocks]
+    assert [r["psi"] for r in report["blocks"]] == [b.psi for b in result.blocks]
