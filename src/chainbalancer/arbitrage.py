@@ -22,8 +22,8 @@ and gas arithmetic that executes the trade.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .market import NUMERAIRE, Pool, SwapDirection, execute_swap, quote_swap
 from .state import FEE_ESCROW, LENDER, ChainState
@@ -35,38 +35,62 @@ class Funding(str, Enum):
     NETWORK_LIQUIDITY = "network_liquidity"
 
 
-@dataclass(frozen=True)
 class Threshold:
-    """Trigger, cost and funding parameters for deviation arbitrage."""
+    """Trigger, cost and funding parameters for deviation arbitrage; frozen once checked."""
 
-    epsilon: float = 0.003        # relative deviation trigger
-    flash_fee: float = 0.0009     # fraction of the borrowed size
-    gas_price: float = 1e-7       # numeraire per gas unit
-    gas_per_tx: int = 90_000      # gas of one balancer tx (flash-loan overhead included)
-    allowed_funding: frozenset = frozenset(Funding)  # the kinds a balancer tx may use
+    __slots__ = ("epsilon", "flash_fee", "gas_price", "gas_per_tx", "allowed_funding",  # fields
+                 "flash_fee_ppb", "gas_fee_nano", "reads_balance")  # derived from them
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        epsilon: float = 0.003,     # relative deviation trigger
+        flash_fee: float = 0.0009,  # fraction of the borrowed size
+        gas_price: float = 1e-7,    # numeraire per gas unit
+        gas_per_tx: int = 90_000,   # gas of one balancer tx (flash-loan overhead included)
+        allowed_funding: frozenset = frozenset(Funding),  # the kinds a balancer tx may use
+    ) -> None:
         # NaN fails every comparison, so it would switch the trigger off
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not 0 <= self.flash_fee < 0.01:
+        if not 0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+        if not 0 <= flash_fee < 0.01:
             raise ValueError("flash_fee out of [0, 0.01) range")
-        if not 0 <= self.gas_price < math.inf:
-            raise ValueError(f"gas_price must be non-negative and finite, got {self.gas_price}")
+        if not 0 <= gas_price < math.inf:
+            raise ValueError(f"gas_price must be non-negative and finite, got {gas_price}")
         # an integer gas fee keeps the ledger exact to the nano-unit
-        if isinstance(self.gas_per_tx, bool) or not isinstance(self.gas_per_tx, int):
-            raise TypeError(f"gas_per_tx must be an int, got {self.gas_per_tx!r}")
-        if self.gas_per_tx < 1:  # a block's balancer room divides by it
+        if isinstance(gas_per_tx, bool) or not isinstance(gas_per_tx, int):
+            raise TypeError(f"gas_per_tx must be an int, got {gas_per_tx!r}")
+        if gas_per_tx < 1:  # a block's balancer room divides by it
             raise ValueError("gas_per_tx must be at least 1")
-        # frozen, so these match the fields; dataclasses.replace checks and derives anew
-        object.__setattr__(self, "flash_fee_ppb", ppb(self.flash_fee))
-        object.__setattr__(self, "gas_fee_nano", self.gas_per_tx * to_nano(self.gas_price))
-        # only then does opportunity_from_deviation read the beneficiary's balance
-        object.__setattr__(self, "reads_balance", frozenset(Funding) <= self.allowed_funding)
+        # frozen, so the derived values match the fields; replace checks and derives anew.
+        # Only with both kinds allowed does opportunity_from_deviation read the balance
+        values = (epsilon, flash_fee, gas_price, gas_per_tx, allowed_funding, ppb(flash_fee),
+                  gas_per_tx * to_nano(gas_price), frozenset(Funding) <= allowed_funding)
+        for name, value in zip(Threshold.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return self.epsilon, self.flash_fee, self.gas_price, self.gas_per_tx, self.allowed_funding
+
+    def replace(self, **changes) -> Threshold:
+        """This threshold with `changes` to its fields, checked and derived again."""
+        return Threshold(**dict(zip(Threshold.__slots__, self._values()), **changes))
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is Threshold else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):  # copy and pickle build the twin through the checks
+        return Threshold, self._values()
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"Threshold is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class Opportunity:
+class Opportunity(NamedTuple):
     cheap: tuple[int, int]  # (venue_id, asset) of the pool the asset is bought on
     dear: tuple[int, int]   # (venue_id, asset) of the pool it is sold back to
     optimal_size: int       # nano-units of numeraire spent on the cheap leg
@@ -74,8 +98,7 @@ class Opportunity:
     funding: Funding        # the kind chosen for this execution
 
 
-@dataclass(slots=True)
-class ExecutionResult:
+class ExecutionResult(NamedTuple):
     committed: bool
     profit: int = 0      # nano-units of numeraire added to the beneficiary
     reason: str = ""

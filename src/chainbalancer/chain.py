@@ -18,29 +18,34 @@ capacity and the gas per tx are the run's constants, held by the runner.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from itertools import accumulate
 from math import cos, exp, log, sqrt, tau
 from random import Random
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .arbitrage import Funding, Opportunity, execute_atomic, opportunity_from_deviation
 from .market import NUMERAIRE, SwapDirection, execute_swap
 from .state import ChainState, InsufficientBalanceError, user_account
 
 
-@dataclass(slots=True)
 class UserTx:
-    id: int
-    venue_id: int
-    asset: int
-    direction: SwapDirection
-    amount_in: int  # nano-units of the input asset
-    submitter: str
+    __slots__ = ("id", "venue_id", "asset", "direction", "amount_in", "submitter")
+
+    def __init__(  # amount_in is in nano-units of the input asset
+        self, id: int, venue_id: int, asset: int, direction: SwapDirection, amount_in: int,
+        submitter: str,
+    ) -> None:
+        self.id, self.venue_id, self.asset, self.direction = id, venue_id, asset, direction
+        self.amount_in, self.submitter = amount_in, submitter
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not UserTx:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
-@dataclass(slots=True)
-class ExecRecord:
+class ExecRecord(NamedTuple):
     """One committed balancer execution."""
 
     asset: int
@@ -50,28 +55,37 @@ class ExecRecord:
     delta_p_after: float  # acceptance criterion 1 reads it: the gap the commit left
 
 
-@dataclass(frozen=True, slots=True)
-class SkipRecord:
+class SkipRecord(NamedTuple):
     asset: int
     venue_id: int
     reason: str
     kind: str  # "skip" (not sized) or "revert" (sized, quoted, nothing written)
 
 
-@dataclass(slots=True)
 class Block:
-    index: int
-    user_txs: list[UserTx] = field(default_factory=list)
-    balancer_executed: list[ExecRecord] = field(default_factory=list)
-    balancer_skipped: list[SkipRecord] = field(default_factory=list)
-    producer_fee: int = 0
-    slashed: int = 0
-    # sampled after both phases and settlement: the block's share of the run's
-    # capacity and its congestion cost psi, then two values of the closing prices
-    utilization: float = 0.0
-    psi: float = 0.0
-    discrepancy: float = 0.0
-    max_abs_deviation: float = 0.0
+    __slots__ = ("index", "user_txs", "balancer_executed", "balancer_skipped", "producer_fee",
+                 "slashed", "utilization", "psi", "discrepancy", "max_abs_deviation")
+
+    def __init__(
+        self, index: int, user_txs: list[UserTx] | None = None,
+        balancer_executed: list[ExecRecord] | None = None,
+        balancer_skipped: list[SkipRecord] | None = None, producer_fee: int = 0, slashed: int = 0,
+        # sampled after both phases and settlement: the block's share of the run's
+        # capacity and its congestion cost psi, then two values of the closing prices
+        utilization: float = 0.0, psi: float = 0.0,
+        discrepancy: float = 0.0, max_abs_deviation: float = 0.0,
+    ) -> None:
+        self.index, self.producer_fee, self.slashed = index, producer_fee, slashed
+        self.user_txs = [] if user_txs is None else user_txs
+        self.balancer_executed = [] if balancer_executed is None else balancer_executed
+        self.balancer_skipped = [] if balancer_skipped is None else balancer_skipped
+        self.utilization, self.psi = utilization, psi
+        self.discrepancy, self.max_abs_deviation = discrepancy, max_abs_deviation
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Block:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def profit(self) -> int:
@@ -79,12 +93,11 @@ class Block:
         return sum(r.profit for r in self.balancer_executed)
 
 
-@dataclass
-class UserFlowParams:
+class UserFlowParams(NamedTuple):
     rate: float = 5.0
     size_mu: float = 2.0      # lognormal parameters, unit scale
     size_sigma: float = 0.5
-    venue_weights: dict[int, float] = field(default_factory=dict)
+    venue_weights: Mapping[int, float] = MappingProxyType({})  # read-only: a shared default
     num_users: int = 8
 
 
@@ -142,8 +155,7 @@ def generate_user_flow(
     return flow
 
 
-@dataclass
-class UserPhaseResult:
+class UserPhaseResult(NamedTuple):
     applied: list[UserTx]
     carried: list[UserTx]
     events: list[tuple[UserTx, str]]  # (tx, "applied" | "balance_deferred") in scan order
@@ -221,8 +233,7 @@ def decide(state: ChainState, asset: int, venue_id: int) -> SkipRecord | Opportu
     return decision
 
 
-@dataclass
-class BalancerPhaseResult:
+class BalancerPhaseResult(NamedTuple):
     executed: list[ExecRecord]
     skipped: list[SkipRecord]
 

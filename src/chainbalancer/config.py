@@ -14,8 +14,8 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -182,8 +182,7 @@ class ValidationError(Exception):
         self.violations = violations
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     asset_count: int
     pools: dict[tuple[int, int], Pool]  # genesis pools by (venue, asset); runs clone them
     capacity: int
@@ -209,7 +208,7 @@ class ScenarioConfig:
     forced_revert_rate: float
     seeds: list[int]
     mode: str
-    raw: dict = field(repr=False, default_factory=dict)
+    raw: dict  # the checked mapping, defaults filled; config_hash hashes it
 
     @property
     def venue_ids(self) -> list[int]:
@@ -506,10 +505,11 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     lines: YAML keeps only the last value, so a whole section could vanish.
     """
     try:
-        loader = _Loader(Path(path).read_text(encoding="utf-8"))
-        loader.repeats = []
-        root = loader.get_single_node()  # parsed once; kept to name a repeat's path
-        raw = None if root is None else loader.construct_document(root)
+        with open(path, encoding="utf-8") as stream:  # a stream, so a syntax error names the file
+            loader = _Loader(stream)
+            loader.repeats = []
+            root = loader.get_single_node()  # parsed once; kept to name a repeat's path
+            raw = None if root is None else loader.construct_document(root)
     except ValueError as exc:  # not UTF-8, or an integer too long to convert
         raise ValidationError([f"{path}: {exc}"]) from exc
     if loader.repeats:

@@ -11,7 +11,6 @@ trade. Outputs round down, so the reserve product never decreases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -28,38 +27,38 @@ class SwapDirection(str, Enum):
     QUOTE_IN = "quote_in"  # spend the numeraire to buy the base asset
 
 
-@dataclass(slots=True)
 class Pool:
     """One constant-product pair: the `base` asset priced in the numeraire."""
 
-    venue_id: int
-    base: int
-    reserve_base: int   # nano-units
-    reserve_quote: int  # nano-units of the numeraire
-    fee_ppb: int = 0
+    __slots__ = ("venue_id", "base", "reserve_base", "reserve_quote", "fee_ppb")
 
-    def __post_init__(self) -> None:
-        if self.base == NUMERAIRE:
-            raise ValueError(f"pool {self.venue_id}: base must not be the numeraire")
+    def __init__(
+        self, venue_id: int, base: int, reserve_base: int, reserve_quote: int, fee_ppb: int = 0
+    ) -> None:
+        if base == NUMERAIRE:
+            raise ValueError(f"pool {venue_id}: base must not be the numeraire")
         # the swap and sizing arithmetic is integer-only
-        for name in ("reserve_base", "reserve_quote", "fee_ppb"):
-            value = getattr(self, name)
+        for name, value in zip(Pool.__slots__[2:], (reserve_base, reserve_quote, fee_ppb)):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"pool {self.venue_id}: {name} must be an int, got {value!r}")
-        if not 0 <= self.fee_ppb < MAX_FEE_PPB:
-            raise ValueError(f"pool {self.venue_id}: fee {self.fee_ppb} ppb out of [0, 10%) range")
+                raise TypeError(f"pool {venue_id}: {name} must be an int, got {value!r}")
+        if not 0 <= fee_ppb < MAX_FEE_PPB:
+            raise ValueError(f"pool {venue_id}: fee {fee_ppb} ppb out of [0, 10%) range")
         # a swap pays out at most reserve_out - 1, so a reserve never reaches 0 later
-        if self.reserve_base < 1 or self.reserve_quote < 1:
-            raise ValueError(f"pool {self.venue_id}: reserve below 1 nano-unit")
+        if reserve_base < 1 or reserve_quote < 1:
+            raise ValueError(f"pool {venue_id}: reserve below 1 nano-unit")
+        self.venue_id, self.base, self.fee_ppb = venue_id, base, fee_ppb
+        self.reserve_base, self.reserve_quote = reserve_base, reserve_quote  # nano-units
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Pool:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def clone(self) -> "Pool":
-        # no checks for a checked pool's copy: the constructor would run __post_init__ again
+        # no checks for a checked pool's copy: the constructor would run them again
         twin = object.__new__(Pool)
-        twin.venue_id = self.venue_id
-        twin.base = self.base
-        twin.reserve_base = self.reserve_base
-        twin.reserve_quote = self.reserve_quote
-        twin.fee_ppb = self.fee_ppb
+        twin.venue_id, twin.base, twin.fee_ppb = self.venue_id, self.base, self.fee_ppb
+        twin.reserve_base, twin.reserve_quote = self.reserve_base, self.reserve_quote
         return twin
 
 

@@ -22,13 +22,11 @@ on Python 3.12+ and would change the reported bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
-@dataclass
-class ObjectiveWeights:
+class ObjectiveWeights(NamedTuple):
     lambda1: float = 1.0
     lambda2: float = 0.1
     delta_cap: float = 0.05

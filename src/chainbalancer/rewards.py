@@ -12,10 +12,9 @@ marketplaces', so the payouts too sum to the pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Context
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # an annotation only: rewards imports no package module
     from .chain import ExecRecord
@@ -43,17 +42,15 @@ def _written(value: Fraction) -> str:
     return str(Context(prec=n.bit_length() + d.bit_length() + 1).divide(n, d))
 
 
-@dataclass(frozen=True)
 class RewardWeights:
-    searchers: Fraction
-    marketplaces: Fraction
-    treasury: Fraction
+    __slots__ = GROUPS  # searchers, marketplaces, treasury: an exact simplex, frozen once checked
 
-    def __post_init__(self) -> None:
-        for name, value in zip(GROUPS, (self.searchers, self.marketplaces, self.treasury)):
+    def __init__(self, searchers: Fraction, marketplaces: Fraction, treasury: Fraction) -> None:
+        for name, value in zip(GROUPS, (searchers, marketplaces, treasury)):
             if not 0 <= value <= 1:
                 raise WeightError(f"weight {name}={_written(value)} outside [0, 1]")
-        total = self.searchers + self.marketplaces + self.treasury
+            object.__setattr__(self, name, value)
+        total = searchers + marketplaces + treasury
         if total != 1:
             raise WeightError(f"weights sum to {_written(total)}, not 1")
 
@@ -61,9 +58,25 @@ class RewardWeights:
     def from_values(cls, searchers, marketplaces, treasury) -> "RewardWeights":
         return cls(*map(exact_fraction, (searchers, marketplaces, treasury)))
 
+    def _values(self) -> tuple:
+        return self.searchers, self.marketplaces, self.treasury
 
-@dataclass
-class RewardLedger:
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is RewardWeights else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):  # copy and pickle build the twin through the checks
+        return RewardWeights, self._values()
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"RewardWeights is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class RewardLedger(NamedTuple):
     profit_pool: int                                  # nano-units
     allocations: dict[str, Fraction]
     marketplace_allocations: dict[int, Fraction]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
 from random import Random
 
 from .chain import (
@@ -95,19 +94,23 @@ class SimulationAbort(RuntimeError):
         return type(self), (self.mode, self.seed, self.epoch, self.step, self.block, self.cause)
 
 
-@dataclass
 class RunResult:
-    config: ScenarioConfig
-    seed: int
-    mode: str
-    blocks: list[Block] = field(default_factory=list)
-    epoch_rows: list[dict] = field(default_factory=list)
-    ledgers: list[RewardLedger | None] = field(default_factory=list)
-    final_state: ChainState | None = None
-    totals: dict = field(default_factory=dict)
-    user_flow_digest: str = ""
-    pending_at_end: int = 0
-    generated_txs: int = 0
+    __slots__ = ("config", "seed", "mode", "blocks", "epoch_rows", "ledgers", "final_state",
+                 "totals", "user_flow_digest", "pending_at_end", "generated_txs")
+
+    def __init__(
+        self, config: ScenarioConfig, seed: int, mode: str, blocks: list[Block] | None = None,
+        epoch_rows: list[dict] | None = None, ledgers: list[RewardLedger | None] | None = None,
+        final_state: ChainState | None = None, totals: dict | None = None,
+        user_flow_digest: str = "", pending_at_end: int = 0, generated_txs: int = 0,
+    ) -> None:
+        self.config, self.seed, self.mode, self.final_state = config, seed, mode, final_state
+        self.blocks = [] if blocks is None else blocks
+        self.epoch_rows = [] if epoch_rows is None else epoch_rows
+        self.ledgers = [] if ledgers is None else ledgers
+        self.totals = {} if totals is None else totals
+        self.user_flow_digest = user_flow_digest
+        self.pending_at_end, self.generated_txs = pending_at_end, generated_txs
 
     def report(self) -> dict:
         """JSON-ready nested report; deterministic for a fixed config+seed."""

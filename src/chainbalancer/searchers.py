@@ -11,9 +11,9 @@ how well realized profit matched the claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp
 from random import Random
+from typing import NamedTuple
 
 from .arbitrage import Opportunity
 from .arbitrage import execute_atomic  # noqa: F401 - perfbench/tracer.py rebinds it here
@@ -22,8 +22,7 @@ from .chain import decide, execute_block_balancer_phase, standard_normal
 from .state import ChainState
 
 
-@dataclass
-class BalancerTemplate:
+class BalancerTemplate(NamedTuple):
     """A re-validating arbitrage instruction: (asset, venue).
 
     `(asset, venue_id)` names the template within a proposal; the
@@ -39,22 +38,19 @@ class BalancerTemplate:
     estimate: int = 0  # searcher's estimated net profit, nano-units
 
 
-@dataclass
-class SearcherProfile:
+class SearcherProfile(NamedTuple):
     searcher_id: int
     noise: float = 0.0     # sigma of multiplicative lognormal estimate noise
     coverage: float = 1.0  # probability a candidate pair is considered at all
 
 
-@dataclass
-class SearcherProposal:
+class SearcherProposal(NamedTuple):
     searcher_id: int
     ordered_txs: list[BalancerTemplate]
     profit_estimate: int   # sequential-simulation total, nano-units
 
 
-@dataclass
-class GovernanceConditions:
+class GovernanceConditions(NamedTuple):
     """What a proposal's ordered set may hold: the run's one policy."""
 
     max_set_size: int = 16   # also caps the balancer txs per block

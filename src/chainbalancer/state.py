@@ -20,7 +20,6 @@ to the nano-unit across any sequence of operations. Special holders:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .market import NUMERAIRE, Pool, spot_price
@@ -52,16 +51,26 @@ class InsufficientBalanceError(Exception):
     """A debit larger than the holder's balance; the message gives both amounts."""
 
 
-@dataclass
 class ChainState:
-    pools: dict[tuple[int, int], Pool]          # (venue_id, asset) -> Pool
-    reference_venue_id: int
-    threshold: Threshold  # the balancer's rules; shared with every clone
-    accounts: dict[str, dict[int, int]] = field(default_factory=dict)
-    block_height: int = 0
-    beneficiary: str = TREASURY  # funds the balancer's trades and keeps their profit
-    # chain.decide's slots by (venue_id, asset); shared with every clone, not state proper
-    decisions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("pools", "reference_venue_id", "threshold", "accounts", "block_height",
+                 "beneficiary", "decisions")  # decisions last: equality leaves it out
+
+    def __init__(
+        self, pools: dict[tuple[int, int], Pool], reference_venue_id: int,  # (venue, asset) keys
+        threshold: Threshold,  # the balancer's rules; shared with every clone
+        accounts: dict[str, dict[int, int]] | None = None, block_height: int = 0,
+        beneficiary: str = TREASURY,  # funds the balancer's trades and keeps their profit
+    ) -> None:
+        self.pools, self.reference_venue_id, self.threshold = pools, reference_venue_id, threshold
+        self.accounts = {} if accounts is None else accounts
+        self.block_height, self.beneficiary = block_height, beneficiary
+        # chain.decide's slots by (venue_id, asset); shared with every clone, not state proper
+        self.decisions: dict = {}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ChainState:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__[:-1])
 
     def deviation(self, venue_id: int, asset: int) -> float:
         """(p_venue - p_ref) / p_ref for `asset`: positive when the venue is dear."""
@@ -109,12 +118,9 @@ class ChainState:
 
     def clone(self) -> "ChainState":
         copy = ChainState(
-            pools={key: pool.clone() for key, pool in self.pools.items()},
-            reference_venue_id=self.reference_venue_id,
-            threshold=self.threshold,
-            accounts={holder: dict(bal) for holder, bal in self.accounts.items()},
-            block_height=self.block_height,
-            beneficiary=self.beneficiary,
+            {key: pool.clone() for key, pool in self.pools.items()}, self.reference_venue_id,
+            self.threshold, {holder: dict(bal) for holder, bal in self.accounts.items()},
+            self.block_height, self.beneficiary,
         )
         copy.decisions = self.decisions
         return copy

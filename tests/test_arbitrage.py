@@ -1,9 +1,10 @@
 """Opportunity detection, trade sizing against a grid-search oracle, funding
 choice, atomicity."""
 
+import copy
 import math
+import pickle
 import random
-from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -87,7 +88,7 @@ def grid_search_oracle(pool_cheap, pool_dear, flash, points=10_000, refine_point
 def opportunity(pools, thr, delta_p, funding=Funding.FLASH_LOAN):
     """The opportunity of asset 1 on venue 1 against reference venue 0, when
     `funding` is the one kind allowed."""
-    state = ChainState(pools, 0, replace(thr, allowed_funding=frozenset({funding})))
+    state = ChainState(pools, 0, thr.replace(allowed_funding=frozenset({funding})))
     return opportunity_from_deviation(state, 1, 1, delta_p)
 
 
@@ -144,14 +145,19 @@ def test_a_threshold_is_frozen_and_a_replaced_one_is_checked_again():
     # every clone of a chain state shares one threshold, and decide's slots key on it
     threshold = Threshold()
     derived = ("flash_fee_ppb", "gas_fee_nano", "reads_balance")
-    for name in [f.name for f in fields(Threshold)] + list(derived):
-        with pytest.raises(FrozenInstanceError):
-            setattr(threshold, name, getattr(threshold, name))
-    variant = replace(threshold, gas_price=1.0, flash_fee=0.002, allowed_funding=frozenset())
+    for name in Threshold.__slots__:  # the fields, then the derived values
+        value = getattr(threshold, name)
+        with pytest.raises(AttributeError, match="frozen"):
+            setattr(threshold, name, value)
+        with pytest.raises(AttributeError, match="frozen"):
+            delattr(threshold, name)
+    # a copy or an unpickled twin is built through the checks, so it is equal and frozen too
+    assert copy.deepcopy(threshold) == threshold == pickle.loads(pickle.dumps(threshold))
+    variant = threshold.replace(gas_price=1.0, flash_fee=0.002, allowed_funding=frozenset())
     assert [getattr(variant, name) for name in derived] == [2_000_000, 90_000 * SCALE, False]
     assert threshold.gas_fee_nano == 9_000_000  # 90,000 gas at 1e-7
     with pytest.raises(ValueError, match="epsilon must be positive and finite"):
-        replace(threshold, epsilon=math.nan)
+        threshold.replace(epsilon=math.nan)
 
 
 @pytest.mark.parametrize("gas_per_tx", [2.5, 90_000.0, True], ids=["fraction", "float", "bool"])
@@ -362,7 +368,7 @@ class TestFundingChoice:
         """The fixture's opportunity, after setting the treasury's and the
         lender's numeraire; `treasury` is relative to the fee-free size."""
         state, delta, thr = _arb_fixture()
-        thr = state.threshold = replace(thr, allowed_funding=allowed)
+        thr = state.threshold = thr.replace(allowed_funding=allowed)
         free = optimal_trade_size(state.pools[(0, 1)], state.pools[(1, 1)])
         if treasury is not None:
             state.accounts[TREASURY][0] = free + treasury

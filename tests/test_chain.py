@@ -4,7 +4,6 @@ import hashlib
 import math
 import random
 import statistics
-from dataclasses import replace
 
 import pytest
 
@@ -327,7 +326,7 @@ class TestDecisionSlots:
         state = _gapped_state(gap=0.03)
         sized = decide(state, 1, 1)
         assert isinstance(sized, Opportunity)
-        state.threshold = replace(THRESHOLD, epsilon=0.05)  # the slot is warm
+        state.threshold = THRESHOLD.replace(epsilon=0.05)  # the slot is warm
         skip = decide(state, 1, 1)
         assert (skip.reason, skip.kind) == ("below_epsilon", "skip")
         state.threshold = THRESHOLD
@@ -347,7 +346,7 @@ class TestDecisionSlots:
 
     def test_beneficiary_numeraire_alone_flips_the_funding(self):
         state = _gapped_state(gap=0.02)
-        state.threshold = replace(THRESHOLD, allowed_funding=frozenset(Funding))
+        state.threshold = THRESHOLD.replace(allowed_funding=frozenset(Funding))
         first = decide(state, 1, 1)
         assert first.funding is Funding.NETWORK_LIQUIDITY
         # leave the treasury one nano short of the size; no reserve moves
@@ -382,6 +381,24 @@ class TestDecisionSlots:
         assert decide(replica, 1, 1) is skip
         assert replica == state  # the slots take no part in equality
 
+    @pytest.mark.parametrize(
+        "gap,fields",
+        [
+            (0.0, ("asset", "venue_id", "reason", "kind")),
+            (0.03, ("cheap", "dear", "optimal_size", "expected_profit", "funding")),
+        ],
+        ids=["skip", "opportunity"],
+    )
+    def test_a_shared_decision_cannot_be_changed(self, gap, fields):
+        # one object serves its slot, every block's skipped list and every replay
+        decision = decide(_gapped_state(gap=gap), 1, 1)
+        assert isinstance(decision, SkipRecord if gap == 0.0 else Opportunity)
+        for name in fields:
+            value = getattr(decision, name)
+            with pytest.raises(AttributeError):
+                setattr(decision, name, value)
+            assert getattr(decision, name) is value
+
     def test_each_run_starts_empty_and_keeps_one_slot_per_template(self, baseline_config):
         first = SimulationRun(baseline_config, seed=21, mode="autobalancer")
         second = SimulationRun(baseline_config, seed=21, mode="autobalancer")
@@ -413,7 +430,7 @@ class TestDecide:
         decision = decide(make_state(pools, threshold=thr), 1, 1)
         assert (decision.reason, decision.kind) == ("below_epsilon", "skip")
         # the same gap clears a tighter trigger
-        tighter = make_state(pools, threshold=replace(thr, epsilon=0.003))
+        tighter = make_state(pools, threshold=thr.replace(epsilon=0.003))
         assert isinstance(decide(tighter, 1, 1), Opportunity)
 
     def test_sizes_the_venue_pool_of_the_asset(self):

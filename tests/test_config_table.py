@@ -6,7 +6,6 @@ pinned; README's defaults table is checked against `config.FIELDS`.
 """
 
 import copy
-import dataclasses
 import inspect
 import json
 import math
@@ -344,6 +343,13 @@ def test_unreadable_file_exits_1(content, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("invalid scenario:")
 
 
+def test_a_syntax_error_names_the_file_and_its_place(tmp_path, capsys):
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text("blocks: [1", encoding="utf-8")
+    assert main(["validate", str(scenario)]) == 1
+    assert f'in "{scenario}", line 1, column 9' in capsys.readouterr().err
+
+
 def test_unknown_keys_are_violations(tmp_path, capsys):
     raw = _raw("baseline.yaml")
     raw["extra"] = 1
@@ -486,7 +492,7 @@ ALTERNATIVES = {
 def _built(raw: dict) -> dict:
     """The built config's fields, the hashed mapping excluded."""
     config = from_dict(raw)
-    return {f.name: getattr(config, f.name) for f in dataclasses.fields(config) if f.name != "raw"}
+    return {name: getattr(config, name) for name in config._fields if name != "raw"}
 
 
 def test_alternatives_cover_every_key():

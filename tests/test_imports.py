@@ -14,6 +14,9 @@ and Hypothesis.
 The leaf modules import no package module at run time (an import under
 `if TYPE_CHECKING:` serves annotations only), so each is read and tested
 on its own.
+
+No package module imports `dataclasses` (`test_import.py` checks that a
+fresh interpreter does not load it).
 """
 
 import ast
@@ -127,17 +130,22 @@ def test_each_exemption_is_a_binding_the_tracer_rebinds():
     assert [binding for binding in exempt if binding not in rebinds] == []
 
 
-def undeclared_imports(source: str, siblings: set[str]) -> list[str]:
-    """The top-level modules `source` imports from outside the declared
-    stack, the standard library and `siblings`, in import order."""
+def imported_modules(source: str) -> list[str]:
+    """The top-level modules `source` imports by absolute name, in import order."""
     modules: list[str] = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             modules += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             modules.append(node.module)
+    return [module.partition(".")[0] for module in modules]
+
+
+def undeclared_imports(source: str, siblings: set[str]) -> list[str]:
+    """The top-level modules `source` imports from outside the declared
+    stack, the standard library and `siblings`, in import order."""
     allowed = DECLARED | siblings | set(sys.stdlib_module_names)
-    return [top for top in (m.partition(".")[0] for m in modules) if top not in allowed]
+    return [top for top in imported_modules(source) if top not in allowed]
 
 
 def test_the_check_finds_an_undeclared_import():
@@ -149,6 +157,9 @@ def test_the_check_finds_an_undeclared_import():
         "    import scipy.stats\n"
     )
     assert undeclared_imports(source, {"conftest"}) == ["numpy", "scipy"]
+    assert imported_modules("import dataclasses as dc\nfrom dataclasses import field\n") == [
+        "dataclasses", "dataclasses"
+    ]
 
 
 @pytest.mark.parametrize("path", TESTS_AND_DEMOS, ids=_shown)
@@ -203,3 +214,8 @@ def test_the_check_finds_a_runtime_package_import():
 def test_a_leaf_module_imports_no_package_module(leaf):
     source = (PACKAGE / f"{leaf}.py").read_text(encoding="utf-8")
     assert runtime_package_imports(source) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=_shown)
+def test_no_package_module_imports_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))

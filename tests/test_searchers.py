@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from itertools import cycle
 from pathlib import Path
 from types import SimpleNamespace
@@ -335,10 +334,10 @@ class TestFeasibility:
         delta = state.deviation(1, 1)
         both = opportunity_from_deviation(state, 1, 1, delta)
         assert both.funding is Funding.NETWORK_LIQUIDITY  # the treasury covers it
-        state.threshold = replace(THRESHOLD, allowed_funding=frozenset({Funding.FLASH_LOAN}))
+        state.threshold = THRESHOLD.replace(allowed_funding=frozenset({Funding.FLASH_LOAN}))
         opp = opportunity_from_deviation(state, 1, 1, delta)
         assert opp.funding is Funding.FLASH_LOAN
-        state.threshold = replace(THRESHOLD, allowed_funding=frozenset())
+        state.threshold = THRESHOLD.replace(allowed_funding=frozenset())
         assert opportunity_from_deviation(state, 1, 1, delta) is None
 
     def test_deterministic(self):
@@ -371,7 +370,7 @@ def test_every_proposal_passes_the_feasibility_oracle(
     """The candidate filter is the only place the conditions are applied;
     `check_feasibility` stays the independent oracle for its output."""
     cond = GovernanceConditions(max_set_size=max_set, min_net_profit=min_net_profit)
-    state = three_gap_state(replace(THRESHOLD, allowed_funding=allowed))
+    state = three_gap_state(THRESHOLD.replace(allowed_funding=allowed))
     proposal = build_proposal(SearcherProfile(0, noise=noise), state, cond, rng_for(11))
     ordered = proposal.ordered_txs
     assert check_feasibility(cond, ordered) == 1

@@ -11,7 +11,6 @@ applied swap's gas against the capacity does.
 """
 
 import copy
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,8 +40,8 @@ ROOM = 10**9 // THRESHOLD.gas_per_tx  # the balancer txs 10^9 gas holds
 # phases under each of them share the state's one slot map
 PHASE_THRESHOLDS = (
     THRESHOLD,
-    replace(THRESHOLD, epsilon=0.02),
-    *(replace(THRESHOLD, allowed_funding=frozenset({funding})) for funding in Funding),
+    THRESHOLD.replace(epsilon=0.02),
+    *(THRESHOLD.replace(allowed_funding=frozenset({funding})) for funding in Funding),
 )
 
 
@@ -140,7 +139,7 @@ def test_random_operations_conserve_totals_and_never_cost_the_beneficiary(state,
             _, venue, asset, funding, beneficiary, fault, forced = step
             state.beneficiary = beneficiary
             # only the funding kinds differ from THRESHOLD, and execute_atomic reads none
-            state.threshold = replace(THRESHOLD, allowed_funding=frozenset({funding}))
+            state.threshold = THRESHOLD.replace(allowed_funding=frozenset({funding}))
             opp = _opportunity(state, venue, asset, funding, forced)
             if opp is None:
                 continue
